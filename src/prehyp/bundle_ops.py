@@ -3,23 +3,25 @@ rank-k bundle: principal symbols, composition, formal adjoints, the
 hyperbolicity predicates, the bilinear dual pairing and discrete operator
 application.
 
-Coefficient derivatives needed by composition and adjoints are taken by
-small-step centered differences of the coefficient fields, so the
-expression module stays free of symbolic differentiation.
+Coefficient fields are symbolic: a k x k matrix of expression ASTs.  The
+derivatives that composition and adjoints need are exact (expr.diff), and
+constant folding prunes the entries that vanish identically.  Solvers and
+apply_operator compile the nonzero entries of an operator once into an
+evaluation tape (coefficient_tape).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import expr as _expr
+from .expr import Bin, Neg, Num
 from .geometry import DiagonalMetric
 from .grids import Grid1p1, GridSection, d_t, d_tt, d_x, d_xx
-
-COEFF_FD_STEP = 1e-6  # centered-difference step for coefficient derivatives
 
 
 class RankMismatchError(ValueError):
@@ -37,25 +39,31 @@ class StencilError(ValueError):
 # ---------------------------------------------------------------------------
 # matrix-valued coefficient fields
 
+def _as_ast(e) -> "_expr.ExprAst":
+    """A folded AST from an expression string, a number or an AST."""
+    if isinstance(e, (str, int, float, complex, np.number)):
+        e = _expr.parse(e) if isinstance(e, str) else Num(complex(e))
+    return _expr.simplify(e)
+
+
+def _bin(op: str, a, b) -> "_expr.ExprAst":
+    return _expr.fold(Bin(op, a, b))
+
+
 class MatrixField:
-    """A k x k complex-matrix-valued field over (t, x).
+    """A k x k complex-matrix-valued field over (t, x): one folded
+    expression AST per entry.  Fields whose entries are all numbers carry
+    their value as a constant matrix."""
 
-    Backed by a vectorized function fn(t, xs) -> (len(xs), k, k); constant
-    fields carry their value so algebra on them stays exact and cheap.
-    """
-
-    def __init__(
-        self,
-        k: int,
-        fn: Callable[[float, np.ndarray], np.ndarray],
-        constant: Optional[np.ndarray] = None,
-        t_dependent: bool = True,
-    ):
-        self.k = k
-        self._fn = fn
-        self.constant = None if constant is None else np.asarray(constant, dtype=complex)
-        # fields that only depend on x can be cached per grid by solvers
-        self.t_dependent = False if constant is not None else t_dependent
+    def __init__(self, entries: Sequence[Sequence["_expr.ExprAst"]]):
+        self.entries = tuple(tuple(row) for row in entries)
+        self.k = len(self.entries)
+        if any(len(row) != self.k for row in self.entries):
+            raise ValueError("coefficient matrix must be square")
+        self.constant = None
+        if all(isinstance(e, Num) for row in self.entries for e in row):
+            self.constant = np.array([[e.value for e in row] for row in self.entries], dtype=complex)
+        self.t_dependent = any(_expr.uses_var(e, "t") for row in self.entries for e in row)
 
     @property
     def is_constant(self) -> bool:
@@ -66,8 +74,7 @@ class MatrixField:
         mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("constant matrix field needs a square matrix")
-        k = mat.shape[0]
-        return cls(k, lambda t, xs: np.broadcast_to(mat, (len(xs), k, k)), constant=mat)
+        return cls([[_as_ast(v) for v in row] for row in mat])
 
     @classmethod
     def zero(cls, k: int) -> "MatrixField":
@@ -75,120 +82,124 @@ class MatrixField:
 
     @classmethod
     def from_exprs(cls, entries: Sequence[Sequence[Union[str, "_expr.ExprAst", float, complex]]]) -> "MatrixField":
-        k = len(entries)
-        asts: List[List[object]] = []
-        all_const = True
-        any_t = False
-        for row in entries:
-            if len(row) != k:
-                raise ValueError("coefficient matrix must be square")
-            arow = []
-            for e in row:
-                if isinstance(e, str):
-                    e = _expr.parse(e)
-                if isinstance(e, (int, float, complex)):
-                    arow.append(complex(e))
-                else:
-                    arow.append(e)
-                    all_const &= _expr.is_constant(e)
-                    any_t |= _expr.uses_var(e, "t")
-            asts.append(arow)
+        return cls([[_as_ast(e) for e in row] for row in entries])
 
-        def fn(t, xs):
-            out = np.empty((len(xs), k, k), dtype=complex)
-            for i in range(k):
-                for j in range(k):
-                    e = asts[i][j]
-                    if isinstance(e, complex):
-                        out[:, i, j] = e
-                    else:
-                        out[:, i, j] = _expr.evaluate(e, t, xs)
-            return out
+    def nonzero(self) -> List[Tuple[int, int, "_expr.ExprAst"]]:
+        return [(i, j, e) for i, row in enumerate(self.entries) for j, e in enumerate(row) if e != _expr.ZERO]
 
-        const = fn(0.0, np.zeros(1))[0] if all_const else None
-        return cls(k, fn, constant=const, t_dependent=any_t)
+    def to_exprs(self) -> List[List[Union[str, float, complex]]]:
+        """Entries as numbers where constant, else as expression source."""
+        return [[e.value if isinstance(e, Num) else _expr.pretty(e) for e in row] for row in self.entries]
 
     def eval(self, t: float, xs: np.ndarray) -> np.ndarray:
         """Values on a row of nodes: shape (len(xs), k, k)."""
         if self.is_constant:
             return np.broadcast_to(self.constant, (len(xs), self.k, self.k))
-        return self._fn(t, np.asarray(xs, dtype=float))
+        xs = np.asarray(xs, dtype=float)
+        out = np.zeros((len(xs), self.k, self.k), dtype=complex)
+        for i, j, e in self.nonzero():
+            out[:, i, j] = _expr.evaluate(e, t, xs)
+        return out
 
     def at(self, t: float, x: float) -> np.ndarray:
         return self.eval(t, np.array([float(x)]))[0].copy()
 
-    # -- algebra (constant-ness propagates) --------------------------------
+    # -- algebra (entry-wise on folded ASTs) --------------------------------
+
+    def _map(self, fn: Callable) -> "MatrixField":
+        return MatrixField([[fn(e) for e in row] for row in self.entries])
+
+    def _zip(self, op: str, other: "MatrixField") -> "MatrixField":
+        return MatrixField([[_bin(op, a, b) for a, b in zip(*rows)] for rows in zip(self.entries, other.entries)])
 
     def __add__(self, other: "MatrixField") -> "MatrixField":
-        const = self.constant + other.constant if self.is_constant and other.is_constant else None
-        tdep = self.t_dependent or other.t_dependent
-        return MatrixField(self.k, lambda t, xs: self.eval(t, xs) + other.eval(t, xs), const, tdep)
+        return self._zip("+", other)
 
     def __sub__(self, other: "MatrixField") -> "MatrixField":
-        const = self.constant - other.constant if self.is_constant and other.is_constant else None
-        tdep = self.t_dependent or other.t_dependent
-        return MatrixField(self.k, lambda t, xs: self.eval(t, xs) - other.eval(t, xs), const, tdep)
+        return self._zip("-", other)
 
     def __neg__(self) -> "MatrixField":
-        const = -self.constant if self.is_constant else None
-        return MatrixField(self.k, lambda t, xs: -self.eval(t, xs), const, self.t_dependent)
+        return self._map(lambda e: _expr.fold(Neg(e)))
 
     def __matmul__(self, other: "MatrixField") -> "MatrixField":
-        const = self.constant @ other.constant if self.is_constant and other.is_constant else None
-        tdep = self.t_dependent or other.t_dependent
-        return MatrixField(self.k, lambda t, xs: self.eval(t, xs) @ other.eval(t, xs), const, tdep)
+        if self.is_constant and other.is_constant:
+            return MatrixField.from_constant(self.constant @ other.constant)
+
+        def dot(row, col):
+            return reduce(lambda acc, ab: _bin("+", acc, _bin("*", *ab)), zip(row, col), _expr.ZERO)
+
+        return MatrixField([[dot(row, col) for col in zip(*other.entries)] for row in self.entries])
 
     def transpose(self) -> "MatrixField":
-        const = self.constant.T if self.is_constant else None
-        return MatrixField(
-            self.k, lambda t, xs: np.swapaxes(self.eval(t, xs), -1, -2), const, self.t_dependent
-        )
+        return MatrixField(list(zip(*self.entries)))
 
-    def scale(self, s: complex) -> "MatrixField":
-        const = s * self.constant if self.is_constant else None
-        return MatrixField(self.k, lambda t, xs: s * self.eval(t, xs), const, self.t_dependent)
+    def scale(self, s: Union[complex, "_expr.ExprAst"]) -> "MatrixField":
+        """Multiply every entry by a number or a scalar expression."""
+        s = _as_ast(s)
+        return self._map(lambda e: _bin("*", s, e))
 
-    def scale_by(
-        self, scalar_fn: Callable[[float, np.ndarray], np.ndarray], t_dependent: bool = True
-    ) -> "MatrixField":
-        """Multiply by a scalar field (t, xs) -> (len(xs),)."""
-
-        def fn(t, xs):
-            s = np.broadcast_to(np.asarray(scalar_fn(t, xs), dtype=complex), (len(xs),))
-            return s[:, None, None] * self.eval(t, xs)
-
-        return MatrixField(self.k, fn, None, self.t_dependent or t_dependent)
-
-    def d_dt(self, h: float = COEFF_FD_STEP) -> "MatrixField":
-        if self.is_constant or not self.t_dependent:
-            return MatrixField.zero(self.k)
-        return MatrixField(
-            self.k, lambda t, xs: (self._fn(t + h, xs) - self._fn(t - h, xs)) / (2 * h), None, True
-        )
-
-    def d_dx(self, h: float = COEFF_FD_STEP) -> "MatrixField":
+    def inverse(self) -> "MatrixField":
+        """Adjugate over determinant, entry by entry (Laplace expansion)."""
         if self.is_constant:
-            return MatrixField.zero(self.k)
+            return MatrixField.from_constant(np.linalg.inv(self.constant))
+        idx = tuple(range(self.k))
 
-        def fn(t, xs):
-            xs = np.asarray(xs, dtype=float)
-            return (self._fn(t, xs + h) - self._fn(t, xs - h)) / (2 * h)
+        def det(rows, cols):
+            if not rows:
+                return _expr.ONE
+            acc = _expr.ZERO
+            for n, c in enumerate(cols):
+                term = _bin("*", self.entries[rows[0]][c], det(rows[1:], cols[:n] + cols[n + 1:]))
+                acc = _bin("-" if n % 2 else "+", acc, term)
+            return acc
 
-        return MatrixField(self.k, fn, None, self.t_dependent)
+        def entry(i, j):  # the (j, i) cofactor over the determinant
+            minor = det(idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:])
+            return _bin("/", minor if (i + j) % 2 == 0 else _expr.fold(Neg(minor)), d)
 
-    def max_abs(self, chart, n_t: int = 5, n_x: int = 33) -> float:
-        ts = np.linspace(chart.t_min, chart.t_max, n_t)
-        xs = np.linspace(chart.x_min, chart.x_max, n_x)
-        return float(max(np.max(np.abs(self.eval(t, xs))) for t in ts))
+        d = det(idx, idx)
+        return MatrixField([[entry(i, j) for j in idx] for i in idx])
+
+    def d_dt(self) -> "MatrixField":
+        return self._map(lambda e: _expr.diff(e, "t"))
+
+    def d_dx(self) -> "MatrixField":
+        return self._map(lambda e: _expr.diff(e, "x"))
 
 
-def as_matrix_field(value, k: Optional[int] = None) -> MatrixField:
-    if isinstance(value, MatrixField):
-        return value
-    arr = np.asarray(value)
-    if arr.dtype.kind in "ifc" and arr.ndim == 2:
-        return MatrixField.from_constant(arr)
-    return MatrixField.from_exprs(value)
+def coefficient_tape(fields: Sequence[MatrixField], xs: np.ndarray) -> Callable:
+    """Compile the nonzero entries of several fields into one expr.Tape on
+    the nodes xs.  Returns at(t) giving, per field, its constant matrix or
+    its nonzero entries as (i, j, value at t on xs) triples."""
+    nonzero = [None if f.is_constant else f.nonzero() for f in fields]
+    if all(entries is None for entries in nonzero):  # constant fields need no tape
+        return lambda t: [f.constant for f in fields]
+    tape = _expr.Tape([e for entries in nonzero if entries for _, _, e in entries], xs)
+
+    def at(t):
+        vals = iter(tape(t))
+        return [
+            f.constant if entries is None else [(i, j, next(vals)) for i, j, _ in entries]
+            for f, entries in zip(fields, nonzero)
+        ]
+
+    return at
+
+
+def contract(coeff, vec: np.ndarray) -> np.ndarray:
+    """coeff @ vec over the last axis, for one field as coefficient_tape
+    returns it; vec is (..., k)."""
+    if isinstance(coeff, np.ndarray):
+        return vec @ coeff.T
+    out = np.zeros(vec.shape, dtype=complex)
+    for i, j, val in coeff:
+        out[..., i] += val * vec[..., j]
+    return out
+
+
+def as_matrix_field(value) -> MatrixField:
+    """A field from a MatrixField, a numeric matrix or a matrix of expressions."""
+    return value if isinstance(value, MatrixField) else MatrixField.from_exprs(value)
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +218,8 @@ class FirstOrderOperator:
 
     @classmethod
     def build(cls, a_t, a_x, b, omega_t=None, omega_x=None) -> "FirstOrderOperator":
-        a_t = as_matrix_field(a_t)
-        return cls(
-            a_t.k,
-            a_t,
-            as_matrix_field(a_x),
-            as_matrix_field(b),
-            None if omega_t is None else as_matrix_field(omega_t),
-            None if omega_x is None else as_matrix_field(omega_x),
-        )
+        fields = [None if f is None else as_matrix_field(f) for f in (a_t, a_x, b, omega_t, omega_x)]
+        return cls(fields[0].k, *fields)
 
     @property
     def has_connection(self) -> bool:
@@ -230,10 +234,6 @@ class FirstOrderOperator:
         if self.omega_x is not None:
             b = b + self.a_x @ self.omega_x
         return b
-
-    @property
-    def is_constant(self) -> bool:
-        return self.a_t.is_constant and self.a_x.is_constant and self.effective_b().is_constant
 
 
 @dataclass
@@ -274,7 +274,7 @@ def principal_symbol_2(op: SecondOrderOperator, point: Tuple[float, float], xi: 
     )
 
 
-def compose(p: FirstOrderOperator, q: FirstOrderOperator, fd_step: float = COEFF_FD_STEP) -> SecondOrderOperator:
+def compose(p: FirstOrderOperator, q: FirstOrderOperator) -> SecondOrderOperator:
     """Expand P(Q Phi) by the product rule into a second-order operator.
 
     Connection terms are folded into the zeroth-order coefficients first,
@@ -288,9 +288,9 @@ def compose(p: FirstOrderOperator, q: FirstOrderOperator, fd_step: float = COEFF
     c_tt = pat @ qat
     c_tx = ((pat @ qax) + (pax @ qat)).scale(0.5)
     c_xx = pax @ qax
-    dt_coeff = (pat @ qat.d_dt(fd_step)) + (pax @ qat.d_dx(fd_step)) + (pat @ qb) + (pb @ qat)
-    dx_coeff = (pat @ qax.d_dt(fd_step)) + (pax @ qax.d_dx(fd_step)) + (pax @ qb) + (pb @ qax)
-    e = (pat @ qb.d_dt(fd_step)) + (pax @ qb.d_dx(fd_step)) + (pb @ qb)
+    dt_coeff = (pat @ qat.d_dt()) + (pax @ qat.d_dx()) + (pat @ qb) + (pb @ qat)
+    dx_coeff = (pat @ qax.d_dt()) + (pax @ qax.d_dx()) + (pax @ qb) + (pb @ qax)
+    e = (pat @ qb.d_dt()) + (pax @ qb.d_dx()) + (pb @ qb)
     return SecondOrderOperator(p.k, c_tt, c_tx, c_xx, dt_coeff, dx_coeff, e)
 
 
@@ -335,10 +335,9 @@ def is_normally_hyperbolic(
     if not sample_points:
         raise ValueError("sample_points must be nonempty")
     if tol is None:
-        scale = max(
-            op.c_tt.max_abs(metric.chart), op.c_tx.max_abs(metric.chart), op.c_xx.max_abs(metric.chart)
-        )
-        tol = default_symbol_tol(op.is_constant and metric.is_constant, scale)
+        constant = op.is_constant and metric.is_constant
+        scale = max(np.max(np.abs(f.constant)) for f in (op.c_tt, op.c_tx, op.c_xx)) if constant else 1.0
+        tol = default_symbol_tol(constant, float(scale))
     eye = np.eye(op.k)
     worst = 0.0
     worst_pt = None
@@ -399,7 +398,7 @@ def symbol_invertibility(
 # ---------------------------------------------------------------------------
 # formal adjoint and the bilinear pairing
 
-def formal_adjoint(p: FirstOrderOperator, metric: DiagonalMetric, fd_step: float = COEFF_FD_STEP) -> FirstOrderOperator:
+def formal_adjoint(p: FirstOrderOperator, metric: DiagonalMetric) -> FirstOrderOperator:
     """Adjoint against the bilinear pairing int psi(phi) rho dt dx with
     rho = alpha * beta: coefficients -A^T and B^T - (1/rho) d_mu(rho A^mu,T).
 
@@ -408,23 +407,11 @@ def formal_adjoint(p: FirstOrderOperator, metric: DiagonalMetric, fd_step: float
     """
     if p.has_connection:
         raise UnsupportedFeatureError("formal_adjoint does not support connection matrices")
-
-    def rho(t, xs):
-        return np.broadcast_to(np.asarray(metric.volume_density(t, xs), dtype=complex), (len(xs),))
-
+    rho = _expr.simplify(Bin("*", metric.alpha_ast, metric.beta_ast))
     at_t = p.a_t.transpose()
     at_x = p.a_x.transpose()
-    rho_at = at_t.scale_by(rho, t_dependent=metric.t_dependent)
-    rho_ax = at_x.scale_by(rho, t_dependent=metric.t_dependent)
-    inv_rho = lambda t, xs: 1.0 / rho(t, xs)
-    div_term = (rho_at.d_dt(fd_step) + rho_ax.d_dx(fd_step)).scale_by(
-        inv_rho, t_dependent=metric.t_dependent
-    )
-    b_star = p.b.transpose() - div_term
-    if p.is_constant and metric.is_constant:
-        # density constant: divergence term vanishes identically
-        b_star = p.b.transpose()
-    return FirstOrderOperator(p.k, -at_t, -at_x, b_star)
+    div_term = (at_t.scale(rho).d_dt() + at_x.scale(rho).d_dx()).scale(_bin("/", _expr.ONE, rho))
+    return FirstOrderOperator(p.k, -at_t, -at_x, p.b.transpose() - div_term)
 
 
 def pairing(psi: GridSection, phi: GridSection, metric: DiagonalMetric, grid: Optional[Grid1p1] = None) -> complex:
@@ -447,40 +434,29 @@ def pairing(psi: GridSection, phi: GridSection, metric: DiagonalMetric, grid: Op
 # ---------------------------------------------------------------------------
 # discrete application
 
-def _contract(coeff: MatrixField, values: np.ndarray, grid: Grid1p1) -> np.ndarray:
-    """coeff(t_j, x) @ values[j] for every time level j."""
-    if coeff.is_constant:
-        return np.einsum("ij,tnj->tni", coeff.constant, values)
-    if not coeff.t_dependent:
-        c = coeff.eval(float(grid.ts[0]), grid.xs)
-        return np.einsum("nij,tnj->tni", c, values)
-    out = np.empty_like(values)
-    for j, t in enumerate(grid.ts):
-        out[j] = np.einsum("nij,nj->ni", coeff.eval(float(t), grid.xs), values[j])
-    return out
-
-
 def apply_operator(op: Union[FirstOrderOperator, SecondOrderOperator], phi: GridSection) -> GridSection:
     """Discrete realization of the operator on a sampled section: centered
-    2nd-order differences in t and x (one-sided at edges)."""
+    2nd-order differences in t and x (one-sided at edges).  Coefficients
+    that depend on t are evaluated on the whole (nt, nx) mesh at once."""
     grid = phi.grid
     if grid.nt < 4 or grid.nx < 4:
         raise StencilError("grid too small for the stencil")
     v = phi.values
     if isinstance(op, FirstOrderOperator):
-        out = (
-            _contract(op.a_t, d_t(v, grid), grid)
-            + _contract(op.a_x, d_x(v, grid), grid)
-            + _contract(op.effective_b(), v, grid)
-        )
+        fields = (op.a_t, op.a_x, op.effective_b())
+    else:
+        fields = (op.c_tt, op.c_tx.scale(2.0), op.c_xx, op.d_t, op.d_x, op.e)
+    c = coefficient_tape(fields, grid.xs)(grid.ts[:, None])
+    if isinstance(op, FirstOrderOperator):
+        out = contract(c[0], d_t(v, grid)) + contract(c[1], d_x(v, grid)) + contract(c[2], v)
         return GridSection(grid, out)
     vt = d_t(v, grid)
     out = (
-        _contract(op.c_tt, d_tt(v, grid), grid)
-        + 2.0 * _contract(op.c_tx, d_x(vt, grid), grid)
-        + _contract(op.c_xx, d_xx(v, grid), grid)
-        + _contract(op.d_t, vt, grid)
-        + _contract(op.d_x, d_x(v, grid), grid)
-        + _contract(op.e, v, grid)
+        contract(c[0], d_tt(v, grid))
+        + contract(c[1], d_x(vt, grid))
+        + contract(c[2], d_xx(v, grid))
+        + contract(c[3], vt)
+        + contract(c[4], d_x(v, grid))
+        + contract(c[5], v)
     )
     return GridSection(grid, out)

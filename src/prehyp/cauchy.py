@@ -20,7 +20,9 @@ from .bundle_ops import (
     FirstOrderOperator,
     SecondOrderOperator,
     apply_operator,
+    coefficient_tape,
     compose,
+    contract,
     is_complementary_pair,
 )
 from .geometry import CauchyLine, CausalShadow, DiagonalMetric, causal_shadow
@@ -31,7 +33,6 @@ from .grids import (
     check_causal_margin,
     d_x,
     d_xx,
-    dissipation_4th,
 )
 
 SHADOW_INFLATION_NODES = 4
@@ -67,21 +68,13 @@ def normal_derivative_data(
     Psi_0 = -(alpha A^t)^{-1} (A^x d_x Phi_0 + B Phi_0).
     Its support is contained in the support of Phi_0.
     """
-    grid = phi0.grid
-    t0 = phi0.t0
-    xs = grid.xs
+    grid, t0, xs = phi0.grid, phi0.t0, phi0.grid.xs
     alpha = np.broadcast_to(np.asarray(metric.alpha(t0, xs), dtype=complex), (grid.nx,))
-    a_t = p.a_t.eval(t0, xs)  # (nx, k, k)
-    sigma_n = alpha[:, None, None] * a_t
-    dets = np.abs(np.linalg.det(sigma_n))
-    if np.any(dets < 1e-12):
-        raise PrenormalHyperbolicityError(
-            "sigma_P(normal covector) singular along the hypersurface"
-        )
-    a_x = p.a_x.eval(t0, xs)
-    b = p.effective_b().eval(t0, xs)
-    dphi = d_x(phi0.values, grid)
-    rhs = np.einsum("nij,nj->ni", a_x, dphi) + np.einsum("nij,nj->ni", b, phi0.values)
+    sigma_n = alpha[:, None, None] * p.a_t.eval(t0, xs)  # (nx, k, k)
+    if np.any(np.abs(np.linalg.det(sigma_n)) < 1e-12):
+        raise PrenormalHyperbolicityError("sigma_P(normal covector) singular along the hypersurface")
+    a_x, b = coefficient_tape((p.a_x, p.effective_b()), xs)(t0)
+    rhs = contract(a_x, d_x(phi0.values, grid)) + contract(b, phi0.values)
     psi = -np.linalg.solve(sigma_n, rhs[..., None])[..., 0]
     # the window is identically zero outside the declared support, so the
     # derivative carries no content there; mask to keep the support exact
@@ -93,36 +86,20 @@ def normal_derivative_data(
 # ---------------------------------------------------------------------------
 # evolution cores
 
-def _coefficient_cache(fields, grid: Grid1p1):
-    """Per-stage-time evaluator for a tuple of MatrixFields; constant and
-    time-independent fields are evaluated once."""
-    cached = [
-        f.constant
-        if f.is_constant
-        else (f.eval(float(grid.ts[0]), grid.xs) if not f.t_dependent else None)
-        for f in fields
-    ]
-
-    def at(t: float):
-        return [
-            c if c is not None else f.eval(t, grid.xs)
-            for c, f in zip(cached, fields)
-        ]
-
-    return at
-
-
-def _mul(coeff: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """coeff @ vec where coeff is (k,k) or (nx,k,k) and vec is (nx,k)."""
-    if coeff.ndim == 2:
-        return vec @ coeff.T
-    return np.einsum("nij,nj->ni", coeff, vec)
+def _evolve(rhs, y0, grid: Grid1p1, j0: int) -> GridSection:
+    """March the state from level j0 to both ends of the grid; the section
+    holds the first state component at every level."""
+    fwd = _rk4_sweep(rhs, y0, grid, j0, True)
+    bwd = _rk4_sweep(rhs, y0, grid, j0, False)
+    return GridSection(grid, np.stack([(fwd if j >= j0 else bwd)[j][0] for j in range(grid.nt)]))
 
 
 def _rk4_sweep(rhs, y0, grid: Grid1p1, j0: int, forward: bool):
     """March the state from level j0 to one end of the grid; returns the
-    list of states indexed by level."""
-    dt = grid.dt if forward else -grid.dt
+    states indexed by level.  A step's last stage runs at the next level's
+    own time, so that it coincides with the next step's first stage."""
+    step = 1 if forward else -1
+    dt = step * grid.dt
     levels = range(j0, grid.nt - 1) if forward else range(j0, 0, -1)
     states = {j0: y0}
     y = y0
@@ -131,7 +108,7 @@ def _rk4_sweep(rhs, y0, grid: Grid1p1, j0: int, forward: bool):
         k1 = rhs(t, y)
         k2 = rhs(t + dt / 2, _axpy(y, dt / 2, k1))
         k3 = rhs(t + dt / 2, _axpy(y, dt / 2, k2))
-        k4 = rhs(t + dt, _axpy(y, dt, k3))
+        k4 = rhs(float(grid.ts[j + step]), _axpy(y, dt, k3))
         y = tuple(
             yc + dt / 6 * (a + 2 * b + 2 * c + d)
             for yc, a, b, c, d in zip(y, k1, k2, k3, k4)
@@ -140,7 +117,7 @@ def _rk4_sweep(rhs, y0, grid: Grid1p1, j0: int, forward: bool):
             for yc in y:
                 yc[0] = 0.0
                 yc[-1] = 0.0
-        states[j + (1 if forward else -1)] = y
+        states[j + step] = y
     return states
 
 
@@ -156,7 +133,6 @@ def solve_second_order(
     dtphi0_values: np.ndarray,
     j0: int,
     source: Optional[Callable[[float], np.ndarray]] = None,
-    dissipation: float = 0.0,
 ) -> GridSection:
     """Method-of-lines solve of L u = f from data (u, d_t u) at level j0,
     filling the chart in both time directions.
@@ -165,41 +141,20 @@ def solve_second_order(
     working with the frame derivative convert via d_t u = alpha * Psi_0.
     """
     grid.check_cfl(metric.max_light_speed())
-    coeffs = _coefficient_cache(
-        (op.c_tt, op.c_tx, op.c_xx, op.d_t, op.d_x, op.e), grid
-    )
-    inv_cache = {}
+    coeffs = coefficient_tape((op.c_tx.scale(2.0), op.c_xx, op.d_t, op.d_x, op.e, op.c_tt.inverse()), grid.xs)
 
     def rhs(t, y):
         u, v = y
-        c_tt, c_tx, c_xx, dt_c, dx_c, e_c = coeffs(t)
+        c_tx2, c_xx, dt_c, dx_c, e_c, inv_tt = coeffs(t)
         ux = d_x(u, grid)
         uxx = d_xx(u, grid)
         vx = d_x(v, grid)
         f = source(t) if source is not None else 0.0
-        load = f - 2.0 * _mul(c_tx, vx) - _mul(c_xx, uxx) - _mul(dt_c, v) - _mul(dx_c, ux) - _mul(e_c, u)
-        if c_tt.ndim == 2:
-            key = round(t / grid.dt)
-            inv = inv_cache.get(("c", True))
-            if inv is None:
-                inv = np.linalg.inv(c_tt)
-                inv_cache[("c", True)] = inv
-            dv = load @ inv.T
-        else:
-            dv = np.linalg.solve(c_tt, load[..., None])[..., 0]
-        du = v.copy()
-        if dissipation:
-            du += dissipation_4th(u, grid, dissipation)
-            dv += dissipation_4th(v, grid, dissipation)
-        return (du, dv)
+        load = f - contract(c_tx2, vx) - contract(c_xx, uxx) - contract(dt_c, v) - contract(dx_c, ux) - contract(e_c, u)
+        return (v.copy(), contract(inv_tt, load))
 
     y0 = (phi0_values.astype(complex).copy(), dtphi0_values.astype(complex).copy())
-    fwd = _rk4_sweep(rhs, y0, grid, j0, True)
-    bwd = _rk4_sweep(rhs, y0, grid, j0, False)
-    values = np.empty((grid.nt, grid.nx, phi0_values.shape[1]), dtype=complex)
-    for j in range(grid.nt):
-        values[j] = (fwd if j >= j0 else bwd)[j][0]
-    return GridSection(grid, values)
+    return _evolve(rhs, y0, grid, j0)
 
 
 def solve_first_order_direct(
@@ -207,37 +162,20 @@ def solve_first_order_direct(
     metric: DiagonalMetric,
     phi0: CauchyData,
     grid: Optional[Grid1p1] = None,
-    dissipation: float = 0.0,
 ) -> GridSection:
     """Direct method-of-lines evolution of d_t Phi = -(A^t)^{-1}(A^x d_x Phi
     + B Phi), both time directions; independent of the second-order path."""
     grid = grid or phi0.grid
     grid.check_cfl(metric.max_light_speed())
     check_causal_margin(metric, grid, phi0.support, phi0.t0)
-    b_eff = p.effective_b()
-    coeffs = _coefficient_cache((p.a_t, p.a_x, b_eff), grid)
-    inv_const = np.linalg.inv(p.a_t.constant) if p.a_t.is_constant else None
+    coeffs = coefficient_tape((p.a_x, p.effective_b(), p.a_t.inverse()), grid.xs)
 
     def rhs(t, y):
         (u,) = y
-        a_t, a_x, b = coeffs(t)
-        load = -(_mul(a_x, d_x(u, grid)) + _mul(b, u))
-        if inv_const is not None:
-            du = load @ inv_const.T
-        else:
-            du = np.linalg.solve(a_t, load[..., None])[..., 0]
-        if dissipation:
-            du = du + dissipation_4th(u, grid, dissipation)
-        return (du,)
+        a_x, b, inv_t = coeffs(t)
+        return (contract(inv_t, -(contract(a_x, d_x(u, grid)) + contract(b, u))),)
 
-    j0 = phi0.level
-    y0 = (phi0.values.astype(complex).copy(),)
-    fwd = _rk4_sweep(rhs, y0, grid, j0, True)
-    bwd = _rk4_sweep(rhs, y0, grid, j0, False)
-    values = np.empty((grid.nt, grid.nx, phi0.k), dtype=complex)
-    for j in range(grid.nt):
-        values[j] = (fwd if j >= j0 else bwd)[j][0]
-    return GridSection(grid, values)
+    return _evolve(rhs, (phi0.values.astype(complex).copy(),), grid, phi0.level)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +204,6 @@ def solve_cauchy(
     phi0: CauchyData,
     grid: Optional[Grid1p1] = None,
     check_pair: bool = True,
-    dissipation: float = 0.0,
 ) -> Tuple[GridSection, SolveReport]:
     """Solve P Phi = 0, Phi|_Sigma = Phi_0 through the second-order
     reduction: build Psi_0, solve (QP) Phi = 0 with the pair of data, and
@@ -286,9 +223,7 @@ def solve_cauchy(
     )
     dtphi0 = alpha[:, None] * psi0.values  # frame to coordinate conversion
     qp = compose(q, p)
-    phi = solve_second_order(
-        qp, metric, grid, phi0.values, dtphi0, phi0.level, dissipation=dissipation
-    )
+    phi = solve_second_order(qp, metric, grid, phi0.values, dtphi0, phi0.level)
 
     residual = apply_operator(p, phi)
     interior = residual.values[1:-1]

@@ -17,10 +17,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -31,7 +31,7 @@ from .cauchy import (
     solve_cauchy,
     solve_first_order_direct,
 )
-from .config import ConfigError, ScenarioConfig, SourceSpec, WindowSpec, load_config
+from .config import ConfigError, ScenarioConfig, SourceSpec, WindowSpec, load_config, validate_geometry
 from .geometry import CauchyLine
 from .greens import (
     adjoint_pairing_check,
@@ -43,6 +43,7 @@ from .greens import (
 from .qft_dirac import (
     DiracModel,
     beta_sigma,
+    data_space_isometry_check,
     default_rep,
     dirac_current,
     hypersurface_independence,
@@ -88,10 +89,6 @@ REPORT_FIELDS = {
 }
 
 
-class ToleranceFailure(Exception):
-    pass
-
-
 def _jsonable(value):
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
@@ -106,6 +103,22 @@ def _jsonable(value):
     if isinstance(value, float) and value != value:  # NaN never serializes
         return "nan"
     return value
+
+
+def _within(value, low: float = -math.inf, high: float = math.inf, strict: bool = False) -> bool:
+    """Every gate's predicate: value is finite and low <= value <= high
+    (low < value when strict).  NaN and inf never pass."""
+    v = float(value)
+    return math.isfinite(v) and v <= high and (v > low if strict else v >= low)
+
+
+def _gate(failures: List[str], label: str, value, low: float = -math.inf,
+          high: float = math.inf, strict: bool = False) -> None:
+    """Record a failure unless _within(value, low, high, strict)."""
+    if not _within(value, low, high, strict):
+        v = float(value)
+        bound = f"<= {high:.1e}" if v > high or low == -math.inf else f"{'>' if strict else '>='} {low:.1e}"
+        failures.append(f"{label} {v:.3e} not {bound}")
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +151,13 @@ def _section_from_spec(grid, spec: SourceSpec):
         (spec.x_window.center, spec.x_window.halfwidth, spec.x_window.steepness),
         (spec.t_window.center, spec.t_window.halfwidth, spec.t_window.steepness),
     )
+
+
+def _scenario(cfg: ScenarioConfig, nx: Optional[int]):
+    """The metric, the grid at nx (the configured one by default) and the
+    operator pair."""
+    metric = cfg.metric()
+    return (metric, cfg.grid(metric, nx)) + cfg.operators()
 
 
 def _require_dirac(cfg: ScenarioConfig, what: str) -> DiracModel:
@@ -179,8 +199,8 @@ def run_check_pair(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
         failures.append(f"pair deviation {pair.max_deviation:.3e} exceeds tol {pair.pq.tol:.3e}")
     if not all_inv:
         failures.append("singular principal symbol at a non-null covector")
-    if p.k == 2 and min_margin < TOLERANCES["pair_min_det_margin"]:
-        failures.append(f"determinant margin {min_margin:.3e} below {TOLERANCES['pair_min_det_margin']:.1e}")
+    if p.k == 2:
+        _gate(failures, "determinant margin", min_margin, low=TOLERANCES["pair_min_det_margin"])
     results = {
         "pair_passed": pair.passed,
         "max_deviation": pair.max_deviation,
@@ -193,14 +213,11 @@ def run_check_pair(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
 
 
 def run_solve(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
-    metric = cfg.metric()
-    grid = cfg.grid(metric, nx)
-    p, q = cfg.operators()
+    metric, grid, p, q = _scenario(cfg, nx)
     data = cfg.initial_data(grid)
     phi, rep = solve_cauchy(p, q, metric, data, grid)
     failures = []
-    if rep.support_leak > TOLERANCES["solve_leak"]:
-        failures.append(f"support leak {rep.support_leak:.3e} exceeds {TOLERANCES['solve_leak']:.1e}")
+    _gate(failures, "support leak", rep.support_leak, high=TOLERANCES["solve_leak"])
     results = {
         "residual_l2": rep.residual_l2,
         "residual_linf": rep.residual_linf,
@@ -211,24 +228,19 @@ def run_solve(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
 
 
 def run_direct_vs_reduced(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
-    metric = cfg.metric()
-    grid = cfg.grid(metric, nx)
-    p, q = cfg.operators()
+    metric, grid, p, q = _scenario(cfg, nx)
     data = cfg.initial_data(grid)
     reduced, _ = solve_cauchy(p, q, metric, data, grid)
     direct = solve_first_order_direct(p, metric, data, grid)
     ref = float(np.max(np.abs(direct.values)))
     mismatch = float(np.max(np.abs(reduced.values - direct.values))) / ref
     failures = []
-    if mismatch > TOLERANCES["direct_vs_reduced"]:
-        failures.append(f"reduced-vs-direct mismatch {mismatch:.3e} exceeds {TOLERANCES['direct_vs_reduced']:.1e}")
+    _gate(failures, "reduced-vs-direct mismatch", mismatch, high=TOLERANCES["direct_vs_reduced"])
     return {"mismatch": mismatch, "reference_linf": ref}, failures
 
 
 def run_greens(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
-    metric = cfg.metric()
-    grid = cfg.grid(metric, nx)
-    p, q = cfg.operators()
+    metric, grid, p, q = _scenario(cfg, nx)
     spec = cfg.source or _default_source(cfg)
     phi = _section_from_spec(grid, spec)
     results = {}
@@ -238,20 +250,14 @@ def run_greens(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
         i2 = identity_ii_residual(p, q, metric, phi, direction, grid)
         leak = identity_iii_leak(p, q, metric, phi, direction, grid)
         results[direction] = {"identity_i": i1, "identity_ii": i2, "support_leak": leak}
-        for name, val, tol in (
-            ("identity_i", i1, TOLERANCES["greens_identity"]),
-            ("identity_ii", i2, TOLERANCES["greens_identity"]),
-            ("support_leak", leak, TOLERANCES["greens_leak"]),
-        ):
-            if val > tol:
-                failures.append(f"{direction} {name} {val:.3e} exceeds {tol:.1e}")
+        _gate(failures, f"{direction} identity_i", i1, high=TOLERANCES["greens_identity"])
+        _gate(failures, f"{direction} identity_ii", i2, high=TOLERANCES["greens_identity"])
+        _gate(failures, f"{direction} support_leak", leak, high=TOLERANCES["greens_leak"])
     return results, failures
 
 
 def run_adjoint_check(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
-    metric = cfg.metric()
-    grid = cfg.grid(metric, nx)
-    p, q = cfg.operators()
+    metric, grid, p, q = _scenario(cfg, nx)
     spec = cfg.source or _default_source(cfg)
     dual_spec = cfg.dual_source or _mirrored(spec)
     f = _section_from_spec(grid, spec)
@@ -259,27 +265,19 @@ def run_adjoint_check(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     defect, lhs, rhs = adjoint_pairing_check(p, q, metric, psi, f, grid)
     control, _, _ = adjoint_pairing_check(p, q, metric, psi, f, grid, mismatch_directions=True)
     failures = []
-    if defect > TOLERANCES["adjoint_defect"]:
-        failures.append(f"pairing defect {defect:.3e} exceeds {TOLERANCES['adjoint_defect']:.1e}")
-    if control < TOLERANCES["adjoint_mismatch_min"]:
-        failures.append(f"mismatched-direction control {control:.3e} below {TOLERANCES['adjoint_mismatch_min']:.1e}")
+    _gate(failures, "pairing defect", defect, high=TOLERANCES["adjoint_defect"])
+    _gate(failures, "mismatched-direction control", control, low=TOLERANCES["adjoint_mismatch_min"])
     results = {"defect": defect, "lhs": lhs, "rhs": rhs, "mismatch_control": control}
     return results, failures
 
 
 def run_beta(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     model = _require_dirac(cfg, "beta")
-    metric = cfg.metric()
-    grid = cfg.grid(metric, nx)
-    p, q = cfg.operators()
+    metric, grid, p, q = _scenario(cfg, nx)
     data = cfg.initial_data(grid)
     phi, _ = solve_cauchy(p, q, metric, data, grid)
     # an independent second solution for the symmetry check
-    from .grids import make_cauchy_data
-    swapped = make_cauchy_data(
-        grid, list(reversed([f"({c})*(1+x)" for c in cfg.initial_components])),
-        cfg.t0, cfg.window.center, cfg.window.halfwidth, cfg.window.steepness,
-    )
+    swapped = cfg.initial_data(grid, list(reversed([f"({c})*(1+x)" for c in cfg.initial_components])))
     psi, _ = solve_cauchy(p, q, metric, swapped, grid, check_pair=False)
     rep = model.rep
     levels = [float(grid.ts[int(round(f * (grid.nt - 1)))]) for f in (0.2, 0.35, 0.5, 0.65, 0.8)]
@@ -290,12 +288,9 @@ def run_beta(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     scale = max(abs(b_pf), 1.0)
     herm_defect = float(herm_defect / scale)
     failures = []
-    if herm_rep.positivity_margin <= 0:
-        failures.append(f"beta(phi, phi) = {herm_rep.positivity_margin:.3e} not positive")
-    if herm_defect > TOLERANCES["beta_hermitian"]:
-        failures.append(f"Hermitian defect {herm_defect:.3e} exceeds {TOLERANCES['beta_hermitian']:.1e}")
-    if herm_rep.hypersurface_drift > TOLERANCES["beta_drift"]:
-        failures.append(f"hypersurface drift {herm_rep.hypersurface_drift:.3e} exceeds {TOLERANCES['beta_drift']:.1e}")
+    _gate(failures, "beta(phi, phi)", herm_rep.positivity_margin, low=0.0, strict=True)
+    _gate(failures, "Hermitian defect", herm_defect, high=TOLERANCES["beta_hermitian"])
+    _gate(failures, "hypersurface drift", herm_rep.hypersurface_drift, high=TOLERANCES["beta_drift"])
     results = {
         "value": b_pf,
         "positivity": herm_rep.positivity_margin,
@@ -310,25 +305,17 @@ def run_isometry(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     model = _require_dirac(cfg, "isometry")
     metric = cfg.metric()
     grid = cfg.grid(metric, nx)
-    from .grids import make_cauchy_data
-    from .qft_dirac import data_space_isometry_check
-    mods = ("1", "x", "cos(3*x)")
     corpus = [
-        make_cauchy_data(
-            grid, [f"({c})*({m})" for c in cfg.initial_components],
-            cfg.t0, cfg.window.center, cfg.window.halfwidth, cfg.window.steepness,
-        )
-        for m in mods
+        cfg.initial_data(grid, [f"({c})*({m})" for c in cfg.initial_components])
+        for m in ("1", "x", "cos(3*x)")
     ]
     t_prime = cfg.t0 + 0.5 * (cfg.t_range[1] - cfg.t0)
     rep = data_space_isometry_check(
         corpus, CauchyLine(cfg.t0), CauchyLine(t_prime), metric, model, grid
     )
     failures = []
-    if rep.gram_mismatch > TOLERANCES["isometry_mismatch"]:
-        failures.append(f"Gram mismatch {rep.gram_mismatch:.3e} exceeds {TOLERANCES['isometry_mismatch']:.1e}")
-    if rep.min_gram_eigenvalue <= 0:
-        failures.append(f"Gram matrix not positive definite (min eig {rep.min_gram_eigenvalue:.3e})")
+    _gate(failures, "Gram mismatch", rep.gram_mismatch, high=TOLERANCES["isometry_mismatch"])
+    _gate(failures, "min Gram eigenvalue", rep.min_gram_eigenvalue, low=0.0, strict=True)
     results = {
         "gram_mismatch": rep.gram_mismatch,
         "min_gram_eigenvalue": rep.min_gram_eigenvalue,
@@ -342,32 +329,34 @@ def run_isometry(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
 # convergence ladders
 
 def _ladder_error(target: str, cfg: ScenarioConfig, seed: int, nx: int) -> float:
-    if target == "solve":
-        results, _, _ = run_solve(cfg, seed, nx)
-        return results["residual_l2"]
-    if target == "direct-vs-reduced":
-        results, _ = run_direct_vs_reduced(cfg, seed, nx)
-        return results["mismatch"]
-    if target == "greens":
-        results, _ = run_greens(cfg, seed, nx)
-        return results["retarded"]["identity_i"]
-    if target == "adjoint-check":
-        results, _ = run_adjoint_check(cfg, seed, nx)
-        return results["defect"]
-    if target == "beta":
-        results, _, _ = run_beta(cfg, seed, nx)
-        return results["hypersurface_drift"]
-    raise ConfigError(f"convergence target must be one of {', '.join(CONVERGENCE_TARGETS)}")
+    """The error a convergence target measures at one rung."""
+    battery, key = {
+        "solve": (run_solve, "residual_l2"),
+        "direct-vs-reduced": (run_direct_vs_reduced, "mismatch"),
+        "greens": (run_greens, "retarded"),
+        "adjoint-check": (run_adjoint_check, "defect"),
+        "beta": (run_beta, "hypersurface_drift"),
+    }[target]
+    error = battery(cfg, seed, nx)[0][key]
+    return error["identity_i"] if target == "greens" else error
+
+
+def _ladder(cfg: ScenarioConfig) -> List[int]:
+    """The ladder's resolutions, each validated as the configured one is,
+    before any solve starts."""
+    if cfg.nx < 64:
+        raise ConfigError("convergence ladder needs grid.nx >= 64")
+    nxs = [cfg.nx // 4, cfg.nx // 2, cfg.nx]
+    for n in nxs:
+        validate_geometry(cfg, n)
+    return nxs
 
 
 def run_convergence(cfg: ScenarioConfig, seed: int, target: str):
     if target not in CONVERGENCE_TARGETS:
         raise ConfigError(f"convergence target must be one of {', '.join(CONVERGENCE_TARGETS)}")
-    if cfg.nx < 64:
-        raise ConfigError("convergence ladder needs grid.nx >= 64")
-    nxs = [cfg.nx // 4, cfg.nx // 2, cfg.nx]
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        errors = list(pool.map(lambda n: _ladder_error(target, cfg, seed, n), nxs))
+    nxs = _ladder(cfg)
+    errors = [_ladder_error(target, cfg, seed, n) for n in nxs]
     orders = []
     for coarse, fine in zip(errors, errors[1:]):
         if fine <= 0:
@@ -375,13 +364,10 @@ def run_convergence(cfg: ScenarioConfig, seed: int, target: str):
         else:
             orders.append(float(np.log2(coarse / fine)))
     final = orders[-1]
-    at_floor = errors[-1] <= TOLERANCES["order_floor"]
     failures = []
-    if final < TOLERANCES["min_order"] and not at_floor:
-        failures.append(
-            f"observed order {final:.2f} below {TOLERANCES['min_order']} "
-            f"(errors {', '.join(f'{e:.3e}' for e in errors)})"
-        )
+    # a ladder whose finest error is at the floor has no order left to show
+    if not _within(errors[-1], high=TOLERANCES["order_floor"]):
+        _gate(failures, "observed order", final, low=TOLERANCES["min_order"])
     ladder = [
         {"nx": n, "error": e, "order": (None if i == 0 else orders[i - 1])}
         for i, (n, e) in enumerate(zip(nxs, errors))
@@ -401,39 +387,25 @@ def run(subcommand: str, cfg: ScenarioConfig, seed: int = 0, target: Optional[st
     """
     timings: Dict[str, float] = {}
     artifacts: Dict[str, object] = {}
-
-    def timed(name: str, fn: Callable):
-        start = time.perf_counter()
-        out = fn()
-        timings[name] = time.perf_counter() - start
-        return out
-
-    failures: List[str] = []
-    if subcommand == "check-pair":
-        results, failures = timed("check-pair", lambda: run_check_pair(cfg, seed))
-    elif subcommand == "solve":
-        results, failures, phi = timed("solve", lambda: run_solve(cfg, seed))
-        artifacts["solution"] = phi
-    elif subcommand == "direct-vs-reduced":
-        results, failures = timed("direct-vs-reduced", lambda: run_direct_vs_reduced(cfg, seed))
-    elif subcommand == "greens":
-        results, failures = timed("greens", lambda: run_greens(cfg, seed))
-    elif subcommand == "adjoint-check":
-        results, failures = timed("adjoint-check", lambda: run_adjoint_check(cfg, seed))
-    elif subcommand == "beta":
-        results, failures, extra = timed("beta", lambda: run_beta(cfg, seed))
-        artifacts["beta"] = extra
-    elif subcommand == "isometry":
-        results, failures = timed("isometry", lambda: run_isometry(cfg, seed))
-    elif subcommand == "convergence":
-        if target is None:
-            raise ConfigError("convergence needs a target subcommand")
-        results, failures = timed(f"convergence-{target}", lambda: run_convergence(cfg, seed, target))
-        artifacts["ladder"] = results["ladder"]
-    elif subcommand == "verify-all":
+    batteries = {
+        "check-pair": run_check_pair, "solve": run_solve, "direct-vs-reduced": run_direct_vs_reduced,
+        "greens": run_greens, "adjoint-check": run_adjoint_check, "beta": run_beta,
+        "isometry": run_isometry, "convergence": lambda cfg, seed: run_convergence(cfg, seed, target),
+    }
+    if subcommand == "verify-all":
         results, failures = _run_verify_all(cfg, seed, timings)
-    else:
+    elif subcommand not in batteries:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+    elif subcommand == "convergence" and target is None:
+        raise ConfigError("convergence needs a target subcommand")
+    else:
+        start = time.perf_counter()
+        results, failures, *extra = batteries[subcommand](cfg, seed)
+        timings[subcommand if target is None else f"convergence-{target}"] = time.perf_counter() - start
+        if extra:  # the solution of solve, the solved data of beta
+            artifacts["solution" if subcommand == "solve" else "beta"] = extra[0]
+        if subcommand == "convergence":
+            artifacts["ladder"] = results["ladder"]
 
     report = {
         "subcommand": subcommand if target is None else f"{subcommand} {target}",
@@ -448,6 +420,7 @@ def run(subcommand: str, cfg: ScenarioConfig, seed: int = 0, target: Optional[st
 
 
 def _run_verify_all(cfg: ScenarioConfig, seed: int, timings: Dict[str, float]):
+    _ladder(cfg)
     batteries: List[Tuple[str, Callable]] = [
         ("check-pair", lambda: run_check_pair(cfg, seed)[:2]),
         ("solve", lambda: run_solve(cfg, seed)[:2]),
@@ -460,21 +433,13 @@ def _run_verify_all(cfg: ScenarioConfig, seed: int, timings: Dict[str, float]):
         batteries.append(("beta", lambda: run_beta(cfg, seed)[:2]))
         batteries.append(("isometry", lambda: run_isometry(cfg, seed)))
 
-    def timed_battery(item):
-        name, fn = item
-        start = time.perf_counter()
-        out = fn()
-        return name, out, time.perf_counter() - start
-
-    # independent batteries run concurrently; assembly below is ordered
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        outcomes = list(pool.map(timed_battery, batteries))
     results = {}
     failures: List[str] = []
-    for name, (res, fails), elapsed in outcomes:
-        results[name] = res
+    for name, fn in batteries:
+        start = time.perf_counter()
+        results[name], fails = fn()
+        timings[name] = time.perf_counter() - start
         failures.extend(f"{name}: {f}" for f in fails)
-        timings[name] = elapsed
     return results, failures
 
 
@@ -510,39 +475,41 @@ def write_timings(timings: Dict[str, float], out_dir: str) -> str:
     return path
 
 
+def _write_csv(out_dir: str, name: str, header: List[str], rows) -> str:
+    path = os.path.join(out_dir, name)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path
+
+
 def write_csv_dumps(subcommand: str, artifacts: Dict, out_dir: str) -> List[str]:
     os.makedirs(out_dir, exist_ok=True)
     written = []
     if "solution" in artifacts:
         phi = artifacts["solution"]
-        grid = phi.grid
-        path = os.path.join(out_dir, "solution_final.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x"] + [f"re_{c}" for c in range(phi.k)] + [f"im_{c}" for c in range(phi.k)])
-            final = phi.values[-1]
-            for i, x in enumerate(grid.xs):
-                w.writerow([repr(float(x))] + [repr(float(v.real)) for v in final[i]] + [repr(float(v.imag)) for v in final[i]])
-        written.append(path)
+        final = phi.values[-1]
+        written.append(_write_csv(
+            out_dir, "solution_final.csv",
+            ["x"] + [f"re_{c}" for c in range(phi.k)] + [f"im_{c}" for c in range(phi.k)],
+            ([repr(float(x))] + [repr(float(v.real)) for v in final[i]] + [repr(float(v.imag)) for v in final[i]]
+             for i, x in enumerate(phi.grid.xs)),
+        ))
     if "ladder" in artifacts:
-        path = os.path.join(out_dir, "convergence.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["nx", "error", "order"])
-            for row in artifacts["ladder"]:
-                w.writerow([row["nx"], repr(row["error"]), "" if row["order"] is None else repr(row["order"])])
-        written.append(path)
+        written.append(_write_csv(
+            out_dir, "convergence.csv", ["nx", "error", "order"],
+            ([row["nx"], repr(row["error"]), "" if row["order"] is None else repr(row["order"])]
+             for row in artifacts["ladder"]),
+        ))
     if "beta" in artifacts:
         phi, model, grid, metric = artifacts["beta"]
         j = grid.nt // 2
         density = dirac_current(phi.values[j], phi.values[j], model.rep, "t")
-        path = os.path.join(out_dir, "current_density.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "j_t"])
-            for x, d in zip(grid.xs, density):
-                w.writerow([repr(float(x)), repr(float(d.real))])
-        written.append(path)
+        written.append(_write_csv(
+            out_dir, "current_density.csv", ["x", "j_t"],
+            ([repr(float(x)), repr(float(d.real))] for x, d in zip(grid.xs, density)),
+        ))
     return written
 
 
@@ -564,36 +531,22 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         cfg = load_config(args.config)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
-
-    if args.subcommand == "convergence" and args.target is None:
-        print("config error: convergence needs a target subcommand", file=sys.stderr)
-        return 1
-    if args.subcommand != "convergence" and args.target is not None:
-        print(f"config error: unexpected argument {args.target!r}", file=sys.stderr)
-        return 1
-
-    out_dir = args.out or cfg.output_directory
-    try:
+        if args.subcommand == "convergence" and args.target is None:
+            raise ConfigError("convergence needs a target subcommand")
+        if args.subcommand != "convergence" and args.target is not None:
+            raise ConfigError(f"unexpected argument {args.target!r}")
         report, timings, artifacts = run(args.subcommand, cfg, args.seed, args.target)
+        out_dir = args.out or cfg.output_directory
+        if "json" in cfg.output_formats:
+            print(write_report(report, out_dir))
+            write_timings(timings, out_dir)
+        if "csv" in cfg.output_formats:
+            for path in write_csv_dumps(args.subcommand, artifacts, out_dir):
+                print(path)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # anything unexpected is an internal error
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
-
-    try:
-        if "json" in cfg.output_formats:
-            path = write_report(report, out_dir)
-            write_timings(timings, out_dir)
-            print(path)
-        if "csv" in cfg.output_formats:
-            for path in write_csv_dumps(args.subcommand, artifacts, out_dir):
-                print(path)
-    except Exception as e:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
     status = "pass" if report["passed"] else "FAIL"

@@ -22,9 +22,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import expr as _expr
-from .bundle_ops import FirstOrderOperator, MatrixField
+from .bundle_ops import FirstOrderOperator
 from .geometry import Chart1p1, DiagonalMetric, MetricPositivityError
-from .grids import Grid1p1, CauchyData, MarginError, build_grid, check_causal_margin, make_cauchy_data
+from .grids import Grid1p1, CauchyData, MarginError, build_grid, check_causal_margin, make_cauchy_data, window_support
+from .qft_dirac import DiracModel, dirac_pair
 
 PRESETS = ("dirac_massive", "dirac_massless", "scalar_transport_pair", "klein_gordon_factorized")
 
@@ -153,18 +154,13 @@ class ScenarioConfig:
         return build_grid(self.chart(), metric or self.metric(), nx or self.nx, self.cfl)
 
     def operators(self) -> Tuple[FirstOrderOperator, FirstOrderOperator]:
-        pc, qc = self.p_coeffs, self.q_coeffs
-        p = FirstOrderOperator.build(
-            MatrixField.from_exprs(pc["A_t"]), MatrixField.from_exprs(pc["A_x"]), MatrixField.from_exprs(pc["B"])
-        )
-        q = FirstOrderOperator.build(
-            MatrixField.from_exprs(qc["A_t"]), MatrixField.from_exprs(qc["A_x"]), MatrixField.from_exprs(qc["B"])
-        )
-        return p, q
+        return tuple(FirstOrderOperator.build(c["A_t"], c["A_x"], c["B"]) for c in (self.p_coeffs, self.q_coeffs))
 
-    def initial_data(self, grid: Grid1p1) -> CauchyData:
+    def initial_data(self, grid: Grid1p1, components: Optional[List[str]] = None) -> CauchyData:
+        """The configured window times the given components (the
+        configured ones by default)."""
         return make_cauchy_data(
-            grid, self.initial_components, self.t0,
+            grid, components or self.initial_components, self.t0,
             self.window.center, self.window.halfwidth, self.window.steepness,
         )
 
@@ -191,13 +187,16 @@ class ScenarioConfig:
                     "steepness": self.window.steepness,
                 },
             },
-            "source": None if self.source is None else {
-                "components": self.source.components,
-                "x_window": vars(self.source.x_window),
-                "t_window": vars(self.source.t_window),
-            },
+            "source": _echo_source(self.source),
+            "dual_source": _echo_source(self.dual_source),
             "output": {"directory": self.output_directory, "formats": self.output_formats},
         }
+
+
+def _echo_source(spec: Optional[SourceSpec]) -> Optional[Dict[str, object]]:
+    if spec is None:
+        return None
+    return {"components": spec.components, "x_window": vars(spec.x_window), "t_window": vars(spec.t_window)}
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +213,13 @@ def resolve_preset(name: str, mass: float, alpha: str, beta: str):
     the symbol product is g(xi, xi) Id on any diagonal metric."""
     m = repr(float(mass))
     ia, ib = _over("1", alpha), _over("1", beta)
-    nia, nib = _over("-1", alpha), _over("-1", beta)
+    nib = _over("-1", beta)
     if name in ("dirac_massive", "dirac_massless"):
-        a_t = [["0", ia], [ia, "0"]]
-        a_x = [["0", nib], [ib, "0"]]
-        # the mass enters as i*m*Id: gamma0 B must be anti-Hermitian for
-        # the conserved current; coefficient entries here are complex
-        # constants rather than expression strings
-        im = 1j * float(mass)
-        b_p = [[im, 0.0], [0.0, im]]
-        b_q = [[-im, 0.0], [0.0, -im]]
-        return {"A_t": a_t, "A_x": a_x, "B": b_p}, {"A_t": a_t, "A_x": a_x, "B": b_q}, 2
+        # the Dirac pair has one construction; its entries are rendered
+        # here (constants as numbers: the mass term i*m*Id is complex)
+        pair = dirac_pair(DiracModel(mass=float(mass)), _expr.parse(alpha), _expr.parse(beta))
+        p, q = ({"A_t": op.a_t.to_exprs(), "A_x": op.a_x.to_exprs(), "B": op.b.to_exprs()} for op in pair)
+        return p, q, 2
     if name == "scalar_transport_pair":
         return (
             {"A_t": [[ia]], "A_x": [[ib]], "B": [["0"]]},
@@ -375,14 +370,15 @@ def load_config_text(text: str) -> ScenarioConfig:
         p_coeffs, q_coeffs, nx, cfl, t0, comps, window, source, dual_source,
         out_dir, formats,
     )
-    _validate_geometry(cfg)
+    validate_geometry(cfg)
     return cfg
 
 
-def _validate_geometry(cfg: ScenarioConfig) -> None:
+def validate_geometry(cfg: ScenarioConfig, nx: Optional[int] = None) -> None:
+    """Check the initial window's causal margin on the grid at nx (the
+    configured resolution by default)."""
     metric = cfg.metric()
-    grid = cfg.grid(metric)
-    from .grids import window_support
+    grid = cfg.grid(metric, nx)
     support = window_support(cfg.window.center, cfg.window.halfwidth, cfg.window.steepness)
     if cfg.topology == "line":
         if support[0] <= cfg.x_range[0] or support[1] >= cfg.x_range[1]:
@@ -390,7 +386,7 @@ def _validate_geometry(cfg: ScenarioConfig) -> None:
         try:
             check_causal_margin(metric, grid, support, cfg.t0)
         except MarginError:
-            raise ConfigError("initial_data.window: causal margin violated")
+            raise ConfigError(f"initial_data.window: causal margin violated at nx = {grid.nx}")
 
 
 def load_config(path: str) -> ScenarioConfig:

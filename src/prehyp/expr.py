@@ -11,14 +11,20 @@ Grammar (highest precedence first):
 Recognized functions: sin, cos, exp, tanh, sqrt.  Numbers are decimal
 literals with optional exponent.  All arithmetic is 64-bit floating point;
 evaluation accepts scalars or numpy arrays for t and x.
+
+fold/simplify fold constants (possibly complex) and prune zeros, diff takes
+exact derivatives (with an internal log node for u^v), and Tape compiles
+ASTs for repeated evaluation on one row of nodes.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,6 +37,11 @@ FUNCTIONS = {
 }
 
 KNOWN_IDENTIFIERS = {"t", "x", "pi"} | set(FUNCTIONS)
+
+# evaluation also knows the internal log node that diff introduces
+_EVAL_FUNCTIONS = {**FUNCTIONS, "log": np.log}
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": np.divide, "^": np.power}
+_CHECKED = {"/": "division", "^": "power"}
 
 
 class ExprError(Exception):
@@ -52,7 +63,7 @@ class ExprEvalError(ExprError):
 
 @dataclass(frozen=True)
 class Num:
-    value: float
+    value: Union[float, complex]
 
 
 @dataclass(frozen=True)
@@ -136,25 +147,18 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected trailing input {val!r}", off)
         return ast
 
+    def _chain(self, ops, operand) -> ExprAst:
+        # left associative: operand (op operand)*
+        node = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            node = Bin(self.next()[1], node, operand())
+        return node
+
     def sum(self) -> ExprAst:
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in ("+", "-"):
-                self.next()
-                node = Bin(val, node, self.term())
-            else:
-                return node
+        return self._chain(("+", "-"), self.term)
 
     def term(self) -> ExprAst:
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in ("*", "/"):
-                self.next()
-                node = Bin(val, node, self.unary())
-            else:
-                return node
+        return self._chain(("*", "/"), self.unary)
 
     def unary(self) -> ExprAst:
         kind, val, _ = self.peek()
@@ -200,23 +204,13 @@ def parse(source: str) -> ExprAst:
     return _Parser(source).parse()
 
 
-def _first_bad_point(t, x, mask):
-    tb = np.broadcast_to(np.asarray(t, dtype=float), mask.shape)
-    xb = np.broadcast_to(np.asarray(x, dtype=float), mask.shape)
-    idx = np.argwhere(mask)
-    if idx.size == 0:
-        return float(np.asarray(t).ravel()[0]), float(np.asarray(x).ravel()[0])
-    first = tuple(idx[0])
-    return float(tb[first]), float(xb[first])
-
-
 def _check_finite(value, t, x, what: str):
     bad = ~np.isfinite(np.asarray(value))
     if np.any(bad):
-        if np.isscalar(value) or np.asarray(value).ndim == 0:
-            raise ExprEvalError(f"non-finite result from {what}", float(np.asarray(t).ravel()[0] if np.ndim(t) else t), float(np.asarray(x).ravel()[0] if np.ndim(x) else x))
-        tb, xb = _first_bad_point(t, x, bad)
-        raise ExprEvalError(f"non-finite result from {what}", tb, xb)
+        # report the first bad point of the broadcast (t, x) mesh
+        tb, xb, bad = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float), bad)
+        first = tuple(np.argwhere(bad)[0])
+        raise ExprEvalError(f"non-finite result from {what}", float(tb[first]), float(xb[first]))
     return value
 
 
@@ -234,52 +228,34 @@ def _eval(ast: ExprAst, t, x):
     if isinstance(ast, Neg):
         return -_eval(ast.arg, t, x)
     if isinstance(ast, Call):
-        val = FUNCTIONS[ast.func](_eval(ast.arg, t, x))
-        return _check_finite(val, t, x, ast.func)
-    left = _eval(ast.left, t, x)
-    right = _eval(ast.right, t, x)
-    if ast.op == "+":
-        return left + right
-    if ast.op == "-":
-        return left - right
-    if ast.op == "*":
-        return left * right
-    if ast.op == "/":
-        return _check_finite(np.divide(left, right), t, x, "division")
-    return _check_finite(np.power(left, right), t, x, "power")
+        return _check_finite(_EVAL_FUNCTIONS[ast.func](_eval(ast.arg, t, x)), t, x, ast.func)
+    val = _OPS[ast.op](_eval(ast.left, t, x), _eval(ast.right, t, x))
+    return _check_finite(val, t, x, _CHECKED[ast.op]) if ast.op in _CHECKED else val
+
+
+def _children(ast: ExprAst):
+    if isinstance(ast, (Neg, Call)):
+        return (ast.arg,)
+    return (ast.left, ast.right) if isinstance(ast, Bin) else ()
 
 
 def is_constant(ast: ExprAst) -> bool:
     """True if the expression contains no variable references."""
-    if isinstance(ast, Num):
-        return True
-    if isinstance(ast, Var):
-        return False
-    if isinstance(ast, Neg):
-        return is_constant(ast.arg)
-    if isinstance(ast, Call):
-        return is_constant(ast.arg)
-    return is_constant(ast.left) and is_constant(ast.right)
+    return not (uses_var(ast, "t") or uses_var(ast, "x"))
 
 
 def uses_var(ast: ExprAst, name: str) -> bool:
     """True if the expression references the given variable."""
-    if isinstance(ast, Num):
-        return False
     if isinstance(ast, Var):
         return ast.name == name
-    if isinstance(ast, Neg):
-        return uses_var(ast.arg, name)
-    if isinstance(ast, Call):
-        return uses_var(ast.arg, name)
-    return uses_var(ast.left, name) or uses_var(ast.right, name)
+    return any(uses_var(c, name) for c in _children(ast))
 
 
 def pretty(ast: ExprAst) -> str:
     """Render an AST back to source; fully parenthesized so that
     pretty(parse(pretty(e))) == pretty(e)."""
     if isinstance(ast, Num):
-        if ast.value < 0:
+        if isinstance(ast.value, complex) or ast.value < 0:
             return f"({ast.value!r})"
         return repr(ast.value)
     if isinstance(ast, Var):
@@ -289,3 +265,225 @@ def pretty(ast: ExprAst) -> str:
     if isinstance(ast, Call):
         return f"{ast.func}({pretty(ast.arg)})"
     return f"({pretty(ast.left)}{ast.op}{pretty(ast.right)})"
+
+
+# ---------------------------------------------------------------------------
+# coefficient algebra: constant folding with zero pruning, exact derivatives
+
+ZERO = Num(0.0)
+ONE = Num(1.0)
+
+
+def _num(value) -> Optional[Num]:
+    """A folded constant (real when its imaginary part vanishes), or None
+    when it is not finite: the node then stays, and evaluating it reports
+    the point."""
+    value = complex(value)
+    value = value.real if value.imag == 0 else value
+    return None if not cmath.isfinite(value) else ZERO if value == 0 else Num(value)
+
+
+def _is(a: ExprAst, value) -> bool:
+    return isinstance(a, Num) and a.value == value
+
+
+def _f(op: str, a: ExprAst, b: Optional[ExprAst] = None) -> ExprAst:
+    """A folded new node: op is a binary operator, 'neg' or a function."""
+    return fold(Neg(a) if op == "neg" else Bin(op, a, b) if op in _OPS else Call(op, a))
+
+
+def _split(a: ExprAst):
+    """a as (constant factor, rest), so that like terms can be collected."""
+    if isinstance(a, Neg):
+        c, rest = _split(a.arg)
+        return -c, rest
+    if isinstance(a, Bin) and a.op == "*" and isinstance(a.left, Num):
+        return a.left.value, a.right
+    return 1.0, a
+
+
+def _sum(op: str, a: ExprAst, b: ExprAst) -> ExprAst:
+    if _is(b, 0):
+        return a
+    if _is(a, 0):
+        return b if op == "+" else _f("neg", b)
+    (ca, ra), (cb, rb) = _split(a), _split(b)
+    c = _num(ca + cb if op == "+" else ca - cb)
+    if ra == rb and not isinstance(ra, Num) and c is not None:
+        return _f("*", c, ra)
+    if isinstance(b, Neg):
+        return _f("-" if op == "+" else "+", a, b.arg)
+    if isinstance(a, Neg):
+        return _f("-", b, a.arg) if op == "+" else _f("neg", _f("+", a.arg, b))
+    # a canonical operand order makes a+b and b+a (a*b and b*a) one tree
+    return Bin(op, *sorted((a, b), key=pretty)) if op == "+" else Bin(op, a, b)
+
+
+def _mul(a: ExprAst, b: ExprAst) -> ExprAst:
+    # normal form: signs outside, one constant factor in front
+    if isinstance(b, Num):
+        a, b = b, a
+    if isinstance(a, Num) and a.value in (0, 1, -1):
+        return ZERO if a.value == 0 else b if a.value == 1 else _f("neg", b)
+    for u, v in ((a, b), (b, a)):
+        if isinstance(u, Neg):
+            return _f("neg", _f("*", u.arg, v))
+        if isinstance(u, Bin) and u.op == "*" and isinstance(u.left, Num):
+            if isinstance(v, Num):
+                return _f("*", _f("*", v, u.left), u.right)
+            return _f("*", u.left, _f("*", v, u.right))
+    return Bin("*", a, b) if isinstance(a, Num) else Bin("*", *sorted((a, b), key=pretty))
+
+
+def _div(a: ExprAst, b: ExprAst) -> ExprAst:
+    if _is(b, 1) or (_is(a, 0) and not _is(b, 0)):
+        return a
+    if isinstance(a, Neg):
+        return _f("neg", _f("/", a.arg, b))
+    if isinstance(a, Num) and not _is(a, 1):  # c/b as c*(1/b), so 1/b is shared
+        return _f("*", a, _f("/", ONE, b))
+    if isinstance(b, Neg):
+        return _f("neg", _f("/", a, b.arg))
+    return Bin("/", a, b)
+
+
+_RULES = {
+    "+": lambda a, b: _sum("+", a, b),
+    "-": lambda a, b: _sum("-", a, b),
+    "*": _mul,
+    "/": _div,
+    "^": lambda a, b: a if _is(b, 1) else ONE if _is(b, 0) else Bin("^", a, b),
+}
+
+
+def fold(node: ExprAst) -> ExprAst:
+    """Fold constants and prune zeros and units at the top node of an AST
+    whose children are already folded."""
+    if isinstance(node, Num):
+        return _num(node.value) or node
+    kids = _children(node)
+    if kids and all(isinstance(k, Num) for k in kids):
+        vals = [k.value for k in kids]
+        if isinstance(node, Bin) and node.op in "+-*":  # plain Python arithmetic is exact here
+            c = _num(_OPS[node.op](*vals))
+        else:
+            fn = operator.neg if isinstance(node, Neg) else _EVAL_FUNCTIONS[node.func] if isinstance(node, Call) else _OPS[node.op]
+            with np.errstate(all="ignore"):
+                c = _num(fn(*map(np.asarray, vals)))
+        if c is not None:
+            return c
+    if isinstance(node, Neg) and isinstance(node.arg, Neg):
+        return node.arg.arg
+    return _RULES[node.op](node.left, node.right) if isinstance(node, Bin) else node
+
+
+def simplify(ast: ExprAst) -> ExprAst:
+    """fold applied bottom-up to the whole AST."""
+    if isinstance(ast, (Neg, Call)):
+        ast = replace(ast, arg=simplify(ast.arg))
+    elif isinstance(ast, Bin):
+        ast = replace(ast, left=simplify(ast.left), right=simplify(ast.right))
+    return fold(ast)
+
+
+# the outer derivative f'(u), from the node f(u)
+_OUTER = {
+    "sin": lambda n: _f("cos", n.arg),
+    "cos": lambda n: _f("neg", _f("sin", n.arg)),
+    "exp": lambda n: n,
+    "tanh": lambda n: _f("-", ONE, _f("*", n, n)),
+    "sqrt": lambda n: _f("/", Num(0.5), n),
+    "log": lambda n: _f("/", ONE, n.arg),
+}
+
+
+def diff(ast: ExprAst, var: str) -> ExprAst:
+    """Exact partial derivative with respect to var ('t' or 'x'), folded."""
+    if not uses_var(ast, var):
+        return ZERO
+    if isinstance(ast, Var):
+        return ONE
+    if isinstance(ast, Neg):
+        return _f("neg", diff(ast.arg, var))
+    if isinstance(ast, Call):
+        return _f("*", _OUTER[ast.func](ast), diff(ast.arg, var))
+    a, b, op = ast.left, ast.right, ast.op
+    da, db = diff(a, var), diff(b, var)
+    if op in ("+", "-"):
+        return _f(op, da, db)
+    if op == "*":
+        return _f("+", _f("*", da, b), _f("*", a, db))
+    if op == "/":  # (a/b)' = (a' - (a/b) b') / b
+        return _f("/", _f("-", da, _f("*", ast, db)), b)
+    if not uses_var(b, var):  # (u^c)' = c u^(c-1) u'
+        return _f("*", _f("*", b, _f("^", a, _f("-", b, ONE))), da)
+    # u^v = exp(v log u), so (u^v)' = u^v (v' log u + v u'/u)
+    return _f("*", ast, _f("+", _f("*", db, _f("log", a)), _f("/", _f("*", b, da), a)))
+
+
+# ---------------------------------------------------------------------------
+# evaluation tape
+
+class Tape:
+    """ASTs compiled for repeated evaluation on the nodes xs.  Equal
+    subtrees share a slot; slots free of t run once, on the first call; a
+    call runs the t-dependent slots only, dropping intermediates after their
+    last use.  t is a scalar or broadcasts against xs (ts[:, None] for a
+    mesh); the last two scalar times are cached, as an RK4 step asks for two
+    distinct stage times twice each.  Finiteness is checked as in evaluate."""
+
+    def __init__(self, asts: Sequence[ExprAst], xs):
+        self.xs = np.asarray(xs, dtype=float)
+        keys: Dict[tuple, int] = {}
+
+        def intern(a: ExprAst) -> int:
+            if isinstance(a, (Num, Var)):
+                key = ("num", a.value) if isinstance(a, Num) else ("var", a.name)
+            else:
+                op = "neg" if isinstance(a, Neg) else a.func if isinstance(a, Call) else a.op
+                key = (op,) + tuple(intern(c) for c in _children(a))
+            return keys.setdefault(key, len(keys))
+
+        self.outputs = [intern(a) for a in asts]
+        self._t = keys.get(("var", "t"), -1)
+        self._init, self._static, self._dynamic, tdep = [], [], [], []
+        for slot, (op, *args) in enumerate(keys):
+            leaf = op in ("num", "var")
+            self._init.append(args[0] if op == "num" else self.xs if args == ["x"] else None)
+            tdep.append(slot == self._t or (not leaf and any(tdep[a] for a in args)))
+            if not leaf:
+                fn = operator.neg if op == "neg" else _OPS.get(op) or _EVAL_FUNCTIONS[op]
+                what = None if op in ("neg", "+", "-", "*") else _CHECKED.get(op, op)
+                (self._dynamic if tdep[slot] else self._static).append([slot, fn, args, what, ()])
+        last = {a: n for n, code in enumerate(self._dynamic) for a in code[2] if tdep[a]}
+        for a, n in last.items():
+            if a not in self.outputs and a != self._t:
+                self._dynamic[n][4] += (a,)
+        self._values: Optional[List[object]] = None
+        self._cache: Dict[float, List[object]] = {}
+
+    def _run(self, code: List[list], vals: List[object], t) -> List[object]:
+        with np.errstate(all="ignore"):
+            for slot, fn, args, what, free in code:
+                v = fn(*[vals[a] for a in args])
+                if what is not None and not np.isfinite(v).all():
+                    _check_finite(v, t, self.xs, what)
+                vals[slot] = v
+                for a in free:
+                    vals[a] = None
+        return vals
+
+    def __call__(self, t) -> List[object]:
+        """The value of every compiled AST at time(s) t on xs."""
+        if isinstance(t, float) and t in self._cache:
+            return self._cache[t]
+        if self._values is None:
+            self._values = self._run(self._static, list(self._init), t)
+        vals = list(self._values)
+        if self._t >= 0:
+            vals[self._t] = t
+        vals = self._run(self._dynamic, vals, t)
+        out = [vals[s] for s in self.outputs]
+        if isinstance(t, float):  # keep this time and the one before it
+            self._cache = dict(list(self._cache.items())[-1:] + [(t, out)])
+        return out

@@ -212,7 +212,7 @@ class CausalShadow:
         return CausalShadow(self.chart, self.times, new, self.truncated)
 
 
-def _rk4_step(f, t: float, y: float, h: float) -> float:
+def _rk4_step(f, t: float, y: np.ndarray, h: float) -> np.ndarray:
     k1 = f(t, y)
     k2 = f(t + h / 2, y + h / 2 * k1)
     k3 = f(t + h / 2, y + h / 2 * k2)
@@ -265,38 +265,25 @@ def causal_shadow(
     n_steps = max(1, int(np.ceil(span / dt - 1e-12)))
     h = sign * span / n_steps
 
+    # each seed contributes one expanding interval; all endpoints follow the
+    # outgoing null characteristics in one state, the left ones against and
+    # the right ones along the direction of propagation
+    m = len(seeds)
+    x = np.array([lo for lo, _ in seeds] + [hi for _, hi in seeds])
+    signs = np.repeat([-sign, sign], m)
     truncated = False
-    # each seed contributes one expanding interval; endpoints follow the
-    # outgoing null characteristics
-    endpoints = [[lo, hi] for lo, hi in seeds]
     times = [t0]
     unions = [merge_intervals(seeds)]
-
-    def speed(t, x):
-        return float(metric.light_speed(t, chart.wrap(np.asarray(x)) if chart.topology == "circle" else x))
-
     for n in range(n_steps):
-        t = t0 + n * h
-        for ep in endpoints:
-            # left endpoint moves against, right endpoint along, the
-            # direction of propagation
-            ep[0] = _rk4_step(lambda tt, xx: -sign * speed(tt, xx), t, ep[0], h)
-            ep[1] = _rk4_step(lambda tt, xx: sign * speed(tt, xx), t, ep[1], h)
-            if chart.topology == "line":
-                if ep[0] < chart.x_min:
-                    ep[0] = chart.x_min
-                    truncated = True
-                if ep[1] > chart.x_max:
-                    ep[1] = chart.x_max
-                    truncated = True
-        tn = t0 + (n + 1) * h
-        union: List[Interval] = []
-        for lo, hi in endpoints:
-            if chart.topology == "circle" and hi - lo >= chart.period:
-                union = [(chart.x_min, chart.x_max)]
-                break
-            union.append((lo, hi))
-        times.append(tn)
+        x = _rk4_step(lambda tt, xx: signs * metric.light_speed(tt, chart.wrap(xx)), t0 + n * h, x, h)
+        if chart.topology == "line":
+            truncated |= bool(np.any(x[:m] < chart.x_min) or np.any(x[m:] > chart.x_max))
+            x[:m] = np.maximum(x[:m], chart.x_min)
+            x[m:] = np.minimum(x[m:], chart.x_max)
+        union = list(zip(x[:m].tolist(), x[m:].tolist()))
+        if chart.topology == "circle" and any(hi - lo >= chart.period for lo, hi in union):
+            union = [(chart.x_min, chart.x_max)]
+        times.append(t0 + (n + 1) * h)
         unions.append(merge_intervals(union))
 
     times_arr = np.array(times)
@@ -305,9 +292,6 @@ def causal_shadow(
         times_arr = times_arr[order]
         unions = [unions[i] for i in order]
     return CausalShadow(chart, times_arr, unions, truncated)
-
-
-MINKOWSKI = None  # set lazily to avoid import-time work
 
 
 def minkowski(chart: Optional[Chart1p1] = None) -> DiagonalMetric:

@@ -110,7 +110,6 @@ def solve_driven(
     source: TestSection,
     direction: str,
     grid: Optional[Grid1p1] = None,
-    dissipation: float = 0.0,
 ) -> GridSection:
     """Retarded: integrate L u = phi forward from zero data before the
     source; advanced: backward from zero data after it."""
@@ -125,9 +124,7 @@ def solve_driven(
     def src(t: float) -> np.ndarray:
         return source.profile(t, grid.xs)
 
-    return solve_second_order(
-        op, metric, grid, zeros, zeros, j0, source=src, dissipation=dissipation
-    )
+    return solve_second_order(op, metric, grid, zeros, zeros, j0, source=src)
 
 
 def greens_apply(
@@ -151,19 +148,14 @@ def apply_analytic(
     """P applied to the analytic profile of a test section, via small-step
     centered differences; effectively exact for smooth profiles."""
     grid = section.grid
+    b_eff = p.effective_b()
 
     def profile(t: float, xs: np.ndarray) -> np.ndarray:
         dpt = (section.profile(t + h, xs) - section.profile(t - h, xs)) / (2 * h)
         dpx = (section.profile(t, xs + h) - section.profile(t, xs - h)) / (2 * h)
+        a_t, a_x, b = (f.eval(t, xs) for f in (p.a_t, p.a_x, b_eff))
         v = section.profile(t, xs)
-        a_t = p.a_t.eval(t, xs)
-        a_x = p.a_x.eval(t, xs)
-        b = p.effective_b().eval(t, xs)
-        return (
-            np.einsum("nij,nj->ni", a_t, dpt)
-            + np.einsum("nij,nj->ni", a_x, dpx)
-            + np.einsum("nij,nj->ni", b, v)
-        )
+        return np.einsum("nij,nj->ni", a_t, dpt) + np.einsum("nij,nj->ni", a_x, dpx) + np.einsum("nij,nj->ni", b, v)
 
     values = np.stack([profile(float(t), grid.xs) for t in grid.ts])
     return TestSection(grid, values, section.t_support, section.x_support, profile)

@@ -132,25 +132,6 @@ def d_tt(values: np.ndarray, grid: Grid1p1) -> np.ndarray:
     return out
 
 
-def dissipation_4th(values: np.ndarray, grid: Grid1p1, eps: float) -> np.ndarray:
-    """Kreiss-Oliger style 4th-difference damping term, -eps/(16 dt) D4 u."""
-    v = values
-    if grid.periodic:
-        d4 = (
-            np.roll(v, -2, axis=-2)
-            - 4 * np.roll(v, -1, axis=-2)
-            + 6 * v
-            - 4 * np.roll(v, 1, axis=-2)
-            + np.roll(v, 2, axis=-2)
-        )
-    else:
-        d4 = np.zeros_like(v)
-        d4[..., 2:-2, :] = (
-            v[..., 4:, :] - 4 * v[..., 3:-1, :] + 6 * v[..., 2:-2, :] - 4 * v[..., 1:-3, :] + v[..., :-4, :]
-        )
-    return -(eps / (16.0 * grid.dt)) * d4
-
-
 # ---------------------------------------------------------------------------
 # sections and Cauchy data
 

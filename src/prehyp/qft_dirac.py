@@ -15,13 +15,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bundle_ops import (
-    FirstOrderOperator,
-    MatrixField,
-    as_matrix_field,
-    is_complementary_pair,
-)
+from .bundle_ops import FirstOrderOperator, MatrixField
 from .cauchy import solve_cauchy
+from .expr import Bin, ExprAst, Num
 from .geometry import CauchyLine, DiagonalMetric
 from .grids import CauchyData, Grid1p1, GridSection
 
@@ -85,34 +81,25 @@ class DiracModel:
 def build_dirac_pair(
     model: DiracModel, metric: Optional[DiagonalMetric] = None
 ) -> Tuple[FirstOrderOperator, FirstOrderOperator]:
-    """(P, Q) = (D + A, D - A).  On a diagonal metric the Dirac principal
-    part uses the orthonormal coframe: A^t = gamma0 / alpha, A^x =
-    gamma1 / beta, so sigma_P sigma_Q = g(xi, xi) Id pointwise.  On
-    Minkowski this is plainly (gamma0, gamma1)."""
+    """(P, Q) = (D + A, D - A) on a diagonal metric (Minkowski if None)."""
+    if metric is None:
+        return dirac_pair(model, Num(1.0), Num(1.0))
+    return dirac_pair(model, metric.alpha_ast, metric.beta_ast)
+
+
+def dirac_pair(
+    model: DiracModel, alpha: ExprAst, beta: ExprAst
+) -> Tuple[FirstOrderOperator, FirstOrderOperator]:
+    """The one Dirac construction, for lapse alpha and spatial scale beta.
+    The principal part uses the orthonormal coframe, A^t = gamma0 / alpha
+    and A^x = gamma1 / beta, so sigma_P sigma_Q = g(xi, xi) Id pointwise;
+    on Minkowski it is plainly (gamma0, gamma1)."""
     rep = model.rep
     rep.validate()
     a_field = model.potential_field()
-    if metric is None or metric.is_constant:
-        if metric is None:
-            a0 = 1.0
-            b0 = 1.0
-        else:
-            a0 = float(metric.alpha(0.0, 0.0))
-            b0 = float(metric.beta(0.0, 0.0))
-        a_t = MatrixField.from_constant(rep.gamma0 / a0)
-        a_x = MatrixField.from_constant(rep.gamma1 / b0)
-    else:
-        inv_alpha = lambda t, xs: 1.0 / np.asarray(metric.alpha(t, xs), dtype=complex)
-        inv_beta = lambda t, xs: 1.0 / np.asarray(metric.beta(t, xs), dtype=complex)
-        a_t = MatrixField.from_constant(rep.gamma0).scale_by(
-            inv_alpha, t_dependent=metric.t_dependent
-        )
-        a_x = MatrixField.from_constant(rep.gamma1).scale_by(
-            inv_beta, t_dependent=metric.t_dependent
-        )
-    p = FirstOrderOperator(2, a_t, a_x, a_field)
-    q = FirstOrderOperator(2, a_t, a_x, -a_field)
-    return p, q
+    a_t = MatrixField.from_constant(rep.gamma0).scale(Bin("/", Num(1.0), alpha))
+    a_x = MatrixField.from_constant(rep.gamma1).scale(Bin("/", Num(1.0), beta))
+    return FirstOrderOperator(2, a_t, a_x, a_field), FirstOrderOperator(2, a_t, a_x, -a_field)
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +201,10 @@ def data_space_isometry_check(
         solve_cauchy(p, q, metric, phi0, grid, check_pair=(i == 0))[0]
         for i, phi0 in enumerate(phi0_list)
     ]
-    n = len(solutions)
-    gram_a = np.empty((n, n), dtype=complex)
-    gram_b = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            gram_a[i, j] = beta_sigma(solutions[i], solutions[j], sigma, metric, rep)
-            gram_b[i, j] = beta_sigma(solutions[i], solutions[j], sigma_prime, metric, rep)
+    gram_a, gram_b = (
+        np.array([[beta_sigma(a, b, line, metric, rep) for b in solutions] for a in solutions])
+        for line in (sigma, sigma_prime)
+    )
     scale = float(np.max(np.abs(gram_a)))
     mismatch = float(np.max(np.abs(gram_a - gram_b))) / scale if scale > 0 else 0.0
     eigs = np.linalg.eigvalsh(0.5 * (gram_a + gram_a.conj().T))

@@ -56,9 +56,14 @@ class TestMatrixField:
         assert np.allclose(f.eval(1.0, xs)[:, 0, 0], [1.0, 2.0])
 
     def test_coefficient_derivatives(self):
-        f = MatrixField.from_exprs([["t*x"]])
-        assert f.d_dt().at(0.0, 0.7)[0, 0] == pytest.approx(0.7, abs=1e-8)
-        assert f.d_dx().at(0.3, 0.0)[0, 0] == pytest.approx(0.3, abs=1e-8)
+        # derivatives are exact: no step size, no truncation error
+        f = MatrixField.from_exprs([["t*x", "sin(t)"], ["x^3", "2"]])
+        assert f.d_dt().at(0.0, 0.7)[0, 0] == 0.7
+        assert f.d_dx().at(0.3, 0.0)[0, 0] == 0.3
+        assert f.d_dt().at(0.4, 0.0)[0, 1] == np.cos(0.4)
+        assert f.d_dx().at(0.0, 0.5)[1, 0] == 0.75
+        assert f.d_dx().d_dx().at(0.0, 0.5)[1, 0] == 3.0
+        assert not MatrixField.from_exprs([["t*x"]]).d_dt().t_dependent
         assert MatrixField.from_constant([[5.0]]).d_dx().is_constant
 
     def test_non_square_rejected(self):
@@ -114,6 +119,15 @@ class TestCompose:
         assert l.c_tt.constant[0, 0] == 1.0
         for f in (l.c_tx, l.c_xx, l.d_t, l.d_x, l.e):
             assert np.allclose(f.at(0.2, 0.3), 0.0, atol=1e-12)
+
+    def test_anticommuting_gammas_prune_the_mixed_term(self, chart):
+        g = DiagonalMetric("1+0.1*sin(t)", "1+0.3*cos(2*x)", chart)
+        p = FirstOrderOperator.build([["0", "1/(1+0.1*sin(t))"], ["1/(1+0.1*sin(t))", "0"]],
+                                     [["0", "-1/(1+0.3*cos(2*x))"], ["1/(1+0.3*cos(2*x))", "0"]],
+                                     [["0", "0"], ["0", "0"]])
+        l = compose(p, p)
+        assert l.c_tx.is_constant and not np.any(l.c_tx.constant)
+        assert not l.c_tt.is_constant and l.c_tt.nonzero() == [(0, 0, l.c_tt.entries[0][0]), (1, 1, l.c_tt.entries[1][1])]
 
     def test_dirac_factorization_of_wave_operator(self):
         m = 1.3

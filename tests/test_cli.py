@@ -213,3 +213,44 @@ class TestMain:
         out = str(tmp_path / "out")
         assert main(["convergence", "solve", "--config", cfg, "--out", out]) == 0
         assert (tmp_path / "out" / "convergence.csv").exists()
+
+
+class TestGates:
+    def test_only_finite_values_within_bounds_pass(self):
+        assert cli._within(0.5, high=1.0)
+        assert cli._within(1.0, low=1.0)
+        assert not cli._within(0.0, low=0.0, strict=True)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            assert not cli._within(bad, high=1.0)
+            assert not cli._within(bad, low=0.0)
+            assert not cli._within(bad, low=0.0, strict=True)
+
+    def test_nan_battery_is_a_failure_exit_two(self, tmp_path, capsys, monkeypatch):
+        real = cli.solve_cauchy
+
+        def nan_leak(*args, **kwargs):
+            phi, rep = real(*args, **kwargs)
+            rep.support_leak = float("nan")
+            return phi, rep
+
+        monkeypatch.setattr(cli, "solve_cauchy", nan_leak)
+        cfg = write_cfg(tmp_path, SCALAR_CFG)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        out = capsys.readouterr().out
+        assert "solve: FAIL" in out
+        assert "support leak nan" in out
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["results"]["support_leak"] == "nan"
+        assert not report["passed"]
+
+
+class TestLadderMargins:
+    @pytest.mark.parametrize("argv", [["convergence", "solve"], ["verify-all"]])
+    def test_coarse_rung_margin_is_a_config_error(self, tmp_path, capsys, argv):
+        # nx = 256 passes validation, but its nx/4 rung keeps no causal margin
+        cfg = write_cfg(tmp_path, DIRAC_CFG)
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "nx = 64" in err
+        assert not (tmp_path / "out" / "report.json").exists()

@@ -191,3 +191,22 @@ window_steepness = 2.5
         assert echo["grid"] == {"nx": 128, "cfl": 0.4}
         assert echo["initial_data"]["window"]["halfwidth"] == 0.05
         assert echo["preset"] == "dirac_massive"
+
+    def test_echo_includes_the_dual_source(self):
+        def with_dual(components):
+            return BASE + f"""
+[dual_source]
+components = {components}
+window_center = 0.2
+window_halfwidth = 0.05
+window_steepness = 2.5
+t_window_center = 0.0
+t_window_halfwidth = 0.03
+t_window_steepness = 10.0
+"""
+        a = load_config_text(with_dual("[1, 0.5]")).echo()
+        b = load_config_text(with_dual("[0.5, 1]")).echo()
+        assert a != b
+        assert a["dual_source"]["components"] == ["1", "0.5"]
+        assert a["dual_source"]["x_window"]["center"] == 0.2
+        assert load_config_text(BASE).echo()["dual_source"] is None
