@@ -54,6 +54,7 @@ from .cauchy import (
     solve_first_order_direct,
 )
 from .greens import (
+    AdjointReport,
     GreensReport,
     TestSection,
     adjoint_pairing_check,
@@ -61,7 +62,6 @@ from .greens import (
     greens_report,
     identity_i_residual,
     identity_ii_residual,
-    identity_iii_leak,
     make_test_section,
     uniqueness_probe,
 )

@@ -25,7 +25,7 @@ from .bundle_ops import (
     contract,
     is_complementary_pair,
 )
-from .geometry import CauchyLine, CausalShadow, DiagonalMetric, causal_shadow
+from .geometry import CauchyLine, CausalShadow, DiagonalMetric
 from .grids import (
     CauchyData,
     Grid1p1,
@@ -181,11 +181,6 @@ def solve_first_order_direct(
 # ---------------------------------------------------------------------------
 # the full first-order Cauchy solve via the second-order reduction
 
-def solution_shadow(metric: DiagonalMetric, grid: Grid1p1, phi0: CauchyData) -> CausalShadow:
-    shadow = causal_shadow(metric, phi0.support, phi0.t0, "both", dt=grid.dt)
-    return shadow.inflate(SHADOW_INFLATION_NODES * grid.dx)
-
-
 def support_leak(phi: GridSection, shadow: CausalShadow, reference: float) -> float:
     """Max |Phi| outside the (inflated) shadow, relative to reference."""
     grid = phi.grid
@@ -216,7 +211,7 @@ def solve_cauchy(
             raise PairCheckError(
                 f"(P, Q) is not a complementary pair (max deviation {report.max_deviation:.3e})"
             )
-    check_causal_margin(metric, grid, phi0.support, phi0.t0)
+    shadow = check_causal_margin(metric, grid, phi0.support, phi0.t0)
     psi0 = normal_derivative_data(p, metric, phi0)
     alpha = np.broadcast_to(
         np.asarray(metric.alpha(phi0.t0, grid.xs), dtype=complex), (grid.nx,)
@@ -230,8 +225,7 @@ def solve_cauchy(
     res_l2 = float(np.sqrt(np.sum(np.abs(interior) ** 2) * grid.dx * grid.dt))
     res_linf = float(np.max(np.abs(interior)))
     trace = float(np.max(np.abs(residual.values[phi0.level])))
-    shadow = solution_shadow(metric, grid, phi0)
-    leak = support_leak(phi, shadow, phi0.linf())
+    leak = support_leak(phi, shadow.inflate(SHADOW_INFLATION_NODES * grid.dx), phi0.linf())
     report = SolveReport(res_l2, res_linf, trace, leak, time.perf_counter() - start)
     return phi, report
 
@@ -255,7 +249,9 @@ def restrict(
     grid = phi.grid
     j = grid.level_of(sigma_prime.t0)
     t_level = float(grid.ts[j])
-    shadow = solution_shadow(metric, grid, phi0)
+    shadow = check_causal_margin(metric, grid, phi0.support, phi0.t0).inflate(
+        SHADOW_INFLATION_NODES * grid.dx
+    )
     union = shadow.intervals_at(t_level)
     lo = min(iv[0] for iv in union)
     hi = max(iv[1] for iv in union)

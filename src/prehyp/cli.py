@@ -9,42 +9,35 @@ deterministic report.json (plus CSV dumps when requested); wall-clock
 timings go to a separate timings.json so reports stay byte-reproducible.
 
 Exit codes: 0 all tolerances met, 1 configuration error, 2 tolerance
-failure, 3 internal error.
+failure, 3 internal error (its traceback goes to error.txt in the output
+directory).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
 import sys
 import time
+import traceback
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .bundle_ops import is_complementary_pair, symbol_invertibility
-from .cauchy import (
-    compatibility_round_trip,
-    solve_cauchy,
-    solve_first_order_direct,
-)
+from .cauchy import solve_cauchy, solve_first_order_direct
 from .config import ConfigError, ScenarioConfig, SourceSpec, WindowSpec, load_config, validate_geometry
 from .geometry import CauchyLine
-from .greens import (
-    adjoint_pairing_check,
-    identity_i_residual,
-    identity_ii_residual,
-    identity_iii_leak,
-    make_test_section,
-)
+from .greens import adjoint_pairing_check, greens_report, make_test_section
 from .qft_dirac import (
     DiracModel,
     beta_sigma,
     data_space_isometry_check,
-    default_rep,
     dirac_current,
     hypersurface_independence,
 )
@@ -153,11 +146,27 @@ def _section_from_spec(grid, spec: SourceSpec):
     )
 
 
-def _scenario(cfg: ScenarioConfig, nx: Optional[int]):
-    """The metric, the grid at nx (the configured one by default) and the
-    operator pair."""
-    metric = cfg.metric()
-    return (metric, cfg.grid(metric, nx)) + cfg.operators()
+class Scenario:
+    """A config resolved at nx (the configured one by default): the metric,
+    the grid, the operator pair, the initial data and, computed on first
+    use, their Cauchy solve, shared by every battery that judges it."""
+
+    def __init__(self, cfg: ScenarioConfig, nx: Optional[int] = None):
+        self.cfg = cfg
+        self.metric = cfg.metric()
+        self.grid = cfg.grid(self.metric, nx)
+        self.p, self.q = cfg.operators()
+        self.data = cfg.initial_data(self.grid)
+
+    @cached_property
+    def solution(self):
+        """(phi, SolveReport) of the configured Cauchy problem."""
+        return solve_cauchy(self.p, self.q, self.metric, self.data, self.grid)
+
+
+def _scenario(cfg: ScenarioConfig | Scenario, nx: Optional[int]) -> Scenario:
+    """The Scenario verify-all resolved, or a fresh one from a config."""
+    return cfg if isinstance(cfg, Scenario) else Scenario(cfg, nx)
 
 
 def _require_dirac(cfg: ScenarioConfig, what: str) -> DiracModel:
@@ -169,9 +178,9 @@ def _require_dirac(cfg: ScenarioConfig, what: str) -> DiracModel:
 # ---------------------------------------------------------------------------
 # subcommand bodies: each returns (results dict, failure strings)
 
-def run_check_pair(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
-    metric = cfg.metric()
-    p, q = cfg.operators()
+def run_check_pair(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] = None):
+    scn = _scenario(cfg, nx)
+    metric, p, q = scn.metric, scn.p, scn.q
     pair = is_complementary_pair(p, q, metric)
     rng = np.random.default_rng(seed)
     chart = metric.chart
@@ -212,10 +221,8 @@ def run_check_pair(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     return results, failures
 
 
-def run_solve(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
-    metric, grid, p, q = _scenario(cfg, nx)
-    data = cfg.initial_data(grid)
-    phi, rep = solve_cauchy(p, q, metric, data, grid)
+def run_solve(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] = None):
+    phi, rep = _scenario(cfg, nx).solution
     failures = []
     _gate(failures, "support leak", rep.support_leak, high=TOLERANCES["solve_leak"])
     results = {
@@ -227,11 +234,10 @@ def run_solve(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     return results, failures, phi
 
 
-def run_direct_vs_reduced(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
-    metric, grid, p, q = _scenario(cfg, nx)
-    data = cfg.initial_data(grid)
-    reduced, _ = solve_cauchy(p, q, metric, data, grid)
-    direct = solve_first_order_direct(p, metric, data, grid)
+def run_direct_vs_reduced(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] = None):
+    scn = _scenario(cfg, nx)
+    reduced, _ = scn.solution
+    direct = solve_first_order_direct(scn.p, scn.metric, scn.data, scn.grid)
     ref = float(np.max(np.abs(direct.values)))
     mismatch = float(np.max(np.abs(reduced.values - direct.values))) / ref
     failures = []
@@ -239,46 +245,40 @@ def run_direct_vs_reduced(cfg: ScenarioConfig, seed: int, nx: Optional[int] = No
     return {"mismatch": mismatch, "reference_linf": ref}, failures
 
 
-def run_greens(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
-    metric, grid, p, q = _scenario(cfg, nx)
-    spec = cfg.source or _default_source(cfg)
-    phi = _section_from_spec(grid, spec)
+def run_greens(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] = None):
+    scn = _scenario(cfg, nx)
+    phi = _section_from_spec(scn.grid, scn.cfg.source or _default_source(scn.cfg))
     results = {}
     failures = []
     for direction in ("retarded", "advanced"):
-        i1 = identity_i_residual(p, q, metric, phi, direction, grid)
-        i2 = identity_ii_residual(p, q, metric, phi, direction, grid)
-        leak = identity_iii_leak(p, q, metric, phi, direction, grid)
-        results[direction] = {"identity_i": i1, "identity_ii": i2, "support_leak": leak}
-        _gate(failures, f"{direction} identity_i", i1, high=TOLERANCES["greens_identity"])
-        _gate(failures, f"{direction} identity_ii", i2, high=TOLERANCES["greens_identity"])
-        _gate(failures, f"{direction} support_leak", leak, high=TOLERANCES["greens_leak"])
+        rep = greens_report(scn.p, scn.q, scn.metric, phi, direction, scn.grid)
+        results[direction] = vars(rep)
+        _gate(failures, f"{direction} identity_i", rep.identity_i, high=TOLERANCES["greens_identity"])
+        _gate(failures, f"{direction} identity_ii", rep.identity_ii, high=TOLERANCES["greens_identity"])
+        _gate(failures, f"{direction} support_leak", rep.support_leak, high=TOLERANCES["greens_leak"])
     return results, failures
 
 
-def run_adjoint_check(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
-    metric, grid, p, q = _scenario(cfg, nx)
-    spec = cfg.source or _default_source(cfg)
-    dual_spec = cfg.dual_source or _mirrored(spec)
-    f = _section_from_spec(grid, spec)
-    psi = _section_from_spec(grid, dual_spec)
-    defect, lhs, rhs = adjoint_pairing_check(p, q, metric, psi, f, grid)
-    control, _, _ = adjoint_pairing_check(p, q, metric, psi, f, grid, mismatch_directions=True)
+def run_adjoint_check(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] = None):
+    scn = _scenario(cfg, nx)
+    spec = scn.cfg.source or _default_source(scn.cfg)
+    f = _section_from_spec(scn.grid, spec)
+    psi = _section_from_spec(scn.grid, scn.cfg.dual_source or _mirrored(spec))
+    rep = adjoint_pairing_check(scn.p, scn.q, scn.metric, psi, f, scn.grid)
     failures = []
-    _gate(failures, "pairing defect", defect, high=TOLERANCES["adjoint_defect"])
-    _gate(failures, "mismatched-direction control", control, low=TOLERANCES["adjoint_mismatch_min"])
-    results = {"defect": defect, "lhs": lhs, "rhs": rhs, "mismatch_control": control}
-    return results, failures
+    _gate(failures, "pairing defect", rep.defect, high=TOLERANCES["adjoint_defect"])
+    _gate(failures, "mismatched-direction control", rep.mismatch_control, low=TOLERANCES["adjoint_mismatch_min"])
+    return vars(rep), failures
 
 
-def run_beta(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
+def run_beta(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] = None):
+    scn = _scenario(cfg, nx)
+    cfg, metric, grid = scn.cfg, scn.metric, scn.grid
     model = _require_dirac(cfg, "beta")
-    metric, grid, p, q = _scenario(cfg, nx)
-    data = cfg.initial_data(grid)
-    phi, _ = solve_cauchy(p, q, metric, data, grid)
+    phi, _ = scn.solution
     # an independent second solution for the symmetry check
     swapped = cfg.initial_data(grid, list(reversed([f"({c})*(1+x)" for c in cfg.initial_components])))
-    psi, _ = solve_cauchy(p, q, metric, swapped, grid, check_pair=False)
+    psi, _ = solve_cauchy(scn.p, scn.q, metric, swapped, grid, check_pair=False)
     rep = model.rep
     levels = [float(grid.ts[int(round(f * (grid.nt - 1)))]) for f in (0.2, 0.35, 0.5, 0.65, 0.8)]
     herm_rep = hypersurface_independence(psi, phi, levels, metric, rep)
@@ -301,10 +301,10 @@ def run_beta(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     return results, failures, (phi, model, grid, metric)
 
 
-def run_isometry(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
+def run_isometry(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] = None):
+    scn = _scenario(cfg, nx)
+    cfg, metric, grid = scn.cfg, scn.metric, scn.grid
     model = _require_dirac(cfg, "isometry")
-    metric = cfg.metric()
-    grid = cfg.grid(metric, nx)
     corpus = [
         cfg.initial_data(grid, [f"({c})*({m})" for c in cfg.initial_components])
         for m in ("1", "x", "cos(3*x)")
@@ -328,7 +328,7 @@ def run_isometry(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
 # ---------------------------------------------------------------------------
 # convergence ladders
 
-def _ladder_error(target: str, cfg: ScenarioConfig, seed: int, nx: int) -> float:
+def _ladder_error(target: str, cfg: ScenarioConfig | Scenario, seed: int, nx: int) -> float:
     """The error a convergence target measures at one rung."""
     battery, key = {
         "solve": (run_solve, "residual_l2"),
@@ -341,28 +341,30 @@ def _ladder_error(target: str, cfg: ScenarioConfig, seed: int, nx: int) -> float
     return error["identity_i"] if target == "greens" else error
 
 
+def _rungs(nx: int) -> List[int]:
+    return [nx // 4, nx // 2, nx]
+
+
 def _ladder(cfg: ScenarioConfig) -> List[int]:
     """The ladder's resolutions, each validated as the configured one is,
     before any solve starts."""
     if cfg.nx < 64:
         raise ConfigError("convergence ladder needs grid.nx >= 64")
-    nxs = [cfg.nx // 4, cfg.nx // 2, cfg.nx]
+    nxs = _rungs(cfg.nx)
     for n in nxs:
         validate_geometry(cfg, n)
     return nxs
 
 
-def run_convergence(cfg: ScenarioConfig, seed: int, target: str):
+def run_convergence(cfg: ScenarioConfig | Scenario, seed: int, target: str):
+    """A Scenario is the top rung; it comes from verify-all, which has
+    validated the ladder before its first battery."""
     if target not in CONVERGENCE_TARGETS:
         raise ConfigError(f"convergence target must be one of {', '.join(CONVERGENCE_TARGETS)}")
-    nxs = _ladder(cfg)
-    errors = [_ladder_error(target, cfg, seed, n) for n in nxs]
-    orders = []
-    for coarse, fine in zip(errors, errors[1:]):
-        if fine <= 0:
-            orders.append(float("inf"))
-        else:
-            orders.append(float(np.log2(coarse / fine)))
+    top = _scenario(cfg, None)
+    nxs = _rungs(top.grid.nx) if top is cfg else _ladder(cfg)
+    errors = [_ladder_error(target, top if n == top.grid.nx else top.cfg, seed, n) for n in nxs]
+    orders = [float("inf") if fine <= 0 else float(np.log2(coarse / fine)) for coarse, fine in zip(errors, errors[1:])]
     final = orders[-1]
     failures = []
     # a ladder whose finest error is at the floor has no order left to show
@@ -420,18 +422,21 @@ def run(subcommand: str, cfg: ScenarioConfig, seed: int = 0, target: Optional[st
 
 
 def _run_verify_all(cfg: ScenarioConfig, seed: int, timings: Dict[str, float]):
+    """Every battery on one Scenario at the configured nx, so that solve,
+    direct-vs-reduced, the ladder's top rung and beta judge one solution."""
     _ladder(cfg)
+    scn = Scenario(cfg)
     batteries: List[Tuple[str, Callable]] = [
-        ("check-pair", lambda: run_check_pair(cfg, seed)[:2]),
-        ("solve", lambda: run_solve(cfg, seed)[:2]),
-        ("direct-vs-reduced", lambda: run_direct_vs_reduced(cfg, seed)),
-        ("greens", lambda: run_greens(cfg, seed)),
-        ("adjoint-check", lambda: run_adjoint_check(cfg, seed)),
-        ("convergence solve", lambda: run_convergence(cfg, seed, "solve")),
+        ("check-pair", lambda: run_check_pair(scn, seed)[:2]),
+        ("solve", lambda: run_solve(scn, seed)[:2]),
+        ("direct-vs-reduced", lambda: run_direct_vs_reduced(scn, seed)),
+        ("greens", lambda: run_greens(scn, seed)),
+        ("adjoint-check", lambda: run_adjoint_check(scn, seed)),
+        ("convergence solve", lambda: run_convergence(scn, seed, "solve")),
     ]
     if cfg.preset in ("dirac_massive", "dirac_massless"):
-        batteries.append(("beta", lambda: run_beta(cfg, seed)[:2]))
-        batteries.append(("isometry", lambda: run_isometry(cfg, seed)))
+        batteries.append(("beta", lambda: run_beta(scn, seed)[:2]))
+        batteries.append(("isometry", lambda: run_isometry(scn, seed)))
 
     results = {}
     failures: List[str] = []
@@ -529,14 +534,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
+    out_dir = args.out
     try:
         cfg = load_config(args.config)
-        if args.subcommand == "convergence" and args.target is None:
-            raise ConfigError("convergence needs a target subcommand")
+        out_dir = args.out or cfg.output_directory
         if args.subcommand != "convergence" and args.target is not None:
             raise ConfigError(f"unexpected argument {args.target!r}")
         report, timings, artifacts = run(args.subcommand, cfg, args.seed, args.target)
-        out_dir = args.out or cfg.output_directory
         if "json" in cfg.output_formats:
             print(write_report(report, out_dir))
             write_timings(timings, out_dir)
@@ -548,6 +552,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except Exception as e:  # anything unexpected is an internal error
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        if out_dir:
+            with contextlib.suppress(OSError):  # the message above stands alone
+                os.makedirs(out_dir, exist_ok=True)
+                with open(os.path.join(out_dir, "error.txt"), "w") as fh:
+                    fh.write(traceback.format_exc())
         return 3
     status = "pass" if report["passed"] else "FAIL"
     print(f"{report['subcommand']}: {status}")

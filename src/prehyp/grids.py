@@ -7,13 +7,13 @@ light speed.  Cauchy hypersurfaces snap to grid time levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from . import expr as _expr
-from .geometry import Chart1p1, ChartDomainError, DiagonalMetric
+from .geometry import CausalShadow, Chart1p1, ChartDomainError, DiagonalMetric, causal_shadow
 
 SUPPORT_EPS = 1e-14
 BOUNDARY_MARGIN_NODES = 8
@@ -147,9 +147,6 @@ class GridSection:
     def k(self) -> int:
         return self.values.shape[2]
 
-    def at_level(self, j: int) -> np.ndarray:
-        return self.values[j]
-
     def linf(self) -> float:
         return float(np.max(np.abs(self.values)))
 
@@ -243,17 +240,14 @@ def make_cauchy_data(
 
 
 def check_causal_margin(
-    metric: DiagonalMetric, grid: Grid1p1, support: Tuple[float, float], t0: Optional[float] = None
-) -> None:
-    """Validate up front that J(support) stays clear of a line-topology
-    x-boundary by at least BOUNDARY_MARGIN_NODES nodes over the whole run."""
-    if grid.periodic:
-        return
-    from .geometry import causal_shadow  # local import to avoid cycle at module load
-
-    if t0 is None:
-        t0 = float(grid.ts[0])
+    metric: DiagonalMetric, grid: Grid1p1, support: Tuple[float, float], t0: float
+) -> CausalShadow:
+    """Sweep J(support) from t0 over the whole run and return it; on a line,
+    validate up front that it stays clear of the x-boundary by at least
+    BOUNDARY_MARGIN_NODES nodes."""
     shadow = causal_shadow(metric, support, float(t0), "both", dt=grid.dt)
+    if grid.periodic:
+        return shadow
     margin = BOUNDARY_MARGIN_NODES * grid.dx
     for union in shadow.intervals:
         for lo, hi in union:
@@ -262,3 +256,4 @@ def check_causal_margin(
                     "causal shadow of the data support reaches within "
                     f"{BOUNDARY_MARGIN_NODES} nodes of the chart boundary"
                 )
+    return shadow

@@ -20,9 +20,9 @@ from prehyp.geometry import CauchyLine, Chart1p1, DiagonalMetric, minkowski
 from prehyp.grids import CauchyData, build_grid, make_cauchy_data, plateau_window
 from prehyp.greens import (
     adjoint_pairing_check,
+    greens_report,
     identity_i_residual,
     identity_ii_residual,
-    identity_iii_leak,
     make_test_section,
 )
 from prehyp.qft_dirac import (
@@ -198,11 +198,14 @@ def test_6_greens_identities_and_adjoint_pairing():
     for nx in (256, 512, 1024):
         grid = build_grid(CHART, MINK, nx)
         phi = make_test_section(grid, ["1", "0.5"], x_win, t_win)
-        i_errs.append(identity_i_residual(p, q, MINK, phi, "retarded", grid))
-        ii_errs.append(identity_ii_residual(p, q, MINK, phi, "advanced", grid))
         if nx == 1024:
-            for direction in ("retarded", "advanced"):
-                leaks.append(identity_iii_leak(p, q, MINK, phi, direction, grid))
+            reports = [greens_report(p, q, MINK, phi, d, grid) for d in ("retarded", "advanced")]
+            i_errs.append(reports[0].identity_i)
+            ii_errs.append(reports[1].identity_ii)
+            leaks.extend(rep.support_leak for rep in reports)
+        else:
+            i_errs.append(identity_i_residual(p, q, MINK, phi, "retarded", grid))
+            ii_errs.append(identity_ii_residual(p, q, MINK, phi, "advanced", grid))
     order_i = order(i_errs[1], i_errs[2])
     order_ii = order(ii_errs[1], ii_errs[2])
 
@@ -215,15 +218,13 @@ def test_6_greens_identities_and_adjoint_pairing():
         grid = build_grid(CHART, g_var, nx)
         f = make_test_section(grid, ["1", "0.5"], x_win, t_win)
         psi = make_test_section(grid, ["0.5", "1"], (0.2, 0.05, 2.5), t_win)
-        defects.append(adjoint_pairing_check(p_v, q_v, g_var, psi, f, grid)[0])
+        defects.append(adjoint_pairing_check(p_v, q_v, g_var, psi, f, grid).defect)
     order_pairing = order(defects[1], defects[2])
 
     grid512 = build_grid(CHART, MINK, 512)
     f512 = make_test_section(grid512, ["1", "0.5"], x_win, t_win)
     psi512 = make_test_section(grid512, ["0.5", "1"], (0.2, 0.05, 2.5), t_win)
-    control, _, _ = adjoint_pairing_check(
-        p, q, MINK, psi512, f512, grid512, mismatch_directions=True
-    )
+    control = adjoint_pairing_check(p, q, MINK, psi512, f512, grid512).mismatch_control
     elapsed = time.perf_counter() - start
 
     ok = (

@@ -209,3 +209,21 @@ class TestReports:
         assert report.residual_l2 < 1e-2
         assert report.support_leak < 1e-7
         assert report.wall_time > 0
+
+    def test_one_two_way_shadow_sweep_per_solve(self, chart, mink, monkeypatch):
+        # the margin check's sweep is the one the support leak is measured in
+        from prehyp import cauchy, geometry, grids
+
+        directions = []
+        real = geometry.causal_shadow
+
+        def counting(metric, seed, t0, direction="future", *args, **kwargs):
+            directions.append(direction)
+            return real(metric, seed, t0, direction, *args, **kwargs)
+
+        for mod in (geometry, grids, cauchy):
+            monkeypatch.setattr(mod, "causal_shadow", counting, raising=False)
+        grid = build_grid(chart, mink, 128)
+        p, q = build_dirac_pair(DiracModel(mass=1.0), mink)
+        solve_cauchy(p, q, mink, make_cauchy_data(grid, ["1", "0"], 0.0), grid)
+        assert directions.count("both") == 1

@@ -32,6 +32,12 @@ directory = out
 formats = [json]
 """
 
+# small enough for a quick verify-all: the steeper window keeps the causal
+# margin down to the nx/4 = 32 rung
+SMALL_DIRAC_CFG = DIRAC_CFG.replace("nx = 256", "nx = 128").replace(
+    "window_steepness = 2.5", "window_steepness = 10"
+)
+
 SCALAR_CFG = DIRAC_CFG.replace("preset = dirac_massive", "preset = scalar_transport_pair").replace(
     "components = [1, 0.5]", "components = [1]"
 )
@@ -242,6 +248,63 @@ class TestGates:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["results"]["support_leak"] == "nan"
         assert not report["passed"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blow_up_fails_with_exit_two(self, tmp_path, capsys):
+        # max_light_speed samples a lattice that misses the narrow dip in
+        # beta, so the grid breaks the CFL limit about 5x and the solve
+        # blows up; neither verdict may pass
+        text = (
+            SCALAR_CFG.replace("beta = 1", "beta = 1-0.95*exp(-20000*(x-0.5037)^2)")
+            .replace("cfl = 0.4", "cfl = 0.9")
+            .replace("nx = 256", "nx = 512")
+        )
+        cfg = write_cfg(tmp_path, text)
+        for argv in (["solve"], ["convergence", "solve"]):
+            assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+            assert f"{' '.join(argv)}: FAIL" in capsys.readouterr().out
+
+
+class TestInternalError:
+    def test_traceback_goes_to_error_txt(self, tmp_path, capsys, monkeypatch):
+        def broken_battery(cfg, seed, nx=None):
+            raise RuntimeError("battery failed")
+
+        monkeypatch.setattr(cli, "run_check_pair", broken_battery)
+        cfg = write_cfg(tmp_path, SCALAR_CFG)
+        assert main(["check-pair", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError: battery failed\n"
+        trace = (tmp_path / "out" / "error.txt").read_text()
+        assert trace.startswith("Traceback")
+        assert "in broken_battery" in trace
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
+class TestOneSolvePerQuestion:
+    """Each distinct evolution solve in a verdict runs once."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        from prehyp import cauchy
+
+        calls = []
+        real = cauchy._evolve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cauchy, "_evolve", counting)
+        return calls
+
+    @pytest.mark.parametrize("subcommand, expected", [
+        ("greens", 4),  # S+-phi and S+-(P phi) per direction
+        ("adjoint-check", 3),  # S+ f, S'- psi and the control's S'+ psi
+        ("verify-all", 15),
+    ])
+    def test_solve_count(self, solves, subcommand, expected):
+        run(subcommand, load_config_text(SMALL_DIRAC_CFG), seed=0)
+        assert len(solves) == expected
 
 
 class TestLadderMargins:
