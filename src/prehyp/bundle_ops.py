@@ -13,7 +13,6 @@ evaluation tape (coefficient_tape).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -125,10 +124,7 @@ class MatrixField:
         if self.is_constant and other.is_constant:
             return MatrixField.from_constant(self.constant @ other.constant)
 
-        def dot(row, col):
-            return reduce(lambda acc, ab: _bin("+", acc, _bin("*", *ab)), zip(row, col), _expr.ZERO)
-
-        return MatrixField([[dot(row, col) for col in zip(*other.entries)] for row in self.entries])
+        return MatrixField([[_expr.dot(row, col) for col in zip(*other.entries)] for row in self.entries])
 
     def transpose(self) -> "MatrixField":
         return MatrixField(list(zip(*self.entries)))

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import expr as _expr
 from .bundle_ops import (
     FirstOrderOperator,
     SecondOrderOperator,
@@ -132,16 +133,17 @@ def solve_second_order(
     phi0_values: np.ndarray,
     dtphi0_values: np.ndarray,
     j0: int,
-    source: Optional[Callable[[float], np.ndarray]] = None,
+    source: Sequence["_expr.ExprAst"] = (),
 ) -> GridSection:
-    """Method-of-lines solve of L u = f from data (u, d_t u) at level j0,
-    filling the chart in both time directions.
+    """Method-of-lines solve of L u = f (one expression per component, none
+    for f = 0) from data (u, d_t u) at level j0, in both time directions.
 
     dtphi0_values is the coordinate time derivative d_t u|_Sigma; callers
     working with the frame derivative convert via d_t u = alpha * Psi_0.
     """
     grid.check_cfl(metric.max_light_speed())
     coeffs = coefficient_tape((op.c_tx.scale(2.0), op.c_xx, op.d_t, op.d_x, op.e, op.c_tt.inverse()), grid.xs)
+    forcing = _expr.Tape(source, grid.xs) if source else None
 
     def rhs(t, y):
         u, v = y
@@ -149,7 +151,7 @@ def solve_second_order(
         ux = d_x(u, grid)
         uxx = d_xx(u, grid)
         vx = d_x(v, grid)
-        f = source(t) if source is not None else 0.0
+        f = forcing.stack(t) if forcing is not None else 0.0
         load = f - contract(c_tx2, vx) - contract(c_xx, uxx) - contract(dt_c, v) - contract(dx_c, ux) - contract(e_c, u)
         return (v.copy(), contract(inv_tt, load))
 

@@ -305,14 +305,11 @@ def run_isometry(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] = 
     scn = _scenario(cfg, nx)
     cfg, metric, grid = scn.cfg, scn.metric, scn.grid
     model = _require_dirac(cfg, "isometry")
-    corpus = [
-        cfg.initial_data(grid, [f"({c})*({m})" for c in cfg.initial_components])
-        for m in ("1", "x", "cos(3*x)")
-    ]
+    # the configured data times 1 (the scenario's solution), x and cos(3*x)
+    data = [cfg.initial_data(grid, [f"({c})*({m})" for c in cfg.initial_components]) for m in ("x", "cos(3*x)")]
+    corpus = [scn.solution[0]] + [solve_cauchy(scn.p, scn.q, metric, d, grid, check_pair=False)[0] for d in data]
     t_prime = cfg.t0 + 0.5 * (cfg.t_range[1] - cfg.t0)
-    rep = data_space_isometry_check(
-        corpus, CauchyLine(cfg.t0), CauchyLine(t_prime), metric, model, grid
-    )
+    rep = data_space_isometry_check(corpus, CauchyLine(cfg.t0), CauchyLine(t_prime), metric, model.rep)
     failures = []
     _gate(failures, "Gram mismatch", rep.gram_mismatch, high=TOLERANCES["isometry_mismatch"])
     _gate(failures, "min Gram eigenvalue", rep.min_gram_eigenvalue, low=0.0, strict=True)

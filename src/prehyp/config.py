@@ -69,13 +69,22 @@ def _parse_value(raw: str, line_no: int):
         return [_parse_value(p, line_no) for p in _split_top_level(raw[1:-1], line_no)]
     try:
         v = float(raw)
-        return int(v) if v == int(v) and "." not in raw and "e" not in raw.lower() else v
+        return int(v) if v.is_integer() and "." not in raw and "e" not in raw.lower() else v
     except ValueError:
         return raw
 
 
+class _Section(dict):
+    """One [section]: {key: value}, with the line each key is on."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines: Dict[str, int] = {}
+
+
 def parse_config_text(text: str) -> Dict[str, Dict[str, object]]:
-    """Parse the sectioned text into {section: {key: value}}."""
+    """Parse the sectioned text into {section: {key: value}}; each section
+    also keeps the line number of each key."""
     sections: Dict[str, Dict[str, object]] = {}
     current: Optional[str] = None
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -86,7 +95,7 @@ def parse_config_text(text: str) -> Dict[str, Dict[str, object]]:
             current = stripped[1:-1].strip()
             if not current:
                 raise ConfigError(f"line {line_no}: empty section name")
-            sections.setdefault(current, {})
+            sections.setdefault(current, _Section())
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {line_no}: expected 'key = value'")
@@ -97,6 +106,7 @@ def parse_config_text(text: str) -> Dict[str, Dict[str, object]]:
         if not key:
             raise ConfigError(f"line {line_no}: empty key")
         sections[current][key] = _parse_value(raw, line_no)
+        sections[current].lines[key] = line_no
     return sections
 
 
@@ -251,10 +261,29 @@ def _get(sections, section: str, key: str, default=None):
     return sections.get(section, {}).get(key, default)
 
 
+def _line(sections, section: str, key: str) -> str:
+    """'line N: ' for a key in the file, else ''."""
+    line = sections[section].lines.get(key) if section in sections else None
+    return "" if line is None else f"line {line}: "
+
+
+def _at(sections, section: str, key: str) -> str:
+    """How an error names a key: 'line N: section.key', without the line
+    when the key is not in the file."""
+    return f"{_line(sections, section, key)}{section}.{key}"
+
+
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number") from None
+
+
 def _as_pair(value, name: str) -> Tuple[float, float]:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{name} must be a two-element list")
-    lo, hi = float(value[0]), float(value[1])
+    lo, hi = _number(value[0], name), _number(value[1], name)
     if not lo < hi:
         raise ConfigError(f"{name} must be increasing")
     return (lo, hi)
@@ -280,79 +309,99 @@ def _coeff_matrix(value, rank: int, name: str) -> List[List[str]]:
 
 
 def _window(sections, section: str, prefix: str = "window") -> WindowSpec:
-    center = float(_require(sections, section, f"{prefix}_center"))
-    halfwidth = float(_require(sections, section, f"{prefix}_halfwidth"))
-    steepness = float(_require(sections, section, f"{prefix}_steepness"))
-    if halfwidth <= 0 or steepness <= 0:
-        raise ConfigError(f"{section}.{prefix}: halfwidth and steepness must be positive")
+    keys = [f"{prefix}_{name}" for name in ("center", "halfwidth", "steepness")]
+    center, halfwidth, steepness = (
+        _number(_require(sections, section, k), _at(sections, section, k)) for k in keys
+    )
+    for key, value in zip(keys[1:], (halfwidth, steepness)):
+        if value <= 0:
+            raise ConfigError(f"{_at(sections, section, key)} must be positive")
     return WindowSpec(center, halfwidth, steepness)
+
+
+def _components(sections, section: str, rank: int) -> List[str]:
+    comps = _require(sections, section, "components")
+    name = _at(sections, section, "components")
+    if not isinstance(comps, list) or len(comps) != rank:
+        raise ConfigError(f"{name} must list {rank} expressions")
+    return [_check_expr(c, f"{name}[{i}]") for i, c in enumerate(comps)]
 
 
 def _source_spec(sections, section: str, rank: int) -> Optional[SourceSpec]:
     if section not in sections:
         return None
-    comps = _require(sections, section, "components")
-    if not isinstance(comps, list) or len(comps) != rank:
-        raise ConfigError(f"{section}.components must list {rank} expressions")
-    comps = [_check_expr(c, f"{section}.components[{i}]") for i, c in enumerate(comps)]
+    comps = _components(sections, section, rank)
     return SourceSpec(comps, _window(sections, section, "window"), _window(sections, section, "t_window"))
 
 
 def load_config_text(text: str) -> ScenarioConfig:
     sections = parse_config_text(text)
 
-    alpha = _check_expr(_require(sections, "spacetime", "alpha"), "spacetime.alpha")
-    beta = _check_expr(_require(sections, "spacetime", "beta"), "spacetime.beta")
-    t_range = _as_pair(_require(sections, "spacetime", "t_range"), "spacetime.t_range")
-    x_range = _as_pair(_require(sections, "spacetime", "x_range"), "spacetime.x_range")
+    def at(section: str, key: str) -> str:
+        return _at(sections, section, key)
+
+    alpha, beta = (_check_expr(_require(sections, "spacetime", k), at("spacetime", k)) for k in ("alpha", "beta"))
+    t_range, x_range = (
+        _as_pair(_require(sections, "spacetime", k), at("spacetime", k)) for k in ("t_range", "x_range")
+    )
     topology = str(_get(sections, "spacetime", "topology", "line"))
     if topology not in ("line", "circle"):
-        raise ConfigError("spacetime.topology must be 'line' or 'circle'")
+        raise ConfigError(f"{at('spacetime', 'topology')} must be 'line' or 'circle'")
+    chart = Chart1p1(t_range[0], t_range[1], x_range[0], x_range[1], topology)
+    for key, lapse, scale in (("alpha", alpha, "1"), ("beta", "1", beta)):
+        try:
+            DiagonalMetric(lapse, scale, chart)
+        except MetricPositivityError:
+            raise ConfigError(f"{at('spacetime', key)} must be strictly positive on the chart") from None
+        except _expr.ExprEvalError as e:
+            raise ConfigError(f"{at('spacetime', key)}: {e}") from None
 
-    preset = _get(sections, "operator_P", "preset") or _get(sections, "operator_Q", "preset")
+    preset_sec = "operator_P" if _get(sections, "operator_P", "preset") else "operator_Q"
+    preset = _get(sections, preset_sec, "preset")
     pq = _get(sections, "operator_Q", "preset")
     if preset is not None and pq is not None and preset != pq:
-        raise ConfigError("operator_P.preset and operator_Q.preset disagree")
-    mass = float(_get(sections, "operator_P", "mass", _get(sections, "operator_Q", "mass", 1.0)))
+        raise ConfigError(f"{at('operator_Q', 'preset')} disagrees with operator_P.preset")
+    mass_sec = "operator_P" if _get(sections, "operator_P", "mass") is not None else "operator_Q"
+    mass = _number(_get(sections, mass_sec, "mass", 1.0), at(mass_sec, "mass"))
 
     explicit_keys = [
-        k for sec in ("operator_P", "operator_Q")
+        (sec, k) for sec in ("operator_P", "operator_Q")
         for k in ("A_t", "A_x", "B") if _get(sections, sec, k) is not None
     ]
     if preset is not None and explicit_keys:
-        raise ConfigError("presets and explicit coefficients are mutually exclusive")
+        raise ConfigError(f"{at(*explicit_keys[0])}: presets and explicit coefficients are mutually exclusive")
 
     if preset is not None:
         if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; known presets: {', '.join(PRESETS)}")
+            known = ", ".join(PRESETS)
+            raise ConfigError(f"{at(preset_sec, 'preset')}: unknown preset {preset!r}; known presets: {known}")
         if preset == "dirac_massless":
             mass = 0.0
         p_coeffs, q_coeffs, rank = resolve_preset(preset, mass, alpha, beta)
     else:
         rank = _require(sections, "bundle", "rank")
         if not isinstance(rank, int) or rank < 1:
-            raise ConfigError("bundle.rank must be a positive integer")
-        p_coeffs = {k: _coeff_matrix(_require(sections, "operator_P", k), rank, f"operator_P.{k}") for k in ("A_t", "A_x", "B")}
-        q_coeffs = {k: _coeff_matrix(_require(sections, "operator_Q", k), rank, f"operator_Q.{k}") for k in ("A_t", "A_x", "B")}
+            raise ConfigError(f"{at('bundle', 'rank')} must be a positive integer")
+        p_coeffs, q_coeffs = (
+            {k: _coeff_matrix(_require(sections, sec, k), rank, at(sec, k)) for k in ("A_t", "A_x", "B")}
+            for sec in ("operator_P", "operator_Q")
+        )
     declared_rank = _get(sections, "bundle", "rank")
     if declared_rank is not None and declared_rank != rank:
-        raise ConfigError(f"bundle.rank = {declared_rank} does not match operator rank {rank}")
+        raise ConfigError(f"{at('bundle', 'rank')} = {declared_rank} does not match operator rank {rank}")
 
     nx = _get(sections, "grid", "nx", 512)
     if not isinstance(nx, int) or nx < 8:
-        raise ConfigError("grid.nx must be an integer >= 8")
-    cfl = float(_get(sections, "grid", "cfl", 0.4))
+        raise ConfigError(f"{at('grid', 'nx')} must be an integer >= 8")
+    cfl = _number(_get(sections, "grid", "cfl", 0.4), at("grid", "cfl"))
     if not 0 < cfl <= 1:
-        raise ConfigError("grid.cfl must be in (0, 1]")
+        raise ConfigError(f"{at('grid', 'cfl')} must be in (0, 1]")
 
-    comps = _require(sections, "initial_data", "components")
-    if not isinstance(comps, list) or len(comps) != rank:
-        raise ConfigError(f"initial_data.components must list {rank} expressions")
-    comps = [_check_expr(c, f"initial_data.components[{i}]") for i, c in enumerate(comps)]
+    comps = _components(sections, "initial_data", rank)
     window = _window(sections, "initial_data")
-    t0 = float(_get(sections, "initial_data", "t0", 0.5 * (t_range[0] + t_range[1])))
+    t0 = _number(_get(sections, "initial_data", "t0", 0.5 * (t_range[0] + t_range[1])), at("initial_data", "t0"))
     if not t_range[0] < t0 < t_range[1]:
-        raise ConfigError("initial_data.t0 must lie strictly inside t_range")
+        raise ConfigError(f"{at('initial_data', 't0')} must lie strictly inside t_range")
 
     source = _source_spec(sections, "source", rank)
     dual_source = _source_spec(sections, "dual_source", rank)
@@ -363,14 +412,17 @@ def load_config_text(text: str) -> ScenarioConfig:
         formats = [formats]
     for f in formats:
         if f not in ("json", "csv"):
-            raise ConfigError(f"output.formats: unknown format {f!r}")
+            raise ConfigError(f"{at('output', 'formats')}: unknown format {f!r}")
 
     cfg = ScenarioConfig(
         alpha, beta, t_range, x_range, topology, rank, preset, mass,
         p_coeffs, q_coeffs, nx, cfl, t0, comps, window, source, dual_source,
         out_dir, formats,
     )
-    validate_geometry(cfg)
+    try:
+        validate_geometry(cfg)
+    except ConfigError as e:  # the initial window's margin: point at the window
+        raise ConfigError(f"{_line(sections, 'initial_data', 'window_center')}{e}") from None
     return cfg
 
 

@@ -14,7 +14,8 @@ evaluation accepts scalars or numpy arrays for t and x.
 
 fold/simplify fold constants (possibly complex) and prune zeros, diff takes
 exact derivatives (with an internal log node for u^v), and Tape compiles
-ASTs for repeated evaluation on one row of nodes.
+ASTs for repeated evaluation on one row of nodes.  parse rejects the
+internal log, step and step_slope nodes; the last two build windows.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -38,8 +40,32 @@ FUNCTIONS = {
 
 KNOWN_IDENTIFIERS = {"t", "x", "pi"} | set(FUNCTIONS)
 
-# evaluation also knows the internal log node that diff introduces
-_EVAL_FUNCTIONS = {**FUNCTIONS, "log": np.log}
+
+def smooth_step(u) -> np.ndarray:
+    """C-infinity step: exactly 0 for u <= 0 and 1 for u >= 1, realized as a
+    tanh mollifier with rational argument."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    out[u >= 1.0] = 1.0
+    m = (u > 0.0) & (u < 1.0)
+    um = u[m]
+    out[m] = 0.5 * (1.0 + np.tanh(0.5 * (1.0 / (1.0 - um) - 1.0 / um)))
+    return out
+
+
+def smooth_step_slope(u) -> np.ndarray:
+    """The exact derivative of smooth_step, s(u) s(1-u) (1/u^2 + 1/(1-u)^2)
+    as 1 - s(u) = s(1-u); exactly 0 wherever the step is 0 or 1."""
+    u = np.asarray(u, dtype=float)
+    out, s = np.zeros_like(u), smooth_step(u)
+    m = (s > 0.0) & (s < 1.0)
+    out[m] = s[m] * smooth_step(1.0 - u[m]) * (1.0 / u[m] ** 2 + 1.0 / (1.0 - u[m]) ** 2)
+    return out
+
+
+# evaluation also knows the internal nodes: log, which diff introduces, and
+# the window step with its slope
+_EVAL_FUNCTIONS = {**FUNCTIONS, "log": np.log, "step": smooth_step, "step_slope": smooth_step_slope}
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": np.divide, "^": np.power}
 _CHECKED = {"/": "division", "^": "power"}
 
@@ -377,6 +403,11 @@ def fold(node: ExprAst) -> ExprAst:
     return _RULES[node.op](node.left, node.right) if isinstance(node, Bin) else node
 
 
+def dot(row: Sequence[ExprAst], col: Sequence[ExprAst]) -> ExprAst:
+    """The folded sum of the products row[i] * col[i]."""
+    return reduce(lambda acc, ab: _f("+", acc, _f("*", *ab)), zip(row, col), ZERO)
+
+
 def simplify(ast: ExprAst) -> ExprAst:
     """fold applied bottom-up to the whole AST."""
     if isinstance(ast, (Neg, Call)):
@@ -394,6 +425,7 @@ _OUTER = {
     "tanh": lambda n: _f("-", ONE, _f("*", n, n)),
     "sqrt": lambda n: _f("/", Num(0.5), n),
     "log": lambda n: _f("/", ONE, n.arg),
+    "step": lambda n: _f("step_slope", n.arg),
 }
 
 
@@ -487,3 +519,9 @@ class Tape:
         if isinstance(t, float):  # keep this time and the one before it
             self._cache = dict(list(self._cache.items())[-1:] + [(t, out)])
         return out
+
+    def stack(self, t) -> np.ndarray:
+        """The compiled ASTs at time(s) t as one complex array whose last
+        axis runs over the ASTs: (len(xs), n) for a scalar t."""
+        shape = np.broadcast_shapes(np.shape(t), self.xs.shape)
+        return np.stack([np.broadcast_to(v, shape) for v in self(t)], axis=-1).astype(complex, copy=False)

@@ -10,7 +10,8 @@ solution of PQ is the Green's operator of P.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,29 +31,29 @@ from .grids import (
     Grid1p1,
     GridSection,
     MarginError,
-    plateau_window,
+    window_expr,
     window_support,
 )
-
-Profile = Callable[[float, np.ndarray], np.ndarray]
-
-ANALYTIC_STEP = 1e-6
 
 
 @dataclass
 class TestSection:
-    """A compactly supported smooth section with a declared support box in
-    (t, x) and an analytic profile for stage-exact evaluation."""
+    """A compactly supported smooth section: one folded expression per
+    bundle component, with a declared support box in (t, x)."""
 
     grid: Grid1p1
-    values: np.ndarray  # (nt, nx, k)
+    components: Tuple["_expr.ExprAst", ...]
     t_support: Tuple[float, float]
     x_support: Tuple[float, float]
-    profile: Profile
 
     @property
     def k(self) -> int:
-        return self.values.shape[2]
+        return len(self.components)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The section sampled on the grid: (nt, nx, k)."""
+        return _expr.Tape(self.components, self.grid.xs).stack(self.grid.ts[:, None])
 
     def as_section(self) -> GridSection:
         return GridSection(self.grid, self.values)
@@ -68,32 +69,13 @@ def make_test_section(
     t_window: Tuple[float, float, float],
 ) -> TestSection:
     """Build phi(t, x) = window_t(t) window_x(x) * components(t, x)."""
-    asts = [
-        _expr.parse(c) if isinstance(c, str) else c for c in components
-    ]
-    k = len(asts)
-    xc, xw, xs_ = x_window
-    tc, tw, ts_ = t_window
-
-    def profile(t: float, xs: np.ndarray) -> np.ndarray:
-        wt = plateau_window(np.asarray([t]), tc, tw, ts_)[0]
-        out = np.zeros((len(xs), k), dtype=complex)
-        if wt == 0.0:
-            return out
-        wx = plateau_window(xs, xc, xw, xs_)
-        for c, ast in enumerate(asts):
-            out[:, c] = np.broadcast_to(
-                np.asarray(_expr.evaluate(ast, t, xs), dtype=complex), (len(xs),)
-            ) * wx * wt
-        return out
-
-    values = np.stack([profile(float(t), grid.xs) for t in grid.ts])
+    window = _expr.fold(_expr.Bin("*", window_expr("t", *t_window), window_expr("x", *x_window)))
+    asts = (_expr.parse(c) if isinstance(c, str) else c for c in components)
     return TestSection(
         grid,
-        values,
-        window_support(tc, tw, ts_),
-        window_support(xc, xw, xs_),
-        profile,
+        tuple(_expr.fold(_expr.Bin("*", _expr.simplify(c), window)) for c in asts),
+        window_support(*t_window),
+        window_support(*x_window),
     )
 
 
@@ -119,14 +101,9 @@ def solve_driven(
         raise ValueError(f"unknown direction {direction!r}")
     grid = grid or source.grid
     _check_temporal_margin(grid, source.t_support)
-    k = source.k
-    zeros = np.zeros((grid.nx, k), dtype=complex)
+    zeros = np.zeros((grid.nx, source.k), dtype=complex)
     j0 = 0 if direction == "retarded" else grid.nt - 1
-
-    def src(t: float) -> np.ndarray:
-        return source.profile(t, grid.xs)
-
-    return solve_second_order(op, metric, grid, zeros, zeros, j0, source=src)
+    return solve_second_order(op, metric, grid, zeros, zeros, j0, source=source.components)
 
 
 def greens_apply(
@@ -145,22 +122,13 @@ def greens_apply(
 
 
 def apply_analytic(p: FirstOrderOperator, section: TestSection) -> TestSection:
-    """P applied to the analytic profile of a test section, via centered
-    differences of step ANALYTIC_STEP; effectively exact for smooth
-    profiles."""
-    grid = section.grid
-    b_eff = p.effective_b()
-    h = ANALYTIC_STEP
-
-    def profile(t: float, xs: np.ndarray) -> np.ndarray:
-        dpt = (section.profile(t + h, xs) - section.profile(t - h, xs)) / (2 * h)
-        dpx = (section.profile(t, xs + h) - section.profile(t, xs - h)) / (2 * h)
-        a_t, a_x, b = (f.eval(t, xs) for f in (p.a_t, p.a_x, b_eff))
-        v = section.profile(t, xs)
-        return np.einsum("nij,nj->ni", a_t, dpt) + np.einsum("nij,nj->ni", a_x, dpx) + np.einsum("nij,nj->ni", b, v)
-
-    values = np.stack([profile(float(t), grid.xs) for t in grid.ts])
-    return TestSection(grid, values, section.t_support, section.x_support, profile)
+    """P applied to a test section exactly: A^t d_t phi + A^x d_x phi
+    + B_eff phi, with the derivatives taken by expr.diff."""
+    phi = section.components
+    col = [_expr.diff(c, "t") for c in phi] + [_expr.diff(c, "x") for c in phi] + list(phi)
+    rows = zip(p.a_t.entries, p.a_x.entries, p.effective_b().entries)
+    p_phi = tuple(_expr.dot(r_t + r_x + r_b, col) for r_t, r_x, r_b in rows)
+    return TestSection(section.grid, p_phi, section.t_support, section.x_support)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from . import expr as _expr
+from .expr import Bin, Call, Num, Var, smooth_step  # noqa: F401  (smooth_step is re-exported)
 from .geometry import CausalShadow, Chart1p1, ChartDomainError, DiagonalMetric, causal_shadow
 
 SUPPORT_EPS = 1e-14
@@ -182,29 +183,21 @@ class CauchyData:
             raise ValueError("data does not vanish outside its declared support")
 
 
-def smooth_step(u: np.ndarray) -> np.ndarray:
-    """C-infinity step: exactly 0 for u <= 0 and 1 for u >= 1, realized as a
-    tanh mollifier with rational argument."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    out[u >= 1.0] = 1.0
-    m = (u > 0.0) & (u < 1.0)
-    um = u[m]
-    out[m] = 0.5 * (1.0 + np.tanh(0.5 * (1.0 / (1.0 - um) - 1.0 / um)))
-    return out
+def window_expr(var: str, center: float, halfwidth: float, steepness: float) -> "_expr.ExprAst":
+    """Smooth compactly supported plateau in the variable var, as a folded
+    expression: identically 1 on [center - halfwidth, center + halfwidth],
+    identically 0 outside the transition band of width 1/steepness on
+    either side."""
+    if steepness <= 0:
+        raise ValueError("steepness must be positive")
+    tau, (lo, hi) = Num(1.0 / steepness), window_support(center, halfwidth, steepness)
+    rise, fall = (Call("step", Bin("/", u, tau)) for u in (Bin("-", Var(var), Num(lo)), Bin("-", Num(hi), Var(var))))
+    return _expr.simplify(Bin("*", rise, fall))
 
 
 def plateau_window(x, center: float, halfwidth: float, steepness: float) -> np.ndarray:
-    """Smooth compactly supported plateau: identically 1 on
-    [center - halfwidth, center + halfwidth], identically 0 outside the
-    transition band of width 1/steepness on either side."""
-    if steepness <= 0:
-        raise ValueError("steepness must be positive")
-    tau = 1.0 / steepness
-    x = np.asarray(x, dtype=float)
-    lo = center - halfwidth - tau
-    hi = center + halfwidth + tau
-    return smooth_step((x - lo) / tau) * smooth_step((hi - x) / tau)
+    """window_expr in x, evaluated at the points x."""
+    return _expr.evaluate(window_expr("x", center, halfwidth, steepness), 0.0, np.asarray(x, dtype=float))
 
 
 def window_support(center: float, halfwidth: float, steepness: float) -> Tuple[float, float]:

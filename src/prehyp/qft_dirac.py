@@ -16,10 +16,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .bundle_ops import FirstOrderOperator, MatrixField
-from .cauchy import solve_cauchy
 from .expr import Bin, ExprAst, Num
 from .geometry import CauchyLine, DiagonalMetric
-from .grids import CauchyData, Grid1p1, GridSection
+from .grids import GridSection
 
 
 class CliffordError(ValueError):
@@ -184,23 +183,15 @@ class IsometryReport:
 
 
 def data_space_isometry_check(
-    phi0_list: Sequence[CauchyData],
+    solutions: Sequence[GridSection],
     sigma: CauchyLine,
     sigma_prime: CauchyLine,
     metric: DiagonalMetric,
-    model: DiracModel,
-    grid: Grid1p1,
+    rep: CliffordRep,
 ) -> IsometryReport:
-    """Solve each datum with the Dirac pair and compare the Gram matrices
-    of beta at Sigma and Sigma'; the evolution map is an isometry up to
-    scheme error, and the Gram matrix is positive definite for linearly
-    independent data."""
-    p, q = build_dirac_pair(model, metric)
-    rep = model.rep
-    solutions = [
-        solve_cauchy(p, q, metric, phi0, grid, check_pair=(i == 0))[0]
-        for i, phi0 in enumerate(phi0_list)
-    ]
+    """Compare the Gram matrices of beta at Sigma and Sigma' over solved
+    sections; the evolution map is an isometry up to scheme error, and the
+    Gram matrix is positive definite for linearly independent data."""
     gram_a, gram_b = (
         np.array([[beta_sigma(a, b, line, metric, rep) for b in solutions] for a in solutions])
         for line in (sigma, sigma_prime)

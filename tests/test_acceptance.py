@@ -321,11 +321,8 @@ def test_8_cauchy_line_product_quantization_data():
         sols[0], GridSection(grid, frozen), [0.0, 0.2], MINK, rep
     ).hypersurface_drift
 
-    grid1024 = build_grid(CHART, MINK, 1024)
-    corpus1024 = [dirac_data(grid1024, comps) for comps in corpus_specs]
-    iso = data_space_isometry_check(
-        corpus1024, sigma, CauchyLine(0.15), MINK, model, grid1024
-    )
+    _, _, sols1024 = solved_corpus(1024)
+    iso = data_space_isometry_check(sols1024, sigma, CauchyLine(0.15), MINK, rep)
 
     ok = (
         min_norm > 0 and herm <= 1e-12 and drift_order >= 1.8

@@ -300,7 +300,7 @@ class TestOneSolvePerQuestion:
     @pytest.mark.parametrize("subcommand, expected", [
         ("greens", 4),  # S+-phi and S+-(P phi) per direction
         ("adjoint-check", 3),  # S+ f, S'- psi and the control's S'+ psi
-        ("verify-all", 15),
+        ("verify-all", 14),
     ])
     def test_solve_count(self, solves, subcommand, expected):
         run(subcommand, load_config_text(SMALL_DIRAC_CFG), seed=0)

@@ -117,6 +117,26 @@ class TestLoadValidation:
         with pytest.raises(ConfigError, match=r"spacetime\.alpha.*offset"):
             load_config_text(BASE.replace("alpha = 1", "alpha = 1+%"))
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("beta = 1", "beta = 1+$x", "line 4: spacetime.beta: unexpected character '$'"),
+        ("t_range = [-0.3, 0.3]", "t_range = [0.3, -0.3]", "line 5: spacetime.t_range must be increasing"),
+        ("beta = 1", "beta = 2-3*x^2", "line 4: spacetime.beta must be strictly positive"),
+        ("nx = 128", "nx = inf", "line 13: grid.nx must be an integer"),
+        ("cfl = 0.4", "cfl = fast", "line 14: grid.cfl must be a number"),
+        ("mass = 1.0", "mass = [1]", "line 10: operator_P.mass must be a number"),
+        ("window_halfwidth = 0.05", "window_halfwidth = 0", "line 19: initial_data.window_halfwidth must be positive"),
+        ("window_center = 0.0", "window_center = 0.9", "line 18: initial_data.window: causal margin"),
+        ("formats = [json]", "formats = [xml]", "line 24: output.formats: unknown format"),
+    ])
+    def test_errors_about_a_present_key_name_its_line(self, old, new, message):
+        with pytest.raises(ConfigError) as exc:
+            load_config_text(BASE.replace(old, new))
+        assert str(exc.value).startswith(message)
+
+    def test_internal_functions_are_not_in_the_grammar(self):
+        with pytest.raises(ConfigError, match="unknown identifier 'step'"):
+            load_config_text(BASE.replace("alpha = 1", "alpha = step(x)"))
+
     def test_nonpositive_lapse_rejected(self):
         with pytest.raises(ConfigError):
             load_config_text(BASE.replace("alpha = 1", "alpha = t"))

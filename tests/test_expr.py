@@ -56,7 +56,8 @@ class TestParsing:
         assert "expected ')'" in str(exc.value)
 
     def test_unknown_identifier(self):
-        for bad in ("a", "foo", "sinh"):
+        # log, step and step_slope are internal nodes, not part of the grammar
+        for bad in ("a", "foo", "sinh", "log(x)", "step(x)", "step_slope(x)"):
             with pytest.raises(ExprSyntaxError):
                 parse(bad)
 
@@ -100,6 +101,14 @@ class TestEvaluation:
         with pytest.raises(ExprEvalError) as exc:
             evaluate(parse("1/x"), 0.0, xs)
         assert exc.value.x == 0.0
+
+    def test_step_slope_is_finite_and_zero_where_the_step_is_flat(self):
+        # a naive s(1-s)(1/(1-u)^2 + 1/u^2) is 0 * inf = NaN at u = 1e-300
+        u = np.array([0.0, 1.0, 1e-300, 1 - 1e-16, -1.0, 2.0])
+        assert set(expr.smooth_step(u)) == {0.0, 1.0}
+        slope = evaluate(expr.diff(Call("step", Var("x")), "x"), 0.0, u)
+        assert np.all(np.isfinite(slope))
+        assert np.all(slope == 0.0)
 
 
 class TestAstPredicates:

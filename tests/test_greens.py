@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from prehyp.bundle_ops import apply_operator, compose
+from prehyp.expr import Bin, Num, evaluate, simplify
 from prehyp.geometry import Chart1p1, DiagonalMetric, minkowski
 from prehyp.grids import MarginError, build_grid
 from prehyp.greens import TestSection as SourceSection
@@ -43,11 +44,11 @@ class TestSections:
         assert s.x_support == pytest.approx((-0.45, 0.45))
         assert s.t_support == pytest.approx((-0.12, 0.12))
         assert s.linf() > 0
-        # grid samples agree with the analytic profile
+        # grid samples agree with the component expressions
         j = grid_greens.nt // 2
-        assert np.allclose(
-            s.values[j], s.profile(float(grid_greens.ts[j]), grid_greens.xs)
-        )
+        t = float(grid_greens.ts[j])
+        for c, ast in enumerate(s.components):
+            assert np.allclose(s.values[j, :, c], evaluate(ast, t, grid_greens.xs))
 
     def test_temporal_margin_enforced(self, mink, grid_greens, dirac_pair):
         p, q = dirac_pair
@@ -73,14 +74,14 @@ class TestBasicProperties:
         p, q = dirac_pair
         a = section(grid_greens, components=("1", "0"))
         b = section(grid_greens, components=("x", "1"))
-        combo_vals = 2.0 * a.values + 3j * b.values
         combo = SourceSection(
             grid_greens,
-            combo_vals,
+            tuple(simplify(Bin("+", Bin("*", Num(2.0), u), Bin("*", Num(3j), v)))
+                  for u, v in zip(a.components, b.components)),
             a.t_support,
             a.x_support,
-            lambda t, xs: 2.0 * a.profile(t, xs) + 3j * b.profile(t, xs),
         )
+        assert np.allclose(combo.values, 2.0 * a.values + 3j * b.values, rtol=0, atol=1e-14)
         sa = greens_apply(p, q, mink, a, "retarded", grid_greens)
         sb = greens_apply(p, q, mink, b, "retarded", grid_greens)
         sc = greens_apply(p, q, mink, combo, "retarded", grid_greens)
@@ -108,6 +109,34 @@ class TestBasicProperties:
         disc = apply_operator(p, s.as_section())
         gap = np.max(np.abs(exact.values[2:-2] - disc.values[2:-2]))
         assert gap < 5e-3 * max(np.max(np.abs(exact.values)), 1.0)
+
+
+class TestSourceEvaluation:
+    """A driven solve samples its source through one tape: x-only nodes once,
+    t nodes once per distinct RK4 stage time."""
+
+    def test_window_steps_per_retarded_solve(self, chart, mink, dirac_pair, monkeypatch):
+        from prehyp import expr
+
+        p, q = dirac_pair
+        grid = build_grid(chart, mink, 128)
+        s = section(grid)
+        s.linf()  # the mesh samples are not part of the solve
+        args = []
+        real = expr.smooth_step
+
+        def counting(u):
+            args.append(np.shape(u))
+            return real(u)
+
+        monkeypatch.setitem(expr._EVAL_FUNCTIONS, "step", counting)
+        greens_apply(p, q, mink, s, "retarded", grid)
+        # the tape is built on the first call: the x window's two steps
+        assert args[:2] == [(grid.nx,), (grid.nx,)]
+        # then the t window's two steps per stage time: the levels and the
+        # midpoints between them
+        assert all(shape == () for shape in args[2:])
+        assert len(args) - 2 <= 2 * (2 * grid.nt - 1)
 
 
 class TestGreensIdentities:

@@ -206,13 +206,13 @@ class TestBuildPair:
 class TestIsometry:
     def test_gram_matrices_match_across_hypersurfaces(self, chart, mink):
         grid = build_grid(chart, mink, 256)
-        corpus = [
-            make_cauchy_data(grid, comps, 0.0)
+        model = DiracModel(mass=1.0)
+        p, q = build_dirac_pair(model, mink)
+        solutions = [
+            solve_cauchy(p, q, mink, make_cauchy_data(grid, comps, 0.0), grid)[0]
             for comps in (["1", "0"], ["x", "1"], ["cos(3*x)", "0.5"])
         ]
-        rep = data_space_isometry_check(
-            corpus, CauchyLine(0.0), CauchyLine(0.15), mink, DiracModel(mass=1.0), grid
-        )
+        rep = data_space_isometry_check(solutions, CauchyLine(0.0), CauchyLine(0.15), mink, model.rep)
         assert rep.gram_mismatch < 1e-2
         assert rep.min_gram_eigenvalue > 0
         assert rep.gram_sigma.shape == (3, 3)
