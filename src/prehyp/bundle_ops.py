@@ -68,6 +68,10 @@ class MatrixField:
     def is_constant(self) -> bool:
         return self.constant is not None
 
+    @property
+    def is_zero(self) -> bool:
+        return self.is_constant and not self.constant.any()
+
     @classmethod
     def from_constant(cls, mat) -> "MatrixField":
         mat = np.asarray(mat, dtype=complex)

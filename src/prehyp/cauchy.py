@@ -10,9 +10,11 @@ so the solution fills the whole chart.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from functools import reduce
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +37,9 @@ from .grids import (
     d_x,
     d_xx,
 )
+
+if TYPE_CHECKING:
+    from .greens import TestSection
 
 SHADOW_INFLATION_NODES = 4
 
@@ -87,29 +92,56 @@ def normal_derivative_data(
 # ---------------------------------------------------------------------------
 # evolution cores
 
-def _evolve(rhs, y0, grid: Grid1p1, j0: int) -> GridSection:
+class SolverBlowupError(ArithmeticError):
+    """An RK4 sweep produced a non-finite solution."""
+
+    def __init__(self, level: int, t: float):
+        super().__init__(f"the solution is not finite from time level {level} (t = {t:.6g}) on")
+        self.level = level
+        self.t = t
+
+
+def _unforced(times: np.ndarray) -> list:
+    return [0.0] * len(times)
+
+
+def _evolve(rhs, y0, grid: Grid1p1, j0: int, forcing=_unforced) -> GridSection:
     """March the state from level j0 to both ends of the grid; the section
-    holds the first state component at every level."""
-    fwd = _rk4_sweep(rhs, y0, grid, j0, True)
-    bwd = _rk4_sweep(rhs, y0, grid, j0, False)
-    return GridSection(grid, np.stack([(fwd if j >= j0 else bwd)[j][0] for j in range(grid.nt)]))
+    holds the first state component at every level.  rhs(t, y, f) gets the
+    forcing at the stage time t, which forcing(times) gives per sweep for
+    all of that sweep's stage times at once."""
+    out = np.empty((grid.nt,) + y0[0].shape, dtype=complex)
+    out[j0] = y0[0]
+    for forward in (True, False):
+        _rk4_sweep(rhs, y0, grid, j0, forward, forcing, out)
+    return GridSection(grid, out)
 
 
-def _rk4_sweep(rhs, y0, grid: Grid1p1, j0: int, forward: bool):
-    """March the state from level j0 to one end of the grid; returns the
-    states indexed by level.  A step's last stage runs at the next level's
-    own time, so that it coincides with the next step's first stage."""
+def _rk4_sweep(rhs, y0, grid: Grid1p1, j0: int, forward: bool, forcing, out: np.ndarray) -> None:
+    """March the state from level j0 to one end of the grid, writing the
+    first state component of each level into out.  A step's last stage runs
+    at the next level's own time, so that it coincides with the next step's
+    first stage.  Raises SolverBlowupError if the final state is not finite:
+    a non-finite interior node stays so under the update, so the check at
+    the end covers every level."""
     step = 1 if forward else -1
     dt = step * grid.dt
-    levels = range(j0, grid.nt - 1) if forward else range(j0, 0, -1)
-    states = {j0: y0}
+    levels = np.arange(j0, grid.nt - 1) if forward else np.arange(j0, 0, -1)
+    if not len(levels):
+        return
+    # the stage times in order: level, midpoint, level, ..., next level
+    times = np.empty(2 * len(levels) + 1)
+    times[0::2] = grid.ts[np.append(levels, levels[-1] + step)]
+    times[1::2] = grid.ts[levels] + dt / 2
+    f = forcing(times)
     y = y0
-    for j in levels:
-        t = float(grid.ts[j])
-        k1 = rhs(t, y)
-        k2 = rhs(t + dt / 2, _axpy(y, dt / 2, k1))
-        k3 = rhs(t + dt / 2, _axpy(y, dt / 2, k2))
-        k4 = rhs(float(grid.ts[j + step]), _axpy(y, dt, k3))
+    for n, j in enumerate(levels.tolist()):
+        t, t_mid, t_next = (float(s) for s in times[2 * n:2 * n + 3])
+        f_mid = f[2 * n + 1]
+        k1 = rhs(t, y, f[2 * n])
+        k2 = rhs(t_mid, _axpy(y, dt / 2, k1), f_mid)
+        k3 = rhs(t_mid, _axpy(y, dt / 2, k2), f_mid)
+        k4 = rhs(t_next, _axpy(y, dt, k3), f[2 * n + 2])
         y = tuple(
             yc + dt / 6 * (a + 2 * b + 2 * c + d)
             for yc, a, b, c, d in zip(y, k1, k2, k3, k4)
@@ -118,12 +150,33 @@ def _rk4_sweep(rhs, y0, grid: Grid1p1, j0: int, forward: bool):
             for yc in y:
                 yc[0] = 0.0
                 yc[-1] = 0.0
-        states[j + step] = y
-    return states
+        out[j + step] = y[0]
+    if not all(np.isfinite(yc).all() for yc in y):
+        swept = levels + step
+        bad = next((j for j in swept.tolist() if not np.isfinite(out[j]).all()), int(swept[-1]))
+        raise SolverBlowupError(bad, float(grid.ts[bad]))
 
 
 def _axpy(y, a, k):
     return tuple(yc + a * kc for yc, kc in zip(y, k))
+
+
+def _source_forcing(source: "TestSection", xs: np.ndarray):
+    """forcing(times) for _evolve: the source sampled in one mesh evaluation
+    at the stage times inside its time support, 0.0 at the others, where its
+    window vanishes exactly."""
+    tape = _expr.Tape(source.components, xs)
+    lo, hi = source.t_support
+
+    def forcing(times: np.ndarray) -> list:
+        f = _unforced(times)
+        inside = np.flatnonzero((times >= lo) & (times <= hi))
+        if len(inside):
+            for i, row in zip(inside.tolist(), tape.stack(times[inside, None])):
+                f[i] = row
+        return f
+
+    return forcing
 
 
 def solve_second_order(
@@ -133,30 +186,39 @@ def solve_second_order(
     phi0_values: np.ndarray,
     dtphi0_values: np.ndarray,
     j0: int,
-    source: Sequence["_expr.ExprAst"] = (),
+    source: Optional["TestSection"] = None,
 ) -> GridSection:
-    """Method-of-lines solve of L u = f (one expression per component, none
-    for f = 0) from data (u, d_t u) at level j0, in both time directions.
+    """Method-of-lines solve of L u = f (f a test section, none for f = 0)
+    from data (u, d_t u) at level j0, in both time directions.
 
     dtphi0_values is the coordinate time derivative d_t u|_Sigma; callers
     working with the frame derivative convert via d_t u = alpha * Psi_0.
+    The right-hand side leaves out the coefficient fields that fold to 0
+    and the stencils only they need; the remaining terms are subtracted in
+    a fixed order, so the result is bit-identical to subtracting all five.
     """
     grid.check_cfl(metric.max_light_speed())
-    coeffs = coefficient_tape((op.c_tx.scale(2.0), op.c_xx, op.d_t, op.d_x, op.e, op.c_tt.inverse()), grid.xs)
-    forcing = _expr.Tape(source, grid.xs) if source else None
+    operands = (
+        (op.c_tx.scale(2.0), lambda u, v: d_x(v, grid)),
+        (op.c_xx, lambda u, v: d_xx(u, grid)),
+        (op.d_t, lambda u, v: v),
+        (op.d_x, lambda u, v: d_x(u, grid)),
+        (op.e, lambda u, v: u),
+    )
+    terms = [of for of in operands if not of[0].is_zero]
+    coeffs = coefficient_tape([field for field, _ in terms] + [op.c_tt.inverse()], grid.xs)
 
-    def rhs(t, y):
+    def rhs(t, y, f):
         u, v = y
-        c_tx2, c_xx, dt_c, dx_c, e_c, inv_tt = coeffs(t)
-        ux = d_x(u, grid)
-        uxx = d_xx(u, grid)
-        vx = d_x(v, grid)
-        f = forcing.stack(t) if forcing is not None else 0.0
-        load = f - contract(c_tx2, vx) - contract(c_xx, uxx) - contract(dt_c, v) - contract(dx_c, ux) - contract(e_c, u)
-        return (v.copy(), contract(inv_tt, load))
+        *cs, inv_tt = coeffs(t)
+        load = f
+        for c, (_, operand) in zip(cs, terms):
+            load = load - contract(c, operand(u, v))
+        return (v, contract(inv_tt, load))
 
     y0 = (phi0_values.astype(complex).copy(), dtphi0_values.astype(complex).copy())
-    return _evolve(rhs, y0, grid, j0)
+    forcing = _unforced if source is None else _source_forcing(source, grid.xs)
+    return _evolve(rhs, y0, grid, j0, forcing)
 
 
 def solve_first_order_direct(
@@ -166,16 +228,20 @@ def solve_first_order_direct(
     grid: Optional[Grid1p1] = None,
 ) -> GridSection:
     """Direct method-of-lines evolution of d_t Phi = -(A^t)^{-1}(A^x d_x Phi
-    + B Phi), both time directions; independent of the second-order path."""
+    + B Phi), both time directions; independent of the second-order path.
+    A B that folds to 0 is left out, bit-identically."""
     grid = grid or phi0.grid
     grid.check_cfl(metric.max_light_speed())
     check_causal_margin(metric, grid, phi0.support, phi0.t0)
-    coeffs = coefficient_tape((p.a_x, p.effective_b(), p.a_t.inverse()), grid.xs)
+    operands = ((p.a_x, lambda u: d_x(u, grid)), (p.effective_b(), lambda u: u))
+    terms = [of for of in operands if not of[0].is_zero]
+    coeffs = coefficient_tape([field for field, _ in terms] + [p.a_t.inverse()], grid.xs)
 
-    def rhs(t, y):
+    def rhs(t, y, f):
         (u,) = y
-        a_x, b, inv_t = coeffs(t)
-        return (contract(inv_t, -(contract(a_x, d_x(u, grid)) + contract(b, u))),)
+        *cs, inv_t = coeffs(t)
+        flux = reduce(operator.add, (contract(c, operand(u)) for c, (_, operand) in zip(cs, terms)))
+        return (contract(inv_t, -flux),)
 
     return _evolve(rhs, (phi0.values.astype(complex).copy(),), grid, phi0.level)
 

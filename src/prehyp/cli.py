@@ -9,8 +9,8 @@ deterministic report.json (plus CSV dumps when requested); wall-clock
 timings go to a separate timings.json so reports stay byte-reproducible.
 
 Exit codes: 0 all tolerances met, 1 configuration error, 2 tolerance
-failure, 3 internal error (its traceback goes to error.txt in the output
-directory).
+failure or a solve that blew up, 3 internal error (its traceback goes to
+error.txt in the output directory).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .bundle_ops import is_complementary_pair, symbol_invertibility
-from .cauchy import solve_cauchy, solve_first_order_direct
+from .cauchy import SolverBlowupError, solve_cauchy, solve_first_order_direct
 from .config import ConfigError, ScenarioConfig, SourceSpec, WindowSpec, load_config, validate_geometry
 from .geometry import CauchyLine
 from .greens import adjoint_pairing_check, greens_report, make_test_section
@@ -547,6 +547,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
+    except SolverBlowupError as e:
+        print(f"{' '.join(filter(None, (args.subcommand, args.target)))}: FAIL")
+        print(f"  {e}")
+        return 2
     except Exception as e:  # anything unexpected is an internal error
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         if out_dir:

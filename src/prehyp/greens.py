@@ -103,7 +103,7 @@ def solve_driven(
     _check_temporal_margin(grid, source.t_support)
     zeros = np.zeros((grid.nx, source.k), dtype=complex)
     j0 = 0 if direction == "retarded" else grid.nt - 1
-    return solve_second_order(op, metric, grid, zeros, zeros, j0, source=source.components)
+    return solve_second_order(op, metric, grid, zeros, zeros, j0, source=source)
 
 
 def greens_apply(

@@ -5,6 +5,7 @@ from prehyp.bundle_ops import FirstOrderOperator, apply_operator
 from prehyp.cauchy import (
     PairCheckError,
     PrenormalHyperbolicityError,
+    SolverBlowupError,
     compatibility_round_trip,
     normal_derivative_data,
     restrict,
@@ -227,3 +228,22 @@ class TestReports:
         p, q = build_dirac_pair(DiracModel(mass=1.0), mink)
         solve_cauchy(p, q, mink, make_cauchy_data(grid, ["1", "0"], 0.0), grid)
         assert directions.count("both") == 1
+
+
+class TestBlowup:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_cfl_violation_raises_at_the_first_non_finite_level(self, chart):
+        # max_light_speed samples a lattice that misses the narrow dip in
+        # beta, so this grid breaks the CFL limit about 5x
+        beta = "1-0.95*exp(-20000*(x-0.5037)^2)"
+        metric = DiagonalMetric("1", beta, chart)
+        grid = build_grid(chart, metric, 512, cfl=0.9)
+        p = FirstOrderOperator.build([["1"]], [[f"1/({beta})"]], [[0.0]])
+        q = FirstOrderOperator.build([["1"]], [[f"-1/({beta})"]], [[0.0]])
+        phi0 = make_cauchy_data(grid, ["1"], 0.0)
+        with pytest.raises(SolverBlowupError) as info:
+            solve_cauchy(p, q, metric, phi0, grid)
+        err = info.value
+        assert phi0.level < err.level < grid.nt
+        assert err.t == grid.ts[err.level]
+        assert f"time level {err.level} " in str(err)

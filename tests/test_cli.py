@@ -262,7 +262,9 @@ class TestGates:
         cfg = write_cfg(tmp_path, text)
         for argv in (["solve"], ["convergence", "solve"]):
             assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
-            assert f"{' '.join(argv)}: FAIL" in capsys.readouterr().out
+            out = capsys.readouterr().out
+            assert f"{' '.join(argv)}: FAIL" in out
+            assert "the solution is not finite from time level" in out
 
 
 class TestInternalError:

@@ -113,7 +113,8 @@ class TestBasicProperties:
 
 class TestSourceEvaluation:
     """A driven solve samples its source through one tape: x-only nodes once,
-    t nodes once per distinct RK4 stage time."""
+    t nodes in one mesh evaluation per sweep, at the RK4 stage times inside
+    the source's time support."""
 
     def test_window_steps_per_retarded_solve(self, chart, mink, dirac_pair, monkeypatch):
         from prehyp import expr
@@ -126,17 +127,24 @@ class TestSourceEvaluation:
         real = expr.smooth_step
 
         def counting(u):
-            args.append(np.shape(u))
+            args.append(np.array(u))
             return real(u)
 
         monkeypatch.setitem(expr._EVAL_FUNCTIONS, "step", counting)
         greens_apply(p, q, mink, s, "retarded", grid)
         # the tape is built on the first call: the x window's two steps
-        assert args[:2] == [(grid.nx,), (grid.nx,)]
-        # then the t window's two steps per stage time: the levels and the
-        # midpoints between them
-        assert all(shape == () for shape in args[2:])
-        assert len(args) - 2 <= 2 * (2 * grid.nt - 1)
+        assert [a.shape for a in args[:2]] == [(grid.nx,), (grid.nx,)]
+        # then the t window's rise and fall, once each, on one column of the
+        # stage times (levels and midpoints) inside the t-support; the
+        # backward sweep from level 0 has no stages
+        lo, hi = s.t_support
+        stages = np.concatenate([grid.ts, grid.ts[:-1] + grid.dt / 2])
+        inside = int(np.count_nonzero((stages >= lo) & (stages <= hi)))
+        assert 0 < inside < len(stages)
+        assert len(args) == 4
+        assert [a.shape for a in args[2:]] == [(inside, 1), (inside, 1)]
+        # each step's argument is (t - lo)/tau or (hi - t)/tau: never negative
+        assert all((a >= 0).all() for a in args[2:])
 
 
 class TestGreensIdentities:
