@@ -72,6 +72,13 @@ class MatrixField:
     def is_zero(self) -> bool:
         return self.is_constant and not self.constant.any()
 
+    @property
+    def scalar(self) -> Optional[complex]:
+        """c when the field is the constant c Id, else None."""
+        if self.is_constant and np.array_equal(self.constant, self.constant[0, 0] * np.eye(self.k)):
+            return complex(self.constant[0, 0])
+        return None
+
     @classmethod
     def from_constant(cls, mat) -> "MatrixField":
         mat = np.asarray(mat, dtype=complex)

@@ -21,6 +21,7 @@ import numpy as np
 from . import expr as _expr
 from .bundle_ops import (
     FirstOrderOperator,
+    MatrixField,
     SecondOrderOperator,
     apply_operator,
     coefficient_tape,
@@ -123,7 +124,8 @@ def _rk4_sweep(rhs, y0, grid: Grid1p1, j0: int, forward: bool, forcing, out: np.
     at the next level's own time, so that it coincides with the next step's
     first stage.  Raises SolverBlowupError if the final state is not finite:
     a non-finite interior node stays so under the update, so the check at
-    the end covers every level."""
+    the end covers every level.  From a zero start state, the levels before
+    the first step with a forced stage stay exactly 0 and are not marched."""
     step = 1 if forward else -1
     dt = step * grid.dt
     levels = np.arange(j0, grid.nt - 1) if forward else np.arange(j0, 0, -1)
@@ -135,7 +137,13 @@ def _rk4_sweep(rhs, y0, grid: Grid1p1, j0: int, forward: bool, forcing, out: np.
     times[1::2] = grid.ts[levels] + dt / 2
     f = forcing(times)
     y = y0
-    for n, j in enumerate(levels.tolist()):
+    first = 0
+    if not any(yc.any() for yc in y0):
+        # step n uses the stages 2n, 2n + 1 and 2n + 2
+        forced = next((i for i, fi in enumerate(f) if np.any(fi)), len(f))
+        first = max(0, (forced - 1) // 2)
+        out[levels[:first] + step] = 0.0
+    for n, j in enumerate(levels[first:].tolist(), first):
         t, t_mid, t_next = (float(s) for s in times[2 * n:2 * n + 3])
         f_mid = f[2 * n + 1]
         k1 = rhs(t, y, f[2 * n])
@@ -159,6 +167,31 @@ def _rk4_sweep(rhs, y0, grid: Grid1p1, j0: int, forward: bool, forcing, out: np.
 
 def _axpy(y, a, k):
     return tuple(yc + a * kc for yc, kc in zip(y, k))
+
+
+def _scaled(field: MatrixField):
+    """(c, w) -> field @ w over the last axis, c the field's value from its
+    coefficient tape; a constant c Id field is applied as a number, decided
+    here once per solve.  A c with nonzero real and imaginary parts keeps
+    the matrix product, whose complex products round differently."""
+    s = field.scalar
+    if s is None or (s.real and s.imag):
+        return contract
+    if s == 1:
+        return lambda c, w: w
+    return lambda c, w: s * w
+
+
+def _subtractor(field: MatrixField):
+    """(load, c, w) -> load - field @ w, with a constant +-Id field applied
+    as its sign."""
+    s = field.scalar
+    if s == 1:
+        return lambda load, c, w: load - w
+    if s == -1:
+        return lambda load, c, w: load + w
+    scaled = _scaled(field)
+    return lambda load, c, w: load - scaled(c, w)
 
 
 def _source_forcing(source: "TestSection", xs: np.ndarray):
@@ -194,8 +227,9 @@ def solve_second_order(
     dtphi0_values is the coordinate time derivative d_t u|_Sigma; callers
     working with the frame derivative convert via d_t u = alpha * Psi_0.
     The right-hand side leaves out the coefficient fields that fold to 0
-    and the stencils only they need; the remaining terms are subtracted in
-    a fixed order, so the result is bit-identical to subtracting all five.
+    and the stencils only they need, and applies constant c Id fields as
+    numbers; the remaining terms are subtracted in a fixed order, so the
+    result is bit-identical to subtracting all five matrix products.
     """
     grid.check_cfl(metric.max_light_speed())
     operands = (
@@ -206,15 +240,18 @@ def solve_second_order(
         (op.e, lambda u, v: u),
     )
     terms = [of for of in operands if not of[0].is_zero]
-    coeffs = coefficient_tape([field for field, _ in terms] + [op.c_tt.inverse()], grid.xs)
+    subtracts = [_subtractor(field) for field, _ in terms]
+    inverse_tt = op.c_tt.inverse()
+    solve_tt = _scaled(inverse_tt)
+    coeffs = coefficient_tape([field for field, _ in terms] + [inverse_tt], grid.xs)
 
     def rhs(t, y, f):
         u, v = y
         *cs, inv_tt = coeffs(t)
         load = f
-        for c, (_, operand) in zip(cs, terms):
-            load = load - contract(c, operand(u, v))
-        return (v, contract(inv_tt, load))
+        for c, subtract, (_, operand) in zip(cs, subtracts, terms):
+            load = subtract(load, c, operand(u, v))
+        return (v, solve_tt(inv_tt, load))
 
     y0 = (phi0_values.astype(complex).copy(), dtphi0_values.astype(complex).copy())
     forcing = _unforced if source is None else _source_forcing(source, grid.xs)
@@ -229,19 +266,23 @@ def solve_first_order_direct(
 ) -> GridSection:
     """Direct method-of-lines evolution of d_t Phi = -(A^t)^{-1}(A^x d_x Phi
     + B Phi), both time directions; independent of the second-order path.
-    A B that folds to 0 is left out, bit-identically."""
+    A B that folds to 0 is left out and constant c Id fields are applied as
+    numbers, bit-identically."""
     grid = grid or phi0.grid
     grid.check_cfl(metric.max_light_speed())
     check_causal_margin(metric, grid, phi0.support, phi0.t0)
     operands = ((p.a_x, lambda u: d_x(u, grid)), (p.effective_b(), lambda u: u))
     terms = [of for of in operands if not of[0].is_zero]
-    coeffs = coefficient_tape([field for field, _ in terms] + [p.a_t.inverse()], grid.xs)
+    products = [_scaled(field) for field, _ in terms]
+    inverse_t = p.a_t.inverse()
+    solve_t = _scaled(inverse_t)
+    coeffs = coefficient_tape([field for field, _ in terms] + [inverse_t], grid.xs)
 
     def rhs(t, y, f):
         (u,) = y
         *cs, inv_t = coeffs(t)
-        flux = reduce(operator.add, (contract(c, operand(u)) for c, (_, operand) in zip(cs, terms)))
-        return (contract(inv_t, -flux),)
+        flux = reduce(operator.add, (product(c, operand(u)) for c, product, (_, operand) in zip(cs, products, terms)))
+        return (solve_t(inv_t, -flux),)
 
     return _evolve(rhs, (phi0.values.astype(complex).copy(),), grid, phi0.level)
 

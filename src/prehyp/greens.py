@@ -24,7 +24,7 @@ from .bundle_ops import (
     formal_adjoint,
     pairing,
 )
-from .cauchy import solve_second_order, support_leak
+from .cauchy import SHADOW_INFLATION_NODES, solve_second_order, support_leak
 from .geometry import CausalShadow, DiagonalMetric, causal_shadow
 from .grids import (
     BOUNDARY_MARGIN_NODES,
@@ -161,7 +161,7 @@ def source_shadow(
     t_seed = section.t_support[0] if direction == "retarded" else section.t_support[1]
     dirword = "future" if direction == "retarded" else "past"
     shadow = causal_shadow(metric, section.x_support, float(t_seed), dirword, dt=grid.dt)
-    return shadow.inflate(4 * grid.dx)
+    return shadow.inflate(SHADOW_INFLATION_NODES * grid.dx)
 
 
 def relative_l2(diff: np.ndarray, ref: np.ndarray, grid: Grid1p1) -> float:

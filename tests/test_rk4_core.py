@@ -1,19 +1,22 @@
 """The pruned RK4 core against the unpruned scheme it replaced.
 
 The solvers leave out coefficient fields that fold to 0 and the stencils
-only they need, and sample a driven solve's source once per sweep inside
-its time support.  The reference below keeps the full scheme: all five
-contractions of the second-order right-hand side, both terms of the direct
-one, the grids stencils at every stage, the source sampled at every stage
-time and the states collected per level.  Solutions must be equal bit for
-bit, since a - 0 = a and the remaining operations run in the same order.
+only they need, apply constant c Id fields as numbers, sample a driven
+solve's source once per sweep inside its time support, and start a sweep
+from zero data at its first forced stage.  The reference below keeps the
+full scheme: all five matrix contractions of the second-order right-hand
+side, both terms of the direct one, the grids stencils at every stage, the
+source sampled at every stage time, every level marched and the states
+collected per level.  Solutions must be equal under np.array_equal, since
+a - 0 = a, c Id w = c w, zero data under zero forcing stay 0 and the
+remaining operations run in the same order (zeros may differ in sign).
 """
 
 import numpy as np
 import pytest
 
 from prehyp import cauchy, greens
-from prehyp.bundle_ops import FirstOrderOperator, coefficient_tape, compose, contract
+from prehyp.bundle_ops import FirstOrderOperator, MatrixField, coefficient_tape, compose, contract
 from prehyp.cauchy import solve_cauchy, solve_first_order_direct, solve_second_order
 from prehyp.config import resolve_preset
 from prehyp.expr import Tape
@@ -84,10 +87,19 @@ def reference_solve_first_order_direct(p, metric, phi0, grid):
     return reference_evolve(rhs, (phi0.values.astype(complex).copy(),), grid, phi0.level)
 
 
-def scenario(chart, preset, metric_name):
+# case name: (preset, mass); at mass 0.7 the Dirac square has E = 0.49 Id
+PRESETS = {
+    "dirac_massive": ("dirac_massive", 1.0),
+    "dirac_mass_0.7": ("dirac_massive", 0.7),
+    "scalar_transport_pair": ("scalar_transport_pair", 1.0),
+}
+
+
+def scenario(chart, case, metric_name):
     alpha, beta = METRICS[metric_name]
     metric = DiagonalMetric(alpha, beta, chart)
-    p_exprs, q_exprs, k = resolve_preset(preset, 1.0, alpha, beta)
+    preset, mass = PRESETS[case]
+    p_exprs, q_exprs, k = resolve_preset(preset, mass, alpha, beta)
     p, q = (FirstOrderOperator.build(e["A_t"], e["A_x"], e["B"]) for e in (p_exprs, q_exprs))
     grid = build_grid(chart, metric, 128)
     return metric, p, q, grid, ["1", "0.5"][:k]
@@ -99,7 +111,7 @@ def use_reference(monkeypatch):
 
 
 @pytest.mark.parametrize("metric_name", sorted(METRICS))
-@pytest.mark.parametrize("preset", ["dirac_massive", "scalar_transport_pair"])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
 @pytest.mark.parametrize("solve", ["cauchy", "direct", "retarded", "advanced"])
 def test_solutions_equal_the_unpruned_scheme(chart, monkeypatch, preset, metric_name, solve):
     metric, p, q, grid, components = scenario(chart, preset, metric_name)
@@ -121,38 +133,116 @@ def test_solutions_equal_the_unpruned_scheme(chart, monkeypatch, preset, metric_
     assert np.array_equal(actual.values, expected.values)
 
 
-@pytest.mark.parametrize("driven", [False, True])
-def test_all_nonzero_fields_equal_the_unpruned_scheme(chart, mink, driven):
+def count_calls(monkeypatch, module, name):
+    """Record the first argument of every call to module.name."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "case", [pytest.param("cauchy", id="False"), pytest.param("driven", id="True"), "zero_data"]
+)
+def test_all_nonzero_fields_equal_the_unpruned_scheme(chart, mink, monkeypatch, case):
     # Q P = d_t^2 + 0.7 d_t d_x + 0.1 d_x^2 + 0.4 d_t + 0.11 d_x + 0.03
     p = FirstOrderOperator.build([[1.0]], [[0.5]], [[0.3]])
     q = FirstOrderOperator.build([[1.0]], [[0.2]], [[0.1]])
     op = compose(q, p)
     assert not any(f.is_zero for f in (op.c_tx, op.c_xx, op.d_t, op.d_x, op.e))
     grid = build_grid(chart, mink, 128)
-    if driven:
-        zeros = np.zeros((grid.nx, 1), dtype=complex)
+    zeros = np.zeros((grid.nx, 1), dtype=complex)
+    if case == "driven":
         section = make_test_section(grid, ["1+x"], X_WINDOW, T_WINDOW)
         args = (op, mink, grid, zeros, zeros, 0, section)
-    else:
+    elif case == "cauchy":
         phi0 = make_cauchy_data(grid, ["1"], 0.0)
         args = (op, mink, grid, phi0.values, 0.5 * phi0.values, phi0.level)
+    else:
+        args = (op, mink, grid, zeros, zeros, grid.nt // 2)
+    rhs_calls = []
+    evolve = cauchy._evolve
+
+    def counting_evolve(rhs, *rest):
+        def counted(*rhs_args):
+            rhs_calls.append(rhs_args[0])
+            return rhs(*rhs_args)
+
+        return evolve(counted, *rest)
+
+    monkeypatch.setattr(cauchy, "_evolve", counting_evolve)
     actual = solve_second_order(*args).values
-    assert np.isfinite(actual).all() and np.abs(actual).max() > 0
+    assert np.isfinite(actual).all()
+    if case == "zero_data":
+        assert not actual.any() and rhs_calls == []
+    else:
+        assert np.abs(actual).max() > 0 and rhs_calls
     assert np.array_equal(actual, reference_solve_second_order(*args).values)
+
+
+def dirac_scenario(chart, mink):
+    p, q = build_dirac_pair(DiracModel(mass=1.0), mink)
+    grid = build_grid(chart, mink, 128)
+    return p, q, grid, make_test_section(grid, ["1", "0.5"], X_WINDOW, T_WINDOW)
 
 
 def test_minkowski_dirac_rhs_takes_no_first_derivative(chart, mink, monkeypatch):
     # on Minkowski, 2C^tx and D^x of the Dirac square fold to 0, so the
     # right-hand side needs d_xx u alone; the unpruned scheme takes two d_x
-    calls = []
-    real = cauchy.d_x
-
-    def counting(values, grid):
-        calls.append(values.shape)
-        return real(values, grid)
-
-    monkeypatch.setattr(cauchy, "d_x", counting)
-    p, q = build_dirac_pair(DiracModel(mass=1.0), mink)
-    grid = build_grid(chart, mink, 128)
-    greens_apply(p, q, mink, make_test_section(grid, ["1", "0.5"], X_WINDOW, T_WINDOW), "retarded", grid)
+    calls = count_calls(monkeypatch, cauchy, "d_x")
+    p, q, grid, section = dirac_scenario(chart, mink)
+    greens_apply(p, q, mink, section, "retarded", grid)
     assert calls == []
+
+
+def test_minkowski_dirac_rhs_makes_no_matrix_contraction(chart, mink, monkeypatch):
+    # C^xx = -Id, E = m^2 Id and (C^tt)^-1 = Id on Minkowski: each is applied
+    # as a sign or a number, where the unpruned scheme makes three contractions
+    calls = count_calls(monkeypatch, cauchy, "contract")
+    p, q, grid, section = dirac_scenario(chart, mink)
+    greens_apply(p, q, mink, section, "retarded", grid)
+    assert calls == []
+    op = compose(p, q)
+    assert (op.c_xx.scalar, op.e.scalar, op.c_tt.inverse().scalar) == (-1, 1, 1)
+
+
+@pytest.mark.parametrize("c", [1, -1, 0.49, -2.5, 1j, 0.3 + 0.7j])
+def test_constant_identity_fields_contract_as_the_matrix_product(c):
+    field = MatrixField.from_constant(c * np.eye(2))
+    rng = np.random.default_rng(5)
+    w, load = (rng.normal(size=(128, 2)) + 1j * rng.normal(size=(128, 2)) for _ in range(2))
+    assert field.scalar == c
+    assert np.array_equal(cauchy._scaled(field)(field.constant, w), w @ field.constant.T)
+    assert np.array_equal(cauchy._subtractor(field)(load, field.constant, w), load - w @ field.constant.T)
+
+
+@pytest.mark.parametrize("direction", ["retarded", "advanced"])
+def test_driven_sweep_starts_at_its_first_forced_stage(chart, mink, monkeypatch, direction):
+    # a sweep from zero data marches from the first step with a stage at
+    # which the source is nonzero; the levels before it stay 0
+    calls = count_calls(monkeypatch, cauchy, "d_xx")
+    p, q, grid, section = dirac_scenario(chart, mink)
+    greens_apply(p, q, mink, section, direction, grid)
+    lo, hi = section.t_support
+    order = np.arange(grid.nt) if direction == "retarded" else np.arange(grid.nt)[::-1]
+    dt = grid.dt if direction == "retarded" else -grid.dt
+    stages = np.empty(2 * grid.nt - 1)
+    stages[0::2] = grid.ts[order]
+    stages[1::2] = grid.ts[order[:-1]] + dt / 2
+    source = Tape(section.components, grid.xs).stack(stages[:, None])
+    forced = int(np.argmax(source.any(axis=(1, 2))))
+    assert lo < stages[forced] < hi
+    first = max(0, (forced - 1) // 2)
+    assert first > 0.2 * grid.nt
+    assert len(calls) == 4 * (grid.nt - 1 - first)
+
+    u = greens.solve_driven(compose(p, q), mink, section, direction, grid).values
+    assert not u[order[:first + 1]].any()
+    assert u[order[first + 1]].any()
+    outside = grid.ts < lo if direction == "retarded" else grid.ts > hi
+    assert not u[outside].any()
