@@ -40,9 +40,7 @@ class StencilError(ValueError):
 
 def _as_ast(e) -> "_expr.ExprAst":
     """A folded AST from an expression string, a number or an AST."""
-    if isinstance(e, (str, int, float, complex, np.number)):
-        e = _expr.parse(e) if isinstance(e, str) else Num(complex(e))
-    return _expr.simplify(e)
+    return _expr.simplify(_expr.as_ast(e))
 
 
 def _bin(op: str, a, b) -> "_expr.ExprAst":

@@ -7,25 +7,25 @@ Grammar:
 
 Values are numbers, bare words, or bracketed comma lists; lists nest, so
 matrices are written [[a, b], [c, d]].  Entries that are not numbers are
-kept as strings and later parsed as coefficient expressions.
+kept as strings; the loader parses expressions where it reads them.
 
 A scenario names a spacetime, a bundle rank, an operator pair (either a
 preset or explicit coefficient matrices), a grid, windowed initial data
-and optionally a windowed source for driven (Green's operator) runs.
+and optionally a windowed source for driven (Green's operator) runs.  The
+loader resolves the metric and the operator pair once, into the objects
+the solvers use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from . import expr as _expr
-from .bundle_ops import FirstOrderOperator
+from .bundle_ops import FirstOrderOperator, MatrixField
 from .geometry import Chart1p1, DiagonalMetric, MetricPositivityError
 from .grids import Grid1p1, CauchyData, MarginError, build_grid, check_causal_margin, make_cauchy_data, window_support
-from .qft_dirac import DiracModel, dirac_pair
+from .qft_dirac import DiracModel, build_dirac_pair
 
 PRESETS = ("dirac_massive", "dirac_massless", "scalar_transport_pair", "klein_gordon_factorized")
 
@@ -137,8 +137,8 @@ class ScenarioConfig:
     rank: int
     preset: Optional[str]
     mass: float
-    p_coeffs: Optional[Dict[str, List[List[str]]]]  # A_t, A_x, B
-    q_coeffs: Optional[Dict[str, List[List[str]]]]
+    spacetime: DiagonalMetric
+    pair: Tuple[FirstOrderOperator, FirstOrderOperator]
     nx: int
     cfl: float
     t0: float
@@ -149,22 +149,17 @@ class ScenarioConfig:
     output_directory: str
     output_formats: List[str]
 
-    # -- resolution into model objects -------------------------------------
-
-    def chart(self) -> Chart1p1:
-        return Chart1p1(self.t_range[0], self.t_range[1], self.x_range[0], self.x_range[1], self.topology)
+    # -- the model objects resolved at load ---------------------------------
 
     def metric(self) -> DiagonalMetric:
-        try:
-            return DiagonalMetric(self.alpha, self.beta, self.chart())
-        except MetricPositivityError as e:
-            raise ConfigError(str(e))
+        return self.spacetime
 
     def grid(self, metric: Optional[DiagonalMetric] = None, nx: Optional[int] = None) -> Grid1p1:
-        return build_grid(self.chart(), metric or self.metric(), nx or self.nx, self.cfl)
+        metric = metric or self.spacetime
+        return build_grid(metric.chart, metric, nx or self.nx, self.cfl)
 
     def operators(self) -> Tuple[FirstOrderOperator, FirstOrderOperator]:
-        return tuple(FirstOrderOperator.build(c["A_t"], c["A_x"], c["B"]) for c in (self.p_coeffs, self.q_coeffs))
+        return self.pair
 
     def initial_data(self, grid: Grid1p1, components: Optional[List[str]] = None) -> CauchyData:
         """The configured window times the given components (the
@@ -183,8 +178,8 @@ class ScenarioConfig:
                 "topology": self.topology,
             },
             "bundle": {"rank": self.rank},
-            "operator_P": self.p_coeffs,
-            "operator_Q": self.q_coeffs,
+            "operator_P": _echo_operator(self.pair[0]),
+            "operator_Q": _echo_operator(self.pair[1]),
             "preset": self.preset,
             "mass": self.mass,
             "grid": {"nx": self.nx, "cfl": self.cfl},
@@ -203,6 +198,12 @@ class ScenarioConfig:
         }
 
 
+def _echo_operator(op: FirstOrderOperator) -> Dict[str, object]:
+    """The resolved coefficients: numbers where constant, else folded
+    expression source; B with any connection folded in."""
+    return {"A_t": op.a_t.to_exprs(), "A_x": op.a_x.to_exprs(), "B": op.effective_b().to_exprs()}
+
+
 def _echo_source(spec: Optional[SourceSpec]) -> Optional[Dict[str, object]]:
     if spec is None:
         return None
@@ -212,40 +213,26 @@ def _echo_source(spec: Optional[SourceSpec]) -> Optional[Dict[str, object]]:
 # ---------------------------------------------------------------------------
 # preset resolution
 
-def _over(num: str, den: str) -> str:
-    return f"({num})/({den})"
-
-
-def resolve_preset(name: str, mass: float, alpha: str, beta: str):
-    """Expand a preset name into explicit coefficient expression matrices
-    for both operators of the pair, on the metric with lapse alpha and
-    spatial scale beta.  Principal parts use the orthonormal coframe, so
-    the symbol product is g(xi, xi) Id on any diagonal metric."""
-    m = repr(float(mass))
-    ia, ib = _over("1", alpha), _over("1", beta)
-    nib = _over("-1", beta)
+def resolve_preset(name: str, mass: float, metric: DiagonalMetric) -> Tuple[FirstOrderOperator, FirstOrderOperator]:
+    """The operator pair a preset names, on the given metric.  Principal
+    parts use the orthonormal coframe, so the symbol product is
+    g(xi, xi) Id on any diagonal metric."""
     if name in ("dirac_massive", "dirac_massless"):
-        # the Dirac pair has one construction; its entries are rendered
-        # here (constants as numbers: the mass term i*m*Id is complex)
-        pair = dirac_pair(DiracModel(mass=float(mass)), _expr.parse(alpha), _expr.parse(beta))
-        p, q = ({"A_t": op.a_t.to_exprs(), "A_x": op.a_x.to_exprs(), "B": op.b.to_exprs()} for op in pair)
-        return p, q, 2
+        return build_dirac_pair(DiracModel(mass=float(mass)), metric)
+    ia, ib = (_expr.simplify(_expr.Bin("/", _expr.ONE, s)) for s in (metric.alpha_ast, metric.beta_ast))
     if name == "scalar_transport_pair":
-        return (
-            {"A_t": [[ia]], "A_x": [[ib]], "B": [["0"]]},
-            {"A_t": [[ia]], "A_x": [[nib]], "B": [["0"]]},
-            1,
-        )
-    if name == "klein_gordon_factorized":
+        a_t, a_x, b = MatrixField([[ia]]), MatrixField([[ib]]), MatrixField.zero(1)
+    elif name == "klein_gordon_factorized":
         # two transport modes with off-diagonal mass coupling; the product
         # is the Klein-Gordon operator box + m^2 on each component
-        a_t = [[ia, "0"], ["0", ia]]
-        return (
-            {"A_t": a_t, "A_x": [[ib, "0"], ["0", nib]], "B": [["0", m], [f"-{m}", "0"]]},
-            {"A_t": a_t, "A_x": [[nib, "0"], ["0", ib]], "B": [["0", f"-{m}"], [m, "0"]]},
-            2,
-        )
-    raise ConfigError(f"unknown preset {name!r}; known presets: {', '.join(PRESETS)}")
+        zero = _expr.ZERO
+        a_t = MatrixField([[ia, zero], [zero, ia]])
+        a_x = MatrixField([[ib, zero], [zero, _expr.fold(_expr.Neg(ib))]])
+        b = MatrixField.from_constant([[0.0, mass], [-mass, 0.0]])
+    else:
+        raise ConfigError(f"unknown preset {name!r}; known presets: {', '.join(PRESETS)}")
+    # Q reverses the spatial transport and the coupling
+    return FirstOrderOperator(a_t.k, a_t, a_x, b), FirstOrderOperator(a_t.k, a_t, -a_x, -b)
 
 
 # ---------------------------------------------------------------------------
@@ -289,23 +276,27 @@ def _as_pair(value, name: str) -> Tuple[float, float]:
     return (lo, hi)
 
 
-def _check_expr(src: str, name: str) -> str:
+def _parse_expr(src, name: str) -> _expr.ExprAst:
     try:
-        _expr.parse(str(src))
+        return _expr.parse(str(src))
     except _expr.ExprSyntaxError as e:
         raise ConfigError(f"{name}: {e}")
+
+
+def _check_expr(src, name: str) -> str:
+    _parse_expr(src, name)
     return str(src)
 
 
-def _coeff_matrix(value, rank: int, name: str) -> List[List[str]]:
+def _coeff_matrix(value, rank: int, name: str) -> MatrixField:
     if not isinstance(value, list) or len(value) != rank:
         raise ConfigError(f"{name} must be a {rank}x{rank} matrix of expressions")
     out = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != rank:
             raise ConfigError(f"{name} must be a {rank}x{rank} matrix of expressions")
-        out.append([_check_expr(e, f"{name}[{i}][{j}]") for j, e in enumerate(row)])
-    return out
+        out.append([_parse_expr(e, f"{name}[{i}][{j}]") for j, e in enumerate(row)])
+    return MatrixField.from_exprs(out)
 
 
 def _window(sections, section: str, prefix: str = "window") -> WindowSpec:
@@ -355,6 +346,7 @@ def load_config_text(text: str) -> ScenarioConfig:
             raise ConfigError(f"{at('spacetime', key)} must be strictly positive on the chart") from None
         except _expr.ExprEvalError as e:
             raise ConfigError(f"{at('spacetime', key)}: {e}") from None
+    metric = DiagonalMetric(alpha, beta, chart)  # alpha and beta were checked on its lattice above
 
     preset_sec = "operator_P" if _get(sections, "operator_P", "preset") else "operator_Q"
     preset = _get(sections, preset_sec, "preset")
@@ -377,13 +369,16 @@ def load_config_text(text: str) -> ScenarioConfig:
             raise ConfigError(f"{at(preset_sec, 'preset')}: unknown preset {preset!r}; known presets: {known}")
         if preset == "dirac_massless":
             mass = 0.0
-        p_coeffs, q_coeffs, rank = resolve_preset(preset, mass, alpha, beta)
+        pair = resolve_preset(preset, mass, metric)
+        rank = pair[0].k
     else:
         rank = _require(sections, "bundle", "rank")
         if not isinstance(rank, int) or rank < 1:
             raise ConfigError(f"{at('bundle', 'rank')} must be a positive integer")
-        p_coeffs, q_coeffs = (
-            {k: _coeff_matrix(_require(sections, sec, k), rank, at(sec, k)) for k in ("A_t", "A_x", "B")}
+        pair = tuple(
+            FirstOrderOperator(rank, *(
+                _coeff_matrix(_require(sections, sec, k), rank, at(sec, k)) for k in ("A_t", "A_x", "B")
+            ))
             for sec in ("operator_P", "operator_Q")
         )
     declared_rank = _get(sections, "bundle", "rank")
@@ -416,7 +411,7 @@ def load_config_text(text: str) -> ScenarioConfig:
 
     cfg = ScenarioConfig(
         alpha, beta, t_range, x_range, topology, rank, preset, mass,
-        p_coeffs, q_coeffs, nx, cfl, t0, comps, window, source, dual_source,
+        metric, pair, nx, cfl, t0, comps, window, source, dual_source,
         out_dir, formats,
     )
     try:

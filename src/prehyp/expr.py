@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 import re
 from dataclasses import dataclass, replace
@@ -228,6 +229,16 @@ class _Parser:
 def parse(source: str) -> ExprAst:
     """Parse an expression string into an AST."""
     return _Parser(source).parse()
+
+
+def as_ast(e) -> ExprAst:
+    """An AST from expression source (parsed), a real or complex number, or
+    an AST (returned unchanged)."""
+    if isinstance(e, str):
+        return parse(e)
+    if isinstance(e, numbers.Real):
+        return Num(float(e))
+    return Num(complex(e)) if isinstance(e, numbers.Complex) else e
 
 
 def _check_finite(value, t, x, what: str):

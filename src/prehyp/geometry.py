@@ -74,20 +74,12 @@ class CauchyLine:
     t0: float
 
 
-def _as_ast(e: Union[str, ExprAst, float]) -> ExprAst:
-    if isinstance(e, str):
-        return _expr.parse(e)
-    if isinstance(e, (int, float)):
-        return _expr.Num(float(e))
-    return e
-
-
 class DiagonalMetric:
     """g = alpha^2 dt^2 - beta^2 dx^2 with alpha, beta > 0."""
 
     def __init__(self, alpha: Union[str, ExprAst, float], beta: Union[str, ExprAst, float], chart: Chart1p1):
-        self.alpha_ast = _as_ast(alpha)
-        self.beta_ast = _as_ast(beta)
+        self.alpha_ast = _expr.as_ast(alpha)
+        self.beta_ast = _expr.as_ast(beta)
         self.chart = chart
         self.is_constant = _expr.is_constant(self.alpha_ast) and _expr.is_constant(self.beta_ast)
         self.t_dependent = _expr.uses_var(self.alpha_ast, "t") or _expr.uses_var(self.beta_ast, "t")
@@ -123,16 +115,6 @@ class DiagonalMetric:
         a = self.alpha(t, x)
         b = self.beta(t, x)
         return float(xi[0] ** 2 / a**2 - xi[1] ** 2 / b**2)
-
-    def unit_normal(self, sigma: CauchyLine, x: float) -> Tuple[float, float]:
-        """Future directed unit normal to {t = t0}, as a vector (n^t, n^x)."""
-        self.chart.require(sigma.t0, x)
-        return (1.0 / float(self.alpha(sigma.t0, x)), 0.0)
-
-    def unit_conormal(self, sigma: CauchyLine, x: float) -> Tuple[float, float]:
-        """The metric-lowered normal covector (alpha, 0)."""
-        self.chart.require(sigma.t0, x)
-        return (float(self.alpha(sigma.t0, x)), 0.0)
 
     def hypersurface_measure(self, sigma: CauchyLine, x) -> float:
         """Induced volume density on {t = t0}: beta(t0, x)."""

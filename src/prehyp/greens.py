@@ -70,10 +70,9 @@ def make_test_section(
 ) -> TestSection:
     """Build phi(t, x) = window_t(t) window_x(x) * components(t, x)."""
     window = _expr.fold(_expr.Bin("*", window_expr("t", *t_window), window_expr("x", *x_window)))
-    asts = (_expr.parse(c) if isinstance(c, str) else c for c in components)
     return TestSection(
         grid,
-        tuple(_expr.fold(_expr.Bin("*", _expr.simplify(c), window)) for c in asts),
+        tuple(_expr.fold(_expr.Bin("*", _expr.simplify(_expr.as_ast(c)), window)) for c in components),
         window_support(*t_window),
         window_support(*x_window),
     )

@@ -222,9 +222,8 @@ def make_cauchy_data(
     k = len(components)
     values = np.zeros((grid.nx, k), dtype=complex)
     for c, comp in enumerate(components):
-        ast = _expr.parse(comp) if isinstance(comp, str) else comp
         values[:, c] = np.broadcast_to(
-            np.asarray(_expr.evaluate(ast, t0s, grid.xs), dtype=complex), (grid.nx,)
+            np.asarray(_expr.evaluate(_expr.as_ast(comp), t0s, grid.xs), dtype=complex), (grid.nx,)
         ) * w
     support = window_support(center, halfwidth, steepness)
     data = CauchyData(grid, t0s, values, support)

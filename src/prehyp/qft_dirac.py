@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .bundle_ops import FirstOrderOperator, MatrixField
-from .expr import Bin, ExprAst, Num
+from .expr import Bin, Num
 from .geometry import CauchyLine, DiagonalMetric
 from .grids import GridSection
 
@@ -80,19 +80,12 @@ class DiracModel:
 def build_dirac_pair(
     model: DiracModel, metric: Optional[DiagonalMetric] = None
 ) -> Tuple[FirstOrderOperator, FirstOrderOperator]:
-    """(P, Q) = (D + A, D - A) on a diagonal metric (Minkowski if None)."""
-    if metric is None:
-        return dirac_pair(model, Num(1.0), Num(1.0))
-    return dirac_pair(model, metric.alpha_ast, metric.beta_ast)
-
-
-def dirac_pair(
-    model: DiracModel, alpha: ExprAst, beta: ExprAst
-) -> Tuple[FirstOrderOperator, FirstOrderOperator]:
-    """The one Dirac construction, for lapse alpha and spatial scale beta.
-    The principal part uses the orthonormal coframe, A^t = gamma0 / alpha
-    and A^x = gamma1 / beta, so sigma_P sigma_Q = g(xi, xi) Id pointwise;
-    on Minkowski it is plainly (gamma0, gamma1)."""
+    """The one Dirac construction: (P, Q) = (D + A, D - A) on a diagonal
+    metric (Minkowski if None).  The principal part uses the orthonormal
+    coframe, A^t = gamma0 / alpha and A^x = gamma1 / beta, so
+    sigma_P sigma_Q = g(xi, xi) Id pointwise; on Minkowski it is plainly
+    (gamma0, gamma1)."""
+    alpha, beta = (Num(1.0), Num(1.0)) if metric is None else (metric.alpha_ast, metric.beta_ast)
     rep = model.rep
     rep.validate()
     a_field = model.potential_field()

@@ -309,6 +309,31 @@ class TestOneSolvePerQuestion:
         assert len(solves) == expected
 
 
+class TestResolvedAtLoad:
+    """A run uses the metric and operator pair the loader resolved."""
+
+    def test_verify_all_builds_no_metric_and_no_field_from_expressions(self, monkeypatch):
+        from prehyp.bundle_ops import MatrixField
+        from prehyp.geometry import DiagonalMetric
+
+        cfg = load_config_text(SMALL_DIRAC_CFG)
+        calls = []
+        real_init, real_from_exprs = DiagonalMetric.__init__, MatrixField.from_exprs.__func__
+
+        def init(self, *args, **kwargs):
+            calls.append("DiagonalMetric.__init__")
+            real_init(self, *args, **kwargs)
+
+        def from_exprs(cls, entries):
+            calls.append("MatrixField.from_exprs")
+            return real_from_exprs(cls, entries)
+
+        monkeypatch.setattr(DiagonalMetric, "__init__", init)
+        monkeypatch.setattr(MatrixField, "from_exprs", classmethod(from_exprs))
+        run("verify-all", cfg, seed=0)
+        assert calls == []
+
+
 class TestLadderMargins:
     @pytest.mark.parametrize("argv", [["convergence", "solve"], ["verify-all"]])
     def test_coarse_rung_margin_is_a_config_error(self, tmp_path, capsys, argv):

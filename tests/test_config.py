@@ -3,12 +3,14 @@ import pytest
 
 from prehyp.bundle_ops import is_complementary_pair
 from prehyp.config import (
+    PRESETS,
     ConfigError,
     load_config,
     load_config_text,
     parse_config_text,
     resolve_preset,
 )
+from prehyp.geometry import DiagonalMetric
 
 BASE = """
 [spacetime]
@@ -66,27 +68,31 @@ class TestParser:
 
 
 class TestPresets:
-    def test_dirac_mass_is_imaginary(self):
-        p, q, rank = resolve_preset("dirac_massive", 2.0, "1", "1")
-        assert rank == 2
-        assert p["B"][0][0] == 2j
-        assert q["B"][0][0] == -2j
+    @pytest.fixture
+    def metric(self, chart):
+        return DiagonalMetric("1", "2", chart)
 
-    def test_scalar_transport_rank_one(self):
-        p, q, rank = resolve_preset("scalar_transport_pair", 0.0, "1", "2")
-        assert rank == 1
-        assert p["A_x"] == [["(1)/(2)"]]
-        assert q["A_x"] == [["(-1)/(2)"]]
+    def test_dirac_mass_is_imaginary(self, mink):
+        p, q = resolve_preset("dirac_massive", 2.0, mink)
+        assert p.k == q.k == 2
+        assert p.b.scalar == 2j
+        assert q.b.scalar == -2j
 
-    def test_klein_gordon_mass_coupling(self):
-        p, q, rank = resolve_preset("klein_gordon_factorized", 1.5, "1", "1")
-        assert rank == 2
-        assert p["B"][0][1] == "1.5"
-        assert q["B"][1][0] == "1.5"
+    def test_scalar_transport_rank_one(self, metric):
+        p, q = resolve_preset("scalar_transport_pair", 0.0, metric)
+        assert p.k == q.k == 1
+        assert p.a_x.scalar == 0.5
+        assert q.a_x.scalar == -0.5
 
-    def test_unknown_preset(self):
+    def test_klein_gordon_mass_coupling(self, mink):
+        p, q = resolve_preset("klein_gordon_factorized", 1.5, mink)
+        assert p.k == 2
+        np.testing.assert_array_equal(p.b.constant, [[0, 1.5], [-1.5, 0]])
+        np.testing.assert_array_equal(q.b.constant, [[0, -1.5], [1.5, 0]])
+
+    def test_unknown_preset(self, mink):
         with pytest.raises(ConfigError, match="known presets"):
-            resolve_preset("nonsense", 1.0, "1", "1")
+            resolve_preset("nonsense", 1.0, mink)
 
     @pytest.mark.parametrize(
         "preset", ["dirac_massive", "dirac_massless", "scalar_transport_pair", "klein_gordon_factorized"]
@@ -211,6 +217,23 @@ window_steepness = 2.5
         assert echo["grid"] == {"nx": 128, "cfl": 0.4}
         assert echo["initial_data"]["window"]["halfwidth"] == 0.05
         assert echo["preset"] == "dirac_massive"
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_echo_renders_the_resolved_operators(self, preset):
+        text = BASE.replace("preset = dirac_massive", f"preset = {preset}")
+        text = text.replace("alpha = 1\n", "alpha = 1+0.1*sin(t)\n").replace("beta = 1\n", "beta = 1+0.3*cos(2*x)\n")
+        if preset == "scalar_transport_pair":
+            text = text.replace("components = [1, 0.5]", "components = [1]")
+        cfg = load_config_text(text)
+        echo = cfg.echo()
+        for key, op in zip(("operator_P", "operator_Q"), cfg.operators()):
+            assert echo[key] == {"A_t": op.a_t.to_exprs(), "A_x": op.a_x.to_exprs(), "B": op.b.to_exprs()}
+
+    def test_minkowski_dirac_echo(self):
+        echo = load_config_text(BASE).echo()
+        a_t, a_x = [[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0], [1.0, 0.0]]
+        assert echo["operator_P"] == {"A_t": a_t, "A_x": a_x, "B": [[1j, 0.0], [0.0, 1j]]}
+        assert echo["operator_Q"] == {"A_t": a_t, "A_x": a_x, "B": [[-1j, 0.0], [0.0, -1j]]}
 
     def test_echo_includes_the_dual_source(self):
         def with_dual(components):

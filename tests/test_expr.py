@@ -69,6 +69,16 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError):
             parse("1+%")
 
+    def test_as_ast_coerces_source_and_numbers(self):
+        ast = Bin("*", Num(2.0), Var("x"))
+        assert expr.as_ast(ast) is ast
+        assert expr.as_ast("2*x") == ast
+        for real in (2, 2.0, np.float64(2.0), np.int64(2)):
+            num = expr.as_ast(real)
+            assert num == Num(2.0) and type(num.value) is float
+        for cplx in (2j, np.complex128(1 + 2j)):
+            assert expr.as_ast(cplx) == Num(complex(cplx)) and type(expr.as_ast(cplx).value) is complex
+
 
 class TestEvaluation:
     def test_sin(self):

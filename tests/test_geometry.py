@@ -53,24 +53,6 @@ class TestMetric:
         with pytest.raises(ChartDomainError):
             g.inverse_on_covector((5.0, 0.0), (1.0, 0.0))
 
-    def test_unit_normal(self):
-        g = minkowski(wide_chart())
-        assert g.unit_normal(CauchyLine(0.5), 0.0) == (1.0, 0.0)
-        g2 = DiagonalMetric("2", "1", wide_chart())
-        assert g2.unit_normal(CauchyLine(0.5), 0.0) == (0.5, 0.0)
-        assert g2.unit_conormal(CauchyLine(0.5), 0.0) == (2.0, 0.0)
-        g3 = DiagonalMetric("exp(t)", "1", wide_chart())
-        assert g3.unit_normal(CauchyLine(0.0), 0.0) == (1.0, 0.0)
-
-    def test_normal_is_unit(self):
-        # g(n, n) = alpha^2 (n^t)^2 = 1 algebraically
-        g = DiagonalMetric("1+0.5*x^2", "1", wide_chart())
-        for x in (-1.0, 0.0, 0.7):
-            nt, nx = g.unit_normal(CauchyLine(0.3), x)
-            a = float(g.alpha(0.3, x))
-            assert a**2 * nt**2 == pytest.approx(1.0, abs=1e-15)
-            assert nx == 0.0
-
     def test_hypersurface_measure(self):
         assert minkowski(wide_chart()).hypersurface_measure(CauchyLine(0.0), 0.0) == pytest.approx(1.0)
         assert DiagonalMetric("1", "2", wide_chart()).hypersurface_measure(CauchyLine(0.0), 0.0) == pytest.approx(2.0)

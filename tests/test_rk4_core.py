@@ -99,10 +99,9 @@ def scenario(chart, case, metric_name):
     alpha, beta = METRICS[metric_name]
     metric = DiagonalMetric(alpha, beta, chart)
     preset, mass = PRESETS[case]
-    p_exprs, q_exprs, k = resolve_preset(preset, mass, alpha, beta)
-    p, q = (FirstOrderOperator.build(e["A_t"], e["A_x"], e["B"]) for e in (p_exprs, q_exprs))
+    p, q = resolve_preset(preset, mass, metric)
     grid = build_grid(chart, metric, 128)
-    return metric, p, q, grid, ["1", "0.5"][:k]
+    return metric, p, q, grid, ["1", "0.5"][:p.k]
 
 
 def use_reference(monkeypatch):

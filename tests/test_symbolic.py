@@ -53,16 +53,11 @@ def reference_adjoint_b(p, metric, t, xs):
     return np.swapaxes(p.b.eval(t, xs), 1, 2) - div / rho(t, xs)
 
 
-def preset_pair(name, alpha, beta):
-    pc, qc, _ = resolve_preset(name, 1.0, alpha, beta)
-    return tuple(FirstOrderOperator.build(c["A_t"], c["A_x"], c["B"]) for c in (pc, qc))
-
-
 @pytest.mark.parametrize("alpha,beta", METRICS)
 @pytest.mark.parametrize("preset", PRESETS)
 def test_symbolic_compose_and_adjoint_match_finite_differences(preset, alpha, beta):
     metric = DiagonalMetric(alpha, beta, CHART)
-    p, q = preset_pair(preset, alpha, beta)
+    p, q = resolve_preset(preset, 1.0, metric)
     for a, b in ((p, q), (q, p)):
         l = compose(a, b)
         for t in TS:
