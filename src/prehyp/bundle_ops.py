@@ -71,11 +71,18 @@ class MatrixField:
         return self.is_constant and not self.constant.any()
 
     @property
+    def diagonal(self) -> Optional["_expr.ExprAst"]:
+        """s when the field is s Id for one expression s, else None."""
+        s = self.entries[0][0]
+        if all(e == (s if i == j else _expr.ZERO) for i, row in enumerate(self.entries) for j, e in enumerate(row)):
+            return s
+        return None
+
+    @property
     def scalar(self) -> Optional[complex]:
         """c when the field is the constant c Id, else None."""
-        if self.is_constant and np.array_equal(self.constant, self.constant[0, 0] * np.eye(self.k)):
-            return complex(self.constant[0, 0])
-        return None
+        s = self.diagonal
+        return complex(s.value) if isinstance(s, Num) else None
 
     @classmethod
     def from_constant(cls, mat) -> "MatrixField":
@@ -99,8 +106,9 @@ class MatrixField:
         """Entries as numbers where constant, else as expression source."""
         return [[e.value if isinstance(e, Num) else _expr.pretty(e) for e in row] for row in self.entries]
 
-    def eval(self, t: float, xs: np.ndarray) -> np.ndarray:
-        """Values on a row of nodes: shape (len(xs), k, k)."""
+    def eval(self, t, xs: np.ndarray) -> np.ndarray:
+        """Values at the points (t, xs[n]), or (t[n], xs[n]) for an array t
+        shaped like xs: shape (len(xs), k, k)."""
         if self.is_constant:
             return np.broadcast_to(self.constant, (len(xs), self.k, self.k))
         xs = np.asarray(xs, dtype=float)
@@ -264,19 +272,38 @@ class SecondOrderOperator:
 # ---------------------------------------------------------------------------
 # principal symbols and hyperbolicity predicates
 
-def principal_symbol_1(op: FirstOrderOperator, point: Tuple[float, float], xi: Tuple[float, float]) -> np.ndarray:
-    """sigma_P(xi) = A^t xi_t + A^x xi_x; the connection does not enter."""
-    t, x = point
-    return op.a_t.at(t, x) * xi[0] + op.a_x.at(t, x) * xi[1]
+def _columns(point, xi):
+    """t, x and xi_t, xi_x from a point (t, x) and a covector (xi_t,
+    xi_x), or from (n, 2) arrays of n of them: t and x as (n,) arrays, the
+    covector components shaped (n, 1, 1) to scale (n, k, k) matrices."""
+    point, xi = np.broadcast_arrays(np.atleast_2d(np.asarray(point, dtype=float)), np.atleast_2d(np.asarray(xi, dtype=float)))
+    return point[:, 0], point[:, 1], xi[:, 0, None, None], xi[:, 1, None, None]
 
 
-def principal_symbol_2(op: SecondOrderOperator, point: Tuple[float, float], xi: Tuple[float, float]) -> np.ndarray:
-    t, x = point
-    return (
-        op.c_tt.at(t, x) * xi[0] ** 2
-        + 2.0 * op.c_tx.at(t, x) * xi[0] * xi[1]
-        + op.c_xx.at(t, x) * xi[1] ** 2
+def _single(point, xi, values: np.ndarray) -> np.ndarray:
+    """values[0] for a single point and covector, else values."""
+    return values[0] if np.ndim(point) == 1 and np.ndim(xi) == 1 else values
+
+
+def principal_symbol_1(op: FirstOrderOperator, point, xi) -> np.ndarray:
+    """sigma_P(xi) = A^t xi_t + A^x xi_x; the connection does not enter.
+    A single point and covector give (k, k); (n, 2) arrays of points or
+    covectors give (n, k, k)."""
+    t, x, xi_t, xi_x = _columns(point, xi)
+    return _single(point, xi, op.a_t.eval(t, x) * xi_t + op.a_x.eval(t, x) * xi_x)
+
+
+def principal_symbol_2(op: SecondOrderOperator, point, xi) -> np.ndarray:
+    """sigma_L(xi) = C^tt xi_t^2 + 2 C^tx xi_t xi_x + C^xx xi_x^2, shaped as
+    principal_symbol_1; squared with float_power, as in
+    DiagonalMetric.inverse_on_covector."""
+    t, x, xi_t, xi_x = _columns(point, xi)
+    sigma = (
+        op.c_tt.eval(t, x) * np.float_power(xi_t, 2)
+        + 2.0 * op.c_tx.eval(t, x) * xi_t * xi_x
+        + op.c_xx.eval(t, x) * np.float_power(xi_x, 2)
     )
+    return _single(point, xi, sigma)
 
 
 def compose(p: FirstOrderOperator, q: FirstOrderOperator) -> SecondOrderOperator:
@@ -343,18 +370,17 @@ def is_normally_hyperbolic(
         constant = op.is_constant and metric.is_constant
         scale = max(np.max(np.abs(f.constant)) for f in (op.c_tt, op.c_tx, op.c_xx)) if constant else 1.0
         tol = default_symbol_tol(constant, float(scale))
-    eye = np.eye(op.k)
-    worst = 0.0
-    worst_pt = None
-    worst_xi = None
-    for pt in sample_points:
-        for xi in POLARIZATION_COVECTORS:
-            dev = np.max(
-                np.abs(principal_symbol_2(op, pt, xi) - metric.inverse_on_covector(pt, xi) * eye)
-            )
-            if dev > worst:
-                worst, worst_pt, worst_xi = float(dev), pt, xi
-    return HyperbolicityReport(worst < tol, worst, tol, worst_pt, worst_xi)
+    # every sample point with every covector, in the order the report
+    # names the first worst one: points outer, covectors inner
+    n_xi = len(POLARIZATION_COVECTORS)
+    points = np.repeat(np.asarray(sample_points, dtype=float), n_xi, axis=0)
+    xis = np.tile(POLARIZATION_COVECTORS, (len(sample_points), 1))
+    g = metric.inverse_on_covector(points, xis)
+    dev = np.max(np.abs(principal_symbol_2(op, points, xis) - g[:, None, None] * np.eye(op.k)), axis=(1, 2))
+    i = int(np.argmax(dev))
+    worst = float(dev[i])
+    at = (sample_points[i // n_xi], POLARIZATION_COVECTORS[i % n_xi]) if worst != 0.0 else (None, None)
+    return HyperbolicityReport(worst < tol, worst, tol, *at)
 
 
 @dataclass
@@ -388,15 +414,18 @@ class InvertibilityReport:
     condition_estimate: float
 
 
-def symbol_invertibility(
-    op: FirstOrderOperator, point: Tuple[float, float], xi: Tuple[float, float], tol: float = 1e-12
-) -> InvertibilityReport:
+def symbol_invertibility(op: FirstOrderOperator, point, xi, tol: float = 1e-12) -> InvertibilityReport:
+    """Whether sigma_P(xi) is invertible, relative to its largest entry
+    (its power by float_power, as in DiagonalMetric.inverse_on_covector).
+    For (n, 2) arrays of points or covectors each field is an array of n."""
     sigma = principal_symbol_1(op, point, xi)
-    det = np.linalg.det(sigma)
-    abs_det = float(np.abs(det))
-    scale = float(np.max(np.abs(sigma))) if np.max(np.abs(sigma)) > 0 else 1.0
-    invertible = abs_det > tol * scale**op.k
-    cond = float(np.linalg.cond(sigma)) if invertible else np.inf
+    abs_det = np.abs(np.linalg.det(sigma))
+    peak = np.max(np.abs(sigma), axis=(-2, -1))
+    scale = np.where(peak > 0, peak, 1.0)
+    invertible = abs_det > tol * np.float_power(scale, op.k)
+    cond = np.where(invertible, np.linalg.cond(sigma), np.inf)
+    if sigma.ndim == 2:
+        return InvertibilityReport(bool(invertible), float(abs_det), float(cond))
     return InvertibilityReport(invertible, abs_det, cond)
 
 

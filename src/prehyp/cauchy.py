@@ -171,10 +171,15 @@ def _axpy(y, a, k):
 
 def _scaled(field: MatrixField):
     """(c, w) -> field @ w over the last axis, c the field's value from its
-    coefficient tape; a constant c Id field is applied as a number, decided
-    here once per solve.  A c with nonzero real and imaginary parts keeps
-    the matrix product, whose complex products round differently."""
+    coefficient tape; a field s Id is applied as a broadcast product,
+    decided here once per solve.  For a non-constant s the tape gives every
+    diagonal entry the one shared value, and s * w is contract's 0 + s * w;
+    a constant s is applied as a number, except one with nonzero real and
+    imaginary parts, which keeps the matrix product, whose complex products
+    round differently."""
     s = field.scalar
+    if s is None and field.diagonal is not None:
+        return lambda c, w: np.expand_dims(c[0][2], -1) * w
     if s is None or (s.real and s.imag):
         return contract
     if s == 1:

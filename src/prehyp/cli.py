@@ -184,25 +184,22 @@ def run_check_pair(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] 
     pair = is_complementary_pair(p, q, metric)
     rng = np.random.default_rng(seed)
     chart = metric.chart
-    min_margin = np.inf
-    all_inv = True
-    count = 0
-    while count < N_RANDOM_COVECTORS:
-        t = rng.uniform(chart.t_min, chart.t_max)
-        x = rng.uniform(chart.x_min, chart.x_max)
-        xi = tuple(rng.uniform(-1.0, 1.0, size=2))
-        g = metric.inverse_on_covector((t, x), xi)
-        if abs(g) < 1e-3:  # skip near-null covectors
-            continue
-        count += 1
-        rep = symbol_invertibility(p, (t, x), xi)
-        all_inv &= rep.invertible
-        # for rank 2 pairs det sigma_P(xi) = -g(xi, xi), so the margin
-        # |det| - |g| should never go (numerically) negative; rank 1
-        # symbols are linear in xi and only the invertibility flag applies
-        margin = rep.abs_det - abs(g) if p.k == 2 else rep.abs_det
-        min_margin = min(min_margin, margin)
-    min_margin = float(min_margin)
+    # rows (t, x, xi_t, xi_x) drawn as rng.uniform would draw them one at a
+    # time, and in that order; near-null covectors are skipped
+    low = np.array([chart.t_min, chart.x_min, -1.0, -1.0])
+    high = np.array([chart.t_max, chart.x_max, 1.0, 1.0])
+    rows, g = np.empty((0, 4)), np.empty(0)
+    while len(rows) < N_RANDOM_COVECTORS:
+        block = low + (high - low) * rng.random((N_RANDOM_COVECTORS - len(rows), 4))
+        g_block = metric.inverse_on_covector(block[:, :2], block[:, 2:])
+        keep = np.abs(g_block) >= 1e-3
+        rows, g = np.concatenate([rows, block[keep]]), np.concatenate([g, g_block[keep]])
+    rep = symbol_invertibility(p, rows[:, :2], rows[:, 2:])
+    all_inv = bool(np.all(rep.invertible))
+    # for rank 2 pairs det sigma_P(xi) = -g(xi, xi), so the margin
+    # |det| - |g| should never go (numerically) negative; rank 1
+    # symbols are linear in xi and only the invertibility flag applies
+    min_margin = float(np.min(rep.abs_det - np.abs(g) if p.k == 2 else rep.abs_det))
     failures = []
     if not pair.passed:
         failures.append(f"pair deviation {pair.max_deviation:.3e} exceeds tol {pair.pq.tol:.3e}")
@@ -343,12 +340,12 @@ def _rungs(nx: int) -> List[int]:
 
 
 def _ladder(cfg: ScenarioConfig) -> List[int]:
-    """The ladder's resolutions, each validated as the configured one is,
-    before any solve starts."""
+    """The ladder's resolutions, the coarser ones validated as loading
+    validated the configured one, before any solve starts."""
     if cfg.nx < 64:
         raise ConfigError("convergence ladder needs grid.nx >= 64")
     nxs = _rungs(cfg.nx)
-    for n in nxs:
+    for n in nxs[:-1]:
         validate_geometry(cfg, n)
     return nxs
 

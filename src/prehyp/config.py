@@ -423,7 +423,8 @@ def load_config_text(text: str) -> ScenarioConfig:
 
 def validate_geometry(cfg: ScenarioConfig, nx: Optional[int] = None) -> None:
     """Check the initial window's causal margin on the grid at nx (the
-    configured resolution by default)."""
+    configured resolution by default), from the time level the data snaps
+    to there: the solve's own shadow, which the metric keeps."""
     metric = cfg.metric()
     grid = cfg.grid(metric, nx)
     support = window_support(cfg.window.center, cfg.window.halfwidth, cfg.window.steepness)
@@ -431,7 +432,7 @@ def validate_geometry(cfg: ScenarioConfig, nx: Optional[int] = None) -> None:
         if support[0] <= cfg.x_range[0] or support[1] >= cfg.x_range[1]:
             raise ConfigError("initial_data.window: causal margin violated (window touches the boundary)")
         try:
-            check_causal_margin(metric, grid, support, cfg.t0)
+            check_causal_margin(metric, grid, support, grid.ts[grid.level_of(cfg.t0)])
         except MarginError:
             raise ConfigError(f"initial_data.window: causal margin violated at nx = {grid.nx}")
 

@@ -11,7 +11,7 @@ dx/dt = +- alpha/beta and stored as per-time-level interval unions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,16 +49,20 @@ class Chart1p1:
     def period(self) -> float:
         return self.x_max - self.x_min
 
-    def contains(self, t: float, x: float) -> bool:
-        if not (self.t_min <= t <= self.t_max):
-            return False
+    def contains(self, t, x):
+        """Whether (t, x) lies on the chart; t and x may be arrays."""
+        inside = (self.t_min <= t) & (t <= self.t_max)
         if self.topology == "circle":
-            return True
-        return self.x_min <= x <= self.x_max
+            return inside
+        return inside & (self.x_min <= x) & (x <= self.x_max)
 
-    def require(self, t: float, x: float) -> None:
-        if not self.contains(t, x):
-            raise ChartDomainError(f"point (t={t}, x={x}) outside chart")
+    def require(self, t, x) -> None:
+        """Raise ChartDomainError naming the first point off the chart."""
+        t, x = np.broadcast_arrays(t, x)
+        outside = ~self.contains(t, x)
+        if outside.any():
+            first = np.argmax(outside)
+            raise ChartDomainError(f"point (t={t.flat[first]}, x={x.flat[first]}) outside chart")
 
     def wrap(self, x):
         """Map x into [x_min, x_max) for circle topology."""
@@ -83,6 +87,7 @@ class DiagonalMetric:
         self.chart = chart
         self.is_constant = _expr.is_constant(self.alpha_ast) and _expr.is_constant(self.beta_ast)
         self.t_dependent = _expr.uses_var(self.alpha_ast, "t") or _expr.uses_var(self.beta_ast, "t")
+        self._shadows: Dict[tuple, CausalShadow] = {}
         # positivity spot-check on a coarse lattice
         ts = np.linspace(chart.t_min, chart.t_max, 9)
         xs = np.linspace(chart.x_min, chart.x_max, 33)
@@ -108,13 +113,27 @@ class DiagonalMetric:
         tt, xx = np.meshgrid(ts, xs, indexing="ij")
         return float(np.max(self.light_speed(tt, xx)))
 
-    def inverse_on_covector(self, point: Tuple[float, float], xi: Tuple[float, float]) -> float:
-        """g(xi, xi) for a covector xi = (xi_t, xi_x)."""
-        t, x = point
+    def inverse_on_covector(self, point, xi):
+        """g(xi, xi) for a covector xi = (xi_t, xi_x) at point = (t, x).
+        Either may be an (n, 2) array of n points or covectors, giving n
+        values; a single point and covector give a float.  float_power
+        squares as a scalar ** 2 does (libm pow), so a point gives the same
+        bits alone and in an array, where ** 2 would multiply."""
+        point, xi = np.asarray(point, dtype=float), np.asarray(xi, dtype=float)
+        t, x, xi_t, xi_x = point[..., 0], point[..., 1], xi[..., 0], xi[..., 1]
         self.chart.require(t, x)
-        a = self.alpha(t, x)
-        b = self.beta(t, x)
-        return float(xi[0] ** 2 / a**2 - xi[1] ** 2 / b**2)
+        sq = np.float_power
+        g = sq(xi_t, 2) / sq(self.alpha(t, x), 2) - sq(xi_x, 2) / sq(self.beta(t, x), 2)
+        return float(g) if np.ndim(g) == 0 else g
+
+    def shadow(self, seed, t0: float, direction: str, dt: float) -> "CausalShadow":
+        """causal_shadow(self, seed, t0, direction, dt=dt), swept on the
+        first request and shared after that."""
+        t0, dt = float(t0), float(dt)
+        key = (_seeds(seed), t0, direction, dt)
+        if key not in self._shadows:
+            self._shadows[key] = causal_shadow(self, seed, t0, direction, dt=dt)
+        return self._shadows[key]
 
     def hypersurface_measure(self, sigma: CauchyLine, x) -> float:
         """Induced volume density on {t = t0}: beta(t0, x)."""
@@ -136,7 +155,7 @@ def merge_intervals(intervals: Iterable[Interval]) -> List[Interval]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class CausalShadow:
     """Causal future/past of a seed region, one interval union per time level."""
 
@@ -194,6 +213,13 @@ class CausalShadow:
         return CausalShadow(self.chart, self.times, new, self.truncated)
 
 
+def _seeds(seed: Union[Interval, Sequence[Interval]]) -> Tuple[Interval, ...]:
+    """One interval or a sequence of them, as a tuple of float pairs."""
+    if isinstance(seed[0], (int, float)):
+        return ((float(seed[0]), float(seed[1])),)
+    return tuple((float(lo), float(hi)) for lo, hi in seed)
+
+
 def _rk4_step(f, t: float, y: np.ndarray, h: float) -> np.ndarray:
     k1 = f(t, y)
     k2 = f(t + h / 2, y + h / 2 * k1)
@@ -218,11 +244,7 @@ def causal_shadow(
     J_+(seed) union J_-(seed).
     """
     chart = metric.chart
-    seeds: List[Interval]
-    if isinstance(seed[0], (int, float)):
-        seeds = [(float(seed[0]), float(seed[1]))]
-    else:
-        seeds = [(float(lo), float(hi)) for lo, hi in seed]
+    seeds = list(_seeds(seed))
     for lo, hi in seeds:
         chart.require(t0, lo)
         chart.require(t0, hi)

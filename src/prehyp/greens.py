@@ -25,7 +25,7 @@ from .bundle_ops import (
     pairing,
 )
 from .cauchy import SHADOW_INFLATION_NODES, solve_second_order, support_leak
-from .geometry import CausalShadow, DiagonalMetric, causal_shadow
+from .geometry import CausalShadow, DiagonalMetric
 from .grids import (
     BOUNDARY_MARGIN_NODES,
     Grid1p1,
@@ -159,7 +159,7 @@ def source_shadow(
     margin."""
     t_seed = section.t_support[0] if direction == "retarded" else section.t_support[1]
     dirword = "future" if direction == "retarded" else "past"
-    shadow = causal_shadow(metric, section.x_support, float(t_seed), dirword, dt=grid.dt)
+    shadow = metric.shadow(section.x_support, t_seed, dirword, grid.dt)
     return shadow.inflate(SHADOW_INFLATION_NODES * grid.dx)
 
 

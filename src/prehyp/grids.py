@@ -14,7 +14,7 @@ import numpy as np
 
 from . import expr as _expr
 from .expr import Bin, Call, Num, Var, smooth_step  # noqa: F401  (smooth_step is re-exported)
-from .geometry import CausalShadow, Chart1p1, ChartDomainError, DiagonalMetric, causal_shadow
+from .geometry import CausalShadow, Chart1p1, ChartDomainError, DiagonalMetric
 
 SUPPORT_EPS = 1e-14
 BOUNDARY_MARGIN_NODES = 8
@@ -234,10 +234,10 @@ def make_cauchy_data(
 def check_causal_margin(
     metric: DiagonalMetric, grid: Grid1p1, support: Tuple[float, float], t0: float
 ) -> CausalShadow:
-    """Sweep J(support) from t0 over the whole run and return it; on a line,
-    validate up front that it stays clear of the x-boundary by at least
-    BOUNDARY_MARGIN_NODES nodes."""
-    shadow = causal_shadow(metric, support, float(t0), "both", dt=grid.dt)
+    """J(support) from t0 over the whole run, swept once per metric; on a
+    line, validate up front that it stays clear of the x-boundary by at
+    least BOUNDARY_MARGIN_NODES nodes."""
+    shadow = metric.shadow(support, t0, "both", grid.dt)
     if grid.periodic:
         return shadow
     margin = BOUNDARY_MARGIN_NODES * grid.dx

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from prehyp import cli
@@ -344,3 +345,68 @@ class TestLadderMargins:
         assert "config error" in err
         assert "nx = 64" in err
         assert not (tmp_path / "out" / "report.json").exists()
+
+
+CURVED_CFG = SMALL_DIRAC_CFG.replace("alpha = 1\n", "alpha = 1+0.1*sin(t)\n").replace(
+    "beta = 1\n", "beta = 1+0.3*cos(2*x)\n"
+)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The arguments of every causal_shadow call, as (seed, t0, direction,
+    t_target, dt)."""
+    from prehyp import geometry, greens, grids
+
+    calls = []
+    real = geometry.causal_shadow
+
+    def counting(metric, seed, t0, direction="future", t_target=None, dt=None):
+        calls.append((tuple(np.ravel(seed)), float(t0), direction, t_target, dt))
+        return real(metric, seed, t0, direction, t_target, dt)
+
+    # also where a module imports the function by name
+    for mod in (geometry, grids, greens):
+        monkeypatch.setattr(mod, "causal_shadow", counting, raising=False)
+    return calls
+
+
+class TestOneSweepPerShadow:
+    """A shadow is a function of the metric and its arguments, and each
+    distinct one is swept once per metric."""
+
+    def test_verify_all_sweeps_each_distinct_shadow_once(self, sweeps):
+        run("verify-all", load_config_text(SMALL_DIRAC_CFG), seed=0)
+        assert len(sweeps) == len(set(sweeps))
+        # one two-way shadow per resolution of the ladder: nx/4, nx/2 and nx
+        assert [s[2] for s in sweeps].count("both") == 3
+
+    def test_curved_batteries_make_one_two_way_sweep_from_load_on(self, sweeps):
+        cfg = load_config_text(CURVED_CFG)
+        for battery in (cli.run_check_pair, cli.run_solve, cli.run_adjoint_check, cli.run_beta):
+            battery(cfg, 0)
+        assert [s[2] for s in sweeps] == ["both", "future", "past"]
+
+    def test_load_validates_the_shadow_the_solve_uses(self, sweeps):
+        cfg = load_config_text(CURVED_CFG.replace("window_center = 0.0", "t0 = 0.0123\nwindow_center = 0.0"))
+        scn = cli.Scenario(cfg)
+        assert cfg.t0 not in scn.grid.ts and scn.data.t0 != cfg.t0
+        assert len(sweeps) == 3
+        scn.solution
+        assert len(sweeps) == 3
+        assert sweeps[0][1] == scn.data.t0
+
+    def test_ladder_validates_the_coarser_rungs_only(self, monkeypatch):
+        from prehyp import config
+
+        cfg = load_config_text(SMALL_DIRAC_CFG)
+        calls = []
+        real = config.check_causal_margin
+
+        def counting(metric, grid, *args):
+            calls.append(grid.nx)
+            return real(metric, grid, *args)
+
+        monkeypatch.setattr(config, "check_causal_margin", counting)
+        run("verify-all", cfg, seed=0)
+        assert calls == [32, 64]

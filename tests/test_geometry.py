@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -169,3 +171,13 @@ class TestCausalShadow:
         inside = ~mask
         assert np.all(np.abs(xs[inside]) <= 0.6 + 1e-9)
         assert np.all(np.abs(xs[mask]) >= 0.6 - 1e-9)
+
+    def test_metric_sweeps_each_shadow_once(self):
+        g = minkowski(Chart1p1(-1.0, 1.0, -3.0, 3.0))
+        s = g.shadow((-0.1, 0.1), 0.0, "both", 0.01)
+        assert g.shadow([(-0.1, 0.1)], 0, "both", 0.01) is s
+        assert g.shadow((-0.1, 0.1), 0.0, "future", 0.01) is not s
+        ref = causal_shadow(g, (-0.1, 0.1), 0.0, "both", dt=0.01)
+        assert np.array_equal(ref.times, s.times) and ref.intervals == s.intervals
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.truncated = True

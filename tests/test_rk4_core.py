@@ -210,6 +210,34 @@ def test_minkowski_dirac_rhs_makes_no_matrix_contraction(chart, mink, monkeypatc
     assert (op.c_xx.scalar, op.e.scalar, op.c_tt.inverse().scalar) == (-1, 1, 1)
 
 
+def test_curved_dirac_rhs_makes_no_matrix_contraction(chart, monkeypatch):
+    # on the README metric every nonzero term of the Dirac square is s(t, x)
+    # Id (C^xx, D^t, D^x, (C^tt)^-1), applied as one broadcast product
+    metric = DiagonalMetric(*METRICS["readme"], chart)
+    calls = count_calls(monkeypatch, cauchy, "contract")
+    p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
+    grid = build_grid(chart, metric, 128)
+    section = make_test_section(grid, ["1", "0.5"], X_WINDOW, T_WINDOW)
+    greens_apply(p, q, metric, section, "retarded", grid)
+    assert calls == []
+    op = compose(p, q)
+    fields = (op.c_xx, op.d_t, op.d_x, op.c_tt.inverse())
+    assert all(f.diagonal is not None and not f.is_constant for f in fields)
+
+
+@pytest.mark.parametrize("s, c", [("1+0.3*cos(2*x)", 1), ("1+0.1*sin(t)", -2.5), ("(1+x)*(0.2+t)", 0.3 - 0.7j)])
+def test_shared_diagonal_fields_contract_as_the_matrix_product(s, c):
+    # s * w equals contract's 0 + s * w up to the sign of zeros
+    field = MatrixField.from_exprs([[s, 0], [0, s]]).scale(c)
+    assert field.diagonal is not None and field.scalar is None
+    xs = np.linspace(-1.0, 1.0, 128)
+    c = coefficient_tape([field], xs)(0.25)[0]
+    rng = np.random.default_rng(5)
+    w, load = (rng.normal(size=(128, 2)) + 1j * rng.normal(size=(128, 2)) for _ in range(2))
+    assert np.array_equal(cauchy._scaled(field)(c, w), contract(c, w))
+    assert np.array_equal(cauchy._subtractor(field)(load, c, w), load - contract(c, w))
+
+
 @pytest.mark.parametrize("c", [1, -1, 0.49, -2.5, 1j, 0.3 + 0.7j])
 def test_constant_identity_fields_contract_as_the_matrix_product(c):
     field = MatrixField.from_constant(c * np.eye(2))
