@@ -24,20 +24,20 @@ import os
 import sys
 import time
 import traceback
-from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .bundle_ops import is_complementary_pair, symbol_invertibility
 from .cauchy import SolverBlowupError, solve_cauchy, solve_first_order_direct
-from .config import ConfigError, ScenarioConfig, SourceSpec, WindowSpec, load_config, validate_geometry
+from .config import ConfigError, ScenarioConfig, SourceSpec, load_config
 from .geometry import CauchyLine
 from .greens import adjoint_pairing_check, greens_report, make_test_section
 from .qft_dirac import (
     DiracModel,
     beta_sigma,
     data_space_isometry_check,
+    default_rep,
     dirac_current,
     hypersurface_independence,
 )
@@ -117,26 +117,6 @@ def _gate(failures: List[str], label: str, value, low: float = -math.inf,
 # ---------------------------------------------------------------------------
 # scenario plumbing
 
-def _default_source(cfg: ScenarioConfig) -> SourceSpec:
-    """Synthesize a source for driven runs when the config has no [source]
-    block: the initial-data window in x, a narrow window around t0 in t."""
-    span = cfg.t_range[1] - cfg.t_range[0]
-    t_half = 0.05 * span
-    return SourceSpec(
-        list(cfg.initial_components),
-        WindowSpec(cfg.window.center, cfg.window.halfwidth, cfg.window.steepness),
-        WindowSpec(cfg.t0, t_half, 1.0 / t_half),
-    )
-
-
-def _mirrored(spec: SourceSpec) -> SourceSpec:
-    return SourceSpec(
-        list(spec.components),
-        WindowSpec(-spec.x_window.center, spec.x_window.halfwidth, spec.x_window.steepness),
-        WindowSpec(-spec.t_window.center, spec.t_window.halfwidth, spec.t_window.steepness),
-    )
-
-
 def _section_from_spec(grid, spec: SourceSpec):
     return make_test_section(
         grid,
@@ -144,29 +124,6 @@ def _section_from_spec(grid, spec: SourceSpec):
         (spec.x_window.center, spec.x_window.halfwidth, spec.x_window.steepness),
         (spec.t_window.center, spec.t_window.halfwidth, spec.t_window.steepness),
     )
-
-
-class Scenario:
-    """A config resolved at nx (the configured one by default): the metric,
-    the grid, the operator pair, the initial data and, computed on first
-    use, their Cauchy solve, shared by every battery that judges it."""
-
-    def __init__(self, cfg: ScenarioConfig, nx: Optional[int] = None):
-        self.cfg = cfg
-        self.metric = cfg.metric()
-        self.grid = cfg.grid(self.metric, nx)
-        self.p, self.q = cfg.operators()
-        self.data = cfg.initial_data(self.grid)
-
-    @cached_property
-    def solution(self):
-        """(phi, SolveReport) of the configured Cauchy problem."""
-        return solve_cauchy(self.p, self.q, self.metric, self.data, self.grid)
-
-
-def _scenario(cfg: ScenarioConfig | Scenario, nx: Optional[int]) -> Scenario:
-    """The Scenario verify-all resolved, or a fresh one from a config."""
-    return cfg if isinstance(cfg, Scenario) else Scenario(cfg, nx)
 
 
 def _require_dirac(cfg: ScenarioConfig, what: str) -> DiracModel:
@@ -178,8 +135,8 @@ def _require_dirac(cfg: ScenarioConfig, what: str) -> DiracModel:
 # ---------------------------------------------------------------------------
 # subcommand bodies: each returns (results dict, failure strings)
 
-def run_check_pair(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] = None):
-    scn = _scenario(cfg, nx)
+def run_check_pair(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
+    scn = cfg.scenario(nx)
     metric, p, q = scn.metric, scn.p, scn.q
     pair = is_complementary_pair(p, q, metric)
     rng = np.random.default_rng(seed)
@@ -218,8 +175,8 @@ def run_check_pair(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] 
     return results, failures
 
 
-def run_solve(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] = None):
-    phi, rep = _scenario(cfg, nx).solution
+def run_solve(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
+    _, rep = cfg.scenario(nx).solution
     failures = []
     _gate(failures, "support leak", rep.support_leak, high=TOLERANCES["solve_leak"])
     results = {
@@ -228,11 +185,11 @@ def run_solve(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] = Non
         "trace_defect": rep.trace_defect,
         "support_leak": rep.support_leak,
     }
-    return results, failures, phi
+    return results, failures
 
 
-def run_direct_vs_reduced(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] = None):
-    scn = _scenario(cfg, nx)
+def run_direct_vs_reduced(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
+    scn = cfg.scenario(nx)
     reduced, _ = scn.solution
     direct = solve_first_order_direct(scn.p, scn.metric, scn.data, scn.grid)
     ref = float(np.max(np.abs(direct.values)))
@@ -242,9 +199,9 @@ def run_direct_vs_reduced(cfg: ScenarioConfig | Scenario, seed: int, nx: Optiona
     return {"mismatch": mismatch, "reference_linf": ref}, failures
 
 
-def run_greens(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] = None):
-    scn = _scenario(cfg, nx)
-    phi = _section_from_spec(scn.grid, scn.cfg.source or _default_source(scn.cfg))
+def run_greens(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
+    scn = cfg.scenario(nx)
+    phi = _section_from_spec(scn.grid, scn.source)
     results = {}
     failures = []
     for direction in ("retarded", "advanced"):
@@ -256,11 +213,10 @@ def run_greens(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] = No
     return results, failures
 
 
-def run_adjoint_check(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] = None):
-    scn = _scenario(cfg, nx)
-    spec = scn.cfg.source or _default_source(scn.cfg)
-    f = _section_from_spec(scn.grid, spec)
-    psi = _section_from_spec(scn.grid, scn.cfg.dual_source or _mirrored(spec))
+def run_adjoint_check(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
+    scn = cfg.scenario(nx)
+    f = _section_from_spec(scn.grid, scn.source)
+    psi = _section_from_spec(scn.grid, scn.dual_source)
     rep = adjoint_pairing_check(scn.p, scn.q, scn.metric, psi, f, scn.grid)
     failures = []
     _gate(failures, "pairing defect", rep.defect, high=TOLERANCES["adjoint_defect"])
@@ -268,9 +224,9 @@ def run_adjoint_check(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[in
     return vars(rep), failures
 
 
-def run_beta(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] = None):
-    scn = _scenario(cfg, nx)
-    cfg, metric, grid = scn.cfg, scn.metric, scn.grid
+def run_beta(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
+    scn = cfg.scenario(nx)
+    metric, grid = scn.metric, scn.grid
     model = _require_dirac(cfg, "beta")
     phi, _ = scn.solution
     # an independent second solution for the symmetry check
@@ -295,12 +251,12 @@ def run_beta(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] = None
         "hypersurface_drift": herm_rep.hypersurface_drift,
         "levels": levels,
     }
-    return results, failures, (phi, model, grid, metric)
+    return results, failures
 
 
-def run_isometry(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] = None):
-    scn = _scenario(cfg, nx)
-    cfg, metric, grid = scn.cfg, scn.metric, scn.grid
+def run_isometry(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
+    scn = cfg.scenario(nx)
+    metric, grid = scn.metric, scn.grid
     model = _require_dirac(cfg, "isometry")
     # the configured data times 1 (the scenario's solution), x and cos(3*x)
     data = [cfg.initial_data(grid, [f"({c})*({m})" for c in cfg.initial_components]) for m in ("x", "cos(3*x)")]
@@ -322,7 +278,7 @@ def run_isometry(cfg: ScenarioConfig | Scenario, seed: int, nx: Optional[int] = 
 # ---------------------------------------------------------------------------
 # convergence ladders
 
-def _ladder_error(target: str, cfg: ScenarioConfig | Scenario, seed: int, nx: int) -> float:
+def _ladder_error(target: str, cfg: ScenarioConfig, seed: int, nx: int) -> float:
     """The error a convergence target measures at one rung."""
     battery, key = {
         "solve": (run_solve, "residual_l2"),
@@ -335,29 +291,22 @@ def _ladder_error(target: str, cfg: ScenarioConfig | Scenario, seed: int, nx: in
     return error["identity_i"] if target == "greens" else error
 
 
-def _rungs(nx: int) -> List[int]:
-    return [nx // 4, nx // 2, nx]
-
-
 def _ladder(cfg: ScenarioConfig) -> List[int]:
-    """The ladder's resolutions, the coarser ones validated as loading
-    validated the configured one, before any solve starts."""
+    """The ladder's resolutions nx/4, nx/2 and nx, each validated by
+    building its scenario before any solve starts."""
     if cfg.nx < 64:
         raise ConfigError("convergence ladder needs grid.nx >= 64")
-    nxs = _rungs(cfg.nx)
-    for n in nxs[:-1]:
-        validate_geometry(cfg, n)
+    nxs = [cfg.nx // 4, cfg.nx // 2, cfg.nx]
+    for n in nxs:
+        cfg.scenario(n)
     return nxs
 
 
-def run_convergence(cfg: ScenarioConfig | Scenario, seed: int, target: str):
-    """A Scenario is the top rung; it comes from verify-all, which has
-    validated the ladder before its first battery."""
+def run_convergence(cfg: ScenarioConfig, seed: int, target: str):
     if target not in CONVERGENCE_TARGETS:
         raise ConfigError(f"convergence target must be one of {', '.join(CONVERGENCE_TARGETS)}")
-    top = _scenario(cfg, None)
-    nxs = _rungs(top.grid.nx) if top is cfg else _ladder(cfg)
-    errors = [_ladder_error(target, top if n == top.grid.nx else top.cfg, seed, n) for n in nxs]
+    nxs = _ladder(cfg)
+    errors = [_ladder_error(target, cfg, seed, n) for n in nxs]
     orders = [float("inf") if fine <= 0 else float(np.log2(coarse / fine)) for coarse, fine in zip(errors, errors[1:])]
     final = orders[-1]
     failures = []
@@ -396,10 +345,10 @@ def run(subcommand: str, cfg: ScenarioConfig, seed: int = 0, target: Optional[st
         raise ConfigError("convergence needs a target subcommand")
     else:
         start = time.perf_counter()
-        results, failures, *extra = batteries[subcommand](cfg, seed)
+        results, failures = batteries[subcommand](cfg, seed)
         timings[subcommand if target is None else f"convergence-{target}"] = time.perf_counter() - start
-        if extra:  # the solution of solve, the solved data of beta
-            artifacts["solution" if subcommand == "solve" else "beta"] = extra[0]
+        if subcommand in ("solve", "beta"):  # the solution the CSV dumps show
+            artifacts["solution" if subcommand == "solve" else "beta"] = cfg.scenario().solution[0]
         if subcommand == "convergence":
             artifacts["ladder"] = results["ladder"]
 
@@ -416,27 +365,28 @@ def run(subcommand: str, cfg: ScenarioConfig, seed: int = 0, target: Optional[st
 
 
 def _run_verify_all(cfg: ScenarioConfig, seed: int, timings: Dict[str, float]):
-    """Every battery on one Scenario at the configured nx, so that solve,
-    direct-vs-reduced, the ladder's top rung and beta judge one solution."""
+    """Every battery on the config's scenario at nx, so that solve,
+    direct-vs-reduced, the ladder's top rung and beta judge one solution.
+    The ladder's rungs and the driven batteries' source sections are
+    validated before the first battery."""
     _ladder(cfg)
-    scn = Scenario(cfg)
+    cfg.scenario().dual_source  # checks the source too: the dual mirrors it when synthesized
     batteries: List[Tuple[str, Callable]] = [
-        ("check-pair", lambda: run_check_pair(scn, seed)[:2]),
-        ("solve", lambda: run_solve(scn, seed)[:2]),
-        ("direct-vs-reduced", lambda: run_direct_vs_reduced(scn, seed)),
-        ("greens", lambda: run_greens(scn, seed)),
-        ("adjoint-check", lambda: run_adjoint_check(scn, seed)),
-        ("convergence solve", lambda: run_convergence(scn, seed, "solve")),
+        ("check-pair", run_check_pair),
+        ("solve", run_solve),
+        ("direct-vs-reduced", run_direct_vs_reduced),
+        ("greens", run_greens),
+        ("adjoint-check", run_adjoint_check),
+        ("convergence solve", lambda cfg, seed: run_convergence(cfg, seed, "solve")),
     ]
     if cfg.preset in ("dirac_massive", "dirac_massless"):
-        batteries.append(("beta", lambda: run_beta(scn, seed)[:2]))
-        batteries.append(("isometry", lambda: run_isometry(scn, seed)))
+        batteries += [("beta", run_beta), ("isometry", run_isometry)]
 
     results = {}
     failures: List[str] = []
     for name, fn in batteries:
         start = time.perf_counter()
-        results[name], fails = fn()
+        results[name], fails = fn(cfg, seed)
         timings[name] = time.perf_counter() - start
         failures.extend(f"{name}: {f}" for f in fails)
     return results, failures
@@ -502,12 +452,12 @@ def write_csv_dumps(subcommand: str, artifacts: Dict, out_dir: str) -> List[str]
              for row in artifacts["ladder"]),
         ))
     if "beta" in artifacts:
-        phi, model, grid, metric = artifacts["beta"]
-        j = grid.nt // 2
-        density = dirac_current(phi.values[j], phi.values[j], model.rep, "t")
+        phi = artifacts["beta"]
+        j = phi.grid.nt // 2
+        density = dirac_current(phi.values[j], phi.values[j], default_rep(), "t")
         written.append(_write_csv(
             out_dir, "current_density.csv", ["x", "j_t"],
-            ([repr(float(x)), repr(float(d.real))] for x, d in zip(grid.xs, density)),
+            ([repr(float(x)), repr(float(d.real))] for x, d in zip(phi.grid.xs, density)),
         ))
     return written
 

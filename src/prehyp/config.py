@@ -18,13 +18,16 @@ the solvers use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from . import expr as _expr
 from .bundle_ops import FirstOrderOperator, MatrixField
-from .geometry import Chart1p1, DiagonalMetric, MetricPositivityError
-from .grids import Grid1p1, CauchyData, MarginError, build_grid, check_causal_margin, make_cauchy_data, window_support
+from .geometry import Chart1p1, ChartDomainError, DiagonalMetric, MetricPositivityError
+from .cauchy import solve_cauchy
+from .grids import CauchyData, Grid1p1, MarginError, build_grid, make_cauchy_data, window_support
+from .grids import check_causal_margin, check_temporal_margin
 from .qft_dirac import DiracModel, build_dirac_pair
 
 PRESETS = ("dirac_massive", "dirac_massless", "scalar_transport_pair", "klein_gordon_factorized")
@@ -148,6 +151,9 @@ class ScenarioConfig:
     dual_source: Optional[SourceSpec]
     output_directory: str
     output_formats: List[str]
+    # the parsed file, so that errors found after load can name a key's line
+    sections: Dict[str, Dict[str, object]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _scenarios: Dict[int, "Scenario"] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- the model objects resolved at load ---------------------------------
 
@@ -168,6 +174,14 @@ class ScenarioConfig:
             grid, components or self.initial_components, self.t0,
             self.window.center, self.window.halfwidth, self.window.steepness,
         )
+
+    def scenario(self, nx: Optional[int] = None) -> "Scenario":
+        """The scenario at nx (the configured resolution by default),
+        built and validated on the first request and kept after that."""
+        nx = nx or self.nx
+        if nx not in self._scenarios:
+            self._scenarios[nx] = Scenario(self, nx)
+        return self._scenarios[nx]
 
     def echo(self) -> Dict[str, object]:
         """The resolved configuration as plain JSON-compatible data."""
@@ -208,6 +222,92 @@ def _echo_source(spec: Optional[SourceSpec]) -> Optional[Dict[str, object]]:
     if spec is None:
         return None
     return {"components": spec.components, "x_window": vars(spec.x_window), "t_window": vars(spec.t_window)}
+
+
+# ---------------------------------------------------------------------------
+# a config at one resolution
+
+def _default_source(cfg: ScenarioConfig) -> SourceSpec:
+    """Synthesize a source for driven runs when the config has no [source]
+    block: the initial-data window in x, a narrow window around t0 in t."""
+    span = cfg.t_range[1] - cfg.t_range[0]
+    t_half = 0.05 * span
+    return SourceSpec(
+        list(cfg.initial_components),
+        WindowSpec(cfg.window.center, cfg.window.halfwidth, cfg.window.steepness),
+        WindowSpec(cfg.t0, t_half, 1.0 / t_half),
+    )
+
+
+def _mirrored(spec: SourceSpec) -> SourceSpec:
+    return SourceSpec(
+        list(spec.components),
+        WindowSpec(-spec.x_window.center, spec.x_window.halfwidth, spec.x_window.steepness),
+        WindowSpec(-spec.t_window.center, spec.t_window.halfwidth, spec.t_window.steepness),
+    )
+
+
+class Scenario:
+    """A config resolved at nx: the metric, the grid, the operator pair,
+    the initial data and, computed on first use, their Cauchy solve,
+    shared by every battery that judges it.  Building one validates the
+    configured windows on its grid; the initial window's margin is checked
+    on the solve's own shadow, which the metric keeps."""
+
+    def __init__(self, cfg: ScenarioConfig, nx: int):
+        # no reference back to cfg, which keeps its scenarios: without a
+        # cycle, a dropped config frees its solves at once
+        self.metric = cfg.metric()
+        self.grid = cfg.grid(self.metric, nx)
+        self.p, self.q = cfg.operators()
+        self.data = cfg.initial_data(self.grid)
+        if cfg.topology == "line":
+            try:  # a window off the chart fails before its sweep
+                check_causal_margin(self.metric, self.grid, self.data.support, self.data.t0)
+            except (MarginError, ChartDomainError):
+                at = _line(cfg.sections, "initial_data", "window_center")
+                raise ConfigError(f"{at}initial_data.window: causal margin violated at nx = {nx}") from None
+        self._configured = {"source": cfg.source, "dual_source": cfg.dual_source}
+        self._default_source = _default_source(cfg)
+        for name, spec in self._configured.items():
+            if spec is not None:
+                self._check_section(spec, *(
+                    _line(cfg.sections, name, f"{w}_center") + f"{name}.{w}" for w in ("window", "t_window")
+                ))
+
+    @cached_property
+    def solution(self):
+        """(phi, SolveReport) of the configured Cauchy problem."""
+        return solve_cauchy(self.p, self.q, self.metric, self.data, self.grid)
+
+    @cached_property
+    def source(self) -> SourceSpec:
+        """[source], or one synthesized from the initial window around t0."""
+        return self._configured["source"] or self._synthesized("source", self._default_source)
+
+    @cached_property
+    def dual_source(self) -> SourceSpec:
+        """[dual_source], or the source mirrored through t = 0 and x = 0."""
+        return self._configured["dual_source"] or self._synthesized("dual_source", _mirrored(self.source))
+
+    def _synthesized(self, name: str, spec: SourceSpec) -> SourceSpec:
+        try:
+            self._check_section(spec, f"{name}.window", f"{name}.t_window")
+        except ConfigError as e:
+            raise ConfigError(f"synthesized {e}; add a [{name}] section") from None
+        return spec
+
+    def _check_section(self, spec: SourceSpec, x_at: str, t_at: str) -> None:
+        """A source section's x box inside a line chart, and its time
+        support BOUNDARY_MARGIN_NODES levels clear of the grid's time
+        edges, as the driven solves need them."""
+        chart, x_box = self.metric.chart, window_support(*astuple(spec.x_window))
+        if chart.topology == "line" and not chart.x_min <= x_box[0] < x_box[1] <= chart.x_max:
+            raise ConfigError(f"{x_at}: x support {x_box} leaves the chart")
+        try:
+            check_temporal_margin(self.grid, window_support(*astuple(spec.t_window)))
+        except MarginError as e:
+            raise ConfigError(f"{t_at}: {e} at nx = {self.grid.nx}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -414,27 +514,9 @@ def load_config_text(text: str) -> ScenarioConfig:
         metric, pair, nx, cfl, t0, comps, window, source, dual_source,
         out_dir, formats,
     )
-    try:
-        validate_geometry(cfg)
-    except ConfigError as e:  # the initial window's margin: point at the window
-        raise ConfigError(f"{_line(sections, 'initial_data', 'window_center')}{e}") from None
+    cfg.sections = sections
+    cfg.scenario()  # validates the configured windows at nx
     return cfg
-
-
-def validate_geometry(cfg: ScenarioConfig, nx: Optional[int] = None) -> None:
-    """Check the initial window's causal margin on the grid at nx (the
-    configured resolution by default), from the time level the data snaps
-    to there: the solve's own shadow, which the metric keeps."""
-    metric = cfg.metric()
-    grid = cfg.grid(metric, nx)
-    support = window_support(cfg.window.center, cfg.window.halfwidth, cfg.window.steepness)
-    if cfg.topology == "line":
-        if support[0] <= cfg.x_range[0] or support[1] >= cfg.x_range[1]:
-            raise ConfigError("initial_data.window: causal margin violated (window touches the boundary)")
-        try:
-            check_causal_margin(metric, grid, support, grid.ts[grid.level_of(cfg.t0)])
-        except MarginError:
-            raise ConfigError(f"initial_data.window: causal margin violated at nx = {grid.nx}")
 
 
 def load_config(path: str) -> ScenarioConfig:

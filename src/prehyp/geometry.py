@@ -88,6 +88,7 @@ class DiagonalMetric:
         self.is_constant = _expr.is_constant(self.alpha_ast) and _expr.is_constant(self.beta_ast)
         self.t_dependent = _expr.uses_var(self.alpha_ast, "t") or _expr.uses_var(self.beta_ast, "t")
         self._shadows: Dict[tuple, CausalShadow] = {}
+        self._max_light_speed: Optional[float] = None
         # positivity spot-check on a coarse lattice
         ts = np.linspace(chart.t_min, chart.t_max, 9)
         xs = np.linspace(chart.x_min, chart.x_max, 33)
@@ -107,11 +108,15 @@ class DiagonalMetric:
         """Coordinate speed of null characteristics, c = alpha/beta."""
         return self.alpha(t, x) / self.beta(t, x)
 
-    def max_light_speed(self, n_t: int = 17, n_x: int = 129) -> float:
-        ts = np.linspace(self.chart.t_min, self.chart.t_max, n_t)
-        xs = np.linspace(self.chart.x_min, self.chart.x_max, n_x)
-        tt, xx = np.meshgrid(ts, xs, indexing="ij")
-        return float(np.max(self.light_speed(tt, xx)))
+    def max_light_speed(self) -> float:
+        """The largest alpha/beta on a 17 x 129 lattice over the chart,
+        evaluated on the first call and kept."""
+        if self._max_light_speed is None:
+            ts = np.linspace(self.chart.t_min, self.chart.t_max, 17)
+            xs = np.linspace(self.chart.x_min, self.chart.x_max, 129)
+            tt, xx = np.meshgrid(ts, xs, indexing="ij")
+            self._max_light_speed = float(np.max(self.light_speed(tt, xx)))
+        return self._max_light_speed
 
     def inverse_on_covector(self, point, xi):
         """g(xi, xi) for a covector xi = (xi_t, xi_x) at point = (t, x).

@@ -26,14 +26,7 @@ from .bundle_ops import (
 )
 from .cauchy import SHADOW_INFLATION_NODES, solve_second_order, support_leak
 from .geometry import CausalShadow, DiagonalMetric
-from .grids import (
-    BOUNDARY_MARGIN_NODES,
-    Grid1p1,
-    GridSection,
-    MarginError,
-    window_expr,
-    window_support,
-)
+from .grids import Grid1p1, GridSection, check_temporal_margin, window_expr, window_support
 
 
 @dataclass
@@ -78,15 +71,6 @@ def make_test_section(
     )
 
 
-def _check_temporal_margin(grid: Grid1p1, t_support: Tuple[float, float]) -> None:
-    margin = BOUNDARY_MARGIN_NODES * grid.dt
-    if t_support[0] < grid.ts[0] + margin or t_support[1] > grid.ts[-1] - margin:
-        raise MarginError(
-            f"source time window {t_support} reaches within "
-            f"{BOUNDARY_MARGIN_NODES} levels of the temporal boundary"
-        )
-
-
 def solve_driven(
     op: SecondOrderOperator,
     metric: DiagonalMetric,
@@ -99,7 +83,7 @@ def solve_driven(
     if direction not in ("retarded", "advanced"):
         raise ValueError(f"unknown direction {direction!r}")
     grid = grid or source.grid
-    _check_temporal_margin(grid, source.t_support)
+    check_temporal_margin(grid, source.t_support)
     zeros = np.zeros((grid.nx, source.k), dtype=complex)
     j0 = 0 if direction == "retarded" else grid.nt - 1
     return solve_second_order(op, metric, grid, zeros, zeros, j0, source=source)

@@ -249,3 +249,14 @@ def check_causal_margin(
                     f"{BOUNDARY_MARGIN_NODES} nodes of the chart boundary"
                 )
     return shadow
+
+
+def check_temporal_margin(grid: Grid1p1, t_support: Tuple[float, float]) -> None:
+    """Validate that a source's time support stays at least
+    BOUNDARY_MARGIN_NODES levels clear of the grid's first and last."""
+    margin = BOUNDARY_MARGIN_NODES * grid.dt
+    if t_support[0] < grid.ts[0] + margin or t_support[1] > grid.ts[-1] - margin:
+        raise MarginError(
+            f"source time window {t_support} reaches within "
+            f"{BOUNDARY_MARGIN_NODES} levels of the temporal boundary"
+        )

@@ -233,14 +233,17 @@ class TestGates:
             assert not cli._within(bad, low=0.0, strict=True)
 
     def test_nan_battery_is_a_failure_exit_two(self, tmp_path, capsys, monkeypatch):
-        real = cli.solve_cauchy
+        from prehyp import config
+
+        # the configured Cauchy problem is solved by its scenario, in config
+        real = config.solve_cauchy
 
         def nan_leak(*args, **kwargs):
             phi, rep = real(*args, **kwargs)
             rep.support_leak = float("nan")
             return phi, rep
 
-        monkeypatch.setattr(cli, "solve_cauchy", nan_leak)
+        monkeypatch.setattr(config, "solve_cauchy", nan_leak)
         cfg = write_cfg(tmp_path, SCALAR_CFG)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         out = capsys.readouterr().out
@@ -308,6 +311,20 @@ class TestOneSolvePerQuestion:
     def test_solve_count(self, solves, subcommand, expected):
         run(subcommand, load_config_text(SMALL_DIRAC_CFG), seed=0)
         assert len(solves) == expected
+
+    def test_batteries_run_one_by_one_share_the_cauchy_solve(self, solves):
+        # the Cauchy solve (shared by solve and beta), adjoint-check's three
+        # driven solves and beta's second solution
+        cfg = load_config_text(CURVED_CFG)
+        for battery in (cli.run_check_pair, cli.run_solve, cli.run_adjoint_check, cli.run_beta):
+            battery(cfg, 0)
+        assert len(solves) == 5
+
+    def test_one_scenario_per_resolution(self):
+        cfg = load_config_text(SMALL_DIRAC_CFG)
+        assert cfg.scenario() is cfg.scenario(cfg.nx)
+        assert cfg.scenario(64) is cfg.scenario(64)
+        assert cfg.scenario(64).grid.nx == 64
 
 
 class TestResolvedAtLoad:
@@ -389,7 +406,7 @@ class TestOneSweepPerShadow:
 
     def test_load_validates_the_shadow_the_solve_uses(self, sweeps):
         cfg = load_config_text(CURVED_CFG.replace("window_center = 0.0", "t0 = 0.0123\nwindow_center = 0.0"))
-        scn = cli.Scenario(cfg)
+        scn = cfg.scenario()
         assert cfg.t0 not in scn.grid.ts and scn.data.t0 != cfg.t0
         assert len(sweeps) == 3
         scn.solution
@@ -410,3 +427,78 @@ class TestOneSweepPerShadow:
         monkeypatch.setattr(config, "check_causal_margin", counting)
         run("verify-all", cfg, seed=0)
         assert calls == [32, 64]
+
+
+SOURCE = """
+[source]
+components = [1, 0.5]
+window_center = 0.0
+window_halfwidth = 0.05
+window_steepness = 2.5
+t_window_center = 0.0
+t_window_halfwidth = 0.01
+t_window_steepness = 50
+"""
+
+
+def line_of(text, entry):
+    return text.splitlines().index(entry) + 1
+
+
+class TestSourceWindows:
+    """Source sections are validated on each scenario's grid, like the
+    initial window: a window the driven solves cannot use is a config
+    error (exit 1), not an internal error."""
+
+    def run_main(self, tmp_path, argv, text):
+        return main(argv + ["--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("argv", [["greens"], ["adjoint-check"]])
+    def test_source_time_support_near_the_edge(self, tmp_path, capsys, argv):
+        text = DIRAC_CFG.replace("nx = 256", "nx = 128") + SOURCE.replace(
+            "t_window_center = 0.0", "t_window_center = 0.27"
+        )
+        code = self.run_main(tmp_path, argv, text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line {line_of(text, 't_window_center = 0.27')}: source.t_window: ")
+        assert "at nx = 128" in err
+
+    def test_source_x_support_off_the_chart(self, tmp_path, capsys):
+        text = DIRAC_CFG.replace("nx = 256", "nx = 128") + SOURCE.replace(
+            "window_center = 0.0\nwindow_halfwidth", "window_center = 0.85\nwindow_halfwidth"
+        )
+        code = self.run_main(tmp_path, ["greens"], text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line {line_of(text, 'window_center = 0.85')}: source.window: ")
+
+    def test_source_checked_on_every_ladder_rung(self):
+        # clear of the time edges at nx = 128, not at the nx/4 rung
+        text = SMALL_DIRAC_CFG + SOURCE.replace("t_window_center = 0.0", "t_window_center = 0.2")
+        cfg = load_config_text(text)
+        from prehyp.config import ConfigError
+
+        with pytest.raises(ConfigError, match=rf"^line {line_of(text, 't_window_center = 0.2')}: .*at nx = 32$"):
+            cli._ladder(cfg)
+
+    @pytest.mark.parametrize("argv", [["adjoint-check"], ["verify-all"]])
+    def test_mirrored_dual_source_off_the_chart(self, tmp_path, capsys, argv):
+        # the dual source mirrors the source through t = 0, to t = -0.3
+        text = SMALL_DIRAC_CFG.replace("t_range = [-0.3, 0.3]", "t_range = [0, 0.6]").replace(
+            "window_center = 0.0", "t0 = 0.3\nwindow_center = 0.0"
+        ) + SOURCE.replace("t_window_center = 0.0", "t_window_center = 0.3")
+        code = self.run_main(tmp_path, argv, text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: synthesized dual_source.t_window: ")
+        assert err.rstrip().endswith("add a [dual_source] section")
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_synthesized_source_off_the_chart(self, tmp_path, capsys):
+        text = SMALL_DIRAC_CFG.replace("window_center = 0.0", "t0 = 0.22\nwindow_center = 0.0")
+        code = self.run_main(tmp_path, ["greens"], text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: synthesized source.t_window: ")
+        assert err.rstrip().endswith("add a [source] section")

@@ -68,6 +68,17 @@ class TestMetric:
         assert DiagonalMetric("1+0.1*sin(t)", "1", wide_chart()).t_dependent
         assert not DiagonalMetric("1", "1+0.3*cos(x)", wide_chart()).t_dependent
 
+    def test_max_light_speed_evaluates_the_metric_once(self, monkeypatch):
+        g = DiagonalMetric("1+0.1*sin(t)", "1+0.3*cos(2*x)", wide_chart())
+        ts, xs = np.meshgrid(np.linspace(0.0, 1.0, 17), np.linspace(-2.0, 2.0, 129), indexing="ij")
+        first = g.max_light_speed()
+        assert first == float(np.max(g.light_speed(ts, xs)))
+        evaluated = []
+        for name in ("alpha", "beta"):
+            monkeypatch.setattr(g, name, lambda t, x, name=name: evaluated.append(name))
+        assert g.max_light_speed() == first
+        assert evaluated == []
+
 
 def test_merge_intervals():
     assert merge_intervals([(0, 1), (0.5, 2), (3, 4)]) == [(0.0, 2.0), (3.0, 4.0)]
