@@ -5,7 +5,9 @@ compatibility round trip.
 
 Time stepping is classical 4th-order one-step (RK4); space is 2nd-order
 centered.  Both time directions are evolved from the initial hypersurface
-so the solution fills the whole chart.
+so the solution fills the whole chart: the two halves march in lockstep as
+one stacked state, each with its own step sign, stage times and forcing,
+until the shorter is done; the longer then finishes alone in the same loop.
 """
 
 from __future__ import annotations
@@ -106,63 +108,103 @@ def _unforced(times: np.ndarray) -> list:
     return [0.0] * len(times)
 
 
+class _Half:
+    """One time direction of a solve, a member of the stacked state: the
+    levels it marches from j0 to one end of the grid, its stage times, the
+    forcing at them and, from a zero start state, its first step with a
+    forced stage; the levels before that step stay exactly 0 and are not
+    marched.  A step's last stage runs at the next level's own time, so
+    that it coincides with the next step's first stage."""
+
+    def __init__(self, grid: Grid1p1, j0: int, step: int, forcing, zero_start: bool):
+        self.step = step
+        self.levels = np.arange(j0, grid.nt - 1) if step > 0 else np.arange(j0, 0, -1)
+        self.first = len(self.levels)
+        self.end = None  # the state after its last step
+        if not len(self.levels):
+            return
+        # the stage times in order: level, midpoint, level, ..., next level
+        self.times = np.empty(2 * len(self.levels) + 1)
+        self.times[0::2] = grid.ts[np.append(self.levels, self.levels[-1] + step)]
+        self.times[1::2] = grid.ts[self.levels] + step * grid.dt / 2
+        self.f = forcing(self.times)
+        # step n uses the stages 2n, 2n + 1 and 2n + 2
+        forced = next((i for i, fi in enumerate(self.f) if np.any(fi)), len(self.f)) if zero_start else 0
+        self.first = max(0, (forced - 1) // 2)
+
+
 def _evolve(rhs, y0, grid: Grid1p1, j0: int, forcing=_unforced) -> GridSection:
     """March the state from level j0 to both ends of the grid; the section
     holds the first state component at every level.  rhs(t, y, f) gets the
-    forcing at the stage time t, which forcing(times) gives per sweep for
-    all of that sweep's stage times at once."""
+    stage times t of the stacked halves as a (members, 1) column and the
+    forcing f at them (0.0 if no member is forced), which forcing(times)
+    gives per half for all of that half's stage times at once.  Raises
+    SolverBlowupError if a half's final state is not finite, the forward
+    half first: a non-finite interior node stays so under the update, so
+    the check at the end covers every level."""
     out = np.empty((grid.nt,) + y0[0].shape, dtype=complex)
     out[j0] = y0[0]
-    for forward in (True, False):
-        _rk4_sweep(rhs, y0, grid, j0, forward, forcing, out)
+    zero_start = not any(yc.any() for yc in y0)
+    halves = [_Half(grid, j0, step, forcing, zero_start) for step in (1, -1)]
+    for h in halves:
+        out[h.levels[:h.first] + h.step] = 0.0
+    _rk4(rhs, y0, [h for h in halves if h.first < len(h.levels)], grid, out)
+    for h in halves:
+        if h.end is not None and not all(np.isfinite(yc).all() for yc in h.end):
+            swept = h.levels + h.step
+            bad = next((j for j in swept.tolist() if not np.isfinite(out[j]).all()), int(swept[-1]))
+            raise SolverBlowupError(bad, float(grid.ts[bad]))
     return GridSection(grid, out)
 
 
-def _rk4_sweep(rhs, y0, grid: Grid1p1, j0: int, forward: bool, forcing, out: np.ndarray) -> None:
-    """March the state from level j0 to one end of the grid, writing the
-    first state component of each level into out.  A step's last stage runs
-    at the next level's own time, so that it coincides with the next step's
-    first stage.  Raises SolverBlowupError if the final state is not finite:
-    a non-finite interior node stays so under the update, so the check at
-    the end covers every level.  From a zero start state, the levels before
-    the first step with a forced stage stay exactly 0 and are not marched."""
-    step = 1 if forward else -1
-    dt = step * grid.dt
-    levels = np.arange(j0, grid.nt - 1) if forward else np.arange(j0, 0, -1)
-    if not len(levels):
-        return
-    # the stage times in order: level, midpoint, level, ..., next level
-    times = np.empty(2 * len(levels) + 1)
-    times[0::2] = grid.ts[np.append(levels, levels[-1] + step)]
-    times[1::2] = grid.ts[levels] + dt / 2
-    f = forcing(times)
-    y = y0
-    first = 0
-    if not any(yc.any() for yc in y0):
-        # step n uses the stages 2n, 2n + 1 and 2n + 2
-        forced = next((i for i, fi in enumerate(f) if np.any(fi)), len(f))
-        first = max(0, (forced - 1) // 2)
-        out[levels[:first] + step] = 0.0
-    for n, j in enumerate(levels[first:].tolist(), first):
-        t, t_mid, t_next = (float(s) for s in times[2 * n:2 * n + 3])
-        f_mid = f[2 * n + 1]
-        k1 = rhs(t, y, f[2 * n])
-        k2 = rhs(t_mid, _axpy(y, dt / 2, k1), f_mid)
-        k3 = rhs(t_mid, _axpy(y, dt / 2, k2), f_mid)
-        k4 = rhs(t_next, _axpy(y, dt, k3), f[2 * n + 2])
-        y = tuple(
-            yc + dt / 6 * (a + 2 * b + 2 * c + d)
-            for yc, a, b, c, d in zip(y, k1, k2, k3, k4)
-        )
-        if not grid.periodic:
-            for yc in y:
-                yc[0] = 0.0
-                yc[-1] = 0.0
-        out[j + step] = y[0]
-    if not all(np.isfinite(yc).all() for yc in y):
-        swept = levels + step
-        bad = next((j for j in swept.tolist() if not np.isfinite(out[j]).all()), int(swept[-1]))
-        raise SolverBlowupError(bad, float(grid.ts[bad]))
+def _rk4(rhs, y0, halves: list, grid: Grid1p1, out: np.ndarray) -> None:
+    """March the halves in lockstep as one state stacked on a leading axis,
+    each from its first step, writing the first state component of each
+    level into out, and keep each half's final state as its end.  While
+    two halves remain they step together, as many steps as the shorter
+    needs; the longer then finishes alone."""
+    y = tuple(np.broadcast_to(yc, (len(halves),) + yc.shape) for yc in y0)
+    while halves:
+        n = min(len(h.levels) - h.first for h in halves)
+        firsts = [h.first for h in halves]
+        times = np.stack([h.times[2 * i:2 * (i + n) + 1] for h, i in zip(halves, firsts)])
+        rows = [h.f[2 * i:2 * (i + n) + 1] for h, i in zip(halves, firsts)]
+        targets = np.stack([h.levels[i:i + n] + h.step for h, i in zip(halves, firsts)], axis=1)
+        dt = np.array([h.step * grid.dt for h in halves])[:, None, None]
+        half_dt, sixth_dt = dt / 2, dt / 6
+        for s in range(n):
+            t, t_mid, t_next = (times[:, c:c + 1] for c in range(2 * s, 2 * s + 3))
+            f, f_mid, f_next = (_stacked([r[c] for r in rows]) for c in range(2 * s, 2 * s + 3))
+            k1 = rhs(t, y, f)
+            k2 = rhs(t_mid, _axpy(y, half_dt, k1), f_mid)
+            k3 = rhs(t_mid, _axpy(y, half_dt, k2), f_mid)
+            k4 = rhs(t_next, _axpy(y, dt, k3), f_next)
+            y = tuple(
+                yc + sixth_dt * (a + 2 * b + 2 * c + d)
+                for yc, a, b, c, d in zip(y, k1, k2, k3, k4)
+            )
+            if not grid.periodic:
+                for yc in y:
+                    yc[..., 0, :] = 0.0
+                    yc[..., -1, :] = 0.0
+            out[targets[s]] = y[0]
+        for m, h in enumerate(halves):
+            h.first += n
+            if h.first == len(h.levels):
+                h.end = tuple(yc[m] for yc in y)
+        keep = [m for m, h in enumerate(halves) if h.end is None]
+        halves = [halves[m] for m in keep]
+        y = tuple(yc[keep] for yc in y)
+
+
+def _stacked(rows: list):
+    """The members' forcing rows at one stage, stacked; 0.0 if none is
+    forced."""
+    if all(isinstance(r, float) for r in rows):
+        return 0.0
+    if len(rows) == 1:
+        return rows[0][None]
+    return np.stack(np.broadcast_arrays(*rows))
 
 
 def _axpy(y, a, k):
@@ -179,7 +221,7 @@ def _scaled(field: MatrixField):
     round differently."""
     s = field.scalar
     if s is None and field.diagonal is not None:
-        return lambda c, w: np.expand_dims(c[0][2], -1) * w
+        return lambda c, w: c[0][2][..., None] * w
     if s is None or (s.real and s.imag):
         return contract
     if s == 1:

@@ -201,6 +201,7 @@ def run_direct_vs_reduced(cfg: ScenarioConfig, seed: int, nx: Optional[int] = No
 
 def run_greens(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     scn = cfg.scenario(nx)
+    scn.check_source_cones()
     phi = _section_from_spec(scn.grid, scn.source)
     results = {}
     failures = []
@@ -368,9 +369,10 @@ def _run_verify_all(cfg: ScenarioConfig, seed: int, timings: Dict[str, float]):
     """Every battery on the config's scenario at nx, so that solve,
     direct-vs-reduced, the ladder's top rung and beta judge one solution.
     The ladder's rungs and the driven batteries' source sections are
-    validated before the first battery."""
+    validated before the first battery, the source's cones included."""
     _ladder(cfg)
     cfg.scenario().dual_source  # checks the source too: the dual mirrors it when synthesized
+    cfg.scenario().check_source_cones()
     batteries: List[Tuple[str, Callable]] = [
         ("check-pair", run_check_pair),
         ("solve", run_solve),

@@ -26,6 +26,7 @@ from . import expr as _expr
 from .bundle_ops import FirstOrderOperator, MatrixField
 from .geometry import Chart1p1, ChartDomainError, DiagonalMetric, MetricPositivityError
 from .cauchy import solve_cauchy
+from .greens import check_source_cones
 from .grids import CauchyData, Grid1p1, MarginError, build_grid, make_cauchy_data, window_support
 from .grids import check_causal_margin, check_temporal_margin
 from .qft_dirac import DiracModel, build_dirac_pair
@@ -268,6 +269,7 @@ class Scenario:
                 at = _line(cfg.sections, "initial_data", "window_center")
                 raise ConfigError(f"{at}initial_data.window: causal margin violated at nx = {nx}") from None
         self._configured = {"source": cfg.source, "dual_source": cfg.dual_source}
+        self._source_at = _line(cfg.sections, "source", "window_center") + "source.window"
         self._default_source = _default_source(cfg)
         for name, spec in self._configured.items():
             if spec is not None:
@@ -289,6 +291,23 @@ class Scenario:
     def dual_source(self) -> SourceSpec:
         """[dual_source], or the source mirrored through t = 0 and x = 0."""
         return self._configured["dual_source"] or self._synthesized("dual_source", _mirrored(self.source))
+
+    def check_source_cones(self) -> None:
+        """The source's J+ and J-, swept as the greens battery sweeps them
+        for its leak, stay inside the chart on this grid; checked before
+        its driven solves rather than at load, where the sweeps would be
+        extra work for the batteries that never use them."""
+        spec = self.source
+        try:
+            check_source_cones(
+                self.metric, self.grid,
+                window_support(*astuple(spec.x_window)), window_support(*astuple(spec.t_window)),
+            )
+        except MarginError:
+            error = f"{self._source_at}: the source's causal future or past leaves the chart at nx = {self.grid.nx}"
+            if self._configured["source"] is None:
+                error = f"synthesized {error}; add a [source] section"
+            raise ConfigError(error) from None
 
     def _synthesized(self, name: str, spec: SourceSpec) -> SourceSpec:
         try:

@@ -467,13 +467,25 @@ def diff(ast: ExprAst, var: str) -> ExprAst:
 # ---------------------------------------------------------------------------
 # evaluation tape
 
+def _stage_key(t):
+    """The cache key of a stage time, a scalar or a column of at most two;
+    None for anything larger, such as a mesh of times."""
+    if isinstance(t, float):
+        return t
+    if isinstance(t, np.ndarray) and t.size <= 2:
+        return t.shape, t.tobytes()
+    return None
+
+
 class Tape:
     """ASTs compiled for repeated evaluation on the nodes xs.  Equal
     subtrees share a slot; slots free of t run once, on the first call; a
     call runs the t-dependent slots only, dropping intermediates after their
     last use.  t is a scalar or broadcasts against xs (ts[:, None] for a
-    mesh); the last two scalar times are cached, as an RK4 step asks for two
-    distinct stage times twice each.  Finiteness is checked as in evaluate."""
+    mesh); the last two stage times are cached, a stage time being a scalar
+    or the (members, 1) column of a lockstep RK4 march, which has at most
+    two members: a step asks for two distinct stage times twice each.
+    Finiteness is checked as in evaluate."""
 
     def __init__(self, asts: Sequence[ExprAst], xs):
         self.xs = np.asarray(xs, dtype=float)
@@ -503,7 +515,7 @@ class Tape:
             if a not in self.outputs and a != self._t:
                 self._dynamic[n][4] += (a,)
         self._values: Optional[List[object]] = None
-        self._cache: Dict[float, List[object]] = {}
+        self._cache: Dict[object, List[object]] = {}
 
     def _run(self, code: List[list], vals: List[object], t) -> List[object]:
         with np.errstate(all="ignore"):
@@ -518,8 +530,9 @@ class Tape:
 
     def __call__(self, t) -> List[object]:
         """The value of every compiled AST at time(s) t on xs."""
-        if isinstance(t, float) and t in self._cache:
-            return self._cache[t]
+        key = _stage_key(t)
+        if key in self._cache:
+            return self._cache[key]
         if self._values is None:
             self._values = self._run(self._static, list(self._init), t)
         vals = list(self._values)
@@ -527,8 +540,8 @@ class Tape:
             vals[self._t] = t
         vals = self._run(self._dynamic, vals, t)
         out = [vals[s] for s in self.outputs]
-        if isinstance(t, float):  # keep this time and the one before it
-            self._cache = dict(list(self._cache.items())[-1:] + [(t, out)])
+        if key is not None:  # keep this time and the one before it
+            self._cache = dict(list(self._cache.items())[-1:] + [(key, out)])
         return out
 
     def stack(self, t) -> np.ndarray:

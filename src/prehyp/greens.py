@@ -26,7 +26,7 @@ from .bundle_ops import (
 )
 from .cauchy import SHADOW_INFLATION_NODES, solve_second_order, support_leak
 from .geometry import CausalShadow, DiagonalMetric
-from .grids import Grid1p1, GridSection, check_temporal_margin, window_expr, window_support
+from .grids import Grid1p1, GridSection, MarginError, check_temporal_margin, window_expr, window_support
 
 
 @dataclass
@@ -136,15 +136,39 @@ class AdjointReport:
     mismatch_control: float
 
 
+def source_cone(
+    metric: DiagonalMetric, grid: Grid1p1, x_support: Tuple[float, float],
+    t_support: Tuple[float, float], direction: str,
+) -> CausalShadow:
+    """J_+ of the support box from the start of its time support
+    (retarded), or J_- from its end (advanced)."""
+    if direction == "retarded":
+        return metric.shadow(x_support, t_support[0], "future", grid.dt)
+    return metric.shadow(x_support, t_support[1], "past", grid.dt)
+
+
 def source_shadow(
     metric: DiagonalMetric, grid: Grid1p1, section: TestSection, direction: str
 ) -> CausalShadow:
-    """J_+ or J_- of the section's support box, inflated by the stencil
-    margin."""
-    t_seed = section.t_support[0] if direction == "retarded" else section.t_support[1]
-    dirword = "future" if direction == "retarded" else "past"
-    shadow = metric.shadow(section.x_support, t_seed, dirword, grid.dt)
+    """The source_cone of the section's support box, inflated by the
+    stencil margin."""
+    shadow = source_cone(metric, grid, section.x_support, section.t_support, direction)
     return shadow.inflate(SHADOW_INFLATION_NODES * grid.dx)
+
+
+def check_source_cones(
+    metric: DiagonalMetric, grid: Grid1p1, x_support: Tuple[float, float], t_support: Tuple[float, float]
+) -> None:
+    """Validate that both source cones of a support box stay inside the
+    chart, as the driven solves and their leak need them; raises
+    MarginError.  Unlike the shadow of Cauchy data they may come within
+    BOUNDARY_MARGIN_NODES nodes of the boundary: they start at the ends of
+    the source's time support, wider than a shadow from its centre, and
+    the window tails that reach so far leave the Green's identities well
+    inside their gates."""
+    for direction in ("retarded", "advanced"):
+        if source_cone(metric, grid, x_support, t_support, direction).truncated:
+            raise MarginError(f"the {direction} source cone leaves the chart")
 
 
 def relative_l2(diff: np.ndarray, ref: np.ndarray, grid: Grid1p1) -> float:
@@ -222,14 +246,16 @@ def adjoint_pairing_check(
     """The relative gap between <S'_- psi, f> and <psi, S_+ f> for the
     bilinear pairing, the dual side through the formal adjoints P*, Q*;
     and its negative control, the gap with S'_+ in place of S'_-, which
-    must not vanish.  Three driven solves: S_+ f, S'_- psi, S'_+ psi."""
+    must not vanish.  Three driven solves: S_+ f, S'_- psi, S'_+ psi; the
+    two dual sides share one composition P* Q*."""
     grid = grid or f.grid
-    p_star = formal_adjoint(p, metric)
     q_star = formal_adjoint(q, metric)
+    dual_op = compose(formal_adjoint(p, metric), q_star)
     rhs = pairing(psi.as_section(), greens_apply(p, q, metric, f, "retarded", grid), metric, grid)
 
     def dual_side(direction: str) -> complex:
-        return pairing(greens_apply(p_star, q_star, metric, psi, direction, grid), f.as_section(), metric, grid)
+        s_psi = apply_operator(q_star, solve_driven(dual_op, metric, psi, direction, grid))
+        return pairing(s_psi, f.as_section(), metric, grid)
 
     lhs = dual_side("advanced")
     control = _relative_gap(dual_side("retarded"), rhs)

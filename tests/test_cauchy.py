@@ -247,3 +247,22 @@ class TestBlowup:
         assert phi0.level < err.level < grid.nt
         assert err.t == grid.ts[err.level]
         assert f"time level {err.level} " in str(err)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blow_up_in_the_longer_backward_half(self, chart):
+        # from t0 near the top of the chart the short forward half stays
+        # finite; the backward half, stepped alone once the forward one is
+        # done, is reported at its own first non-finite level
+        beta = "1-0.95*exp(-20000*(x-0.5037)^2)"
+        metric = DiagonalMetric("1", beta, chart)
+        grid = build_grid(chart, metric, 512, cfl=0.9)
+        p = FirstOrderOperator.build([["1"]], [[f"1/({beta})"]], [[0.0]])
+        q = FirstOrderOperator.build([["1"]], [[f"-1/({beta})"]], [[0.0]])
+        phi0 = make_cauchy_data(grid, ["1"], 0.25, steepness=10.0)
+        assert grid.nt - 1 - phi0.level < phi0.level
+        with pytest.raises(SolverBlowupError) as info:
+            solve_cauchy(p, q, metric, phi0, grid)
+        err = info.value
+        assert err.level < phi0.level
+        assert err.t == grid.ts[err.level]
+        assert f"time level {err.level} " in str(err)

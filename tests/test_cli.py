@@ -502,3 +502,34 @@ class TestSourceWindows:
         err = capsys.readouterr().err
         assert err.startswith("config error: synthesized source.t_window: ")
         assert err.rstrip().endswith("add a [source] section")
+
+    # sources whose x box lies inside the chart, but whose J+ and J- reach
+    # the x-boundary within the run
+    NEAR_EDGE = SOURCE.replace("window_center = 0.0\nwindow_halfwidth", "window_center = 0.45\nwindow_halfwidth")
+    WIDE_NEAR_EDGE = NEAR_EDGE.replace(
+        "t_window_halfwidth = 0.01\nt_window_steepness = 50", "t_window_halfwidth = 0.03\nt_window_steepness = 10"
+    )
+
+    @pytest.mark.parametrize("argv, text", [
+        (["greens"], DIRAC_CFG + WIDE_NEAR_EDGE),
+        (["verify-all"], SMALL_DIRAC_CFG + NEAR_EDGE),
+    ], ids=["greens", "verify-all"])
+    def test_source_cone_leaves_the_chart(self, tmp_path, capsys, argv, text):
+        # the driven solves used to run and fail their identity gates (exit 2)
+        code = self.run_main(tmp_path, argv, text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line {line_of(text, 'window_center = 0.45')}: source.window: ")
+        assert "leaves the chart at nx = " in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_synthesized_source_cone_leaves_the_chart(self, tmp_path, capsys):
+        # the synthesized source's cones start 0.06 before and after t0,
+        # wider than the initial window's shadow by more than 8 nodes at nx = 512
+        text = DIRAC_CFG.replace("nx = 256", "nx = 512").replace("window_steepness = 2.5", "window_steepness = 10")
+        text = text.replace("window_center = 0.0", "window_center = 0.5")
+        code = self.run_main(tmp_path, ["greens"], text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: synthesized source.window: the source's causal future or past leaves")
+        assert err.rstrip().endswith("add a [source] section")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prehyp.bundle_ops import apply_operator, compose
+from prehyp.bundle_ops import apply_operator, compose, formal_adjoint, pairing
 from prehyp.expr import Bin, Num, evaluate, simplify
 from prehyp.geometry import Chart1p1, DiagonalMetric, minkowski
 from prehyp.grids import MarginError, build_grid
@@ -182,6 +182,31 @@ class TestAdjointPairing:
         rep = adjoint_pairing_check(p, q, mink, psi, f, grid_greens)
         assert abs(rep.lhs) > 0 and abs(rep.rhs) > 0
         assert rep.defect < 1e-3
+
+    def test_dual_sides_share_one_composition(self, chart, dirac_pair, monkeypatch):
+        # P Q for S_+ f and P* Q* once for S'_- psi and S'_+ psi; the dual
+        # sides equal greens_apply's, which composes P* Q* per call
+        from prehyp import greens
+
+        metric = DiagonalMetric("1+0.1*sin(t)", "1+0.3*cos(2*x)", chart)
+        p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
+        grid = build_grid(chart, metric, 128)
+        f = section(grid, components=("1", "0"), t_window=(0.0, 0.02, 20.0))
+        psi = section(grid, components=("0", "1"), x_window=(0.2, 0.05, 2.5), t_window=(0.0, 0.02, 20.0))
+        calls = []
+        real = greens.compose
+        monkeypatch.setattr(greens, "compose", lambda a, b: calls.append((a, b)) or real(a, b))
+        rep = adjoint_pairing_check(p, q, metric, psi, f, grid)
+        assert len(calls) == 2
+        monkeypatch.setattr(greens, "compose", real)
+        p_star, q_star = formal_adjoint(p, metric), formal_adjoint(q, metric)
+        rhs = pairing(psi.as_section(), greens_apply(p, q, metric, f, "retarded", grid), metric, grid)
+        lhs, control = (
+            pairing(greens_apply(p_star, q_star, metric, psi, d, grid), f.as_section(), metric, grid)
+            for d in ("advanced", "retarded")
+        )
+        assert (rep.lhs, rep.rhs) == (lhs, rhs)
+        assert rep.mismatch_control == abs(control - rhs) / max(abs(control), abs(rhs))
 
     def test_mismatched_directions_is_a_negative_control(self, mink, grid_greens, dirac_pair):
         p, q = dirac_pair

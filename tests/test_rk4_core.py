@@ -2,12 +2,13 @@
 
 The solvers leave out coefficient fields that fold to 0 and the stencils
 only they need, apply constant c Id fields as numbers, sample a driven
-solve's source once per sweep inside its time support, and start a sweep
-from zero data at its first forced stage.  The reference below keeps the
+solve's source once per sweep inside its time support, start a sweep
+from zero data at its first forced stage and march the two halves of a
+solve in lockstep as one stacked state.  The reference below keeps the
 full scheme: all five matrix contractions of the second-order right-hand
 side, both terms of the direct one, the grids stencils at every stage, the
-source sampled at every stage time, every level marched and the states
-collected per level.  Solutions must be equal under np.array_equal, since
+source sampled at every stage time, every level marched, one half after
+the other, and the states collected per level.  Solutions must be equal under np.array_equal, since
 a - 0 = a, c Id w = c w, zero data under zero forcing stay 0 and the
 remaining operations run in the same order (zeros may differ in sign).
 """
@@ -20,7 +21,7 @@ from prehyp.bundle_ops import FirstOrderOperator, MatrixField, coefficient_tape,
 from prehyp.cauchy import solve_cauchy, solve_first_order_direct, solve_second_order
 from prehyp.config import resolve_preset
 from prehyp.expr import Tape
-from prehyp.geometry import DiagonalMetric
+from prehyp.geometry import Chart1p1, DiagonalMetric
 from prehyp.grids import GridSection, build_grid, d_x, d_xx, make_cauchy_data
 from prehyp.greens import greens_apply, make_test_section
 from prehyp.qft_dirac import DiracModel, build_dirac_pair
@@ -145,6 +146,22 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def count_rhs_calls(monkeypatch):
+    """Record the stage times of every right-hand-side call."""
+    calls = []
+    evolve = cauchy._evolve
+
+    def counting_evolve(rhs, *rest):
+        def counted(*rhs_args):
+            calls.append(rhs_args[0])
+            return rhs(*rhs_args)
+
+        return evolve(counted, *rest)
+
+    monkeypatch.setattr(cauchy, "_evolve", counting_evolve)
+    return calls
+
+
 @pytest.mark.parametrize(
     "case", [pytest.param("cauchy", id="False"), pytest.param("driven", id="True"), "zero_data"]
 )
@@ -164,17 +181,7 @@ def test_all_nonzero_fields_equal_the_unpruned_scheme(chart, mink, monkeypatch, 
         args = (op, mink, grid, phi0.values, 0.5 * phi0.values, phi0.level)
     else:
         args = (op, mink, grid, zeros, zeros, grid.nt // 2)
-    rhs_calls = []
-    evolve = cauchy._evolve
-
-    def counting_evolve(rhs, *rest):
-        def counted(*rhs_args):
-            rhs_calls.append(rhs_args[0])
-            return rhs(*rhs_args)
-
-        return evolve(counted, *rest)
-
-    monkeypatch.setattr(cauchy, "_evolve", counting_evolve)
+    rhs_calls = count_rhs_calls(monkeypatch)
     actual = solve_second_order(*args).values
     assert np.isfinite(actual).all()
     if case == "zero_data":
@@ -273,3 +280,85 @@ def test_driven_sweep_starts_at_its_first_forced_stage(chart, mink, monkeypatch,
     assert u[order[first + 1]].any()
     outside = grid.ts < lo if direction == "retarded" else grid.ts > hi
     assert not u[outside].any()
+
+
+# the lockstep march: both halves of a solve as one stacked state
+
+def lockstep_case(chart, metric_name, t0):
+    metric, p, q, grid, components = scenario(chart, "dirac_massive", metric_name)
+    # the steeper window keeps the causal margin from either edge of the chart
+    return metric, p, q, grid, make_cauchy_data(grid, components, t0, steepness=10.0)
+
+
+@pytest.mark.parametrize("metric_name", ["readme", "varying"])
+@pytest.mark.parametrize("t0, halves", [
+    (0.0, "centred"), (0.1, "off-centre"), (-0.3, "backward empty"), (0.3, "forward empty"),
+])
+def test_lockstep_solutions_equal_the_unpruned_scheme(chart, monkeypatch, metric_name, t0, halves):
+    metric, p, q, grid, phi0 = lockstep_case(chart, metric_name, t0)
+    j0, off = phi0.level, abs(2 * phi0.level - (grid.nt - 1))
+    assert {"centred": off <= 1, "off-centre": 1 < off < grid.nt - 1,
+            "backward empty": j0 == 0, "forward empty": j0 == grid.nt - 1}[halves]
+    direct = solve_first_order_direct(p, metric, phi0, grid)
+    assert np.array_equal(direct.values, reference_solve_first_order_direct(p, metric, phi0, grid).values)
+    actual = solve_cauchy(p, q, metric, phi0, grid)[0]
+    use_reference(monkeypatch)
+    expected = solve_cauchy(p, q, metric, phi0, grid)[0]
+    assert np.isfinite(actual.values).all() and np.abs(actual.values).max() > 0
+    assert np.array_equal(actual.values, expected.values)
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.1])
+def test_lockstep_on_a_circle_equals_the_unpruned_scheme(monkeypatch, t0):
+    chart = Chart1p1(-0.3, 0.3, -1.0, 1.0, topology="circle")
+    metric = DiagonalMetric(*METRICS["readme"], chart)
+    p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
+    grid = build_grid(chart, metric, 128)
+    phi0 = make_cauchy_data(grid, ["cos(pi*x)", "0.5"], t0, halfwidth=2.0)
+    direct = solve_first_order_direct(p, metric, phi0, grid)
+    assert np.array_equal(direct.values, reference_solve_first_order_direct(p, metric, phi0, grid).values)
+    actual = solve_cauchy(p, q, metric, phi0, grid)[0]
+    use_reference(monkeypatch)
+    expected = solve_cauchy(p, q, metric, phi0, grid)[0]
+    assert np.isfinite(actual.values).all() and actual.values[0].any() and actual.values[-1].any()
+    assert np.array_equal(actual.values, expected.values)
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.1])
+def test_a_cauchy_solve_makes_four_rhs_calls_per_step_of_its_longer_half(chart, mink, monkeypatch, t0):
+    # the halves step together, stacked, until the shorter one is done; the
+    # unstacked scheme makes 4 (nt - 1) calls
+    calls = count_rhs_calls(monkeypatch)
+    p, q = build_dirac_pair(DiracModel(mass=1.0), mink)
+    grid = build_grid(chart, mink, 128)
+    phi0 = make_cauchy_data(grid, ["1", "0.5"], t0)
+    solve_cauchy(p, q, mink, phi0, grid)
+    j0, longest = phi0.level, max(phi0.level, grid.nt - 1 - phi0.level)
+    assert len(calls) == 4 * longest < 4 * (grid.nt - 1)
+    shorter = min(j0, grid.nt - 1 - j0)
+    assert [np.shape(t) for t in calls] == [(2, 1)] * 4 * shorter + [(1, 1)] * 4 * (longest - shorter)
+
+
+def test_curved_solve_runs_the_coefficient_tape_twice_per_step(chart, monkeypatch):
+    # RK4 asks for each stacked stage-time pair twice; the tape's cache
+    # answers the second request and the next step's first stage
+    runs = []
+    real = Tape._run
+
+    def counting(self, code, vals, t):
+        if code is self._dynamic:
+            runs.append(np.shape(t))
+        return real(self, code, vals, t)
+
+    metric = DiagonalMetric(*METRICS["readme"], chart)
+    p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
+    grid = build_grid(chart, metric, 256)
+    phi0 = make_cauchy_data(grid, ["1", "0.5"], 0.05)
+    j0 = phi0.level
+    longest = max(j0, grid.nt - 1 - j0)
+    monkeypatch.setattr(Tape, "_run", counting)
+    dtphi0 = 0.5 * phi0.values
+    solve_second_order(compose(q, p), metric, grid, phi0.values, dtphi0, j0)
+    # one run per distinct stage time, and one for the first stage of each
+    # stack: 2 longest + 2 <= 2.02 longest on this grid
+    assert len(runs) == 2 * longest + 2 <= 2.02 * longest
