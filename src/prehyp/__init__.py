@@ -31,7 +31,6 @@ from .bundle_ops import (
     MatrixField,
     RankMismatchError,
     SecondOrderOperator,
-    UnsupportedFeatureError,
     apply_operator,
     compose,
     formal_adjoint,

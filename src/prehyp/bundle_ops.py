@@ -12,7 +12,7 @@ evaluation tape (coefficient_tape).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -24,10 +24,6 @@ from .grids import Grid1p1, GridSection, d_t, d_tt, d_x, d_xx
 
 
 class RankMismatchError(ValueError):
-    pass
-
-
-class UnsupportedFeatureError(ValueError):
     pass
 
 
@@ -220,33 +216,19 @@ def as_matrix_field(value) -> MatrixField:
 
 @dataclass
 class FirstOrderOperator:
-    """P Phi = A^t (d_t + omega_t) Phi + A^x (d_x + omega_x) Phi + B Phi."""
+    """P Phi = A^t d_t Phi + A^x d_x Phi + B Phi.  B is the whole order-0
+    part: in a chart a bundle connection is an order-0 term,
+    A^mu (d_mu + omega_mu) = A^mu d_mu + A^mu omega_mu, so it enters B."""
 
     k: int
     a_t: MatrixField
     a_x: MatrixField
     b: MatrixField
-    omega_t: Optional[MatrixField] = None
-    omega_x: Optional[MatrixField] = None
 
     @classmethod
-    def build(cls, a_t, a_x, b, omega_t=None, omega_x=None) -> "FirstOrderOperator":
-        fields = [None if f is None else as_matrix_field(f) for f in (a_t, a_x, b, omega_t, omega_x)]
+    def build(cls, a_t, a_x, b) -> "FirstOrderOperator":
+        fields = [as_matrix_field(f) for f in (a_t, a_x, b)]
         return cls(fields[0].k, *fields)
-
-    @property
-    def has_connection(self) -> bool:
-        return self.omega_t is not None or self.omega_x is not None
-
-    def effective_b(self) -> MatrixField:
-        """Zeroth-order part in coordinate form, with connection folded in:
-        B + A^t omega_t + A^x omega_x."""
-        b = self.b
-        if self.omega_t is not None:
-            b = b + self.a_t @ self.omega_t
-        if self.omega_x is not None:
-            b = b + self.a_x @ self.omega_x
-        return b
 
 
 @dataclass
@@ -286,7 +268,7 @@ def _single(point, xi, values: np.ndarray) -> np.ndarray:
 
 
 def principal_symbol_1(op: FirstOrderOperator, point, xi) -> np.ndarray:
-    """sigma_P(xi) = A^t xi_t + A^x xi_x; the connection does not enter.
+    """sigma_P(xi) = A^t xi_t + A^x xi_x; B does not enter.
     A single point and covector give (k, k); (n, 2) arrays of points or
     covectors give (n, k, k)."""
     t, x, xi_t, xi_x = _columns(point, xi)
@@ -307,15 +289,11 @@ def principal_symbol_2(op: SecondOrderOperator, point, xi) -> np.ndarray:
 
 
 def compose(p: FirstOrderOperator, q: FirstOrderOperator) -> SecondOrderOperator:
-    """Expand P(Q Phi) by the product rule into a second-order operator.
-
-    Connection terms are folded into the zeroth-order coefficients first,
-    so the expansion works on coordinate-form coefficients throughout.
-    """
+    """Expand P(Q Phi) by the product rule into a second-order operator."""
     if p.k != q.k:
         raise RankMismatchError(f"rank mismatch: {p.k} vs {q.k}")
-    pat, pax, pb = p.a_t, p.a_x, p.effective_b()
-    qat, qax, qb = q.a_t, q.a_x, q.effective_b()
+    pat, pax, pb = p.a_t, p.a_x, p.b
+    qat, qax, qb = q.a_t, q.a_x, q.b
 
     c_tt = pat @ qat
     c_tx = ((pat @ qax) + (pax @ qat)).scale(0.5)
@@ -439,8 +417,6 @@ def formal_adjoint(p: FirstOrderOperator, metric: DiagonalMetric) -> FirstOrderO
     The pairing is bilinear (dual bundle, no complex conjugation), so
     matrices transpose without conjugation.
     """
-    if p.has_connection:
-        raise UnsupportedFeatureError("formal_adjoint does not support connection matrices")
     rho = _expr.simplify(Bin("*", metric.alpha_ast, metric.beta_ast))
     at_t = p.a_t.transpose()
     at_x = p.a_x.transpose()
@@ -477,7 +453,7 @@ def apply_operator(op: Union[FirstOrderOperator, SecondOrderOperator], phi: Grid
         raise StencilError("grid too small for the stencil")
     v = phi.values
     if isinstance(op, FirstOrderOperator):
-        fields = (op.a_t, op.a_x, op.effective_b())
+        fields = (op.a_t, op.a_x, op.b)
     else:
         fields = (op.c_tt, op.c_tx.scale(2.0), op.c_xx, op.d_t, op.d_x, op.e)
     c = coefficient_tape(fields, grid.xs)(grid.ts[:, None])

@@ -82,7 +82,7 @@ def normal_derivative_data(
     sigma_n = alpha[:, None, None] * p.a_t.eval(t0, xs)  # (nx, k, k)
     if np.any(np.abs(np.linalg.det(sigma_n)) < 1e-12):
         raise PrenormalHyperbolicityError("sigma_P(normal covector) singular along the hypersurface")
-    a_x, b = coefficient_tape((p.a_x, p.effective_b()), xs)(t0)
+    a_x, b = coefficient_tape((p.a_x, p.b), xs)(t0)
     rhs = contract(a_x, d_x(phi0.values, grid)) + contract(b, phi0.values)
     psi = -np.linalg.solve(sigma_n, rhs[..., None])[..., 0]
     # the window is identically zero outside the declared support, so the
@@ -318,7 +318,7 @@ def solve_first_order_direct(
     grid = grid or phi0.grid
     grid.check_cfl(metric.max_light_speed())
     check_causal_margin(metric, grid, phi0.support, phi0.t0)
-    operands = ((p.a_x, lambda u: d_x(u, grid)), (p.effective_b(), lambda u: u))
+    operands = ((p.a_x, lambda u: d_x(u, grid)), (p.b, lambda u: u))
     terms = [of for of in operands if not of[0].is_zero]
     products = [_scaled(field) for field, _ in terms]
     inverse_t = p.a_t.inverse()

@@ -215,8 +215,8 @@ class ScenarioConfig:
 
 def _echo_operator(op: FirstOrderOperator) -> Dict[str, object]:
     """The resolved coefficients: numbers where constant, else folded
-    expression source; B with any connection folded in."""
-    return {"A_t": op.a_t.to_exprs(), "A_x": op.a_x.to_exprs(), "B": op.effective_b().to_exprs()}
+    expression source; B is the whole order-0 part, Dirac spin term included."""
+    return {"A_t": op.a_t.to_exprs(), "A_x": op.a_x.to_exprs(), "B": op.b.to_exprs()}
 
 
 def _echo_source(spec: Optional[SourceSpec]) -> Optional[Dict[str, object]]:

@@ -106,10 +106,10 @@ def greens_apply(
 
 def apply_analytic(p: FirstOrderOperator, section: TestSection) -> TestSection:
     """P applied to a test section exactly: A^t d_t phi + A^x d_x phi
-    + B_eff phi, with the derivatives taken by expr.diff."""
+    + B phi, with the derivatives taken by expr.diff."""
     phi = section.components
     col = [_expr.diff(c, "t") for c in phi] + [_expr.diff(c, "x") for c in phi] + list(phi)
-    rows = zip(p.a_t.entries, p.a_x.entries, p.effective_b().entries)
+    rows = zip(p.a_t.entries, p.a_x.entries, p.b.entries)
     p_phi = tuple(_expr.dot(r_t + r_x + r_b, col) for r_t, r_x, r_b in rows)
     return TestSection(section.grid, p_phi, section.t_support, section.x_support)
 

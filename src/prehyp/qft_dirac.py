@@ -1,5 +1,5 @@
 """The concrete spin-1/2 model: 1+1 Clifford representation, the
-complementary pair (D + A, D - A), the Dirac-current Hermitian product on
+complementary pair (D + i m, D - i m), the Dirac-current Hermitian product on
 Cauchy lines, its positivity and hypersurface independence, and the
 finite-corpus data-space isometry check.
 
@@ -11,12 +11,12 @@ Green's machinery; the two are never mixed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bundle_ops import FirstOrderOperator, MatrixField
-from .expr import Bin, Num
+from .expr import Bin, Num, diff
 from .geometry import CauchyLine, DiagonalMetric
 from .grids import GridSection
 
@@ -58,40 +58,45 @@ def default_rep() -> CliffordRep:
 
 @dataclass
 class DiracModel:
-    """Spin-1/2 model data: representation, mass and the order-0 potential
-    term A (default i * m * Id).
+    """Spin-1/2 model data: representation and mass.  The pair's mass term
+    is i * m * Id.
 
-    The factor i is forced by the current: gamma0 A must be anti-Hermitian
-    for d_a j^a = 0 while gamma0 itself stays Hermitian for positivity of
-    the Cauchy-line product, and a real multiple of Id satisfies both only
-    at m = 0.
+    The factor i is forced by the current: gamma0 times the mass term must
+    be anti-Hermitian for d_a j^a = 0 while gamma0 itself stays Hermitian
+    for positivity of the Cauchy-line product, and a real multiple of Id
+    satisfies both only at m = 0.
     """
 
     rep: CliffordRep = field(default_factory=default_rep)
     mass: float = 0.0
-    potential: Optional[MatrixField] = None
-
-    def potential_field(self) -> MatrixField:
-        if self.potential is not None:
-            return self.potential
-        return MatrixField.from_constant(1j * self.mass * np.eye(2))
 
 
 def build_dirac_pair(
     model: DiracModel, metric: Optional[DiagonalMetric] = None
 ) -> Tuple[FirstOrderOperator, FirstOrderOperator]:
-    """The one Dirac construction: (P, Q) = (D + A, D - A) on a diagonal
-    metric (Minkowski if None).  The principal part uses the orthonormal
-    coframe, A^t = gamma0 / alpha and A^x = gamma1 / beta, so
+    """The one Dirac construction: (P, Q) = (D + i m, D - i m) on a
+    diagonal metric (Minkowski if None).  The principal part uses the
+    orthonormal coframe, A^t = gamma0 / alpha and A^x = gamma1 / beta, so
     sigma_P sigma_Q = g(xi, xi) Id pointwise; on Minkowski it is plainly
-    (gamma0, gamma1)."""
+    (gamma0, gamma1).  D carries the spin connection in its order-0 part,
+    A^mu omega_mu with omega = ((d_t beta) / (2 beta), (d_x alpha) / (2 alpha)) Id,
+    that is (gamma0 d_t beta + gamma1 d_x alpha) / (2 alpha beta), which
+    keeps the current conserved (Baer, Ginoux and Pfaeffle, Wave Equations
+    on Lorentzian Manifolds and Quantization, 2007).  It is 0 on metrics
+    with d_t beta = d_x alpha = 0, Minkowski among them."""
     alpha, beta = (Num(1.0), Num(1.0)) if metric is None else (metric.alpha_ast, metric.beta_ast)
     rep = model.rep
     rep.validate()
-    a_field = model.potential_field()
-    a_t = MatrixField.from_constant(rep.gamma0).scale(Bin("/", Num(1.0), alpha))
-    a_x = MatrixField.from_constant(rep.gamma1).scale(Bin("/", Num(1.0), beta))
-    return FirstOrderOperator(2, a_t, a_x, a_field), FirstOrderOperator(2, a_t, a_x, -a_field)
+    gamma0, gamma1 = MatrixField.from_constant(rep.gamma0), MatrixField.from_constant(rep.gamma1)
+    a_t = gamma0.scale(Bin("/", Num(1.0), alpha))
+    a_x = gamma1.scale(Bin("/", Num(1.0), beta))
+    half_over_rho = Bin("/", Num(0.5), Bin("*", alpha, beta))
+    spin = (gamma0.scale(diff(beta, "t")) + gamma1.scale(diff(alpha, "x"))).scale(half_over_rho)
+    mass = MatrixField.from_constant(1j * model.mass * np.eye(2))
+    b_p, b_q = mass, -mass
+    if not spin.is_zero:  # adding a zero field would turn Q's -0.0 entries into 0.0
+        b_p, b_q = spin + mass, spin - mass
+    return FirstOrderOperator(2, a_t, a_x, b_p), FirstOrderOperator(2, a_t, a_x, b_q)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from prehyp.bundle_ops import (
     MatrixField,
     RankMismatchError,
     SecondOrderOperator,
-    UnsupportedFeatureError,
     apply_operator,
     compose,
     formal_adjoint,
@@ -83,10 +82,6 @@ class TestPrincipalSymbols:
             principal_symbol_1(dirac_like(np.zeros((2, 2))), (0.0, 0.0), (1.0, 1.0)),
         )
 
-    def test_connection_does_not_enter(self):
-        p = FirstOrderOperator.build([[1.0]], [[1.0]], [[0.0]], omega_t=[[3.0]])
-        assert principal_symbol_1(p, (0.0, 0.0), (1.0, 0.0))[0, 0] == 1.0
-
     def test_second_order_symbol(self):
         wave = SecondOrderOperator(
             1,
@@ -148,16 +143,6 @@ class TestCompose:
             assert l.c_xx.at(0.0, x)[0, 0] == pytest.approx(x, abs=1e-12)
             assert l.d_x.at(0.0, x)[0, 0] == pytest.approx(x**2, abs=1e-8)
             assert l.e.at(0.0, x)[0, 0] == pytest.approx(x, abs=1e-8)
-
-    def test_connection_folded_in(self):
-        # (d_t + omega) phi == d_t phi + omega phi, so composing with an
-        # explicit-B twin must give the same second-order coefficients
-        with_conn = FirstOrderOperator.build([[1.0]], [[0.0]], [[0.0]], omega_t=[[2.0]])
-        explicit = FirstOrderOperator.build([[1.0]], [[0.0]], [[2.0]])
-        l1 = compose(with_conn, with_conn)
-        l2 = compose(explicit, explicit)
-        for f1, f2 in ((l1.d_t, l2.d_t), (l1.e, l2.e)):
-            assert np.allclose(f1.at(0.1, 0.1), f2.at(0.1, 0.1), atol=1e-12)
 
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatchError):
@@ -281,11 +266,6 @@ class TestFormalAdjoint:
         assert np.allclose(back.a_t.constant, GAMMA_T)
         assert np.allclose(back.a_x.constant, GAMMA_X)
         assert np.allclose(back.b.constant, 1.7 * np.eye(2))
-
-    def test_connection_rejected(self, mink):
-        p = FirstOrderOperator.build([[1.0]], [[0.0]], [[0.0]], omega_t=[[1.0]])
-        with pytest.raises(UnsupportedFeatureError):
-            formal_adjoint(p, mink)
 
     def test_integration_by_parts_defect(self, chart):
         # <psi, P phi> == <P* psi, phi> for compactly supported sections

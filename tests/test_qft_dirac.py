@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from prehyp.bundle_ops import MatrixField, is_complementary_pair, principal_symbol_1
+from prehyp import cli
+from prehyp.bundle_ops import FirstOrderOperator, MatrixField, is_complementary_pair, principal_symbol_1
 from prehyp.cauchy import solve_cauchy
+from prehyp.config import load_config_text
 from prehyp.geometry import CauchyLine, DiagonalMetric
 from prehyp.grids import GridSection, build_grid, make_cauchy_data
 from prehyp.qft_dirac import (
@@ -189,14 +193,6 @@ class TestBuildPair:
         det = np.linalg.det(principal_symbol_1(p, pt, xi))
         assert det == pytest.approx(-g.inverse_on_covector(pt, xi), abs=1e-10)
 
-    def test_variable_scalar_potential(self, mink):
-        pot = MatrixField.from_exprs([["x", "0"], ["0", "x"]]).scale(1j)
-        model = DiracModel(mass=0.0, potential=pot)
-        p, q = build_dirac_pair(model, mink)
-        assert is_complementary_pair(p, q, mink).passed
-        assert np.allclose(p.b.at(0.0, 0.7), 0.7j * np.eye(2))
-        assert np.allclose(q.b.at(0.0, 0.7), -0.7j * np.eye(2))
-
     def test_broken_rep_rejected(self, mink):
         model = DiracModel(rep=CliffordRep(np.eye(2) * 2.0, np.array([[0, -1], [1, 0]])))
         with pytest.raises(CliffordError):
@@ -218,3 +214,115 @@ class TestIsometry:
         assert rep.gram_sigma.shape == (3, 3)
         # Gram matrices are Hermitian up to quadrature error
         assert np.max(np.abs(rep.gram_sigma - rep.gram_sigma.conj().T)) < 1e-10
+
+
+# The general metric has d_x alpha != 0 and d_t beta != 0, so the spin
+# connection of the Dirac pair does not vanish; its light speed alpha/beta
+# reaches 1.43, so the source windows are narrow enough in t for the
+# sources' causal cones to stay in the chart.
+GENERAL_METRIC = ("1+0.3*x", "1+0.3*t")
+SPIN_METRICS = {"general": GENERAL_METRIC, "x_only": ("1+0.3*x", "1"), "t_only": ("1", "1+0.3*t")}
+
+SPIN_CFG = """
+[spacetime]
+alpha = {alpha}
+beta = {beta}
+t_range = [-0.3, 0.3]
+x_range = [-1, 1]
+
+[operator_P]
+preset = dirac_massive
+mass = 1.0
+
+[grid]
+nx = {nx}
+cfl = 0.4
+
+[initial_data]
+components = [1, 0.5]
+window_center = 0.0
+window_halfwidth = 0.05
+window_steepness = 2.5
+
+[source]
+components = [1, 0.5]
+window_center = 0.0
+window_halfwidth = 0.05
+window_steepness = 5
+t_window_center = 0.0
+t_window_halfwidth = 0.02
+t_window_steepness = 20
+
+[dual_source]
+components = [0.5, 1]
+window_center = 0.05
+window_halfwidth = 0.05
+window_steepness = 5
+t_window_center = 0.02
+t_window_halfwidth = 0.02
+t_window_steepness = 20
+
+[output]
+directory = out
+formats = [json]
+"""
+
+
+def spin_cfg(metric, nx):
+    return load_config_text(SPIN_CFG.format(alpha=metric[0], beta=metric[1], nx=nx))
+
+
+def beta_drifts(cfg, nxs=(128, 256)):
+    return [cli.run_beta(cfg, 0, nx)[0]["hypersurface_drift"] for nx in nxs]
+
+
+class TestSpinConnection:
+    @pytest.mark.parametrize(
+        "alpha,beta", [("1", "1"), ("1+0.1*sin(t)", "1+0.3*cos(2*x)"), (None, None)], ids=["flat", "readme", "default"]
+    )
+    def test_b_is_the_mass_term_where_the_spin_term_vanishes(self, chart, alpha, beta):
+        # the spin term is added only when it does not fold to 0: adding a
+        # zero field would change the sign of Q's zeros, and with it the
+        # report's echo; repr shows the sign of every zero
+        metric = None if alpha is None else DiagonalMetric(alpha, beta, chart)
+        p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
+        mass = MatrixField.from_constant(1j * np.eye(2))
+        assert repr(p.b.entries) == repr(mass.entries)
+        assert repr(q.b.entries) == repr((-mass).entries)
+
+    def test_spin_term_on_the_general_metric(self, chart):
+        # (gamma0 d_t beta + gamma1 d_x alpha) / (2 alpha beta), in P and Q alike
+        g = DiagonalMetric(*GENERAL_METRIC, chart)
+        p, q = build_dirac_pair(DiracModel(mass=1.0), g)
+        rep = default_rep()
+        for t, x in ((0.1, -0.4), (-0.25, 0.7)):
+            spin = 0.3 * (rep.gamma0 + rep.gamma1) / (2 * (1 + 0.3 * x) * (1 + 0.3 * t))
+            assert np.allclose(p.b.at(t, x), spin + 1j * np.eye(2), rtol=0, atol=1e-14)
+            assert np.allclose(q.b.at(t, x), spin - 1j * np.eye(2), rtol=0, atol=1e-14)
+        assert is_complementary_pair(p, q, g).passed
+
+    @pytest.mark.parametrize("metric", SPIN_METRICS.values(), ids=SPIN_METRICS.keys())
+    def test_beta_converges(self, metric):
+        coarse, fine = beta_drifts(spin_cfg(metric, 256))
+        assert fine <= cli.TOLERANCES["beta_drift"]
+        assert np.log2(coarse / fine) >= cli.TOLERANCES["min_order"]
+
+    def test_bare_pair_drifts(self):
+        # negative control: without the spin term the current is not
+        # conserved on the general metric, and beta's drift stays large
+        cfg = spin_cfg(GENERAL_METRIC, 256)
+        p, _ = cfg.pair
+        mass = MatrixField.from_constant(1j * cfg.mass * np.eye(2))
+        bare = dataclasses.replace(cfg, pair=tuple(FirstOrderOperator(2, p.a_t, p.a_x, b) for b in (mass, -mass)))
+        (drift,) = beta_drifts(bare, (256,))
+        assert drift > cli.TOLERANCES["beta_drift"]
+
+    def test_isometry_on_the_general_metric(self):
+        assert cli.run_isometry(spin_cfg(GENERAL_METRIC, 256), 0)[1] == []
+
+    def test_verify_all_on_the_general_metric(self):
+        # nx 512: the ladder's nx/4 rung is the coarsest that keeps the
+        # initial window's causal margin
+        report = cli.run("verify-all", spin_cfg(GENERAL_METRIC, 512), seed=1)[0]
+        assert report["failures"] == []
+        assert report["passed"]

@@ -78,7 +78,7 @@ def reference_solve_second_order(op, metric, grid, phi0_values, dtphi0_values, j
 
 def reference_solve_first_order_direct(p, metric, phi0, grid):
     grid.check_cfl(metric.max_light_speed())
-    coeffs = coefficient_tape((p.a_x, p.effective_b(), p.a_t.inverse()), grid.xs)
+    coeffs = coefficient_tape((p.a_x, p.b, p.a_t.inverse()), grid.xs)
 
     def rhs(t, y):
         (u,) = y

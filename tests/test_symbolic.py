@@ -27,16 +27,15 @@ def fd_dx(f, t, xs):
 
 def reference_compose(p, q, t, xs):
     """The product rule with finite-difference coefficient derivatives."""
-    pat, pax, pb = (f.eval(t, xs) for f in (p.a_t, p.a_x, p.effective_b()))
-    qat, qax, qb = (f.eval(t, xs) for f in (q.a_t, q.a_x, q.effective_b()))
-    qbf = q.effective_b()
+    pat, pax, pb = (f.eval(t, xs) for f in (p.a_t, p.a_x, p.b))
+    qat, qax, qb = (f.eval(t, xs) for f in (q.a_t, q.a_x, q.b))
     return {
         "c_tt": pat @ qat,
         "c_tx": 0.5 * (pat @ qax + pax @ qat),
         "c_xx": pax @ qax,
         "d_t": pat @ fd_dt(q.a_t, t, xs) + pax @ fd_dx(q.a_t, t, xs) + pat @ qb + pb @ qat,
         "d_x": pat @ fd_dt(q.a_x, t, xs) + pax @ fd_dx(q.a_x, t, xs) + pax @ qb + pb @ qax,
-        "e": pat @ fd_dt(qbf, t, xs) + pax @ fd_dx(qbf, t, xs) + pb @ qb,
+        "e": pat @ fd_dt(q.b, t, xs) + pax @ fd_dx(q.b, t, xs) + pb @ qb,
     }
 
 
