@@ -56,7 +56,6 @@ class MatrixField:
         self.constant = None
         if all(isinstance(e, Num) for row in self.entries for e in row):
             self.constant = np.array([[e.value for e in row] for row in self.entries], dtype=complex)
-        self.t_dependent = any(_expr.uses_var(e, "t") for row in self.entries for e in row)
 
     @property
     def is_constant(self) -> bool:

@@ -131,7 +131,7 @@ class SourceSpec:
     t_window: WindowSpec
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     alpha: str
     beta: str
@@ -153,7 +153,7 @@ class ScenarioConfig:
     output_directory: str
     output_formats: List[str]
     # the parsed file, so that errors found after load can name a key's line
-    sections: Dict[str, Dict[str, object]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    sections: Dict[str, Dict[str, object]] = field(default_factory=dict, repr=False, compare=False)
     _scenarios: Dict[int, "Scenario"] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- the model objects resolved at load ---------------------------------
@@ -531,9 +531,8 @@ def load_config_text(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig(
         alpha, beta, t_range, x_range, topology, rank, preset, mass,
         metric, pair, nx, cfl, t0, comps, window, source, dual_source,
-        out_dir, formats,
+        out_dir, formats, sections,
     )
-    cfg.sections = sections
     cfg.scenario()  # validates the configured windows at nx
     return cfg
 

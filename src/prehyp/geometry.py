@@ -5,13 +5,15 @@ either line or circle spatial topology, carrying a diagonal Lorentzian
 metric g = alpha(t,x)^2 dt^2 - beta(t,x)^2 dx^2 of signature (+,-).  Every
 constant-t line is then a spacelike Cauchy hypersurface.  Causal futures
 and pasts are computed by integrating the null characteristic ODE
-dx/dt = +- alpha/beta and stored as per-time-level interval unions.
+dx/dt = +- alpha/beta from the two endpoints of its seed interval: in
+1+1 dimensions J_+ or J_- of one interval meets each constant-t line in
+one interval, so a shadow stores one (lo, hi) pair per time level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -86,7 +88,6 @@ class DiagonalMetric:
         self.beta_ast = _expr.as_ast(beta)
         self.chart = chart
         self.is_constant = _expr.is_constant(self.alpha_ast) and _expr.is_constant(self.beta_ast)
-        self.t_dependent = _expr.uses_var(self.alpha_ast, "t") or _expr.uses_var(self.beta_ast, "t")
         self._shadows: Dict[tuple, CausalShadow] = {}
         self._max_light_speed: Optional[float] = None
         # positivity spot-check on a coarse lattice
@@ -131,11 +132,11 @@ class DiagonalMetric:
         g = sq(xi_t, 2) / sq(self.alpha(t, x), 2) - sq(xi_x, 2) / sq(self.beta(t, x), 2)
         return float(g) if np.ndim(g) == 0 else g
 
-    def shadow(self, seed, t0: float, direction: str, dt: float) -> "CausalShadow":
+    def shadow(self, seed: Interval, t0: float, direction: str, dt: float) -> "CausalShadow":
         """causal_shadow(self, seed, t0, direction, dt=dt), swept on the
         first request and shared after that."""
         t0, dt = float(t0), float(dt)
-        key = (_seeds(seed), t0, direction, dt)
+        key = (float(seed[0]), float(seed[1]), t0, direction, dt)
         if key not in self._shadows:
             self._shadows[key] = causal_shadow(self, seed, t0, direction, dt=dt)
         return self._shadows[key]
@@ -149,80 +150,67 @@ class DiagonalMetric:
         return self.alpha(t, x) * self.beta(t, x)
 
 
-def merge_intervals(intervals: Iterable[Interval]) -> List[Interval]:
-    ivs = sorted((float(lo), float(hi)) for lo, hi in intervals if hi >= lo)
-    out: List[Interval] = []
-    for lo, hi in ivs:
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
-
-
 @dataclass(frozen=True)
 class CausalShadow:
-    """Causal future/past of a seed region, one interval union per time level."""
+    """Causal future/past of a seed interval: at each stored time level
+    one interval [lo, hi], bounded by the two outgoing null
+    characteristics.  On a circle the endpoints are unwrapped, and a level
+    whose interval covers the period holds the full chart."""
 
     chart: Chart1p1
     times: np.ndarray  # ascending
-    intervals: List[List[Interval]]  # one union per time level
+    lo: np.ndarray  # one left endpoint per time level
+    hi: np.ndarray  # one right endpoint per time level
     truncated: bool = False
 
-    def level_index(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        return i
+    @property
+    def intervals(self) -> List[List[Interval]]:
+        """The levels as one-interval lists, [(lo, hi)] per level: the
+        form perfbench/tracer.py digests each traced sweep in."""
+        return [[iv] for iv in zip(self.lo.tolist(), self.hi.tolist())]
 
-    def intervals_at(self, t: float) -> List[Interval]:
-        return self.intervals[self.level_index(t)]
+    def level_index(self, t):
+        """The stored level nearest t, the first on ties; an array of
+        times gives an array of levels."""
+        return np.argmin(np.abs(self.times - np.asarray(t)[..., None]), axis=-1)
 
-    def _candidates(self, x):
-        # on a circle, shadow endpoints live in unwrapped coordinates, so
-        # test all representatives of x modulo the period
+    def bounds_at(self, t: float) -> Interval:
+        i = self.level_index(t)
+        return float(self.lo[i]), float(self.hi[i])
+
+    def _inside(self, t, x, slack: float = 0.0):
+        """Whether x lies in the interval (widened by slack) of the level
+        nearest t, for t within the stored times.  t may be a column of
+        times and x a row of points, giving one row per time."""
+        t = np.asarray(t, dtype=float)
+        i = self.level_index(t)
+        lo, hi = self.lo[i] - slack, self.hi[i] + slack
+        x = self.chart.wrap(x)
+        inside = (x >= lo) & (x <= hi)
         if self.chart.topology == "circle":
+            # the endpoints are unwrapped: test the neighbouring
+            # representatives of x modulo the period too
             p = self.chart.period
-            return (x - p, x, x + p)
-        return (x,)
+            inside |= ((x - p >= lo) & (x - p <= hi)) | ((x + p >= lo) & (x + p <= hi))
+        return inside & (t >= self.times[0] - 1e-12) & (t <= self.times[-1] + 1e-12)
 
     def contains(self, t: float, x: float) -> bool:
-        if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
-            return False
-        for xr in self._candidates(self.chart.wrap(x)):
-            for lo, hi in self.intervals_at(t):
-                if lo - 1e-14 <= xr <= hi + 1e-14:
-                    return True
-        return False
+        return bool(self._inside(t, x, 1e-14))
 
-    def outside_mask(self, t: float, xs: np.ndarray) -> np.ndarray:
-        """Boolean mask of grid points outside the shadow at time t."""
-        if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
-            return np.ones_like(xs, dtype=bool)
-        inside = np.zeros_like(xs, dtype=bool)
-        for xr in self._candidates(self.chart.wrap(xs)):
-            for lo, hi in self.intervals_at(t):
-                inside |= (xr >= lo) & (xr <= hi)
-        return ~inside
+    def outside_mask(self, t, xs: np.ndarray) -> np.ndarray:
+        """Boolean mask of the points xs outside the shadow at time t; a
+        column of times gives one row per time."""
+        return ~self._inside(t, xs)
 
     def inflate(self, margin: float) -> "CausalShadow":
-        new = []
-        full = (self.chart.x_min, self.chart.x_max)
-        for union in self.intervals:
-            grown = [(lo - margin, hi + margin) for lo, hi in union]
-            if self.chart.topology == "circle":
-                grown = [u if u[1] - u[0] < self.chart.period else full for u in grown]
-            else:
-                grown = [
-                    (max(lo, self.chart.x_min), min(hi, self.chart.x_max)) for lo, hi in grown
-                ]
-            new.append(merge_intervals(grown))
-        return CausalShadow(self.chart, self.times, new, self.truncated)
-
-
-def _seeds(seed: Union[Interval, Sequence[Interval]]) -> Tuple[Interval, ...]:
-    """One interval or a sequence of them, as a tuple of float pairs."""
-    if isinstance(seed[0], (int, float)):
-        return ((float(seed[0]), float(seed[1])),)
-    return tuple((float(lo), float(hi)) for lo, hi in seed)
+        chart = self.chart
+        lo, hi = self.lo - margin, self.hi + margin
+        if chart.topology == "circle":
+            full = hi - lo >= chart.period
+            lo, hi = np.where(full, chart.x_min, lo), np.where(full, chart.x_max, hi)
+        else:
+            lo, hi = np.maximum(lo, chart.x_min), np.minimum(hi, chart.x_max)
+        return CausalShadow(chart, self.times, lo, hi, self.truncated)
 
 
 def _rk4_step(f, t: float, y: np.ndarray, h: float) -> np.ndarray:
@@ -235,31 +223,31 @@ def _rk4_step(f, t: float, y: np.ndarray, h: float) -> np.ndarray:
 
 def causal_shadow(
     metric: DiagonalMetric,
-    seed: Union[Interval, Sequence[Interval]],
+    seed: Interval,
     t0: float,
     direction: str = "future",
     t_target: Optional[float] = None,
     dt: Optional[float] = None,
 ) -> CausalShadow:
     """Sweep the null characteristics from the endpoints of the seed
-    interval(s) at t0 and return the swept region per stored time level.
+    interval at t0 and return the swept interval per stored time level.
 
     direction is "future", "past" or "both"; for "both" the shadow covers
     the full chart time range (t_target is ignored) and equals
     J_+(seed) union J_-(seed).
     """
     chart = metric.chart
-    seeds = list(_seeds(seed))
-    for lo, hi in seeds:
-        chart.require(t0, lo)
-        chart.require(t0, hi)
+    lo, hi = float(seed[0]), float(seed[1])
+    chart.require(t0, lo)
+    chart.require(t0, hi)
 
     if direction == "both":
-        fwd = causal_shadow(metric, seeds, t0, "future", chart.t_max, dt)
-        bwd = causal_shadow(metric, seeds, t0, "past", chart.t_min, dt)
-        times = np.concatenate([bwd.times[:-1], fwd.times])
-        intervals = bwd.intervals[:-1] + fwd.intervals
-        return CausalShadow(chart, times, intervals, fwd.truncated or bwd.truncated)
+        fwd = causal_shadow(metric, (lo, hi), t0, "future", chart.t_max, dt)
+        bwd = causal_shadow(metric, (lo, hi), t0, "past", chart.t_min, dt)
+        times, los, his = (
+            np.concatenate([b[:-1], f]) for b, f in ((bwd.times, fwd.times), (bwd.lo, fwd.lo), (bwd.hi, fwd.hi))
+        )
+        return CausalShadow(chart, times, los, his, fwd.truncated or bwd.truncated)
 
     if direction not in ("future", "past"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -274,33 +262,27 @@ def causal_shadow(
     n_steps = max(1, int(np.ceil(span / dt - 1e-12)))
     h = sign * span / n_steps
 
-    # each seed contributes one expanding interval; all endpoints follow the
-    # outgoing null characteristics in one state, the left ones against and
-    # the right ones along the direction of propagation
-    m = len(seeds)
-    x = np.array([lo for lo, _ in seeds] + [hi for _, hi in seeds])
-    signs = np.repeat([-sign, sign], m)
+    # both endpoints follow the outgoing null characteristics in one state,
+    # the left one against and the right one along the direction of
+    # propagation
+    signs = np.array([-sign, sign])
     truncated = False
-    times = [t0]
-    unions = [merge_intervals(seeds)]
+    ends = np.empty((n_steps + 1, 2))
+    ends[0] = x = np.array([lo, hi])
     for n in range(n_steps):
         x = _rk4_step(lambda tt, xx: signs * metric.light_speed(tt, chart.wrap(xx)), t0 + n * h, x, h)
         if chart.topology == "line":
-            truncated |= bool(np.any(x[:m] < chart.x_min) or np.any(x[m:] > chart.x_max))
-            x[:m] = np.maximum(x[:m], chart.x_min)
-            x[m:] = np.minimum(x[m:], chart.x_max)
-        union = list(zip(x[:m].tolist(), x[m:].tolist()))
-        if chart.topology == "circle" and any(hi - lo >= chart.period for lo, hi in union):
-            union = [(chart.x_min, chart.x_max)]
-        times.append(t0 + (n + 1) * h)
-        unions.append(merge_intervals(union))
-
-    times_arr = np.array(times)
+            truncated |= bool(x[0] < chart.x_min or x[1] > chart.x_max)
+            x[0], x[1] = max(x[0], chart.x_min), min(x[1], chart.x_max)
+        ends[n + 1] = x
+    los, his = ends[:, 0], ends[:, 1]
+    if chart.topology == "circle":
+        full = his - los >= chart.period
+        los, his = np.where(full, chart.x_min, los), np.where(full, chart.x_max, his)
+    times = t0 + np.arange(n_steps + 1) * h
     if direction == "past":
-        order = np.argsort(times_arr)
-        times_arr = times_arr[order]
-        unions = [unions[i] for i in order]
-    return CausalShadow(chart, times_arr, unions, truncated)
+        times, los, his = times[::-1], los[::-1], his[::-1]
+    return CausalShadow(chart, times, los, his, truncated)
 
 
 def minkowski(chart: Optional[Chart1p1] = None) -> DiagonalMetric:

@@ -241,13 +241,11 @@ def check_causal_margin(
     if grid.periodic:
         return shadow
     margin = BOUNDARY_MARGIN_NODES * grid.dx
-    for union in shadow.intervals:
-        for lo, hi in union:
-            if lo < grid.chart.x_min + margin or hi > grid.chart.x_max - margin:
-                raise MarginError(
-                    "causal shadow of the data support reaches within "
-                    f"{BOUNDARY_MARGIN_NODES} nodes of the chart boundary"
-                )
+    if shadow.lo.min() < grid.chart.x_min + margin or shadow.hi.max() > grid.chart.x_max - margin:
+        raise MarginError(
+            "causal shadow of the data support reaches within "
+            f"{BOUNDARY_MARGIN_NODES} nodes of the chart boundary"
+        )
     return shadow
 
 

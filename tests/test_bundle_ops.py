@@ -16,6 +16,7 @@ from prehyp.bundle_ops import (
     principal_symbol_2,
     symbol_invertibility,
 )
+from prehyp.expr import uses_var
 from prehyp.geometry import Chart1p1, DiagonalMetric
 from prehyp.grids import GridSection, build_grid, plateau_window
 
@@ -44,9 +45,6 @@ class TestMatrixField:
     def test_from_exprs_flags(self):
         f = MatrixField.from_exprs([["x", "0"], ["0", "1"]])
         assert not f.is_constant
-        assert not f.t_dependent
-        g = MatrixField.from_exprs([["sin(t)"]])
-        assert g.t_dependent
 
     def test_eval_and_at(self):
         f = MatrixField.from_exprs([["t+x"]])
@@ -62,7 +60,7 @@ class TestMatrixField:
         assert f.d_dt().at(0.4, 0.0)[0, 1] == np.cos(0.4)
         assert f.d_dx().at(0.0, 0.5)[1, 0] == 0.75
         assert f.d_dx().d_dx().at(0.0, 0.5)[1, 0] == 3.0
-        assert not MatrixField.from_exprs([["t*x"]]).d_dt().t_dependent
+        assert not uses_var(MatrixField.from_exprs([["t*x"]]).d_dt().entries[0][0], "t")
         assert MatrixField.from_constant([[5.0]]).d_dx().is_constant
 
     def test_non_square_rejected(self):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,18 @@ class TestLoadValidation:
         assert cfg.nx == 128
         assert cfg.t0 == 0.0
         assert cfg.initial_components == ["1", "0.5"]
+
+    def test_loaded_config_is_frozen(self):
+        # a field set after load would reach new resolutions but not the
+        # scenario built at load; variants are fresh configs instead
+        cfg = load_config_text(BASE)
+        massless = resolve_preset("dirac_massless", 0.0, cfg.metric())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.pair = massless
+        variant = dataclasses.replace(cfg, pair=massless)
+        assert variant.scenario().p is massless[0] and variant.scenario().q is massless[1]
+        assert cfg.scenario().p is cfg.pair[0]
+        assert variant.sections is cfg.sections
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="spacetime.alpha required"):
