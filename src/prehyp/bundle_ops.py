@@ -178,10 +178,16 @@ class MatrixField:
 def coefficient_tape(fields: Sequence[MatrixField], xs: np.ndarray) -> Callable:
     """Compile the nonzero entries of several fields into one expr.Tape on
     the nodes xs.  Returns at(t) giving, per field, its constant matrix or
-    its nonzero entries as (i, j, value at t on xs) triples."""
+    its nonzero entries as (i, j, value at t on xs) triples; at.block is the
+    tape's block call, which evaluates a stack of stage times at once for
+    later at(t) calls, or None when all fields are constant."""
     nonzero = [None if f.is_constant else f.nonzero() for f in fields]
     if all(entries is None for entries in nonzero):  # constant fields need no tape
-        return lambda t: [f.constant for f in fields]
+        def at(t):
+            return [f.constant for f in fields]
+
+        at.block = None
+        return at
     tape = _expr.Tape([e for entries in nonzero if entries for _, _, e in entries], xs)
 
     def at(t):
@@ -191,6 +197,7 @@ def coefficient_tape(fields: Sequence[MatrixField], xs: np.ndarray) -> Callable:
             for f, entries in zip(fields, nonzero)
         ]
 
+    at.block = tape.block
     return at
 
 

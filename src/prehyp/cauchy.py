@@ -44,6 +44,8 @@ if TYPE_CHECKING:
     from .greens import TestSection
 
 SHADOW_INFLATION_NODES = 4
+# RK4 steps whose stage times one run of a coefficient tape evaluates
+BLOCK_STEPS = 16
 
 
 class PrenormalHyperbolicityError(ValueError):
@@ -131,12 +133,14 @@ class _Half:
         self.first = max(0, (forced - 1) // 2)
 
 
-def _evolve(rhs, y0, grid: Grid1p1, j0: int, forcing=_unforced) -> GridSection:
+def _evolve(rhs, y0, grid: Grid1p1, j0: int, forcing=_unforced, block=None) -> GridSection:
     """March the state from level j0 to both ends of the grid; the section
     holds the first state component at every level.  rhs(t, y, f) gets the
     stage times t of the stacked halves as a (members, 1) column and the
     forcing f at them (0.0 if no member is forced), which forcing(times)
-    gives per half for all of that half's stage times at once.  Raises
+    gives per half for all of that half's stage times at once.  block, if
+    given, gets the stage times of each BLOCK_STEPS steps ahead of their
+    rhs calls as a stage-major (S, members, 1) stack.  Raises
     SolverBlowupError if a half's final state is not finite, the forward
     half first: a non-finite interior node stays so under the update, so
     the check at the end covers every level."""
@@ -146,7 +150,7 @@ def _evolve(rhs, y0, grid: Grid1p1, j0: int, forcing=_unforced) -> GridSection:
     halves = [_Half(grid, j0, step, forcing, zero_start) for step in (1, -1)]
     for h in halves:
         out[h.levels[:h.first] + h.step] = 0.0
-    _rk4(rhs, y0, [h for h in halves if h.first < len(h.levels)], grid, out)
+    _rk4(rhs, y0, [h for h in halves if h.first < len(h.levels)], grid, out, block)
     for h in halves:
         if h.end is not None and not all(np.isfinite(yc).all() for yc in h.end):
             swept = h.levels + h.step
@@ -155,12 +159,13 @@ def _evolve(rhs, y0, grid: Grid1p1, j0: int, forcing=_unforced) -> GridSection:
     return GridSection(grid, out)
 
 
-def _rk4(rhs, y0, halves: list, grid: Grid1p1, out: np.ndarray) -> None:
+def _rk4(rhs, y0, halves: list, grid: Grid1p1, out: np.ndarray, block=None) -> None:
     """March the halves in lockstep as one state stacked on a leading axis,
     each from its first step, writing the first state component of each
     level into out, and keep each half's final state as its end.  While
     two halves remain they step together, as many steps as the shorter
-    needs; the longer then finishes alone."""
+    needs; the longer then finishes alone.  Every BLOCK_STEPS steps, block
+    gets the stage times of the coming steps, both ends included."""
     y = tuple(np.broadcast_to(yc, (len(halves),) + yc.shape) for yc in y0)
     while halves:
         n = min(len(h.levels) - h.first for h in halves)
@@ -171,6 +176,9 @@ def _rk4(rhs, y0, halves: list, grid: Grid1p1, out: np.ndarray) -> None:
         dt = np.array([h.step * grid.dt for h in halves])[:, None, None]
         half_dt, sixth_dt = dt / 2, dt / 6
         for s in range(n):
+            if block is not None and s % BLOCK_STEPS == 0:
+                stages = times[:, 2 * s:2 * min(s + BLOCK_STEPS, n) + 1]
+                block(np.ascontiguousarray(stages.T)[..., None])
             t, t_mid, t_next = (times[:, c:c + 1] for c in range(2 * s, 2 * s + 3))
             f, f_mid, f_next = (_stacked([r[c] for r in rows]) for c in range(2 * s, 2 * s + 3))
             k1 = rhs(t, y, f)
@@ -300,7 +308,7 @@ def solve_second_order(
 
     y0 = (phi0_values.astype(complex).copy(), dtphi0_values.astype(complex).copy())
     forcing = _unforced if source is None else _source_forcing(source, grid.xs)
-    return _evolve(rhs, y0, grid, j0, forcing)
+    return _evolve(rhs, y0, grid, j0, forcing, coeffs.block)
 
 
 def solve_first_order_direct(
@@ -329,7 +337,7 @@ def solve_first_order_direct(
         flux = reduce(operator.add, (product(c, operand(u)) for c, product, (_, operand) in zip(cs, products, terms)))
         return (solve_t(inv_t, -flux),)
 
-    return _evolve(rhs, (phi0.values.astype(complex).copy(),), grid, phi0.level)
+    return _evolve(rhs, (phi0.values.astype(complex).copy(),), grid, phi0.level, block=coeffs.block)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ deterministic report.json (plus CSV dumps when requested); wall-clock
 timings go to a separate timings.json so reports stay byte-reproducible.
 
 Exit codes: 0 all tolerances met, 1 configuration error, 2 tolerance
-failure or a solve that blew up, 3 internal error (its traceback goes to
-error.txt in the output directory).
+failure, a solve that blew up or a coefficient that is not finite during a
+run, 3 internal error (its traceback goes to error.txt in the output
+directory).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 from .bundle_ops import is_complementary_pair, symbol_invertibility
 from .cauchy import SolverBlowupError, solve_cauchy, solve_first_order_direct
 from .config import ConfigError, ScenarioConfig, SourceSpec, load_config
+from .expr import ExprEvalError
 from .geometry import CauchyLine
 from .greens import adjoint_pairing_check, greens_report, make_test_section
 from .qft_dirac import (
@@ -496,7 +498,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except SolverBlowupError as e:
+    except (SolverBlowupError, ExprEvalError) as e:
         print(f"{' '.join(filter(None, (args.subcommand, args.target)))}: FAIL")
         print(f"  {e}")
         return 2

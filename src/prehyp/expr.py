@@ -468,8 +468,11 @@ def diff(ast: ExprAst, var: str) -> ExprAst:
 # evaluation tape
 
 def _stage_key(t):
-    """The cache key of a stage time, a scalar or a column of at most two;
-    None for anything larger, such as a mesh of times."""
+    """The cache key of a stage time: a scalar, or a column of at most two
+    members, the (members, 1) column of a lockstep RK4 march or the slice
+    ts[s] of a block, keyed by shape and values, so that a strided column
+    and the block's contiguous slice share a key; None for anything
+    larger, such as a mesh of times or a whole block."""
     if isinstance(t, float):
         return t
     if isinstance(t, np.ndarray) and t.size <= 2:
@@ -482,9 +485,11 @@ class Tape:
     subtrees share a slot; slots free of t run once, on the first call; a
     call runs the t-dependent slots only, dropping intermediates after their
     last use.  t is a scalar or broadcasts against xs (ts[:, None] for a
-    mesh); the last two stage times are cached, a stage time being a scalar
-    or the (members, 1) column of a lockstep RK4 march, which has at most
-    two members: a step asks for two distinct stage times twice each.
+    mesh).  A stage time, a scalar or the (members, 1) column of a lockstep
+    RK4 march, is answered from a cache: block(ts) runs the t-dependent
+    slots once on a stage-major (S, members, 1) stack and caches each ts[s]
+    with the slice v[s] of every value, the shape ts[s] alone gives; a call
+    that misses keeps its own stage time and the one before it.
     Finiteness is checked as in evaluate."""
 
     def __init__(self, asts: Sequence[ExprAst], xs):
@@ -514,6 +519,7 @@ class Tape:
         for a, n in last.items():
             if a not in self.outputs and a != self._t:
                 self._dynamic[n][4] += (a,)
+        self._sliced = [tdep[s] for s in self.outputs]
         self._values: Optional[List[object]] = None
         self._cache: Dict[object, List[object]] = {}
 
@@ -528,21 +534,40 @@ class Tape:
                     vals[a] = None
         return vals
 
-    def __call__(self, t) -> List[object]:
-        """The value of every compiled AST at time(s) t on xs."""
-        key = _stage_key(t)
-        if key in self._cache:
-            return self._cache[key]
+    def _evaluate(self, t) -> List[object]:
         if self._values is None:
             self._values = self._run(self._static, list(self._init), t)
         vals = list(self._values)
         if self._t >= 0:
             vals[self._t] = t
         vals = self._run(self._dynamic, vals, t)
-        out = [vals[s] for s in self.outputs]
+        return [vals[s] for s in self.outputs]
+
+    def __call__(self, t) -> List[object]:
+        """The value of every compiled AST at time(s) t on xs."""
+        key = _stage_key(t)
+        if key in self._cache:
+            return self._cache[key]
+        out = self._evaluate(t)
         if key is not None:  # keep this time and the one before it
             self._cache = dict(list(self._cache.items())[-1:] + [(key, out)])
         return out
+
+    def block(self, ts: np.ndarray) -> None:
+        """Evaluate at every stage time ts[s] of the stage-major (S, members,
+        1) stack ts in one run and cache the values, in place of the stage
+        times cached before.  A non-finite value raises the ExprEvalError
+        that evaluating ts[0], ts[1], ... one by one raises first."""
+        try:
+            out = self._evaluate(ts)
+        except ExprEvalError:
+            for t in ts:
+                self._evaluate(t)
+            raise
+        self._cache = {
+            _stage_key(t): [v[s] if sliced else v for v, sliced in zip(out, self._sliced)]
+            for s, t in enumerate(ts)
+        }
 
     def stack(self, t) -> np.ndarray:
         """The compiled ASTs at time(s) t as one complex array whose last

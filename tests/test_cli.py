@@ -271,6 +271,20 @@ class TestGates:
             assert "the solution is not finite from time level" in out
 
 
+    @pytest.mark.parametrize("subcommand", ["solve", "beta", "greens"])
+    def test_non_finite_coefficient_fails_with_exit_two(self, tmp_path, capsys, subcommand):
+        # d_t beta = 0.05/sqrt(t+0.3) is infinite on the first time level,
+        # which every solve of these batteries reaches
+        text = DIRAC_CFG.replace("beta = 1", "beta = 1+0.1*sqrt(t+0.3)").replace("nx = 256", "nx = 128")
+        cfg = write_cfg(tmp_path, text)
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        out = captured.out.splitlines()
+        assert out[0] == f"{subcommand}: FAIL"
+        assert out[1].startswith("  non-finite result from ") and " at (t=-0.3" in out[1]
+        assert captured.err == ""
+        assert not (tmp_path / "out" / "error.txt").exists()
+
 class TestInternalError:
     def test_traceback_goes_to_error_txt(self, tmp_path, capsys, monkeypatch):
         def broken_battery(cfg, seed, nx=None):

@@ -3,24 +3,27 @@
 The solvers leave out coefficient fields that fold to 0 and the stencils
 only they need, apply constant c Id fields as numbers, sample a driven
 solve's source once per sweep inside its time support, start a sweep
-from zero data at its first forced stage and march the two halves of a
-solve in lockstep as one stacked state.  The reference below keeps the
-full scheme: all five matrix contractions of the second-order right-hand
-side, both terms of the direct one, the grids stencils at every stage, the
+from zero data at its first forced stage, march the two halves of a
+solve in lockstep as one stacked state and evaluate the coefficients once
+per block of steps.  The reference below keeps the full scheme: all five
+matrix contractions of the second-order right-hand side, both terms of the
+direct one, the grids stencils and the coefficients at every stage, the
 source sampled at every stage time, every level marched, one half after
 the other, and the states collected per level.  Solutions must be equal under np.array_equal, since
 a - 0 = a, c Id w = c w, zero data under zero forcing stay 0 and the
 remaining operations run in the same order (zeros may differ in sign).
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from prehyp import cauchy, greens
-from prehyp.bundle_ops import FirstOrderOperator, MatrixField, coefficient_tape, compose, contract
+from prehyp.bundle_ops import FirstOrderOperator, MatrixField, coefficient_tape, compose, contract, formal_adjoint
 from prehyp.cauchy import solve_cauchy, solve_first_order_direct, solve_second_order
 from prehyp.config import resolve_preset
-from prehyp.expr import Tape
+from prehyp.expr import ExprEvalError, Tape
 from prehyp.geometry import Chart1p1, DiagonalMetric
 from prehyp.grids import GridSection, build_grid, d_x, d_xx, make_cauchy_data
 from prehyp.greens import greens_apply, make_test_section
@@ -339,9 +342,8 @@ def test_a_cauchy_solve_makes_four_rhs_calls_per_step_of_its_longer_half(chart, 
     assert [np.shape(t) for t in calls] == [(2, 1)] * 4 * shorter + [(1, 1)] * 4 * (longest - shorter)
 
 
-def test_curved_solve_runs_the_coefficient_tape_twice_per_step(chart, monkeypatch):
-    # RK4 asks for each stacked stage-time pair twice; the tape's cache
-    # answers the second request and the next step's first stage
+def count_tape_runs(monkeypatch):
+    """Record the stage times of every run of a tape's t-dependent slots."""
     runs = []
     real = Tape._run
 
@@ -350,15 +352,68 @@ def test_curved_solve_runs_the_coefficient_tape_twice_per_step(chart, monkeypatc
             runs.append(np.shape(t))
         return real(self, code, vals, t)
 
+    monkeypatch.setattr(Tape, "_run", counting)
+    return runs
+
+
+def test_curved_solve_runs_the_coefficient_tape_once_per_block(chart, monkeypatch):
+    # each block of BLOCK_STEPS steps of a lockstep segment evaluates its
+    # stage times, both ends included, in one run of the tape; the tape's
+    # cache answers every right-hand-side call
     metric = DiagonalMetric(*METRICS["readme"], chart)
     p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
     grid = build_grid(chart, metric, 256)
     phi0 = make_cauchy_data(grid, ["1", "0.5"], 0.05)
     j0 = phi0.level
-    longest = max(j0, grid.nt - 1 - j0)
-    monkeypatch.setattr(Tape, "_run", counting)
+    shorter, longest = sorted((j0, grid.nt - 1 - j0))
+    runs = count_tape_runs(monkeypatch)
     dtphi0 = 0.5 * phi0.values
     solve_second_order(compose(q, p), metric, grid, phi0.values, dtphi0, j0)
-    # one run per distinct stage time, and one for the first stage of each
-    # stack: 2 longest + 2 <= 2.02 longest on this grid
-    assert len(runs) == 2 * longest + 2 <= 2.02 * longest
+    block = cauchy.BLOCK_STEPS
+    assert len(runs) == math.ceil(shorter / block) + math.ceil((longest - shorter) / block) < longest / 8
+    segments = ((2, shorter), (1, longest - shorter))  # (members, steps)
+    assert runs == [(2 * min(block, n - s) + 1, m, 1) for m, n in segments for s in range(0, n, block)]
+
+
+@pytest.mark.parametrize("metric_name", ["readme", "varying"])
+@pytest.mark.parametrize("direction", ["retarded", "advanced"])
+def test_adjoint_driven_solves_equal_the_unpruned_scheme(chart, metric_name, direction):
+    # the driven solves of P* Q* that adjoint-check makes: the longest
+    # coefficient tape of a curved round
+    metric, p, q, grid, components = scenario(chart, "dirac_massive", metric_name)
+    op = compose(formal_adjoint(p, metric), formal_adjoint(q, metric))
+    section = make_test_section(grid, components, X_WINDOW, T_WINDOW)
+    actual = greens.solve_driven(op, metric, section, direction, grid)
+    zeros = np.zeros((grid.nx, 2), dtype=complex)
+    j0 = 0 if direction == "retarded" else grid.nt - 1
+    expected = reference_solve_second_order(op, metric, grid, zeros, zeros, j0, source=section)
+    assert np.isfinite(actual.values).all() and np.abs(actual.values).max() > 0
+    assert np.array_equal(actual.values, expected.values)
+
+
+@pytest.mark.parametrize("beta", ["1+0.1*sqrt(t+0.3)", "1+0.1*sqrt(0.3-t)"])
+@pytest.mark.parametrize("t0", [0.0, 0.1])
+@pytest.mark.parametrize("solve", ["cauchy", "direct"])
+def test_non_finite_coefficients_raise_as_stage_by_stage(chart, monkeypatch, beta, t0, solve):
+    # d beta is infinite at one end of the chart, the last level of one
+    # half, which lies in a later block; the error names the operation and
+    # the first (t, x) in march order, as evaluating stage by stage does
+    metric = DiagonalMetric("1", beta, chart)
+    p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
+    grid = build_grid(chart, metric, 128)
+    phi0 = make_cauchy_data(grid, ["1", "0.5"], t0, steepness=10.0)
+
+    def run():
+        with pytest.raises(ExprEvalError) as exc:
+            if solve == "cauchy":
+                solve_cauchy(p, q, metric, phi0, grid)
+            else:
+                solve_first_order_direct(p, metric, phi0, grid)
+        return str(exc.value), exc.value.t, exc.value.x
+
+    runs = count_tape_runs(monkeypatch)
+    actual = run()
+    assert any(len(shape) == 3 for shape in runs)
+    assert abs(actual[1] - t0) > cauchy.BLOCK_STEPS * grid.dt
+    monkeypatch.setattr(Tape, "block", lambda self, ts: None)
+    assert run() == actual

@@ -9,6 +9,7 @@ from prehyp.config import PRESETS, resolve_preset
 from prehyp.expr import ExprEvalError, Tape, diff, evaluate, parse, simplify
 from prehyp.geometry import Chart1p1, DiagonalMetric
 from prehyp.grids import GridSection, build_grid
+from prehyp.qft_dirac import DiracModel, build_dirac_pair
 
 CHART = Chart1p1(-0.3, 0.3, -1.0, 1.0)
 METRICS = [("1", "1"), ("1+0.1*sin(t)", "1+0.3*cos(2*x)"), ("1+0.3*x", "1+0.3*t")]
@@ -102,6 +103,57 @@ def test_stage_times_are_cached():
     assert tape(0.1) is first
     tape(0.3)
     assert tape(0.1) is not first  # only the last two times are kept
+
+
+BLOCK_EXPRS = (
+    "sin(t)*cos(2*x)", "exp(0.3*t)/(1+0.3*x^2)", "tanh(t-x)", "sqrt(2+t*x)",
+    "(1+0.1*sin(t))^(1+x^2)", "1/(1+0.1*cos(t))", "t", "x", "3",
+)
+
+
+def stage_block(members):
+    """Stage times as the lockstep march holds them, one row per member,
+    and the same times as a stage-major (S, members, 1) block."""
+    times = np.stack([np.linspace(-0.3, 0.3, 33), np.linspace(-0.2, 0.25, 33)][:members])
+    return times, np.ascontiguousarray(times.T)[..., None]
+
+
+@pytest.mark.parametrize("members", [1, 2])
+def test_tape_block_equals_stage_by_stage(members):
+    metric = DiagonalMetric("1+0.3*x", "1+0.3*t", CHART)
+    p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
+    op = compose(formal_adjoint(p, metric), formal_adjoint(q, metric))
+    fields = (op.c_tx, op.c_xx, op.d_t, op.d_x, op.e, op.c_tt.inverse())
+    asts = [parse(e) for e in BLOCK_EXPRS] + [e for f in fields for _, _, e in f.nonzero()]
+    xs = np.linspace(-1.0, 1.0, 7)
+    times, block = stage_block(members)
+    tape = Tape(asts, xs)
+    tape.block(block)
+    for c in range(times.shape[1]):
+        t = times[:, c:c + 1]
+        got, want = tape(t), Tape(asts, xs)(t)
+        assert tape(t) is got  # answered from the block's cache
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("members", [1, 2])
+def test_tape_block_raises_at_the_first_bad_stage(members):
+    # sqrt(0.85-t) comes first on the tape but fails at a later stage than
+    # sqrt(0.5-t); the block reports the first failure in stage order
+    asts = [parse("sqrt(0.85-t)*x"), parse("sqrt(0.5-t)+x")]
+    xs = np.linspace(-1.0, 1.0, 5)
+    times, block = stage_block(members)
+    times, block = times + 0.6, block + 0.6
+    with pytest.raises(ExprEvalError) as exc:
+        Tape(asts, xs).block(block)
+    tape = Tape(asts, xs)
+    with pytest.raises(ExprEvalError) as first:
+        for c in range(times.shape[1]):
+            tape(times[:, c:c + 1])
+    assert 0.5 < first.value.t < 0.85
+    assert (str(exc.value), exc.value.t, exc.value.x) == (str(first.value), first.value.t, first.value.x)
 
 
 def test_non_finite_coefficients_still_raise():
