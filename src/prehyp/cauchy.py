@@ -165,8 +165,16 @@ def _rk4(rhs, y0, halves: list, grid: Grid1p1, out: np.ndarray, block=None) -> N
     level into out, and keep each half's final state as its end.  While
     two halves remain they step together, as many steps as the shorter
     needs; the longer then finishes alone.  Every BLOCK_STEPS steps, block
-    gets the stage times of the coming steps, both ends included."""
-    y = tuple(np.broadcast_to(yc, (len(halves),) + yc.shape) for yc in y0)
+    gets the stage times of the coming steps, both ends included.
+
+    Each segment marches in buffers of its own, each holding all state
+    components: the state, updated in place, and one buffer per later
+    stage, since a right-hand side may return a component of its input.
+    The stage states and the update y + dt/6 (k1 + 2 k2 + 2 k3 + k4) run
+    on the float64 views in the order of the complex formulas, whose
+    values they equal: a complex times a real column rounds as each part
+    times it."""
+    y = np.stack([np.broadcast_to(yc, (len(halves),) + yc.shape) for yc in y0])
     while halves:
         n = min(len(h.levels) - h.first for h in halves)
         firsts = [h.first for h in halves]
@@ -175,24 +183,33 @@ def _rk4(rhs, y0, halves: list, grid: Grid1p1, out: np.ndarray, block=None) -> N
         targets = np.stack([h.levels[i:i + n] + h.step for h, i in zip(halves, firsts)], axis=1)
         dt = np.array([h.step * grid.dt for h in halves])[:, None, None]
         half_dt, sixth_dt = dt / 2, dt / 6
+        # the state and stage buffers as (components, float64 view, the view's components)
+        y = np.array(y, dtype=complex, order="C")
+        state, *stages = (_buffer(y if b == 0 else np.empty(y.shape, complex)) for b in range(4))
+        components, view, _ = state
+        like = components[0]
+        acc, twice = (np.empty(view.shape) for _ in range(2))
         for s in range(n):
             if block is not None and s % BLOCK_STEPS == 0:
-                stages = times[:, 2 * s:2 * min(s + BLOCK_STEPS, n) + 1]
-                block(np.ascontiguousarray(stages.T)[..., None])
+                block(np.ascontiguousarray(times[:, 2 * s:2 * min(s + BLOCK_STEPS, n) + 1].T)[..., None])
             t, t_mid, t_next = (times[:, c:c + 1] for c in range(2 * s, 2 * s + 3))
             f, f_mid, f_next = (_stacked([r[c] for r in rows]) for c in range(2 * s, 2 * s + 3))
-            k1 = rhs(t, y, f)
-            k2 = rhs(t_mid, _axpy(y, half_dt, k1), f_mid)
-            k3 = rhs(t_mid, _axpy(y, half_dt, k2), f_mid)
-            k4 = rhs(t_next, _axpy(y, dt, k3), f_next)
-            y = tuple(
-                yc + sixth_dt * (a + 2 * b + 2 * c + d)
-                for yc, a, b, c, d in zip(y, k1, k2, k3, k4)
-            )
+            k1 = _views(rhs(t, components, f), like)
+            k2 = _views(rhs(t_mid, _axpy(stages[0], view, half_dt, k1), f_mid), like)
+            k3 = _views(rhs(t_mid, _axpy(stages[1], view, half_dt, k2), f_mid), like)
+            k4 = _views(rhs(t_next, _axpy(stages[2], view, dt, k3), f_next), like)
+            # ((2 b + a) + 2 c) + d
+            for sc, tc, a, b, c in zip(acc, twice, k1, k2, k3):
+                np.multiply(b, 2.0, out=sc)
+                sc += a
+                np.multiply(c, 2.0, out=tc)
+            acc += twice
+            for sc, d in zip(acc, k4):
+                sc += d
+            acc *= sixth_dt
+            view += acc
             if not grid.periodic:
-                for yc in y:
-                    yc[..., 0, :] = 0.0
-                    yc[..., -1, :] = 0.0
+                y[..., ::grid.nx - 1, :] = 0.0
             out[targets[s]] = y[0]
         for m, h in enumerate(halves):
             h.first += n
@@ -200,7 +217,25 @@ def _rk4(rhs, y0, halves: list, grid: Grid1p1, out: np.ndarray, block=None) -> N
                 h.end = tuple(yc[m] for yc in y)
         keep = [m for m, h in enumerate(halves) if h.end is None]
         halves = [halves[m] for m in keep]
-        y = tuple(yc[keep] for yc in y)
+        y = y[:, keep]
+
+
+def _buffer(stack: np.ndarray) -> tuple:
+    """A stack of state components as the tuple of its components, its
+    float64 view and the view's components."""
+    view = stack.view(np.float64)
+    return tuple(stack), view, tuple(view)
+
+
+def _views(arrays, like: np.ndarray) -> tuple:
+    """The float64 views of the complex arrays a right-hand side returns,
+    each of like's shape; a number (the forcing of an operator with no
+    lower-order term) is brought to that shape first."""
+    return tuple(
+        (a if isinstance(a, np.ndarray) and a.shape == like.shape else np.full(like.shape, a, dtype=complex))
+        .view(np.float64)
+        for a in arrays
+    )
 
 
 def _stacked(rows: list):
@@ -213,8 +248,14 @@ def _stacked(rows: list):
     return np.stack(np.broadcast_arrays(*rows))
 
 
-def _axpy(y, a, k):
-    return tuple(yc + a * kc for yc, kc in zip(y, k))
+def _axpy(into: tuple, y: np.ndarray, a: np.ndarray, k: tuple) -> tuple:
+    """y + a k on float64 views, a a real column, written into the buffer
+    into; returns its components."""
+    components, view, parts = into
+    for part, kc in zip(parts, k):
+        np.multiply(kc, a, out=part)
+    view += y
+    return components
 
 
 def _scaled(field: MatrixField):

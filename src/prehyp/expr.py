@@ -489,8 +489,8 @@ class Tape:
     RK4 march, is answered from a cache: block(ts) runs the t-dependent
     slots once on a stage-major (S, members, 1) stack and caches each ts[s]
     with the slice v[s] of every value, the shape ts[s] alone gives; a call
-    that misses keeps its own stage time and the one before it.
-    Finiteness is checked as in evaluate."""
+    that misses evaluates and caches nothing.  Finiteness is checked as in
+    evaluate."""
 
     def __init__(self, asts: Sequence[ExprAst], xs):
         self.xs = np.asarray(xs, dtype=float)
@@ -544,14 +544,10 @@ class Tape:
         return [vals[s] for s in self.outputs]
 
     def __call__(self, t) -> List[object]:
-        """The value of every compiled AST at time(s) t on xs."""
-        key = _stage_key(t)
-        if key in self._cache:
-            return self._cache[key]
-        out = self._evaluate(t)
-        if key is not None:  # keep this time and the one before it
-            self._cache = dict(list(self._cache.items())[-1:] + [(key, out)])
-        return out
+        """The value of every compiled AST at time(s) t on xs, from the
+        block cache if the last block held t."""
+        out = self._cache.get(_stage_key(t))
+        return self._evaluate(t) if out is None else out
 
     def block(self, ts: np.ndarray) -> None:
         """Evaluate at every stage time ts[s] of the stage-major (S, members,

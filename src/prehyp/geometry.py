@@ -213,11 +213,11 @@ class CausalShadow:
         return CausalShadow(chart, self.times, lo, hi, self.truncated)
 
 
-def _rk4_step(f, t: float, y: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step(f, t: float, y: np.ndarray, h: float, t_next: float) -> np.ndarray:
     k1 = f(t, y)
     k2 = f(t + h / 2, y + h / 2 * k1)
     k3 = f(t + h / 2, y + h / 2 * k2)
-    k4 = f(t + h, y + h * k3)
+    k4 = f(t_next, y + h * k3)
     return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -270,7 +270,11 @@ def causal_shadow(
     ends = np.empty((n_steps + 1, 2))
     ends[0] = x = np.array([lo, hi])
     for n in range(n_steps):
-        x = _rk4_step(lambda tt, xx: signs * metric.light_speed(tt, chart.wrap(xx)), t0 + n * h, x, h)
+        # the last step ends on t_target itself: t0 + n_steps h can round
+        # past it, out of the chart
+        t = t0 + n * h
+        t_next = t_target if n == n_steps - 1 else t + h
+        x = _rk4_step(lambda tt, xx: signs * metric.light_speed(tt, chart.wrap(xx)), t, x, h, t_next)
         if chart.topology == "line":
             truncated |= bool(x[0] < chart.x_min or x[1] > chart.x_max)
             x[0], x[1] = max(x[0], chart.x_min), min(x[1], chart.x_max)
@@ -280,6 +284,7 @@ def causal_shadow(
         full = his - los >= chart.period
         los, his = np.where(full, chart.x_min, los), np.where(full, chart.x_max, his)
     times = t0 + np.arange(n_steps + 1) * h
+    times[-1] = t_target
     if direction == "past":
         times, los, his = times[::-1], los[::-1], his[::-1]
     return CausalShadow(chart, times, los, his, truncated)

@@ -7,6 +7,7 @@ light speed.  Cauchy hypersurfaces snap to grid time levels.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
@@ -85,52 +86,101 @@ def build_grid(chart: Chart1p1, metric: DiagonalMetric, nx: int, cfl: float = 0.
 
 # ---------------------------------------------------------------------------
 # finite differences (2nd order centered; one-sided at line edges)
+#
+# The stencils run on the float64 view of complex values, so that real and
+# imaginary parts go through the same real operations, and scale by the
+# reciprocal of the spacing: numpy divides a complex number by a real one
+# as a product with its reciprocal, so the values equal those of the
+# complex formulas.  Real values are divided by the spacing.
+
+# the first-derivative edge rows as (c1 e0 + c2 e1) - c3 e2 over the pair
+# (left, right): -3 v0 + 4 v1 - v2 and its mirror 3 v-1 - 4 v-2 + v-3
+_EDGE_SIGNS = tuple(np.array(c, dtype=float) for c in ((-3, 3), (4, -4), (1, -1)))
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(ndim: int, axis: int, n: int) -> tuple:
+    """Index tuples of a stencil along one axis of n rows: the interior's
+    reads one row below, at and above each interior row; the edge row pairs
+    (i, n - 1 - i) for i < 4, each one strided slice while the two rows are
+    distinct and in order (always so for i = 0, the pair written); on a
+    circle the rows above and below the edge pair, wrapped around; and
+    _EDGE_SIGNS laid along the axis."""
+
+    def at(rows):
+        return (rows,) if axis == 0 else (Ellipsis, rows, slice(None))
+
+    def pair(i):
+        step = n - 1 - 2 * i
+        return at(slice(i, n - i, step) if step > 0 else np.array([i, n - 1 - i]))
+
+    return (
+        at(slice(0, n - 2)), at(slice(1, n - 1)), at(slice(2, n)),
+        tuple(pair(i) for i in range(4)),
+        at(slice(1, None, -1)), at(slice(n - 1, n - 3, -1)),
+        tuple(np.reshape(c, (2,) + (1,) * (ndim - 1 - axis % ndim)) for c in _EDGE_SIGNS),
+    )
+
+
+def _stencil(values: np.ndarray, h: float, axis: int, order: int, periodic: bool = False) -> np.ndarray:
+    """The order-1 or order-2 central difference along axis with spacing h:
+    one-sided at the first and last rows, or wrapped around if periodic."""
+    if values.ndim == 1:
+        return _stencil(values[:, None], h, axis, order, periodic)[:, 0]
+    v = values
+    out = np.empty(v.shape, v.dtype)
+    if v.dtype == np.complex128:
+        if v.strides[-1] != v.itemsize:
+            v = np.ascontiguousarray(v)
+        w, o = v.view(np.float64), out.view(np.float64)
+        scale, by = np.multiply, 1.0 / h
+    else:
+        w, o = v, out
+        scale, by = np.true_divide, h
+    below, centre, above, (p0, p1, p2, p3), wrapped_above, wrapped_below, signs = _plan(v.ndim, axis, v.shape[axis])
+    edge, inner = o[p0], o[centre]
+    if order == 1:
+        np.subtract(w[above], w[below], out=inner)
+        if periodic:
+            np.subtract(w[wrapped_above], w[wrapped_below], out=edge)
+        else:
+            c1, c2, c3 = signs
+            np.multiply(c1, w[p0], out=edge)
+            edge += c2 * w[p1]
+            edge -= c3 * w[p2]
+    else:
+        np.multiply(w[centre], 2.0, out=inner)
+        np.subtract(w[above], inner, out=inner)
+        inner += w[below]
+        np.multiply(w[p0], 2.0, out=edge)
+        if periodic:
+            np.subtract(w[wrapped_above], edge, out=edge)
+            edge += w[wrapped_below]
+        else:
+            edge -= 5.0 * w[p1]
+            edge += 4.0 * w[p2]
+            edge -= w[p3]
+    scale(o, by, out=o)
+    return out
+
 
 def d_x(values: np.ndarray, grid: Grid1p1) -> np.ndarray:
     """First x-derivative along axis -2 of (..., nx, k) arrays."""
-    v = values
-    dx = grid.dx
-    if grid.periodic:
-        return (np.roll(v, -1, axis=-2) - np.roll(v, 1, axis=-2)) / (2 * dx)
-    out = np.empty_like(v)
-    out[..., 1:-1, :] = (v[..., 2:, :] - v[..., :-2, :]) / (2 * dx)
-    out[..., 0, :] = (-3 * v[..., 0, :] + 4 * v[..., 1, :] - v[..., 2, :]) / (2 * dx)
-    out[..., -1, :] = (3 * v[..., -1, :] - 4 * v[..., -2, :] + v[..., -3, :]) / (2 * dx)
-    return out
+    return _stencil(values, 2 * grid.dx, -2, 1, grid.periodic)
 
 
 def d_xx(values: np.ndarray, grid: Grid1p1) -> np.ndarray:
     """Second x-derivative along axis -2."""
-    v = values
-    dx2 = grid.dx**2
-    if grid.periodic:
-        return (np.roll(v, -1, axis=-2) - 2 * v + np.roll(v, 1, axis=-2)) / dx2
-    out = np.empty_like(v)
-    out[..., 1:-1, :] = (v[..., 2:, :] - 2 * v[..., 1:-1, :] + v[..., :-2, :]) / dx2
-    out[..., 0, :] = (2 * v[..., 0, :] - 5 * v[..., 1, :] + 4 * v[..., 2, :] - v[..., 3, :]) / dx2
-    out[..., -1, :] = (2 * v[..., -1, :] - 5 * v[..., -2, :] + 4 * v[..., -3, :] - v[..., -4, :]) / dx2
-    return out
+    return _stencil(values, grid.dx**2, -2, 2, grid.periodic)
 
 
 def d_t(values: np.ndarray, grid: Grid1p1) -> np.ndarray:
     """First t-derivative along axis 0 of (nt, nx, k) arrays."""
-    v = values
-    dt = grid.dt
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2 * dt)
-    out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * dt)
-    out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * dt)
-    return out
+    return _stencil(values, 2 * grid.dt, 0, 1)
 
 
 def d_tt(values: np.ndarray, grid: Grid1p1) -> np.ndarray:
-    v = values
-    dt2 = grid.dt**2
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / dt2
-    out[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / dt2
-    out[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / dt2
-    return out
+    return _stencil(values, grid.dt**2, 0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,32 @@ class TestCausalShadow:
         assert a2 <= ar + 1e-9
         assert br <= b2 + 1e-9
 
+    @pytest.mark.parametrize("beta, direction, levels", [
+        ("1+0.1*sqrt(t+0.3)", "past", (2, 4, 381)),
+        ("1+0.1*sqrt(0.3-t)", "future", (2, 3, 380)),
+    ])
+    def test_one_way_sweep_ends_exactly_on_the_chart_edge(self, monkeypatch, beta, direction, levels):
+        # from these levels of the nx 512 grid t0 + n h rounds one ulp past
+        # the chart's edge, where sqrt of a negative number is not finite;
+        # the last step ends on the edge itself
+        chart = Chart1p1(-0.3, 0.3, -1.0, 1.0)
+        metric = DiagonalMetric("1", beta, chart)
+        grid = build_grid(chart, metric, 512, 0.4)
+        stage_times = []
+        light_speed = DiagonalMetric.light_speed
+
+        def recording(self, t, x):
+            stage_times.append(t)
+            return light_speed(self, t, x)
+
+        monkeypatch.setattr(DiagonalMetric, "light_speed", recording)
+        edge = chart.t_min if direction == "past" else chart.t_max
+        for j in levels:
+            s = causal_shadow(metric, (-0.1, 0.1), float(grid.ts[j]), direction, dt=grid.dt)
+            assert (s.times[0] if direction == "past" else s.times[-1]) == edge
+        assert chart.t_min <= min(stage_times) and max(stage_times) <= chart.t_max
+        assert edge in stage_times
+
     def test_truncation_flag_on_line(self):
         g = minkowski(Chart1p1(0.0, 1.0, -0.5, 0.5))
         s = causal_shadow(g, (-0.2, 0.2), 0.0, "future", 1.0)
@@ -234,10 +260,11 @@ def reference_shadow(metric, seed, t0, direction, t_target=None, dt=None):
 
     for n in range(n_steps):
         t = t0 + n * h
+        t_next = t_target if n == n_steps - 1 else t + h
         k1 = f(t, x)
         k2 = f(t + h / 2, x + h / 2 * k1)
         k3 = f(t + h / 2, x + h / 2 * k2)
-        k4 = f(t + h, x + h * k3)
+        k4 = f(t_next, x + h * k3)
         x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         if chart.topology == "line":
             truncated |= bool(np.any(x[:m] < chart.x_min) or np.any(x[m:] > chart.x_max))
@@ -246,7 +273,7 @@ def reference_shadow(metric, seed, t0, direction, t_target=None, dt=None):
         union = list(zip(x[:m].tolist(), x[m:].tolist()))
         if chart.topology == "circle" and any(hi - lo >= chart.period for lo, hi in union):
             union = [(chart.x_min, chart.x_max)]
-        times.append(t0 + (n + 1) * h)
+        times.append(t_target if n == n_steps - 1 else t0 + (n + 1) * h)
         unions.append(reference_merge_intervals(union))
     times = np.array(times)
     if direction == "past":

@@ -96,6 +96,107 @@ class TestStencils:
         assert np.max(np.abs(out[0, :, 0] - ref)) < 5e-4  # O(dx^2), incl. seam
 
 
+# The stencils as complex formulas, the reference for the float64-view
+# stencils of prehyp.grids: the values must be equal under np.array_equal.
+
+def reference_d_x(v, grid):
+    dx = grid.dx
+    if grid.periodic:
+        return (np.roll(v, -1, axis=-2) - np.roll(v, 1, axis=-2)) / (2 * dx)
+    out = np.empty_like(v)
+    out[..., 1:-1, :] = (v[..., 2:, :] - v[..., :-2, :]) / (2 * dx)
+    out[..., 0, :] = (-3 * v[..., 0, :] + 4 * v[..., 1, :] - v[..., 2, :]) / (2 * dx)
+    out[..., -1, :] = (3 * v[..., -1, :] - 4 * v[..., -2, :] + v[..., -3, :]) / (2 * dx)
+    return out
+
+
+def reference_d_xx(v, grid):
+    dx2 = grid.dx**2
+    if grid.periodic:
+        return (np.roll(v, -1, axis=-2) - 2 * v + np.roll(v, 1, axis=-2)) / dx2
+    out = np.empty_like(v)
+    out[..., 1:-1, :] = (v[..., 2:, :] - 2 * v[..., 1:-1, :] + v[..., :-2, :]) / dx2
+    out[..., 0, :] = (2 * v[..., 0, :] - 5 * v[..., 1, :] + 4 * v[..., 2, :] - v[..., 3, :]) / dx2
+    out[..., -1, :] = (2 * v[..., -1, :] - 5 * v[..., -2, :] + 4 * v[..., -3, :] - v[..., -4, :]) / dx2
+    return out
+
+
+def reference_d_t(v, grid):
+    dt = grid.dt
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2 * dt)
+    out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * dt)
+    out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * dt)
+    return out
+
+
+def reference_d_tt(v, grid):
+    dt2 = grid.dt**2
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / dt2
+    out[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / dt2
+    out[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / dt2
+    return out
+
+
+STENCILS = [(d_x, reference_d_x), (d_xx, reference_d_xx), (d_t, reference_d_t), (d_tt, reference_d_tt)]
+
+
+def stencil_input(rng, shape, kind):
+    """Values of the given shape, zero on the first third of axis -2 (signed
+    zeros and exact cancellations), as a C-order complex or real array, a
+    stride-0 broadcast along the leading or the last axis, or a view whose
+    last axis is not contiguous."""
+    base = rng.standard_normal(shape) + (0 if kind == "real" else 1j * rng.standard_normal(shape))
+    base[..., : shape[-2] // 3, :] = 0.0
+    if kind == "broadcast leading":
+        return np.broadcast_to(base[:1], shape)
+    if kind == "broadcast last":
+        return np.broadcast_to(base[..., :1], shape)
+    if kind == "non-contiguous":
+        wide = np.zeros(shape[:-1] + (2 * shape[-1],), dtype=complex)
+        wide[..., ::2] = base
+        return wide[..., ::2]
+    return base
+
+
+@pytest.mark.parametrize("kind", ["complex", "real", "broadcast leading", "broadcast last", "non-contiguous"])
+@pytest.mark.parametrize("nx", [8, 9, 512])
+@pytest.mark.parametrize("topology", ["line", "circle"])
+def test_stencils_equal_the_complex_formulas(topology, nx, kind):
+    chart = Chart1p1(-0.3, 0.3, -1.0, 1.0, topology=topology)
+    grid = build_grid(chart, minkowski(chart), nx)
+    rng = np.random.default_rng(nx)
+    for shape in [(nx, 2), (2, nx, 2), (grid.nt, nx, 2), (grid.nt, nx, 1)]:
+        v = stencil_input(rng, shape, kind)
+        # the time stencils along the leading axis, which a stack of two lacks
+        for stencil, reference in STENCILS if shape[0] > 2 else STENCILS[:2]:
+            got, want = stencil(v, grid), reference(v, grid)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), (stencil.__name__, shape)
+
+
+@pytest.mark.parametrize("nt", [3, 4, 5, 7])
+def test_time_stencils_on_few_levels(grid_small, nt):
+    # the edge rows overlap or cross on so few levels
+    v = stencil_input(np.random.default_rng(nt), (nt, 8, 2), "complex")
+    for stencil, reference in STENCILS[2:] if nt >= 4 else STENCILS[2:3]:
+        assert np.array_equal(stencil(v, grid_small), reference(v, grid_small))
+        assert np.array_equal(stencil(v[:, 0, 0], grid_small), reference(v[:, 0, 0], grid_small))
+
+
+def test_complex_over_real_is_the_product_with_the_reciprocal(chart, mink):
+    # the stencils scale the float64 view by 1 / h, which equals numpy's
+    # complex-by-real division only while numpy divides that way
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2))
+    grids = [build_grid(chart, mink, nx) for nx in (128, 256, 512, 1024)]
+    spacings = [h for g in grids for h in (2 * g.dx, g.dx**2, 2 * g.dt, g.dt**2)]
+    for h in spacings + list(rng.uniform(1e-6, 10.0, 50)):
+        h = float(h)
+        assert (v / h).view(np.float64).tobytes() == (v.view(np.float64) * (1.0 / h)).tobytes()
+
+
 class TestWindows:
     def test_smooth_step_endpoints(self):
         u = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])

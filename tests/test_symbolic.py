@@ -96,13 +96,20 @@ def test_tape_on_the_mesh_matches_level_by_level():
 
 
 def test_stage_times_are_cached():
+    # only the last block's stage times are cached: a call outside them
+    # evaluates afresh and caches nothing
     tape = Tape([parse("sin(t)")], np.zeros(3))
     first = tape(0.1)
-    assert tape(0.1) is first
-    tape(0.2)
-    assert tape(0.1) is first
-    tape(0.3)
-    assert tape(0.1) is not first  # only the last two times are kept
+    assert tape(0.1) is not first and np.array_equal(tape(0.1)[0], first[0])
+    ts = np.array([0.1, 0.2, 0.3])[:, None, None]
+    tape.block(ts)
+    hit = tape(ts[1])
+    assert tape(np.array([[0.2]])) is hit and np.array_equal(hit[0], np.sin(ts[1]))
+    miss = tape(np.array([[0.4]]))
+    assert tape(np.array([[0.4]])) is not miss
+    assert tape(ts[1]) is hit  # a miss leaves the block's times cached
+    tape.block(ts[2:])
+    assert tape(ts[1]) is not hit  # a new block replaces them
 
 
 BLOCK_EXPRS = (
