@@ -7,7 +7,8 @@ Coefficient fields are symbolic: a k x k matrix of expression ASTs.  The
 derivatives that composition and adjoints need are exact (expr.diff), and
 constant folding prunes the entries that vanish identically.  Solvers and
 apply_operator compile the nonzero entries of an operator once into an
-evaluation tape (coefficient_tape).
+evaluation tape (coefficient_tape) and apply each field through the one
+product that product(field) chooses for it.
 """
 
 from __future__ import annotations
@@ -177,27 +178,24 @@ class MatrixField:
 
 def coefficient_tape(fields: Sequence[MatrixField], xs: np.ndarray) -> Callable:
     """Compile the nonzero entries of several fields into one expr.Tape on
-    the nodes xs.  Returns at(t) giving, per field, its constant matrix or
-    its nonzero entries as (i, j, value at t on xs) triples; at.block is the
-    tape's block call, which evaluates a stack of stage times at once for
-    later at(t) calls, or None when all fields are constant."""
+    the nodes xs.  Returns at(t) giving, per field, its value as product
+    applies it: its constant matrix or its nonzero entries as (i, j, value
+    at t on xs) triples.  at.stages(ts) gives that list for every stage
+    time of a stage-major stack ts, from one run of the tape (Tape.stages)."""
     nonzero = [None if f.is_constant else f.nonzero() for f in fields]
-    if all(entries is None for entries in nonzero):  # constant fields need no tape
-        def at(t):
-            return [f.constant for f in fields]
-
-        at.block = None
-        return at
     tape = _expr.Tape([e for entries in nonzero if entries for _, _, e in entries], xs)
 
-    def at(t):
-        vals = iter(tape(t))
+    def values(vals: list) -> list:
+        vals = iter(vals)
         return [
             f.constant if entries is None else [(i, j, next(vals)) for i, j, _ in entries]
             for f, entries in zip(fields, nonzero)
         ]
 
-    at.block = tape.block
+    def at(t):
+        return values(tape(t))
+
+    at.stages = lambda ts: [values(vals) for vals in tape.stages(ts)]
     return at
 
 
@@ -210,6 +208,25 @@ def contract(coeff, vec: np.ndarray) -> np.ndarray:
     for i, j, val in coeff:
         out[..., i] += val * vec[..., j]
     return out
+
+
+def product(field: MatrixField) -> Callable:
+    """(c, w) -> field @ w over the last axis, c the field's value from its
+    coefficient tape: the one choice of how a field is applied, made once
+    per field.  A field s Id is applied as a broadcast product.  For a
+    non-constant s the tape gives every diagonal entry the one shared
+    value, and s * w is contract's 0 + s * w; a constant s is applied as a
+    number, except one with nonzero real and imaginary parts, which keeps
+    the matrix product, whose complex products round differently.  Values
+    equal contract's up to the sign of zeros."""
+    s = field.scalar
+    if s is None and field.diagonal is not None:
+        return lambda c, w: np.asarray(c[0][2])[..., None] * w
+    if s is None or (s.real and s.imag):
+        return contract
+    if s == 1:
+        return lambda c, w: w
+    return lambda c, w: s * w
 
 
 def as_matrix_field(value) -> MatrixField:
@@ -463,16 +480,20 @@ def apply_operator(op: Union[FirstOrderOperator, SecondOrderOperator], phi: Grid
     else:
         fields = (op.c_tt, op.c_tx.scale(2.0), op.c_xx, op.d_t, op.d_x, op.e)
     c = coefficient_tape(fields, grid.xs)(grid.ts[:, None])
+
+    def term(n: int, w: np.ndarray) -> np.ndarray:
+        return product(fields[n])(c[n], w)
+
     if isinstance(op, FirstOrderOperator):
-        out = contract(c[0], d_t(v, grid)) + contract(c[1], d_x(v, grid)) + contract(c[2], v)
+        out = term(0, d_t(v, grid)) + term(1, d_x(v, grid)) + term(2, v)
         return GridSection(grid, out)
     vt = d_t(v, grid)
     out = (
-        contract(c[0], d_tt(v, grid))
-        + contract(c[1], d_x(vt, grid))
-        + contract(c[2], d_xx(v, grid))
-        + contract(c[3], vt)
-        + contract(c[4], d_x(v, grid))
-        + contract(c[5], v)
+        term(0, d_tt(v, grid))
+        + term(1, d_x(vt, grid))
+        + term(2, d_xx(v, grid))
+        + term(3, vt)
+        + term(4, d_x(v, grid))
+        + term(5, v)
     )
     return GridSection(grid, out)

@@ -27,8 +27,8 @@ from .bundle_ops import (
     apply_operator,
     coefficient_tape,
     compose,
-    contract,
     is_complementary_pair,
+    product,
 )
 from .geometry import CauchyLine, CausalShadow, DiagonalMetric
 from .grids import (
@@ -83,7 +83,7 @@ def normal_derivative_data(
     if np.any(np.abs(np.linalg.det(sigma_n)) < 1e-12):
         raise PrenormalHyperbolicityError("sigma_P(normal covector) singular along the hypersurface")
     a_x, b = coefficient_tape((p.a_x, p.b), xs)(t0)
-    rhs = contract(a_x, d_x(phi0.values, grid)) + contract(b, phi0.values)
+    rhs = product(p.a_x)(a_x, d_x(phi0.values, grid)) + product(p.b)(b, phi0.values)
     psi = -np.linalg.solve(sigma_n, rhs[..., None])[..., 0]
     # the window is identically zero outside the declared support, so the
     # derivative carries no content there; mask to keep the support exact
@@ -133,24 +133,24 @@ class _Half:
         self.first = max(0, (forced - 1) // 2)
 
 
-def _evolve(rhs, y0, grid: Grid1p1, j0: int, forcing=_unforced, block=None) -> GridSection:
+def _evolve(rhs, stages, y0, grid: Grid1p1, j0: int, forcing=_unforced) -> GridSection:
     """March the state from level j0 to both ends of the grid; the section
-    holds the first state component at every level.  rhs(t, y, f) gets the
-    stage times t of the stacked halves as a (members, 1) column and the
+    holds the first state component at every level.  rhs(c, y, f) gets the
+    coefficient values c at the stage times of the stacked halves and the
     forcing f at them (0.0 if no member is forced), which forcing(times)
-    gives per half for all of that half's stage times at once.  block, if
-    given, gets the stage times of each BLOCK_STEPS steps ahead of their
-    rhs calls as a stage-major (S, members, 1) stack.  Raises
-    SolverBlowupError if a half's final state is not finite, the forward
-    half first: a non-finite interior node stays so under the update, so
-    the check at the end covers every level."""
+    gives per half for all of that half's stage times at once.
+    stages(ts) gives the coefficient values at each stage time of a
+    stage-major (S, members, 1) stack ts (coefficient_tape's at.stages).
+    Raises SolverBlowupError if a half's final state is not finite, the
+    forward half first: a non-finite interior node stays so under the
+    update, so the check at the end covers every level."""
     out = np.empty((grid.nt,) + y0[0].shape, dtype=complex)
     out[j0] = y0[0]
     zero_start = not any(yc.any() for yc in y0)
     halves = [_Half(grid, j0, step, forcing, zero_start) for step in (1, -1)]
     for h in halves:
         out[h.levels[:h.first] + h.step] = 0.0
-    _rk4(rhs, y0, [h for h in halves if h.first < len(h.levels)], grid, out, block)
+    _rk4(rhs, stages, y0, [h for h in halves if h.first < len(h.levels)], grid, out)
     for h in halves:
         if h.end is not None and not all(np.isfinite(yc).all() for yc in h.end):
             swept = h.levels + h.step
@@ -159,13 +159,15 @@ def _evolve(rhs, y0, grid: Grid1p1, j0: int, forcing=_unforced, block=None) -> G
     return GridSection(grid, out)
 
 
-def _rk4(rhs, y0, halves: list, grid: Grid1p1, out: np.ndarray, block=None) -> None:
+def _rk4(rhs, stages, y0, halves: list, grid: Grid1p1, out: np.ndarray) -> None:
     """March the halves in lockstep as one state stacked on a leading axis,
     each from its first step, writing the first state component of each
     level into out, and keep each half's final state as its end.  While
     two halves remain they step together, as many steps as the shorter
-    needs; the longer then finishes alone.  Every BLOCK_STEPS steps, block
-    gets the stage times of the coming steps, both ends included.
+    needs; the longer then finishes alone.  Every BLOCK_STEPS steps, stages
+    gives the coefficient values at the stage times of the coming steps,
+    both ends included, and step j of the block gets stages 2j, 2j + 1
+    and 2j + 2.
 
     Each segment marches in buffers of its own, each holding all state
     components: the state, updated in place, and one buffer per later
@@ -185,19 +187,20 @@ def _rk4(rhs, y0, halves: list, grid: Grid1p1, out: np.ndarray, block=None) -> N
         half_dt, sixth_dt = dt / 2, dt / 6
         # the state and stage buffers as (components, float64 view, the view's components)
         y = np.array(y, dtype=complex, order="C")
-        state, *stages = (_buffer(y if b == 0 else np.empty(y.shape, complex)) for b in range(4))
+        state, *buffers = (_buffer(y if b == 0 else np.empty(y.shape, complex)) for b in range(4))
         components, view, _ = state
         like = components[0]
         acc, twice = (np.empty(view.shape) for _ in range(2))
         for s in range(n):
-            if block is not None and s % BLOCK_STEPS == 0:
-                block(np.ascontiguousarray(times[:, 2 * s:2 * min(s + BLOCK_STEPS, n) + 1].T)[..., None])
-            t, t_mid, t_next = (times[:, c:c + 1] for c in range(2 * s, 2 * s + 3))
+            j = s % BLOCK_STEPS
+            if j == 0:
+                block = stages(np.ascontiguousarray(times[:, 2 * s:2 * min(s + BLOCK_STEPS, n) + 1].T)[..., None])
+            cf, cf_mid, cf_next = block[2 * j:2 * j + 3]
             f, f_mid, f_next = (_stacked([r[c] for r in rows]) for c in range(2 * s, 2 * s + 3))
-            k1 = _views(rhs(t, components, f), like)
-            k2 = _views(rhs(t_mid, _axpy(stages[0], view, half_dt, k1), f_mid), like)
-            k3 = _views(rhs(t_mid, _axpy(stages[1], view, half_dt, k2), f_mid), like)
-            k4 = _views(rhs(t_next, _axpy(stages[2], view, dt, k3), f_next), like)
+            k1 = _views(rhs(cf, components, f), like)
+            k2 = _views(rhs(cf_mid, _axpy(buffers[0], view, half_dt, k1), f_mid), like)
+            k3 = _views(rhs(cf_mid, _axpy(buffers[1], view, half_dt, k2), f_mid), like)
+            k4 = _views(rhs(cf_next, _axpy(buffers[2], view, dt, k3), f_next), like)
             # ((2 b + a) + 2 c) + d
             for sc, tc, a, b, c in zip(acc, twice, k1, k2, k3):
                 np.multiply(b, 2.0, out=sc)
@@ -258,34 +261,17 @@ def _axpy(into: tuple, y: np.ndarray, a: np.ndarray, k: tuple) -> tuple:
     return components
 
 
-def _scaled(field: MatrixField):
-    """(c, w) -> field @ w over the last axis, c the field's value from its
-    coefficient tape; a field s Id is applied as a broadcast product,
-    decided here once per solve.  For a non-constant s the tape gives every
-    diagonal entry the one shared value, and s * w is contract's 0 + s * w;
-    a constant s is applied as a number, except one with nonzero real and
-    imaginary parts, which keeps the matrix product, whose complex products
-    round differently."""
-    s = field.scalar
-    if s is None and field.diagonal is not None:
-        return lambda c, w: c[0][2][..., None] * w
-    if s is None or (s.real and s.imag):
-        return contract
-    if s == 1:
-        return lambda c, w: w
-    return lambda c, w: s * w
-
-
 def _subtractor(field: MatrixField):
     """(load, c, w) -> load - field @ w, with a constant +-Id field applied
-    as its sign."""
+    as its sign.  A load that is the number 0.0, an unforced stage's, is
+    not added: the result is the term -field @ w alone."""
     s = field.scalar
     if s == 1:
-        return lambda load, c, w: load - w
+        return lambda load, c, w: -w if isinstance(load, float) else load - w
     if s == -1:
-        return lambda load, c, w: load + w
-    scaled = _scaled(field)
-    return lambda load, c, w: load - scaled(c, w)
+        return lambda load, c, w: w if isinstance(load, float) else load + w
+    apply = product(field)
+    return lambda load, c, w: -apply(c, w) if isinstance(load, float) else load - apply(c, w)
 
 
 def _source_forcing(source: "TestSection", xs: np.ndarray):
@@ -322,8 +308,10 @@ def solve_second_order(
     working with the frame derivative convert via d_t u = alpha * Psi_0.
     The right-hand side leaves out the coefficient fields that fold to 0
     and the stencils only they need, and applies constant c Id fields as
-    numbers; the remaining terms are subtracted in a fixed order, so the
-    result is bit-identical to subtracting all five matrix products.
+    numbers (bundle_ops.product); the remaining terms are subtracted in a
+    fixed order, from the first term where the stage is unforced, so the
+    result equals subtracting all five matrix products from the forcing
+    (zeros may differ in sign).
     """
     grid.check_cfl(metric.max_light_speed())
     operands = (
@@ -336,20 +324,20 @@ def solve_second_order(
     terms = [of for of in operands if not of[0].is_zero]
     subtracts = [_subtractor(field) for field, _ in terms]
     inverse_tt = op.c_tt.inverse()
-    solve_tt = _scaled(inverse_tt)
+    solve_tt = product(inverse_tt)
     coeffs = coefficient_tape([field for field, _ in terms] + [inverse_tt], grid.xs)
 
-    def rhs(t, y, f):
+    def rhs(c, y, f):
         u, v = y
-        *cs, inv_tt = coeffs(t)
+        *cs, inv_tt = c
         load = f
-        for c, subtract, (_, operand) in zip(cs, subtracts, terms):
-            load = subtract(load, c, operand(u, v))
+        for cf, subtract, (_, operand) in zip(cs, subtracts, terms):
+            load = subtract(load, cf, operand(u, v))
         return (v, solve_tt(inv_tt, load))
 
     y0 = (phi0_values.astype(complex).copy(), dtphi0_values.astype(complex).copy())
     forcing = _unforced if source is None else _source_forcing(source, grid.xs)
-    return _evolve(rhs, y0, grid, j0, forcing, coeffs.block)
+    return _evolve(rhs, coeffs.stages, y0, grid, j0, forcing)
 
 
 def solve_first_order_direct(
@@ -367,18 +355,18 @@ def solve_first_order_direct(
     check_causal_margin(metric, grid, phi0.support, phi0.t0)
     operands = ((p.a_x, lambda u: d_x(u, grid)), (p.b, lambda u: u))
     terms = [of for of in operands if not of[0].is_zero]
-    products = [_scaled(field) for field, _ in terms]
+    products = [product(field) for field, _ in terms]
     inverse_t = p.a_t.inverse()
-    solve_t = _scaled(inverse_t)
+    solve_t = product(inverse_t)
     coeffs = coefficient_tape([field for field, _ in terms] + [inverse_t], grid.xs)
 
-    def rhs(t, y, f):
+    def rhs(c, y, f):
         (u,) = y
-        *cs, inv_t = coeffs(t)
-        flux = reduce(operator.add, (product(c, operand(u)) for c, product, (_, operand) in zip(cs, products, terms)))
+        *cs, inv_t = c
+        flux = reduce(operator.add, (apply(cf, operand(u)) for cf, apply, (_, operand) in zip(cs, products, terms)))
         return (solve_t(inv_t, -flux),)
 
-    return _evolve(rhs, (phi0.values.astype(complex).copy(),), grid, phi0.level, block=coeffs.block)
+    return _evolve(rhs, coeffs.stages, (phi0.values.astype(complex).copy(),), grid, phi0.level)
 
 
 # ---------------------------------------------------------------------------

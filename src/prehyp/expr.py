@@ -467,30 +467,13 @@ def diff(ast: ExprAst, var: str) -> ExprAst:
 # ---------------------------------------------------------------------------
 # evaluation tape
 
-def _stage_key(t):
-    """The cache key of a stage time: a scalar, or a column of at most two
-    members, the (members, 1) column of a lockstep RK4 march or the slice
-    ts[s] of a block, keyed by shape and values, so that a strided column
-    and the block's contiguous slice share a key; None for anything
-    larger, such as a mesh of times or a whole block."""
-    if isinstance(t, float):
-        return t
-    if isinstance(t, np.ndarray) and t.size <= 2:
-        return t.shape, t.tobytes()
-    return None
-
-
 class Tape:
     """ASTs compiled for repeated evaluation on the nodes xs.  Equal
     subtrees share a slot; slots free of t run once, on the first call; a
     call runs the t-dependent slots only, dropping intermediates after their
     last use.  t is a scalar or broadcasts against xs (ts[:, None] for a
-    mesh).  A stage time, a scalar or the (members, 1) column of a lockstep
-    RK4 march, is answered from a cache: block(ts) runs the t-dependent
-    slots once on a stage-major (S, members, 1) stack and caches each ts[s]
-    with the slice v[s] of every value, the shape ts[s] alone gives; a call
-    that misses evaluates and caches nothing.  Finiteness is checked as in
-    evaluate."""
+    mesh).  stages(ts) evaluates a stage-major stack of RK4 stage times in
+    one run.  Finiteness is checked as in evaluate."""
 
     def __init__(self, asts: Sequence[ExprAst], xs):
         self.xs = np.asarray(xs, dtype=float)
@@ -521,7 +504,6 @@ class Tape:
                 self._dynamic[n][4] += (a,)
         self._sliced = [tdep[s] for s in self.outputs]
         self._values: Optional[List[object]] = None
-        self._cache: Dict[object, List[object]] = {}
 
     def _run(self, code: List[list], vals: List[object], t) -> List[object]:
         with np.errstate(all="ignore"):
@@ -534,7 +516,8 @@ class Tape:
                     vals[a] = None
         return vals
 
-    def _evaluate(self, t) -> List[object]:
+    def __call__(self, t) -> List[object]:
+        """The value of every compiled AST at time(s) t on xs."""
         if self._values is None:
             self._values = self._run(self._static, list(self._init), t)
         vals = list(self._values)
@@ -543,27 +526,19 @@ class Tape:
         vals = self._run(self._dynamic, vals, t)
         return [vals[s] for s in self.outputs]
 
-    def __call__(self, t) -> List[object]:
-        """The value of every compiled AST at time(s) t on xs, from the
-        block cache if the last block held t."""
-        out = self._cache.get(_stage_key(t))
-        return self._evaluate(t) if out is None else out
-
-    def block(self, ts: np.ndarray) -> None:
-        """Evaluate at every stage time ts[s] of the stage-major (S, members,
-        1) stack ts in one run and cache the values, in place of the stage
-        times cached before.  A non-finite value raises the ExprEvalError
+    def stages(self, ts: np.ndarray) -> List[List[object]]:
+        """The values at every stage time ts[s] of the stage-major (S,
+        members, 1) stack ts, from one run: per stage, the slice v[s] of
+        each t-dependent value v, the shape ts[s] alone gives, and each
+        other value whole.  A non-finite value raises the ExprEvalError
         that evaluating ts[0], ts[1], ... one by one raises first."""
         try:
-            out = self._evaluate(ts)
+            out = self(ts)
         except ExprEvalError:
             for t in ts:
-                self._evaluate(t)
+                self(t)
             raise
-        self._cache = {
-            _stage_key(t): [v[s] if sliced else v for v, sliced in zip(out, self._sliced)]
-            for s, t in enumerate(ts)
-        }
+        return [[v[s] if sliced else v for v, sliced in zip(out, self._sliced)] for s in range(len(ts))]
 
     def stack(self, t) -> np.ndarray:
         """The compiled ASTs at time(s) t as one complex array whose last

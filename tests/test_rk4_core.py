@@ -22,10 +22,10 @@ import math
 import numpy as np
 import pytest
 
-from prehyp import cauchy, greens
-from prehyp.bundle_ops import FirstOrderOperator, MatrixField, coefficient_tape, compose, contract, formal_adjoint
+from prehyp import bundle_ops, cauchy, greens
+from prehyp.bundle_ops import FirstOrderOperator, MatrixField, coefficient_tape, compose, contract, formal_adjoint, product
 from prehyp.cauchy import solve_cauchy, solve_first_order_direct, solve_second_order
-from prehyp.config import resolve_preset
+from prehyp.config import PRESETS as PRESET_NAMES, resolve_preset
 from prehyp.expr import ExprEvalError, Tape
 from prehyp.geometry import Chart1p1, DiagonalMetric
 from prehyp.grids import GridSection, build_grid, make_cauchy_data
@@ -177,7 +177,7 @@ def count_calls(monkeypatch, module, name):
 
 
 def count_rhs_calls(monkeypatch):
-    """Record the stage times of every right-hand-side call."""
+    """Record the coefficient values of every right-hand-side call."""
     calls = []
     evolve = cauchy._evolve
 
@@ -253,10 +253,10 @@ def test_minkowski_dirac_rhs_takes_no_first_derivative(chart, mink, monkeypatch)
 def test_minkowski_dirac_rhs_makes_no_matrix_contraction(chart, mink, monkeypatch):
     # C^xx = -Id, E = m^2 Id and (C^tt)^-1 = Id on Minkowski: each is applied
     # as a sign or a number, where the unpruned scheme makes three contractions
-    calls = count_calls(monkeypatch, cauchy, "contract")
+    calls = count_calls(monkeypatch, bundle_ops, "contract")
     p, q, grid, section = dirac_scenario(chart, mink)
-    greens_apply(p, q, mink, section, "retarded", grid)
-    assert calls == []
+    u = greens.solve_driven(compose(p, q), mink, section, "retarded", grid)
+    assert calls == [] and u.values.any()
     op = compose(p, q)
     assert (op.c_xx.scalar, op.e.scalar, op.c_tt.inverse().scalar) == (-1, 1, 1)
 
@@ -265,28 +265,30 @@ def test_curved_dirac_rhs_makes_no_matrix_contraction(chart, monkeypatch):
     # on the README metric every nonzero term of the Dirac square is s(t, x)
     # Id (C^xx, D^t, D^x, (C^tt)^-1), applied as one broadcast product
     metric = DiagonalMetric(*METRICS["readme"], chart)
-    calls = count_calls(monkeypatch, cauchy, "contract")
+    calls = count_calls(monkeypatch, bundle_ops, "contract")
     p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
     grid = build_grid(chart, metric, 128)
     section = make_test_section(grid, ["1", "0.5"], X_WINDOW, T_WINDOW)
-    greens_apply(p, q, metric, section, "retarded", grid)
-    assert calls == []
+    u = greens.solve_driven(compose(p, q), metric, section, "retarded", grid)
+    assert calls == [] and u.values.any()
     op = compose(p, q)
     fields = (op.c_xx, op.d_t, op.d_x, op.c_tt.inverse())
     assert all(f.diagonal is not None and not f.is_constant for f in fields)
 
 
-@pytest.mark.parametrize("s, c", [("1+0.3*cos(2*x)", 1), ("1+0.1*sin(t)", -2.5), ("(1+x)*(0.2+t)", 0.3 - 0.7j)])
+@pytest.mark.parametrize("s, c", [("1+0.3*cos(2*x)", 1), ("1+0.1*sin(t)", -2.5), ("(1+x)*(0.2+t)", 0.3 - 0.7j), ("t", 1)])
 def test_shared_diagonal_fields_contract_as_the_matrix_product(s, c):
-    # s * w equals contract's 0 + s * w up to the sign of zeros
+    # s * w equals contract's 0 + s * w up to the sign of zeros; s = t at a
+    # scalar time comes from the tape as a Python float
     field = MatrixField.from_exprs([[s, 0], [0, s]]).scale(c)
     assert field.diagonal is not None and field.scalar is None
     xs = np.linspace(-1.0, 1.0, 128)
     c = coefficient_tape([field], xs)(0.25)[0]
     rng = np.random.default_rng(5)
     w, load = (rng.normal(size=(128, 2)) + 1j * rng.normal(size=(128, 2)) for _ in range(2))
-    assert np.array_equal(cauchy._scaled(field)(c, w), contract(c, w))
+    assert np.array_equal(product(field)(c, w), contract(c, w))
     assert np.array_equal(cauchy._subtractor(field)(load, c, w), load - contract(c, w))
+    assert np.array_equal(cauchy._subtractor(field)(0.0, c, w), 0.0 - contract(c, w))
 
 
 @pytest.mark.parametrize("c", [1, -1, 0.49, -2.5, 1j, 0.3 + 0.7j])
@@ -295,8 +297,33 @@ def test_constant_identity_fields_contract_as_the_matrix_product(c):
     rng = np.random.default_rng(5)
     w, load = (rng.normal(size=(128, 2)) + 1j * rng.normal(size=(128, 2)) for _ in range(2))
     assert field.scalar == c
-    assert np.array_equal(cauchy._scaled(field)(field.constant, w), w @ field.constant.T)
+    assert np.array_equal(product(field)(field.constant, w), w @ field.constant.T)
     assert np.array_equal(cauchy._subtractor(field)(load, field.constant, w), load - w @ field.constant.T)
+    assert np.array_equal(cauchy._subtractor(field)(0.0, field.constant, w), 0.0 - w @ field.constant.T)
+
+
+@pytest.mark.parametrize("metric_name", sorted(METRICS))
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_operator_application_equals_the_contraction_only_form(chart, monkeypatch, preset, metric_name):
+    # apply_operator and the normal derivative data apply each field through
+    # bundle_ops.product; the form that contracts every field gives equal values
+    metric = DiagonalMetric(*METRICS[metric_name], chart)
+    p, q = resolve_preset(preset, 0.0 if preset == "dirac_massless" else 1.0, metric)
+    grid = build_grid(chart, metric, 128)
+    phi0 = make_cauchy_data(grid, ["1", "0.5"][:p.k], 0.0)
+    phi = solve_first_order_direct(p, metric, phi0, grid)
+    ops = (p, q, formal_adjoint(p, metric), compose(q, p), compose(formal_adjoint(p, metric), formal_adjoint(q, metric)))
+
+    def run():
+        return [bundle_ops.apply_operator(op, phi).values for op in ops] + [cauchy.normal_derivative_data(p, metric, phi0).values]
+
+    actual = run()
+    for mod in (bundle_ops, cauchy):
+        monkeypatch.setattr(mod, "product", lambda field: contract)
+    expected = run()
+    assert all(np.isfinite(a).all() and np.abs(a).max() > 0 for a in actual)
+    for a, e in zip(actual, expected):
+        assert np.array_equal(a, e)
 
 
 @pytest.mark.parametrize("direction", ["retarded", "advanced"])
@@ -369,18 +396,18 @@ def test_lockstep_on_a_circle_equals_the_unpruned_scheme(monkeypatch, t0):
 
 
 @pytest.mark.parametrize("t0", [0.0, 0.1])
-def test_a_cauchy_solve_makes_four_rhs_calls_per_step_of_its_longer_half(chart, mink, monkeypatch, t0):
+def test_a_cauchy_solve_makes_four_rhs_calls_per_step_of_its_longer_half(chart, monkeypatch, t0):
     # the halves step together, stacked, until the shorter one is done; the
-    # unstacked scheme makes 4 (nt - 1) calls
+    # unstacked scheme makes 4 (nt - 1) calls.  On the README metric the
+    # t-dependent coefficient values of a call have one row per member
     calls = count_rhs_calls(monkeypatch)
-    p, q = build_dirac_pair(DiracModel(mass=1.0), mink)
-    grid = build_grid(chart, mink, 128)
-    phi0 = make_cauchy_data(grid, ["1", "0.5"], t0)
-    solve_cauchy(p, q, mink, phi0, grid)
+    metric, p, q, grid, phi0 = lockstep_case(chart, "readme", t0)
+    solve_cauchy(p, q, metric, phi0, grid)
     j0, longest = phi0.level, max(phi0.level, grid.nt - 1 - phi0.level)
     assert len(calls) == 4 * longest < 4 * (grid.nt - 1)
     shorter = min(j0, grid.nt - 1 - j0)
-    assert [np.shape(t) for t in calls] == [(2, 1)] * 4 * shorter + [(1, 1)] * 4 * (longest - shorter)
+    members = [{len(v) for field in c if isinstance(field, list) for _, _, v in field if np.ndim(v) == 2} for c in calls]
+    assert members == [{2}] * 4 * shorter + [{1}] * 4 * (longest - shorter)
 
 
 def count_tape_runs(monkeypatch):
@@ -399,8 +426,8 @@ def count_tape_runs(monkeypatch):
 
 def test_curved_solve_runs_the_coefficient_tape_once_per_block(chart, monkeypatch):
     # each block of BLOCK_STEPS steps of a lockstep segment evaluates its
-    # stage times, both ends included, in one run of the tape; the tape's
-    # cache answers every right-hand-side call
+    # stage times, both ends included, in one run of the tape, which gives
+    # every right-hand-side call of the block its coefficient values
     metric = DiagonalMetric(*METRICS["readme"], chart)
     p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
     grid = build_grid(chart, metric, 256)
@@ -456,5 +483,6 @@ def test_non_finite_coefficients_raise_as_stage_by_stage(chart, monkeypatch, bet
     actual = run()
     assert any(len(shape) == 3 for shape in runs)
     assert abs(actual[1] - t0) > cauchy.BLOCK_STEPS * grid.dt
-    monkeypatch.setattr(Tape, "block", lambda self, ts: None)
+    # the reference evaluates each stage time alone
+    monkeypatch.setattr(Tape, "stages", lambda self, ts: [self(t) for t in ts])
     assert run() == actual
