@@ -4,10 +4,14 @@ independent cross-check, restriction to other hypersurfaces and the
 compatibility round trip.
 
 Time stepping is classical 4th-order one-step (RK4); space is 2nd-order
-centered.  Both time directions are evolved from the initial hypersurface
-so the solution fills the whole chart: the two halves march in lockstep as
-one stacked state, each with its own step sign, stage times and forcing,
-until the shorter is done; the longer then finishes alone in the same loop.
+centered.  A march evolves a list of starts of one operator, each a state
+at a level, the time directions it goes in and its forcing, with one
+output per start.  A Cauchy solve is one start with both directions, so
+the solution fills the whole chart; a driven solve is a start with one.
+Every direction of every start is a member of one stacked RK4 state, with
+its own start state, step sign, stage times and forcing; the members step
+in lockstep, each leaving the stack when its last level is done, and one
+coefficient tape serves them all.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -108,17 +112,32 @@ def _unforced(times: np.ndarray) -> list:
     return [0.0] * len(times)
 
 
-class _Half:
-    """One time direction of a solve, a member of the stacked state: the
-    levels it marches from j0 to one end of the grid, its stage times, the
-    forcing at them and, from a zero start state, its first step with a
-    forced stage; the levels before that step stay exactly 0 and are not
-    marched.  A step's last stage runs at the next level's own time, so
-    that it coincides with the next step's first stage."""
+@dataclass
+class _Start:
+    """One solution of a march: the state y0 at level j0, the directions
+    it is marched in from there (1 forward, -1 backward) and the forcing
+    at its stage times, which forcing(times) gives per direction for all
+    of that direction's stage times at once."""
 
-    def __init__(self, grid: Grid1p1, j0: int, step: int, forcing, zero_start: bool):
+    y0: tuple
+    j0: int
+    steps: Tuple[int, ...] = (1, -1)
+    forcing: Callable = _unforced
+
+
+class _Member:
+    """One direction of a start, a member of the stacked state: the levels
+    it marches from j0 to one end of the grid, its stage times, the forcing
+    at them, the start's output and, from a zero start state, its first
+    step with a forced stage; the levels before that step stay exactly 0
+    and are not marched.  A step's last stage runs at the next level's own
+    time, so that it coincides with the next step's first stage."""
+
+    def __init__(self, grid: Grid1p1, start: _Start, step: int, out: np.ndarray, zero_start: bool):
+        self.y0 = start.y0
         self.step = step
-        self.levels = np.arange(j0, grid.nt - 1) if step > 0 else np.arange(j0, 0, -1)
+        self.out = out
+        self.levels = np.arange(start.j0, grid.nt - 1) if step > 0 else np.arange(start.j0, 0, -1)
         self.first = len(self.levels)
         self.end = None  # the state after its last step
         if not len(self.levels):
@@ -127,47 +146,59 @@ class _Half:
         self.times = np.empty(2 * len(self.levels) + 1)
         self.times[0::2] = grid.ts[np.append(self.levels, self.levels[-1] + step)]
         self.times[1::2] = grid.ts[self.levels] + step * grid.dt / 2
-        self.f = forcing(self.times)
+        self.f = start.forcing(self.times)
         # step n uses the stages 2n, 2n + 1 and 2n + 2
         forced = next((i for i, fi in enumerate(self.f) if np.any(fi)), len(self.f)) if zero_start else 0
         self.first = max(0, (forced - 1) // 2)
 
-
-def _evolve(rhs, stages, y0, grid: Grid1p1, j0: int, forcing=_unforced) -> GridSection:
-    """March the state from level j0 to both ends of the grid; the section
-    holds the first state component at every level.  rhs(c, y, f) gets the
-    coefficient values c at the stage times of the stacked halves and the
-    forcing f at them (0.0 if no member is forced), which forcing(times)
-    gives per half for all of that half's stage times at once.
-    stages(ts) gives the coefficient values at each stage time of a
-    stage-major (S, members, 1) stack ts (coefficient_tape's at.stages).
-    Raises SolverBlowupError if a half's final state is not finite, the
-    forward half first: a non-finite interior node stays so under the
-    update, so the check at the end covers every level."""
-    out = np.empty((grid.nt,) + y0[0].shape, dtype=complex)
-    out[j0] = y0[0]
-    zero_start = not any(yc.any() for yc in y0)
-    halves = [_Half(grid, j0, step, forcing, zero_start) for step in (1, -1)]
-    for h in halves:
-        out[h.levels[:h.first] + h.step] = 0.0
-    _rk4(rhs, stages, y0, [h for h in halves if h.first < len(h.levels)], grid, out)
-    for h in halves:
-        if h.end is not None and not all(np.isfinite(yc).all() for yc in h.end):
-            swept = h.levels + h.step
-            bad = next((j for j in swept.tolist() if not np.isfinite(out[j]).all()), int(swept[-1]))
+    def check_finite(self, grid: Grid1p1) -> None:
+        """Raise SolverBlowupError at the first level of this direction
+        that is not finite, if its final state is not: a non-finite
+        interior node stays so under the update, so the final state covers
+        every level."""
+        if self.end is not None and not all(np.isfinite(yc).all() for yc in self.end):
+            swept = self.levels + self.step
+            bad = next((j for j in swept.tolist() if not np.isfinite(self.out[j]).all()), int(swept[-1]))
             raise SolverBlowupError(bad, float(grid.ts[bad]))
-    return GridSection(grid, out)
 
 
-def _rk4(rhs, stages, y0, halves: list, grid: Grid1p1, out: np.ndarray) -> None:
-    """March the halves in lockstep as one state stacked on a leading axis,
-    each from its first step, writing the first state component of each
-    level into out, and keep each half's final state as its end.  While
-    two halves remain they step together, as many steps as the shorter
-    needs; the longer then finishes alone.  Every BLOCK_STEPS steps, stages
-    gives the coefficient values at the stage times of the coming steps,
-    both ends included, and step j of the block gets stages 2j, 2j + 1
-    and 2j + 2.
+def _march(rhs, stages, grid: Grid1p1, starts: list) -> list:
+    """March every start from its level to the ends of the grid its
+    directions reach, all as one stacked state; returns, per start, the
+    section holding the first state component at every level (levels no
+    direction reaches stay unset).  rhs(c, y, f) gets the coefficient
+    values c at the stage times of the stacked members and the forcing f
+    at them (0.0 if no member is forced).  stages(ts) gives the
+    coefficient values at each stage time of a stage-major (S, members, 1)
+    stack ts (coefficient_tape's at.stages).  Raises SolverBlowupError for
+    the first start, forward before backward, whose final state is not
+    finite.  Every operation acts on each member alone, so a start's
+    solution does not depend on the others marched with it."""
+    outs, members = [], []
+    for start in starts:
+        out = np.empty((grid.nt,) + start.y0[0].shape, dtype=complex)
+        out[start.j0] = start.y0[0]
+        zero_start = not any(yc.any() for yc in start.y0)
+        for step in start.steps:
+            m = _Member(grid, start, step, out, zero_start)
+            out[m.levels[:m.first] + step] = 0.0
+            members.append(m)
+        outs.append(out)
+    _rk4(rhs, stages, [m for m in members if m.first < len(m.levels)], grid)
+    for m in members:
+        m.check_finite(grid)
+    return [GridSection(grid, out) for out in outs]
+
+
+def _rk4(rhs, stages, members: list, grid: Grid1p1) -> None:
+    """March the members in lockstep as one state stacked on a leading
+    axis, each from its first step and from its own start state, writing
+    the first state component of each level into the member's output, and
+    keep each member's final state as its end.  The members step together
+    as many steps as the one with the fewest left needs; it leaves the
+    stack, and the rest go on.  Every BLOCK_STEPS steps, stages gives the
+    coefficient values at the stage times of the coming steps, both ends
+    included, and step j of the block gets stages 2j, 2j + 1 and 2j + 2.
 
     Each segment marches in buffers of its own, each holding all state
     components: the state, updated in place, and one buffer per later
@@ -176,14 +207,17 @@ def _rk4(rhs, stages, y0, halves: list, grid: Grid1p1, out: np.ndarray) -> None:
     on the float64 views in the order of the complex formulas, whose
     values they equal: a complex times a real column rounds as each part
     times it."""
-    y = np.stack([np.broadcast_to(yc, (len(halves),) + yc.shape) for yc in y0])
-    while halves:
-        n = min(len(h.levels) - h.first for h in halves)
-        firsts = [h.first for h in halves]
-        times = np.stack([h.times[2 * i:2 * (i + n) + 1] for h, i in zip(halves, firsts)])
-        rows = [h.f[2 * i:2 * (i + n) + 1] for h, i in zip(halves, firsts)]
-        targets = np.stack([h.levels[i:i + n] + h.step for h, i in zip(halves, firsts)], axis=1)
-        dt = np.array([h.step * grid.dt for h in halves])[:, None, None]
+    if not members:
+        return
+    y = np.stack([np.stack([m.y0[c] for m in members]) for c in range(len(members[0].y0))])
+    while members:
+        n = min(len(m.levels) - m.first for m in members)
+        firsts = [m.first for m in members]
+        times = np.stack([m.times[2 * i:2 * (i + n) + 1] for m, i in zip(members, firsts)])
+        rows = [m.f[2 * i:2 * (i + n) + 1] for m, i in zip(members, firsts)]
+        targets = np.stack([m.levels[i:i + n] + m.step for m, i in zip(members, firsts)], axis=1).tolist()
+        outs = [m.out for m in members]
+        dt = np.array([m.step * grid.dt for m in members])[:, None, None]
         half_dt, sixth_dt = dt / 2, dt / 6
         # the state and stage buffers as (components, float64 view, the view's components)
         y = np.array(y, dtype=complex, order="C")
@@ -213,13 +247,14 @@ def _rk4(rhs, stages, y0, halves: list, grid: Grid1p1, out: np.ndarray) -> None:
             view += acc
             if not grid.periodic:
                 y[..., ::grid.nx - 1, :] = 0.0
-            out[targets[s]] = y[0]
-        for m, h in enumerate(halves):
-            h.first += n
-            if h.first == len(h.levels):
-                h.end = tuple(yc[m] for yc in y)
-        keep = [m for m, h in enumerate(halves) if h.end is None]
-        halves = [halves[m] for m in keep]
+            for out, j, row in zip(outs, targets[s], y[0]):
+                out[j] = row
+        for i, m in enumerate(members):
+            m.first += n
+            if m.first == len(m.levels):
+                m.end = tuple(yc[i] for yc in y)
+        keep = [i for i, m in enumerate(members) if m.end is None]
+        members = [members[i] for i in keep]
         y = y[:, keep]
 
 
@@ -275,7 +310,7 @@ def _subtractor(field: MatrixField):
 
 
 def _source_forcing(source: "TestSection", xs: np.ndarray):
-    """forcing(times) for _evolve: the source sampled in one mesh evaluation
+    """forcing(times) for a _Start: the source sampled in one mesh evaluation
     at the stage times inside its time support, 0.0 at the others, where its
     window vanishes exactly."""
     tape = _expr.Tape(source.components, xs)
@@ -306,6 +341,15 @@ def solve_second_order(
 
     dtphi0_values is the coordinate time derivative d_t u|_Sigma; callers
     working with the frame derivative convert via d_t u = alpha * Psi_0.
+    """
+    return _solve_second_order(op, metric, grid, [(phi0_values, dtphi0_values, j0, (1, -1), source)])[0]
+
+
+def _solve_second_order(op: SecondOrderOperator, metric: DiagonalMetric, grid: Grid1p1, starts: list) -> list:
+    """solve_second_order for several starts (u, d_t u, j0, steps, source)
+    marched as one stacked state, each marched from level j0 in its steps
+    (1 forward, -1 backward); one section per start.
+
     The right-hand side leaves out the coefficient fields that fold to 0
     and the stencils only they need, and applies constant c Id fields as
     numbers (bundle_ops.product); the remaining terms are subtracted in a
@@ -335,9 +379,13 @@ def solve_second_order(
             load = subtract(load, cf, operand(u, v))
         return (v, solve_tt(inv_tt, load))
 
-    y0 = (phi0_values.astype(complex).copy(), dtphi0_values.astype(complex).copy())
-    forcing = _unforced if source is None else _source_forcing(source, grid.xs)
-    return _evolve(rhs, coeffs.stages, y0, grid, j0, forcing)
+    return _march(rhs, coeffs.stages, grid, [
+        _Start(
+            (np.asarray(u0, dtype=complex), np.asarray(v0, dtype=complex)), j0, steps,
+            _unforced if source is None else _source_forcing(source, grid.xs),
+        )
+        for u0, v0, j0, steps, source in starts
+    ])
 
 
 def solve_first_order_direct(
@@ -366,7 +414,7 @@ def solve_first_order_direct(
         flux = reduce(operator.add, (apply(cf, operand(u)) for cf, apply, (_, operand) in zip(cs, products, terms)))
         return (solve_t(inv_t, -flux),)
 
-    return _evolve(rhs, coeffs.stages, (phi0.values.astype(complex).copy(),), grid, phi0.level)
+    return _march(rhs, coeffs.stages, grid, [_Start((np.asarray(phi0.values, dtype=complex),), phi0.level)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,15 @@ Green's operators are realized as driven solves per test section (never as
 assembled kernels): the retarded solution of L u = phi integrates forward
 from zero data before the source, the advanced one backward from zero data
 after it.  For a complementary pair (P, Q), S+- = Q applied to the Green's
-solution of PQ is the Green's operator of P.
+solution of PQ is the Green's operator of P.  The driven solves a battery
+needs of one operator march as one stacked state (_solve_driven).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .bundle_ops import (
     formal_adjoint,
     pairing,
 )
-from .cauchy import SHADOW_INFLATION_NODES, solve_second_order, support_leak
+from .cauchy import SHADOW_INFLATION_NODES, _solve_second_order, support_leak
 from .geometry import CausalShadow, DiagonalMetric
 from .grids import Grid1p1, GridSection, MarginError, check_temporal_margin, window_expr, window_support
 
@@ -80,13 +81,23 @@ def solve_driven(
 ) -> GridSection:
     """Retarded: integrate L u = phi forward from zero data before the
     source; advanced: backward from zero data after it."""
-    if direction not in ("retarded", "advanced"):
-        raise ValueError(f"unknown direction {direction!r}")
     grid = grid or source.grid
-    check_temporal_margin(grid, source.t_support)
-    zeros = np.zeros((grid.nx, source.k), dtype=complex)
-    j0 = 0 if direction == "retarded" else grid.nt - 1
-    return solve_second_order(op, metric, grid, zeros, zeros, j0, source=source)
+    return _solve_driven(op, metric, [(source, direction)], grid)[0]
+
+
+def _solve_driven(op: SecondOrderOperator, metric: DiagonalMetric, jobs: list, grid: Grid1p1) -> List[GridSection]:
+    """solve_driven for each (source, direction) job, the jobs marched as
+    one stacked state with one coefficient tape; one solution per job,
+    each equal to the job's solve_driven alone."""
+    starts = []
+    for source, direction in jobs:
+        if direction not in ("retarded", "advanced"):
+            raise ValueError(f"unknown direction {direction!r}")
+        check_temporal_margin(grid, source.t_support)
+        zeros = np.zeros((grid.nx, source.k), dtype=complex)
+        j0, step = (0, 1) if direction == "retarded" else (grid.nt - 1, -1)
+        starts.append((zeros, zeros, j0, (step,), source))
+    return _solve_second_order(op, metric, grid, starts)
 
 
 def greens_apply(
@@ -100,8 +111,17 @@ def greens_apply(
     """S+- phi = Q (G+- phi) where G+- is the Green's solve for the
     normally hyperbolic composition PQ."""
     grid = grid or phi.grid
-    u = solve_driven(compose(p, q), metric, phi, direction, grid)
-    return apply_operator(q, u)
+    return _greens_apply(p, q, metric, [(phi, direction)], grid)[0]
+
+
+def _greens_apply(
+    p: FirstOrderOperator, q: FirstOrderOperator, metric: DiagonalMetric, jobs: list, grid: Grid1p1
+) -> List[GridSection]:
+    """greens_apply for each (section, direction) job, the Green's solves
+    of PQ marched as one (_solve_driven)."""
+    solutions = _solve_driven(compose(p, q), metric, jobs, grid)
+    # each solution is released once Q has been applied to it
+    return [apply_operator(q, solutions.pop(0)) for _ in jobs]
 
 
 def apply_analytic(p: FirstOrderOperator, section: TestSection) -> TestSection:
@@ -195,6 +215,10 @@ def identity_i_residual(
     return _left_inverse_residual(p, phi, greens_apply(p, q, metric, phi, direction, grid))
 
 
+def _right_inverse_residual(psi: TestSection, s_p_psi: GridSection) -> float:
+    return relative_l2(s_p_psi.values - psi.values, psi.values, s_p_psi.grid)
+
+
 def identity_ii_residual(
     p: FirstOrderOperator,
     q: FirstOrderOperator,
@@ -205,10 +229,7 @@ def identity_ii_residual(
 ) -> float:
     """Relative L2 residual of S+-(P psi) = psi for compactly supported psi."""
     grid = grid or psi.grid
-    p_psi = apply_analytic(p, psi)
-    s_p_psi = greens_apply(p, q, metric, p_psi, direction, grid)
-    r = s_p_psi.values - psi.values
-    return relative_l2(r, psi.values, grid)
+    return _right_inverse_residual(psi, greens_apply(p, q, metric, apply_analytic(p, psi), direction, grid))
 
 
 def greens_report(
@@ -220,14 +241,13 @@ def greens_report(
     grid: Optional[Grid1p1] = None,
 ) -> GreensReport:
     """Identity (i), P(S+- phi) = phi, and the relative leak of S+- phi
-    outside J+-(supp phi), from one driven solve; identity (ii),
-    S+-(P phi) = phi, from a second."""
+    outside J+-(supp phi); identity (ii), S+-(P phi) = phi.  The driven
+    solves of phi and of P phi march as one."""
     grid = grid or phi.grid
-    s_phi = greens_apply(p, q, metric, phi, direction, grid)
+    s_phi, s_p_phi = _greens_apply(p, q, metric, [(phi, direction), (apply_analytic(p, phi), direction)], grid)
     identity_i = _left_inverse_residual(p, phi, s_phi)
     leak = support_leak(s_phi, source_shadow(metric, grid, phi, direction), s_phi.linf())
-    del s_phi  # released before the second solve
-    return GreensReport(identity_i, identity_ii_residual(p, q, metric, phi, direction, grid), leak)
+    return GreensReport(identity_i, _right_inverse_residual(phi, s_p_phi), leak)
 
 
 def _relative_gap(a: complex, b: complex) -> float:
@@ -246,20 +266,15 @@ def adjoint_pairing_check(
     """The relative gap between <S'_- psi, f> and <psi, S_+ f> for the
     bilinear pairing, the dual side through the formal adjoints P*, Q*;
     and its negative control, the gap with S'_+ in place of S'_-, which
-    must not vanish.  Three driven solves: S_+ f, S'_- psi, S'_+ psi; the
-    two dual sides share one composition P* Q*."""
+    must not vanish.  Three driven solves in two marches: S_+ f of P Q,
+    then S'_- psi and S'_+ psi of P* Q* as one."""
     grid = grid or f.grid
-    q_star = formal_adjoint(q, metric)
-    dual_op = compose(formal_adjoint(p, metric), q_star)
     rhs = pairing(psi.as_section(), greens_apply(p, q, metric, f, "retarded", grid), metric, grid)
-
-    def dual_side(direction: str) -> complex:
-        s_psi = apply_operator(q_star, solve_driven(dual_op, metric, psi, direction, grid))
-        return pairing(s_psi, f.as_section(), metric, grid)
-
-    lhs = dual_side("advanced")
-    control = _relative_gap(dual_side("retarded"), rhs)
-    return AdjointReport(_relative_gap(lhs, rhs), lhs, rhs, control)
+    dual = _greens_apply(
+        formal_adjoint(p, metric), formal_adjoint(q, metric), metric, [(psi, "advanced"), (psi, "retarded")], grid
+    )
+    lhs, control = (pairing(s_psi, f.as_section(), metric, grid) for s_psi in dual)
+    return AdjointReport(_relative_gap(lhs, rhs), lhs, rhs, _relative_gap(control, rhs))
 
 
 def uniqueness_probe(

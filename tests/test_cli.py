@@ -301,38 +301,42 @@ class TestInternalError:
 
 
 class TestOneSolvePerQuestion:
-    """Each distinct evolution solve in a verdict runs once."""
+    """Each distinct evolution solve in a verdict runs once, and the driven
+    solves that share an operator march as one stacked state."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
+        """The number of solutions (starts) of each march."""
         from prehyp import cauchy
 
-        calls = []
-        real = cauchy._evolve
+        marches = []
+        real = cauchy._march
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(rhs, stages, grid, starts):
+            marches.append(len(starts))
+            return real(rhs, stages, grid, starts)
 
-        monkeypatch.setattr(cauchy, "_evolve", counting)
-        return calls
+        monkeypatch.setattr(cauchy, "_march", counting)
+        return marches
 
-    @pytest.mark.parametrize("subcommand, expected", [
-        ("greens", 4),  # S+-phi and S+-(P phi) per direction
-        ("adjoint-check", 3),  # S+ f, S'- psi and the control's S'+ psi
-        ("verify-all", 14),
+    @pytest.mark.parametrize("subcommand, solutions, marches", [
+        # S+-phi and S+-(P phi), one march per direction
+        pytest.param("greens", 4, 2, id="greens-4"),
+        # S+ f; S'- psi and the control's S'+ psi as one
+        pytest.param("adjoint-check", 3, 2, id="adjoint-check-3"),
+        pytest.param("verify-all", 14, 11, id="verify-all-14"),
     ])
-    def test_solve_count(self, solves, subcommand, expected):
+    def test_solve_count(self, solves, subcommand, solutions, marches):
         run(subcommand, load_config_text(SMALL_DIRAC_CFG), seed=0)
-        assert len(solves) == expected
+        assert (sum(solves), len(solves)) == (solutions, marches)
 
     def test_batteries_run_one_by_one_share_the_cauchy_solve(self, solves):
         # the Cauchy solve (shared by solve and beta), adjoint-check's three
-        # driven solves and beta's second solution
+        # driven solves in two marches and beta's second solution
         cfg = load_config_text(CURVED_CFG)
         for battery in (cli.run_check_pair, cli.run_solve, cli.run_adjoint_check, cli.run_beta):
             battery(cfg, 0)
-        assert len(solves) == 5
+        assert (sum(solves), len(solves)) == (5, 4)
 
     def test_one_scenario_per_resolution(self):
         cfg = load_config_text(SMALL_DIRAC_CFG)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prehyp.bundle_ops import apply_operator, compose, formal_adjoint, pairing
+from prehyp.bundle_ops import FirstOrderOperator, MatrixField, apply_operator, compose, formal_adjoint, pairing
 from prehyp.expr import Bin, Num, evaluate, simplify
 from prehyp.geometry import Chart1p1, DiagonalMetric, minkowski
 from prehyp.grids import MarginError, build_grid
@@ -251,6 +251,28 @@ class TestUniqueness:
             )
 
         assert probe(256) < 1e-12  # identical partner: exactly the same solve
+
+    @pytest.mark.parametrize("metric", [("1", "1"), ("1+0.1*sin(t)", "1+0.3*cos(2*x)")], ids=["flat", "readme"])
+    def test_shifted_partner_converges_to_the_same_greens_operator(self, chart, metric):
+        # Q' = Q + 0.5i Id has Q's principal symbol, so it is again a
+        # complementary partner of P, and Q' G+(P Q') approaches Q G+(P Q)
+        # at second order.  The control Q' G+(P' Q') with P' = P - 0.5i Id
+        # is a Green's operator of another operator: its gap must not shrink
+        def shifted(op, c):
+            return FirstOrderOperator(op.k, op.a_t, op.a_x, op.b + MatrixField.from_constant(c * np.eye(op.k)))
+
+        metric = DiagonalMetric(*metric, chart)
+        p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
+        p_alt, q_alt = shifted(p, -0.5j), shifted(q, 0.5j)
+        gaps, controls = [], []
+        for nx in (64, 128, 256):
+            grid = build_grid(chart, metric, nx)
+            phi = section(grid)
+            gaps.append(uniqueness_probe(p, q, q_alt, metric, phi, "retarded", grid))
+            s, s_alt = (greens_apply(a, b, metric, phi, "retarded", grid).values for a, b in ((p, q), (p_alt, q_alt)))
+            controls.append(float(np.max(np.abs(s - s_alt))))
+        assert gaps[-1] < 1e-5 and np.log2(gaps[-2] / gaps[-1]) >= 1.8
+        assert min(controls) > 1e-2 and controls[-1] > 0.9 * controls[0]
 
     def test_identity_i_independent_of_partner_mass(self, chart, mink):
         p, _ = build_dirac_pair(DiracModel(mass=1.0), mink)

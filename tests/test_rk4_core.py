@@ -133,9 +133,15 @@ def scenario(chart, case, metric_name):
     return metric, p, q, grid, ["1", "0.5"][:p.k]
 
 
+def reference_solves(op, metric, grid, starts):
+    # each start alone, in both directions: a driven start at an end of the
+    # grid has nothing to march in the other
+    return [reference_solve_second_order(op, metric, grid, u0, v0, j0, source) for u0, v0, j0, _, source in starts]
+
+
 def use_reference(monkeypatch):
-    for mod in (cauchy, greens):
-        monkeypatch.setattr(mod, "solve_second_order", reference_solve_second_order)
+    monkeypatch.setattr(cauchy, "solve_second_order", reference_solve_second_order)
+    monkeypatch.setattr(greens, "_solve_second_order", reference_solves)
     # the normal derivative data of a Cauchy solve too
     monkeypatch.setattr(cauchy, "d_x", reference_d_x)
 
@@ -179,16 +185,16 @@ def count_calls(monkeypatch, module, name):
 def count_rhs_calls(monkeypatch):
     """Record the coefficient values of every right-hand-side call."""
     calls = []
-    evolve = cauchy._evolve
+    march = cauchy._march
 
-    def counting_evolve(rhs, *rest):
+    def counting_march(rhs, *rest):
         def counted(*rhs_args):
             calls.append(rhs_args[0])
             return rhs(*rhs_args)
 
-        return evolve(counted, *rest)
+        return march(counted, *rest)
 
-    monkeypatch.setattr(cauchy, "_evolve", counting_evolve)
+    monkeypatch.setattr(cauchy, "_march", counting_march)
     return calls
 
 
@@ -486,3 +492,69 @@ def test_non_finite_coefficients_raise_as_stage_by_stage(chart, monkeypatch, bet
     # the reference evaluates each stage time alone
     monkeypatch.setattr(Tape, "stages", lambda self, ts: [self(t) for t in ts])
     assert run() == actual
+
+
+# the batched march: the driven solves of one operator as one stacked state
+
+def count_marches(monkeypatch):
+    """Record the number of starts of every march."""
+    marches = []
+    real = cauchy._march
+
+    def counting(rhs, stages, grid, starts):
+        marches.append(len(starts))
+        return real(rhs, stages, grid, starts)
+
+    monkeypatch.setattr(cauchy, "_march", counting)
+    return marches
+
+
+@pytest.mark.parametrize("metric_name", sorted(METRICS))
+def test_batched_driven_solves_equal_the_solves_one_at_a_time(chart, monkeypatch, metric_name):
+    # two sources with different time windows in both directions: the
+    # members start at different first forced steps, so their lockstep
+    # segments have unequal lengths, and opposite directions march together
+    metric, p, q, grid, components = scenario(chart, "dirac_massive", metric_name)
+    op = compose(p, q)
+    early = make_test_section(grid, components, X_WINDOW, (-0.1, 0.02, 10.0))
+    late = make_test_section(grid, components[::-1], (0.1, 0.05, 2.5), (0.08, 0.03, 10.0))
+    jobs = [(early, "retarded"), (late, "advanced"), (late, "retarded"), (early, "advanced")]
+    marches = count_marches(monkeypatch)
+    batched = greens._solve_driven(op, metric, jobs, grid)
+    assert marches == [4]
+    firsts = []
+    for (source, direction), u in zip(jobs, batched):
+        alone = greens.solve_driven(op, metric, source, direction, grid)
+        assert np.isfinite(u.values).all() and np.abs(u.values).max() > 0
+        assert np.array_equal(u.values, alone.values)
+        order = np.arange(grid.nt) if direction == "retarded" else np.arange(grid.nt)[::-1]
+        firsts.append(int(np.argmax(u.values[order].any(axis=(1, 2)))))
+    assert len(set(firsts)) == 4
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_batched_member_that_blows_up_raises_with_its_level_and_time(chart, mink):
+    # (d_t - b)(d_t + b) = d_t^2 - b^2: with b = 1e4, RK4 at this dt grows
+    # the solution about 1e5-fold per step, so a solve overflows when it
+    # has most of the chart to march and stays finite with a few steps left
+    b = 1e4
+    op = compose(FirstOrderOperator.build([[1.0]], [[0.0]], [[-b]]), FirstOrderOperator.build([[1.0]], [[0.0]], [[b]]))
+    grid = build_grid(chart, mink, 128)
+    early = make_test_section(grid, ["1"], X_WINDOW, (-0.15, 0.01, 40.0))
+    late = make_test_section(grid, ["1"], X_WINDOW, (0.15, 0.01, 40.0))
+    assert np.isfinite(greens.solve_driven(op, mink, late, "retarded", grid).values).all()
+    alone = {}
+    for job in ((early, "retarded"), (late, "advanced")):
+        with pytest.raises(cauchy.SolverBlowupError) as exc:
+            greens.solve_driven(op, mink, *job, grid)
+        alone[job[1]] = (exc.value.level, exc.value.t)
+    assert alone["retarded"] != alone["advanced"]
+    for jobs in (
+        [(late, "retarded"), (early, "retarded")],
+        [(late, "retarded"), (late, "advanced"), (early, "retarded")],
+        [(early, "retarded"), (late, "advanced")],
+    ):
+        with pytest.raises(cauchy.SolverBlowupError) as exc:
+            greens._solve_driven(op, mink, jobs, grid)
+        blown = next(direction for source, direction in jobs if not (source is late and direction == "retarded"))
+        assert (exc.value.level, exc.value.t) == alone[blown]
