@@ -3,9 +3,10 @@
 The solvers leave out coefficient fields that fold to 0 and the stencils
 only they need, apply constant c Id fields as numbers, sample a driven
 solve's source once per sweep inside its time support, start a sweep
-from zero data at its first forced stage, march the two halves of a
-solve in lockstep as one stacked state and evaluate the coefficients once
-per block of steps.  The reference below keeps the full scheme: all five
+from zero data at its first forced stage, march the directions of every
+start of a march (the two halves of a Cauchy solve, the driven solves a
+battery batches) in lockstep as one stacked state and evaluate the
+coefficients once per block of steps.  The reference below keeps the full scheme: all five
 matrix contractions of the second-order right-hand side, both terms of the
 direct one, the coefficients at every stage, the source sampled at every
 stage time, every level marched, one half after the other, and the states
