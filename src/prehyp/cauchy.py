@@ -5,9 +5,9 @@ compatibility round trip.
 
 Time stepping is classical 4th-order one-step (RK4); space is 2nd-order
 centered.  A march evolves a list of starts of one operator, each a state
-at a level, the time directions it goes in and its forcing, with one
-output per start.  A Cauchy solve is one start with both directions, so
-the solution fills the whole chart; a driven solve is a start with one.
+at a level and its forcing, with one output per start, marched from its
+level to both ends of the grid.  A Cauchy solve is one start; a driven
+solve is a start at an end of the grid, so it marches in one direction.
 Every direction of every start is a member of one stacked RK4 state, with
 its own start state, step sign, stage times and forcing; the members step
 in lockstep, each leaving the stack when its last level is done, and one
@@ -114,14 +114,14 @@ def _unforced(times: np.ndarray) -> list:
 
 @dataclass
 class _Start:
-    """One solution of a march: the state y0 at level j0, the directions
-    it is marched in from there (1 forward, -1 backward) and the forcing
-    at its stage times, which forcing(times) gives per direction for all
-    of that direction's stage times at once."""
+    """One solution of a march: the state y0 at level j0, marched from
+    there in both directions, and the forcing at its stage times, which
+    forcing(times) gives per direction for all of that direction's stage
+    times at once.  A start at an end of the grid has nothing to march
+    towards that end."""
 
     y0: tuple
     j0: int
-    steps: Tuple[int, ...] = (1, -1)
     forcing: Callable = _unforced
 
 
@@ -163,10 +163,9 @@ class _Member:
 
 
 def _march(rhs, stages, grid: Grid1p1, starts: list) -> list:
-    """March every start from its level to the ends of the grid its
-    directions reach, all as one stacked state; returns, per start, the
-    section holding the first state component at every level (levels no
-    direction reaches stay unset).  rhs(c, y, f) gets the coefficient
+    """March every start from its level to both ends of the grid, all as
+    one stacked state; returns, per start, the section holding the first
+    state component at every level.  rhs(c, y, f) gets the coefficient
     values c at the stage times of the stacked members and the forcing f
     at them (0.0 if no member is forced).  stages(ts) gives the
     coefficient values at each stage time of a stage-major (S, members, 1)
@@ -179,7 +178,7 @@ def _march(rhs, stages, grid: Grid1p1, starts: list) -> list:
         out = np.empty((grid.nt,) + start.y0[0].shape, dtype=complex)
         out[start.j0] = start.y0[0]
         zero_start = not any(yc.any() for yc in start.y0)
-        for step in start.steps:
+        for step in (1, -1):
             m = _Member(grid, start, step, out, zero_start)
             out[m.levels[:m.first] + step] = 0.0
             members.append(m)
@@ -342,13 +341,12 @@ def solve_second_order(
     dtphi0_values is the coordinate time derivative d_t u|_Sigma; callers
     working with the frame derivative convert via d_t u = alpha * Psi_0.
     """
-    return _solve_second_order(op, metric, grid, [(phi0_values, dtphi0_values, j0, (1, -1), source)])[0]
+    return _solve_second_order(op, metric, grid, [(phi0_values, dtphi0_values, j0, source)])[0]
 
 
 def _solve_second_order(op: SecondOrderOperator, metric: DiagonalMetric, grid: Grid1p1, starts: list) -> list:
-    """solve_second_order for several starts (u, d_t u, j0, steps, source)
-    marched as one stacked state, each marched from level j0 in its steps
-    (1 forward, -1 backward); one section per start.
+    """solve_second_order for several starts (u, d_t u, j0, source)
+    marched as one stacked state; one section per start.
 
     The right-hand side leaves out the coefficient fields that fold to 0
     and the stencils only they need, and applies constant c Id fields as
@@ -381,10 +379,10 @@ def _solve_second_order(op: SecondOrderOperator, metric: DiagonalMetric, grid: G
 
     return _march(rhs, coeffs.stages, grid, [
         _Start(
-            (np.asarray(u0, dtype=complex), np.asarray(v0, dtype=complex)), j0, steps,
+            (np.asarray(u0, dtype=complex), np.asarray(v0, dtype=complex)), j0,
             _unforced if source is None else _source_forcing(source, grid.xs),
         )
-        for u0, v0, j0, steps, source in starts
+        for u0, v0, j0, source in starts
     ])
 
 

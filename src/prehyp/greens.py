@@ -95,8 +95,10 @@ def _solve_driven(op: SecondOrderOperator, metric: DiagonalMetric, jobs: list, g
             raise ValueError(f"unknown direction {direction!r}")
         check_temporal_margin(grid, source.t_support)
         zeros = np.zeros((grid.nx, source.k), dtype=complex)
-        j0, step = (0, 1) if direction == "retarded" else (grid.nt - 1, -1)
-        starts.append((zeros, zeros, j0, (step,), source))
+        # from the end of the grid before the source; the other direction
+        # has no levels to march
+        j0 = 0 if direction == "retarded" else grid.nt - 1
+        starts.append((zeros, zeros, j0, source))
     return _solve_second_order(op, metric, grid, starts)
 
 

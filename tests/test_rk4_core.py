@@ -137,7 +137,7 @@ def scenario(chart, case, metric_name):
 def reference_solves(op, metric, grid, starts):
     # each start alone, in both directions: a driven start at an end of the
     # grid has nothing to march in the other
-    return [reference_solve_second_order(op, metric, grid, u0, v0, j0, source) for u0, v0, j0, _, source in starts]
+    return [reference_solve_second_order(op, metric, grid, u0, v0, j0, source) for u0, v0, j0, source in starts]
 
 
 def use_reference(monkeypatch):
