@@ -1,7 +1,10 @@
-"""Cauchy solvers: the normal-derivative data construction, the
-second-order reduced solve, a direct first-order solve used as an
-independent cross-check, restriction to other hypersurfaces and the
-compatibility round trip.
+"""Cauchy solvers: the Cauchy datum d_t Phi_0, the second-order reduced
+solve, a direct first-order solve used as an independent cross-check,
+restriction to other hypersurfaces and the compatibility round trip.
+
+One builder, _right_hand_side, turns an operator into a right-hand side:
+both solvers march one, and the datum d_t Phi_0 that makes
+(P Phi)|_Sigma = 0 is the direct solve's right-hand side at t0.
 
 Time stepping is classical 4th-order one-step (RK4); space is 2nd-order
 centered.  A march evolves a list of starts of one operator, each a state
@@ -16,9 +19,7 @@ coefficient tape serves them all.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
@@ -69,31 +70,30 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# normal derivative data (the Psi_0 construction)
+# the Cauchy datum d_t Phi_0
 
 def normal_derivative_data(
     p: FirstOrderOperator, metric: DiagonalMetric, phi0: CauchyData
 ) -> CauchyData:
-    """Psi_0 = -[sigma_P(n^b)]^{-1} (sigma_P tangential d Phi_0 + B Phi_0),
-    the unique frame covariant-normal derivative making (P Phi)|_Sigma = 0.
-
-    In the 1+1 orthonormal frame this reduces to
-    Psi_0 = -(alpha A^t)^{-1} (A^x d_x Phi_0 + B Phi_0).
-    Its support is contained in the support of Phi_0.
+    """d_t Phi_0 = -(A^t)^{-1} (A^x d_x Phi_0 + B Phi_0), the unique
+    coordinate time derivative making (P Phi)|_Sigma = 0: the right-hand
+    side of the direct first-order solve at t0.  Raises
+    PrenormalHyperbolicityError where sigma_P of the unit normal covector,
+    alpha A^t, is singular on the nodes.  Its support is contained in the
+    support of Phi_0.
     """
     grid, t0, xs = phi0.grid, phi0.t0, phi0.grid.xs
     alpha = np.broadcast_to(np.asarray(metric.alpha(t0, xs), dtype=complex), (grid.nx,))
     sigma_n = alpha[:, None, None] * p.a_t.eval(t0, xs)  # (nx, k, k)
     if np.any(np.abs(np.linalg.det(sigma_n)) < 1e-12):
         raise PrenormalHyperbolicityError("sigma_P(normal covector) singular along the hypersurface")
-    a_x, b = coefficient_tape((p.a_x, p.b), xs)(t0)
-    rhs = product(p.a_x)(a_x, d_x(phi0.values, grid)) + product(p.b)(b, phi0.values)
-    psi = -np.linalg.solve(sigma_n, rhs[..., None])[..., 0]
+    rhs, coeffs = _first_order_rhs(p, grid)
+    (dt_phi,) = rhs(coeffs(t0), (phi0.values,), np.zeros(phi0.values.shape, dtype=complex))
     # the window is identically zero outside the declared support, so the
     # derivative carries no content there; mask to keep the support exact
     outside = (xs < phi0.support[0]) | (xs > phi0.support[1])
-    psi[outside] = 0.0
-    return CauchyData(grid, t0, psi, phi0.support)
+    dt_phi[outside] = 0.0
+    return CauchyData(grid, t0, dt_phi, phi0.support)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +326,36 @@ def _source_forcing(source: "TestSection", xs: np.ndarray):
     return forcing
 
 
+def _right_hand_side(lead: MatrixField, terms, xs: np.ndarray):
+    """The right-hand side of lead d_t y[-1] = f - sum field operand(*y) and
+    its coefficient tape on the nodes xs: rhs(c, y, f) = (*y[1:], lead^{-1}
+    (f - sum field operand(*y))), c the tape's values.  The terms whose
+    field folds to 0, and so the stencils only their operands need, are
+    left out, and constant c Id fields are applied as numbers
+    (bundle_ops.product); the rest are subtracted in order, from the first
+    term where f is the number 0.0, so the result equals subtracting every
+    matrix product from f (zeros may differ in sign)."""
+    terms = [(field, operand) for field, operand in terms if not field.is_zero]
+    subtracts = [_subtractor(field) for field, _ in terms]
+    inverse = lead.inverse()
+    solve = product(inverse)
+    coeffs = coefficient_tape([field for field, _ in terms] + [inverse], xs)
+
+    def rhs(c, y, f):
+        *cs, inv = c
+        load = f
+        for cf, subtract, (_, operand) in zip(cs, subtracts, terms):
+            load = subtract(load, cf, operand(*y))
+        return (*y[1:], solve(inv, load))
+
+    return rhs, coeffs
+
+
+def _first_order_rhs(p: FirstOrderOperator, grid: Grid1p1):
+    """d_t u = (A^t)^{-1} (f - A^x d_x u - B u) and its coefficient tape."""
+    return _right_hand_side(p.a_t, ((p.a_x, lambda u: d_x(u, grid)), (p.b, lambda u: u)), grid.xs)
+
+
 def solve_second_order(
     op: SecondOrderOperator,
     metric: DiagonalMetric,
@@ -336,47 +366,21 @@ def solve_second_order(
     source: Optional["TestSection"] = None,
 ) -> GridSection:
     """Method-of-lines solve of L u = f (f a test section, none for f = 0)
-    from data (u, d_t u) at level j0, in both time directions.
-
-    dtphi0_values is the coordinate time derivative d_t u|_Sigma; callers
-    working with the frame derivative convert via d_t u = alpha * Psi_0.
-    """
+    from data (u, d_t u) at level j0, in both time directions."""
     return _solve_second_order(op, metric, grid, [(phi0_values, dtphi0_values, j0, source)])[0]
 
 
 def _solve_second_order(op: SecondOrderOperator, metric: DiagonalMetric, grid: Grid1p1, starts: list) -> list:
     """solve_second_order for several starts (u, d_t u, j0, source)
-    marched as one stacked state; one section per start.
-
-    The right-hand side leaves out the coefficient fields that fold to 0
-    and the stencils only they need, and applies constant c Id fields as
-    numbers (bundle_ops.product); the remaining terms are subtracted in a
-    fixed order, from the first term where the stage is unforced, so the
-    result equals subtracting all five matrix products from the forcing
-    (zeros may differ in sign).
-    """
+    marched as one stacked state; one section per start."""
     grid.check_cfl(metric.max_light_speed())
-    operands = (
+    rhs, coeffs = _right_hand_side(op.c_tt, (
         (op.c_tx.scale(2.0), lambda u, v: d_x(v, grid)),
         (op.c_xx, lambda u, v: d_xx(u, grid)),
         (op.d_t, lambda u, v: v),
         (op.d_x, lambda u, v: d_x(u, grid)),
         (op.e, lambda u, v: u),
-    )
-    terms = [of for of in operands if not of[0].is_zero]
-    subtracts = [_subtractor(field) for field, _ in terms]
-    inverse_tt = op.c_tt.inverse()
-    solve_tt = product(inverse_tt)
-    coeffs = coefficient_tape([field for field, _ in terms] + [inverse_tt], grid.xs)
-
-    def rhs(c, y, f):
-        u, v = y
-        *cs, inv_tt = c
-        load = f
-        for cf, subtract, (_, operand) in zip(cs, subtracts, terms):
-            load = subtract(load, cf, operand(u, v))
-        return (v, solve_tt(inv_tt, load))
-
+    ), grid.xs)
     return _march(rhs, coeffs.stages, grid, [
         _Start(
             (np.asarray(u0, dtype=complex), np.asarray(v0, dtype=complex)), j0,
@@ -393,25 +397,14 @@ def solve_first_order_direct(
     grid: Optional[Grid1p1] = None,
 ) -> GridSection:
     """Direct method-of-lines evolution of d_t Phi = -(A^t)^{-1}(A^x d_x Phi
-    + B Phi), both time directions; independent of the second-order path.
-    A B that folds to 0 is left out and constant c Id fields are applied as
-    numbers, bit-identically."""
+    + B Phi), both time directions.  Its right-hand side at t0 is the
+    reduced solve's datum d_t Phi_0 (normal_derivative_data); what stays
+    independent is the evolution, of the first-order system here against
+    the second-order reduction (QP) Phi = 0 there."""
     grid = grid or phi0.grid
     grid.check_cfl(metric.max_light_speed())
     check_causal_margin(metric, grid, phi0.support, phi0.t0)
-    operands = ((p.a_x, lambda u: d_x(u, grid)), (p.b, lambda u: u))
-    terms = [of for of in operands if not of[0].is_zero]
-    products = [product(field) for field, _ in terms]
-    inverse_t = p.a_t.inverse()
-    solve_t = product(inverse_t)
-    coeffs = coefficient_tape([field for field, _ in terms] + [inverse_t], grid.xs)
-
-    def rhs(c, y, f):
-        (u,) = y
-        *cs, inv_t = c
-        flux = reduce(operator.add, (apply(cf, operand(u)) for cf, apply, (_, operand) in zip(cs, products, terms)))
-        return (solve_t(inv_t, -flux),)
-
+    rhs, coeffs = _first_order_rhs(p, grid)
     return _march(rhs, coeffs.stages, grid, [_Start((np.asarray(phi0.values, dtype=complex),), phi0.level)])[0]
 
 
@@ -435,7 +428,7 @@ def solve_cauchy(
     check_pair: bool = True,
 ) -> Tuple[GridSection, SolveReport]:
     """Solve P Phi = 0, Phi|_Sigma = Phi_0 through the second-order
-    reduction: build Psi_0, solve (QP) Phi = 0 with the pair of data, and
+    reduction: build d_t Phi_0, solve (QP) Phi = 0 with the pair of data, and
     verify the residual, trace and support properties."""
     grid = grid or phi0.grid
     if check_pair:
@@ -445,13 +438,8 @@ def solve_cauchy(
                 f"(P, Q) is not a complementary pair (max deviation {report.max_deviation:.3e})"
             )
     shadow = check_causal_margin(metric, grid, phi0.support, phi0.t0)
-    psi0 = normal_derivative_data(p, metric, phi0)
-    alpha = np.broadcast_to(
-        np.asarray(metric.alpha(phi0.t0, grid.xs), dtype=complex), (grid.nx,)
-    )
-    dtphi0 = alpha[:, None] * psi0.values  # frame to coordinate conversion
-    qp = compose(q, p)
-    phi = solve_second_order(qp, metric, grid, phi0.values, dtphi0, phi0.level)
+    dtphi0 = normal_derivative_data(p, metric, phi0)
+    phi = solve_second_order(compose(q, p), metric, grid, phi0.values, dtphi0.values, phi0.level)
 
     residual = apply_operator(p, phi)
     interior = residual.values[1:-1]
@@ -506,12 +494,11 @@ def compatibility_round_trip(
     sigma: CauchyLine,
     sigma_prime: CauchyLine,
     grid: Optional[Grid1p1] = None,
-    check_pair: bool = True,
 ) -> RoundTripReport:
     """Solve from Sigma, restrict to Sigma', re-solve from Sigma', restrict
     back; reports the L-infinity distance from the original data."""
     grid = grid or phi0.grid
-    phi, _ = solve_cauchy(p, q, metric, phi0, grid, check_pair=check_pair)
+    phi, _ = solve_cauchy(p, q, metric, phi0, grid)
     data_prime = restrict(phi, sigma_prime, metric, phi0)
     phi_back, _ = solve_cauchy(p, q, metric, data_prime, grid, check_pair=False)
     data_back = restrict(phi_back, sigma, metric, data_prime)

@@ -9,8 +9,9 @@ deterministic report.json (plus CSV dumps when requested); wall-clock
 timings go to a separate timings.json so reports stay byte-reproducible.
 
 Exit codes: 0 all tolerances met, 1 configuration error, 2 tolerance
-failure, a solve that blew up or a coefficient that is not finite during a
-run, 3 internal error (its traceback goes to error.txt in the output
+failure, operators that are not a complementary pair where a battery
+solves with them, a solve that blew up or a coefficient that is not finite
+during a run, 3 internal error (its traceback goes to error.txt in the output
 directory).
 """
 
@@ -30,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .bundle_ops import is_complementary_pair, symbol_invertibility
-from .cauchy import SolverBlowupError, solve_cauchy, solve_first_order_direct
+from .cauchy import PairCheckError, SolverBlowupError, solve_cauchy, solve_first_order_direct
 from .config import ConfigError, ScenarioConfig, SourceSpec, load_config
 from .expr import ExprEvalError
 from .geometry import CauchyLine
@@ -498,7 +499,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (SolverBlowupError, ExprEvalError) as e:
+    except (PairCheckError, SolverBlowupError, ExprEvalError) as e:
         print(f"{' '.join(filter(None, (args.subcommand, args.target)))}: FAIL")
         print(f"  {e}")
         return 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prehyp.bundle_ops import FirstOrderOperator, apply_operator
+from prehyp.bundle_ops import FirstOrderOperator, MatrixField, apply_operator
 from prehyp.cauchy import (
     PairCheckError,
     PrenormalHyperbolicityError,
@@ -12,12 +12,18 @@ from prehyp.cauchy import (
     solve_cauchy,
     solve_first_order_direct,
 )
+from prehyp.config import PRESETS, resolve_preset
 from prehyp.geometry import CauchyLine, Chart1p1, DiagonalMetric, minkowski
 from prehyp.grids import CauchyData, build_grid, d_x, make_cauchy_data, plateau_window
 from prehyp.qft_dirac import DiracModel, build_dirac_pair
 
 GAMMA_T = np.array([[0.0, 1.0], [1.0, 0.0]])
 GAMMA_X = np.array([[0.0, -1.0], [1.0, 0.0]])
+METRICS = {
+    "minkowski": ("1", "1"),
+    "readme": ("1+0.1*sin(t)", "1+0.3*cos(2*x)"),
+    "general": ("1+0.3*x", "1+0.3*t"),
+}
 
 
 class TestNormalDerivativeData:
@@ -37,7 +43,7 @@ class TestNormalDerivativeData:
         p = FirstOrderOperator.build(GAMMA_T, GAMMA_X, m * np.eye(2))
         phi0 = make_cauchy_data(grid_medium, ["1", "0"], 0.0)
         psi0 = normal_derivative_data(p, mink, phi0)
-        # where the window is flat: Psi_0 = -(gamma^t)^-1 m Phi_0 = -m (0, 1)
+        # where the window is flat: d_t Phi_0 = -(gamma^t)^-1 m Phi_0 = -m (0, 1)
         plateau = np.abs(grid_medium.xs) <= 0.04
         assert np.allclose(psi0.values[plateau, 0], 0.0, atol=1e-10)
         assert np.allclose(psi0.values[plateau, 1], -m, atol=1e-10)
@@ -60,6 +66,35 @@ class TestNormalDerivativeData:
         phi0 = make_cauchy_data(grid_medium, ["1"], 0.0)
         with pytest.raises(PrenormalHyperbolicityError):
             normal_derivative_data(p, mink, phi0)
+
+    def test_time_coefficient_singular_at_one_node_rejected(self, mink, grid_medium):
+        # the check on the nodes runs before (A^t)^-1 = 1/(x - x_k) is
+        # evaluated, which would raise ExprEvalError at x_k
+        x_k = float(grid_medium.xs[grid_medium.nx // 2 + 7])
+        a_t = MatrixField.from_exprs([[f"x-({x_k!r})"]])
+        assert a_t.eval(0.0, grid_medium.xs)[grid_medium.nx // 2 + 7, 0, 0] == 0.0
+        p = FirstOrderOperator.build(a_t, [[1.0]], [[0.0]])
+        phi0 = make_cauchy_data(grid_medium, ["1"], 0.0)
+        with pytest.raises(PrenormalHyperbolicityError):
+            normal_derivative_data(p, mink, phi0)
+
+    @pytest.mark.parametrize("metric_name", sorted(METRICS))
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_datum_zeroes_the_trace(self, chart, preset, metric_name):
+        # A^t d_t Phi_0 + A^x d_x Phi_0 + B Phi_0 = 0 on the support, with
+        # the coordinate d_t Phi_0 and the stencil d_x
+        metric = DiagonalMetric(*METRICS[metric_name], chart)
+        p, _ = resolve_preset(preset, 0.0 if preset == "dirac_massless" else 1.0, metric)
+        grid = build_grid(chart, metric, 256)
+        phi0 = make_cauchy_data(grid, ["1", "0.5"][:p.k], 0.0)
+        dt_phi0 = normal_derivative_data(p, metric, phi0).values
+        trace = sum(
+            np.einsum("nij,nj->ni", field.eval(phi0.t0, grid.xs), w)
+            for field, w in ((p.a_t, dt_phi0), (p.a_x, d_x(phi0.values, grid)), (p.b, phi0.values))
+        )
+        inside = (grid.xs >= phi0.support[0]) & (grid.xs <= phi0.support[1])
+        assert np.abs(dt_phi0).max() > 0
+        assert np.abs(trace[inside]).max() <= 1e-12 * np.abs(dt_phi0).max()
 
 
 def circle_setup(nx=512, m=1.0):

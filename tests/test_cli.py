@@ -285,6 +285,22 @@ class TestGates:
         assert captured.err == ""
         assert not (tmp_path / "out" / "error.txt").exists()
 
+    @pytest.mark.parametrize("argv", [["solve"], ["direct-vs-reduced"], ["convergence", "solve"], ["verify-all"]])
+    def test_non_pair_solve_fails_with_exit_two(self, tmp_path, capsys, argv):
+        # check-pair reports P = (1, 1, 0), Q = (1, 0.5, 0) as a tolerance
+        # failure; a battery that solves with them stops at PairCheckError
+        q = "[operator_Q]\nA_t = [[1]]\nA_x = "
+        text = NON_PAIR_CFG.replace(q + "[[1]]", q + "[[0.5]]")
+        cfg = write_cfg(tmp_path, text)
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        out = captured.out.splitlines()
+        assert out[0] == f"{' '.join(argv)}: FAIL"
+        assert out[1].startswith("  (P, Q) is not a complementary pair")
+        assert captured.err == ""
+        assert not (tmp_path / "out" / "error.txt").exists()
+
+
 class TestInternalError:
     def test_traceback_goes_to_error_txt(self, tmp_path, capsys, monkeypatch):
         def broken_battery(cfg, seed, nx=None):

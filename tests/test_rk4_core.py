@@ -8,7 +8,8 @@ start of a march (the two halves of a Cauchy solve, the driven solves a
 battery batches) in lockstep as one stacked state and evaluate the
 coefficients once per block of steps.  The reference below keeps the full scheme: all five
 matrix contractions of the second-order right-hand side, both terms of the
-direct one, the coefficients at every stage, the source sampled at every
+direct one (whose value at t0 is also the reference Cauchy datum
+d_t Phi_0), the coefficients at every stage, the source sampled at every
 stage time, every level marched, one half after the other, and the states
 collected per level; its stencils and RK4 update are the complex
 formulas, where the solvers run both on float64 views.  Solutions must be
@@ -29,7 +30,7 @@ from prehyp.cauchy import solve_cauchy, solve_first_order_direct, solve_second_o
 from prehyp.config import PRESETS as PRESET_NAMES, resolve_preset
 from prehyp.expr import ExprEvalError, Tape
 from prehyp.geometry import Chart1p1, DiagonalMetric
-from prehyp.grids import GridSection, build_grid, make_cauchy_data
+from prehyp.grids import CauchyData, GridSection, build_grid, make_cauchy_data
 from prehyp.greens import greens_apply, make_test_section
 from prehyp.qft_dirac import DiracModel, build_dirac_pair
 
@@ -117,6 +118,17 @@ def reference_solve_first_order_direct(p, metric, phi0, grid):
     return reference_evolve(rhs, (phi0.values.astype(complex).copy(),), grid, phi0.level)
 
 
+def reference_normal_derivative_data(p, metric, phi0):
+    # the right-hand side of reference_solve_first_order_direct at t0,
+    # masked to the support of the data
+    grid = phi0.grid
+    a_x, b, inv_t = coefficient_tape((p.a_x, p.b, p.a_t.inverse()), grid.xs)(phi0.t0)
+    u = phi0.values.astype(complex)
+    values = contract(inv_t, -(contract(a_x, reference_d_x(u, grid)) + contract(b, u)))
+    values[(grid.xs < phi0.support[0]) | (grid.xs > phi0.support[1])] = 0.0
+    return CauchyData(grid, phi0.t0, values, phi0.support)
+
+
 # case name: (preset, mass); at mass 0.7 the Dirac square has E = 0.49 Id
 PRESETS = {
     "dirac_massive": ("dirac_massive", 1.0),
@@ -143,8 +155,7 @@ def reference_solves(op, metric, grid, starts):
 def use_reference(monkeypatch):
     monkeypatch.setattr(cauchy, "solve_second_order", reference_solve_second_order)
     monkeypatch.setattr(greens, "_solve_second_order", reference_solves)
-    # the normal derivative data of a Cauchy solve too
-    monkeypatch.setattr(cauchy, "d_x", reference_d_x)
+    monkeypatch.setattr(cauchy, "normal_derivative_data", reference_normal_derivative_data)
 
 
 @pytest.mark.parametrize("metric_name", sorted(METRICS))
