@@ -4,9 +4,11 @@ full verification battery.
     prehyp <subcommand> --config <path> [--out <dir>] [--seed <n>]
 
 Subcommands: check-pair, solve, direct-vs-reduced, greens, adjoint-check,
-beta, isometry, convergence <subcommand>, verify-all.  Every run writes a
-deterministic report.json (plus CSV dumps when requested); wall-clock
-timings go to a separate timings.json so reports stay byte-reproducible.
+beta, isometry, convergence <subcommand>, verify-all.  Each battery is one
+row of _batteries(), which the subcommands, the convergence targets, the
+report-field check and verify-all read.  Every run writes a deterministic
+report.json (plus CSV dumps when requested); wall-clock timings go to a
+separate timings.json so reports stay byte-reproducible.
 
 Exit codes: 0 all tolerances met, 1 configuration error, 2 tolerance
 failure, operators that are not a complementary pair where a battery
@@ -26,30 +28,17 @@ import os
 import sys
 import time
 import traceback
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .bundle_ops import is_complementary_pair, symbol_invertibility
 from .cauchy import PairCheckError, SolverBlowupError, solve_cauchy, solve_first_order_direct
-from .config import ConfigError, ScenarioConfig, SourceSpec, load_config
+from .config import DIRAC_PRESETS, ConfigError, ScenarioConfig, SourceSpec, load_config
 from .expr import ExprEvalError
 from .geometry import CauchyLine
 from .greens import adjoint_pairing_check, greens_report, make_test_section
-from .qft_dirac import (
-    DiracModel,
-    beta_sigma,
-    data_space_isometry_check,
-    default_rep,
-    dirac_current,
-    hypersurface_independence,
-)
-
-SUBCOMMANDS = (
-    "check-pair", "solve", "direct-vs-reduced", "greens", "adjoint-check",
-    "beta", "isometry", "convergence", "verify-all",
-)
-CONVERGENCE_TARGETS = ("solve", "direct-vs-reduced", "greens", "adjoint-check", "beta")
+from .qft_dirac import beta_sigma, data_space_isometry_check, default_rep, dirac_current, hypersurface_independence
 
 # per-subcommand tolerances at the configured resolution; convergence
 # orders are gated separately
@@ -70,19 +59,9 @@ TOLERANCES = {
 
 N_RANDOM_COVECTORS = 200
 
-# documented report field lists; writers reject anything else
-REPORT_FIELDS = {
-    "top": {"subcommand", "seed", "scenario", "results", "passed", "failures"},
-    "check-pair": {"pair_passed", "max_deviation", "tol", "n_covectors", "min_det_margin", "all_invertible"},
-    "solve": {"residual_l2", "residual_linf", "trace_defect", "support_leak"},
-    "direct-vs-reduced": {"mismatch", "reference_linf"},
-    "greens": {"retarded", "advanced"},
-    "adjoint-check": {"defect", "lhs", "rhs", "mismatch_control"},
-    "beta": {"value", "positivity", "hermitian_defect", "hypersurface_drift", "levels"},
-    "isometry": {"gram_mismatch", "min_gram_eigenvalue", "gram_sigma", "gram_sigma_prime"},
-    "convergence": {"target", "ladder", "orders", "final_order"},
-    "verify-all": set(),  # nested per-battery results, validated recursively
-}
+# the documented report fields; writers reject anything else (each
+# battery's result fields are in _batteries())
+REPORT_FIELDS = {"subcommand", "seed", "scenario", "results", "passed", "failures"}
 
 
 def _jsonable(value):
@@ -91,13 +70,13 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (complex, np.complexfloating)):
-        return [float(value.real), float(value.imag)]
+        return [_jsonable(float(value.real)), _jsonable(float(value.imag))]
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        return _jsonable(value.item())
     if isinstance(value, np.ndarray):
         return _jsonable(value.tolist())
-    if isinstance(value, float) and value != value:  # NaN never serializes
-        return "nan"
+    if isinstance(value, float) and not math.isfinite(value):  # JSON has no NaN or inf
+        return str(value)  # "nan", "inf" or "-inf"
     return value
 
 
@@ -127,12 +106,6 @@ def _section_from_spec(grid, spec: SourceSpec):
         (spec.x_window.center, spec.x_window.halfwidth, spec.x_window.steepness),
         (spec.t_window.center, spec.t_window.halfwidth, spec.t_window.steepness),
     )
-
-
-def _require_dirac(cfg: ScenarioConfig, what: str) -> DiracModel:
-    if cfg.preset not in ("dirac_massive", "dirac_massless"):
-        raise ConfigError(f"{what} requires a dirac_massive or dirac_massless preset scenario")
-    return DiracModel(mass=cfg.mass)
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +155,7 @@ def run_solve(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     _, rep = cfg.scenario(nx).solution
     failures = []
     _gate(failures, "support leak", rep.support_leak, high=TOLERANCES["solve_leak"])
-    results = {
-        "residual_l2": rep.residual_l2,
-        "residual_linf": rep.residual_linf,
-        "trace_defect": rep.trace_defect,
-        "support_leak": rep.support_leak,
-    }
-    return results, failures
+    return vars(rep), failures
 
 
 def run_direct_vs_reduced(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
@@ -196,7 +163,8 @@ def run_direct_vs_reduced(cfg: ScenarioConfig, seed: int, nx: Optional[int] = No
     reduced, _ = scn.solution
     direct = solve_first_order_direct(scn.p, scn.metric, scn.data, scn.grid)
     ref = float(np.max(np.abs(direct.values)))
-    mismatch = float(np.max(np.abs(reduced.values - direct.values))) / ref
+    gap = float(np.max(np.abs(reduced.values - direct.values)))
+    mismatch = gap / ref if ref > 0 else gap
     failures = []
     _gate(failures, "reduced-vs-direct mismatch", mismatch, high=TOLERANCES["direct_vs_reduced"])
     return {"mismatch": mismatch, "reference_linf": ref}, failures
@@ -231,12 +199,11 @@ def run_adjoint_check(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
 def run_beta(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     scn = cfg.scenario(nx)
     metric, grid = scn.metric, scn.grid
-    model = _require_dirac(cfg, "beta")
     phi, _ = scn.solution
     # an independent second solution for the symmetry check
     swapped = cfg.initial_data(grid, list(reversed([f"({c})*(1+x)" for c in cfg.initial_components])))
     psi, _ = solve_cauchy(scn.p, scn.q, metric, swapped, grid, check_pair=False)
-    rep = model.rep
+    rep = default_rep()
     levels = [float(grid.ts[int(round(f * (grid.nt - 1)))]) for f in (0.2, 0.35, 0.5, 0.65, 0.8)]
     herm_rep = hypersurface_independence(psi, phi, levels, metric, rep)
     b_pf = beta_sigma(psi, phi, CauchyLine(cfg.t0), metric, rep)
@@ -261,22 +228,15 @@ def run_beta(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
 def run_isometry(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     scn = cfg.scenario(nx)
     metric, grid = scn.metric, scn.grid
-    model = _require_dirac(cfg, "isometry")
     # the configured data times 1 (the scenario's solution), x and cos(3*x)
     data = [cfg.initial_data(grid, [f"({c})*({m})" for c in cfg.initial_components]) for m in ("x", "cos(3*x)")]
     corpus = [scn.solution[0]] + [solve_cauchy(scn.p, scn.q, metric, d, grid, check_pair=False)[0] for d in data]
     t_prime = cfg.t0 + 0.5 * (cfg.t_range[1] - cfg.t0)
-    rep = data_space_isometry_check(corpus, CauchyLine(cfg.t0), CauchyLine(t_prime), metric, model.rep)
+    rep = data_space_isometry_check(corpus, CauchyLine(cfg.t0), CauchyLine(t_prime), metric, default_rep())
     failures = []
     _gate(failures, "Gram mismatch", rep.gram_mismatch, high=TOLERANCES["isometry_mismatch"])
     _gate(failures, "min Gram eigenvalue", rep.min_gram_eigenvalue, low=0.0, strict=True)
-    results = {
-        "gram_mismatch": rep.gram_mismatch,
-        "min_gram_eigenvalue": rep.min_gram_eigenvalue,
-        "gram_sigma": rep.gram_sigma,
-        "gram_sigma_prime": rep.gram_sigma_prime,
-    }
-    return results, failures
+    return vars(rep), failures
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +244,8 @@ def run_isometry(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
 
 def _ladder_error(target: str, cfg: ScenarioConfig, seed: int, nx: int) -> float:
     """The error a convergence target measures at one rung."""
-    battery, key = {
-        "solve": (run_solve, "residual_l2"),
-        "direct-vs-reduced": (run_direct_vs_reduced, "mismatch"),
-        "greens": (run_greens, "retarded"),
-        "adjoint-check": (run_adjoint_check, "defect"),
-        "beta": (run_beta, "hypersurface_drift"),
-    }[target]
-    error = battery(cfg, seed, nx)[0][key]
-    return error["identity_i"] if target == "greens" else error
+    battery, error, _, _ = _battery(target, cfg)
+    return error(battery(cfg, seed, nx)[0])
 
 
 def _ladder(cfg: ScenarioConfig) -> List[int]:
@@ -326,6 +279,44 @@ def run_convergence(cfg: ScenarioConfig, seed: int, target: str):
 
 
 # ---------------------------------------------------------------------------
+# the battery table
+
+def _batteries() -> Dict[str, tuple]:
+    """Each battery by subcommand, in verify-all's order, as (function, the
+    error a convergence rung reads from its results or None if it is no
+    convergence target, whether it needs a Dirac preset, its result fields).
+    Built per call, so that a run_* replaced on the module is the one that
+    runs.  verify-all runs convergence as convergence solve."""
+    return {
+        "check-pair": (run_check_pair, None, False,
+                       {"pair_passed", "max_deviation", "tol", "n_covectors", "min_det_margin", "all_invertible"}),
+        "solve": (run_solve, lambda r: r["residual_l2"], False,
+                  {"residual_l2", "residual_linf", "trace_defect", "support_leak"}),
+        "direct-vs-reduced": (run_direct_vs_reduced, lambda r: r["mismatch"], False, {"mismatch", "reference_linf"}),
+        "greens": (run_greens, lambda r: r["retarded"]["identity_i"], False, {"retarded", "advanced"}),
+        "adjoint-check": (run_adjoint_check, lambda r: r["defect"], False,
+                          {"defect", "lhs", "rhs", "mismatch_control"}),
+        "convergence": (run_convergence, None, False, {"target", "ladder", "orders", "final_order"}),
+        "beta": (run_beta, lambda r: r["hypersurface_drift"], True,
+                 {"value", "positivity", "hermitian_defect", "hypersurface_drift", "levels"}),
+        "isometry": (run_isometry, None, True,
+                     {"gram_mismatch", "min_gram_eigenvalue", "gram_sigma", "gram_sigma_prime"}),
+    }
+
+
+SUBCOMMANDS = (*_batteries(), "verify-all")
+CONVERGENCE_TARGETS = tuple(name for name, (_, error, _, _) in _batteries().items() if error)
+
+
+def _battery(name: str, cfg: ScenarioConfig) -> tuple:
+    """The table row of a battery, once cfg is known to have its preset."""
+    row = _batteries()[name]
+    if row[2] and cfg.preset not in DIRAC_PRESETS:
+        raise ConfigError(f"{name} requires a {' or '.join(DIRAC_PRESETS)} preset scenario")
+    return row
+
+
+# ---------------------------------------------------------------------------
 # orchestration
 
 def run(subcommand: str, cfg: ScenarioConfig, seed: int = 0, target: Optional[str] = None):
@@ -336,20 +327,17 @@ def run(subcommand: str, cfg: ScenarioConfig, seed: int = 0, target: Optional[st
     """
     timings: Dict[str, float] = {}
     artifacts: Dict[str, object] = {}
-    batteries = {
-        "check-pair": run_check_pair, "solve": run_solve, "direct-vs-reduced": run_direct_vs_reduced,
-        "greens": run_greens, "adjoint-check": run_adjoint_check, "beta": run_beta,
-        "isometry": run_isometry, "convergence": lambda cfg, seed: run_convergence(cfg, seed, target),
-    }
     if subcommand == "verify-all":
         results, failures = _run_verify_all(cfg, seed, timings)
-    elif subcommand not in batteries:
+    elif subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     elif subcommand == "convergence" and target is None:
         raise ConfigError("convergence needs a target subcommand")
     else:
+        battery = _battery(subcommand, cfg)[0]
+        args = (target,) if subcommand == "convergence" else ()
         start = time.perf_counter()
-        results, failures = batteries[subcommand](cfg, seed)
+        results, failures = battery(cfg, seed, *args)
         timings[subcommand if target is None else f"convergence-{target}"] = time.perf_counter() - start
         if subcommand in ("solve", "beta"):  # the solution the CSV dumps show
             artifacts["solution" if subcommand == "solve" else "beta"] = cfg.scenario().solution[0]
@@ -369,43 +357,41 @@ def run(subcommand: str, cfg: ScenarioConfig, seed: int = 0, target: Optional[st
 
 
 def _run_verify_all(cfg: ScenarioConfig, seed: int, timings: Dict[str, float]):
-    """Every battery on the config's scenario at nx, so that solve,
-    direct-vs-reduced, the ladder's top rung and beta judge one solution.
-    The ladder's rungs and the driven batteries' source sections are
-    validated before the first battery, the source's cones included."""
+    """Every battery the preset allows, in table order, on the config's
+    scenario at nx, so that solve, direct-vs-reduced, the ladder's top rung
+    and beta judge one solution.  The ladder's rungs and the driven
+    batteries' source sections are validated before the first battery, the
+    source's cones included."""
     _ladder(cfg)
     cfg.scenario().dual_source  # checks the source too: the dual mirrors it when synthesized
     cfg.scenario().check_source_cones()
-    batteries: List[Tuple[str, Callable]] = [
-        ("check-pair", run_check_pair),
-        ("solve", run_solve),
-        ("direct-vs-reduced", run_direct_vs_reduced),
-        ("greens", run_greens),
-        ("adjoint-check", run_adjoint_check),
-        ("convergence solve", lambda cfg, seed: run_convergence(cfg, seed, "solve")),
-    ]
-    if cfg.preset in ("dirac_massive", "dirac_massless"):
-        batteries += [("beta", run_beta), ("isometry", run_isometry)]
-
     results = {}
     failures: List[str] = []
-    for name, fn in batteries:
+    for name, (battery, _, dirac, _) in _batteries().items():
+        if dirac and cfg.preset not in DIRAC_PRESETS:
+            continue
+        args = ()
+        if name == "convergence":
+            name, args = "convergence solve", ("solve",)
         start = time.perf_counter()
-        results[name], fails = fn(cfg, seed)
+        results[name], fails = battery(cfg, seed, *args)
         timings[name] = time.perf_counter() - start
         failures.extend(f"{name}: {f}" for f in fails)
     return results, failures
 
 
 def _validate_report(report: Dict, subcommand: str) -> None:
-    unknown = set(report) - REPORT_FIELDS["top"]
+    """Reject fields the table does not document, battery by battery in
+    verify-all's results."""
+    unknown = set(report) - REPORT_FIELDS
     if unknown:
         raise AssertionError(f"undocumented report fields: {sorted(unknown)}")
-    allowed = REPORT_FIELDS.get(subcommand)
-    if allowed:
-        extra = set(report["results"]) - allowed
+    results = report["results"] if subcommand == "verify-all" else {subcommand: report["results"]}
+    batteries = _batteries()
+    for name, values in results.items():
+        extra = set(values) - batteries[name.split()[0]][3]
         if extra:
-            raise AssertionError(f"undocumented result fields for {subcommand}: {sorted(extra)}")
+            raise AssertionError(f"undocumented result fields for {name}: {sorted(extra)}")
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +401,7 @@ def write_report(report: Dict, out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:
-        fh.write(json.dumps(report, sort_keys=True, indent=2))
+        fh.write(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
         fh.write("\n")
     return path
 
@@ -438,7 +424,7 @@ def _write_csv(out_dir: str, name: str, header: List[str], rows) -> str:
     return path
 
 
-def write_csv_dumps(subcommand: str, artifacts: Dict, out_dir: str) -> List[str]:
+def write_csv_dumps(artifacts: Dict, out_dir: str) -> List[str]:
     os.makedirs(out_dir, exist_ok=True)
     written = []
     if "solution" in artifacts:
@@ -494,7 +480,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(write_report(report, out_dir))
             write_timings(timings, out_dir)
         if "csv" in cfg.output_formats:
-            for path in write_csv_dumps(args.subcommand, artifacts, out_dir):
+            for path in write_csv_dumps(artifacts, out_dir):
                 print(path)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -31,7 +31,8 @@ from .grids import CauchyData, Grid1p1, MarginError, build_grid, make_cauchy_dat
 from .grids import check_causal_margin, check_temporal_margin
 from .qft_dirac import DiracModel, build_dirac_pair
 
-PRESETS = ("dirac_massive", "dirac_massless", "scalar_transport_pair", "klein_gordon_factorized")
+DIRAC_PRESETS = ("dirac_massive", "dirac_massless")
+PRESETS = (*DIRAC_PRESETS, "scalar_transport_pair", "klein_gordon_factorized")
 
 
 class ConfigError(ValueError):
@@ -336,7 +337,7 @@ def resolve_preset(name: str, mass: float, metric: DiagonalMetric) -> Tuple[Firs
     """The operator pair a preset names, on the given metric.  Principal
     parts use the orthonormal coframe, so the symbol product is
     g(xi, xi) Id on any diagonal metric."""
-    if name in ("dirac_massive", "dirac_massless"):
+    if name in DIRAC_PRESETS:
         return build_dirac_pair(DiracModel(mass=float(mass)), metric)
     ia, ib = (_expr.simplify(_expr.Bin("/", _expr.ONE, s)) for s in (metric.alpha_ast, metric.beta_ast))
     if name == "scalar_transport_pair":

@@ -3,9 +3,9 @@
 perfbench is imported, never changed: its workloads call cfg.metric(),
 grid(), operators() and initial_data(), its tracer wraps every public
 function plus MatrixField.eval, cli._run_verify_all and cli._ladder_error,
-and digests each causal shadow through CausalShadow.intervals.  Traced
-curved_dirac and flat_ladder rounds and the other workloads' set-up run
-here as the benchmark runs them.
+and digests each causal shadow through CausalShadow.intervals.  A traced
+round of each workload and the set-up of two run here as the benchmark
+runs them.
 """
 
 import sys
@@ -59,6 +59,16 @@ def test_traced_flat_ladder_round_sees_the_stencils(perfbench, tmp_path):
     checks, traced = traced_round(perfbench, tmp_path, "flat_ladder")
     assert checks.attempted > 0 and checks.failures == []
     assert tracer.layer_metrics(traced, 1.0)["grids.stencil.calls"] > 0
+
+
+def test_traced_verify_all_flat_round_sees_the_batteries(perfbench, tmp_path):
+    # the tracer replaces cli.run_* on the module; verify-all must run the
+    # replacements, so its battery table cannot hold the functions of import
+    tracer, _ = perfbench
+    checks, traced = traced_round(perfbench, tmp_path, "verify_all_flat")
+    assert checks.attempted > 0 and checks.failures == []
+    assert tracer.layer_metrics(traced, 1.0)["cli.battery.busy_s"] > 0
+    assert traced.totals()[0]["cli._ladder_error"][0] == 3
 
 
 @pytest.mark.parametrize("name", ["flat_ladder", "verify_all_flat"])

@@ -43,6 +43,11 @@ SCALAR_CFG = DIRAC_CFG.replace("preset = dirac_massive", "preset = scalar_transp
     "components = [1, 0.5]", "components = [1]"
 )
 
+# identically zero initial data, whose errors have no scale to be relative to
+ZERO_CFG = SCALAR_CFG.replace("components = [1]", "components = [0]").replace(
+    "window_steepness = 2.5", "window_steepness = 10"
+)
+
 NON_PAIR_CFG = """
 [spacetime]
 alpha = 1
@@ -84,6 +89,14 @@ class TestJsonable:
 
     def test_nan_is_tagged(self):
         assert _jsonable(float("nan")) == "nan"
+
+    def test_non_finite_values_are_tagged_complex_parts_included(self):
+        values = [float("inf"), -np.inf, np.float32("nan"), complex(np.inf, np.nan), np.complex128(complex(1, -np.inf))]
+        assert _jsonable(values) == ["inf", "-inf", "nan", ["inf", "nan"], [1.0, "-inf"]]
+
+    def test_report_writer_rejects_what_json_cannot_hold(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_report({"results": float("inf")}, str(tmp_path))
 
 
 class TestRun:
@@ -299,6 +312,50 @@ class TestGates:
         assert out[1].startswith("  (P, Q) is not a complementary pair")
         assert captured.err == ""
         assert not (tmp_path / "out" / "error.txt").exists()
+
+
+def strict_json(text):
+    """Parse text as JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestZeroData:
+    """With identically zero data the mismatches are absolute, and a ladder
+    whose errors are all 0 has infinite orders, written as "inf"."""
+
+    @pytest.mark.parametrize("argv, results", [
+        (["direct-vs-reduced"], {"mismatch": 0.0, "reference_linf": 0.0}),
+        (["convergence", "solve"], {"orders": ["inf", "inf"], "final_order": "inf"}),
+    ], ids=["direct-vs-reduced", "convergence-solve"])
+    def test_zero_data_passes_with_a_json_report(self, tmp_path, argv, results):
+        # direct-vs-reduced used to divide by its zero reference (exit 3),
+        # and the ladder wrote Infinity, which is not JSON
+        cfg = write_cfg(tmp_path, ZERO_CFG)
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        report = strict_json((tmp_path / "out" / "report.json").read_text())
+        assert report["results"].items() >= results.items()
+
+
+class TestReportFields:
+    """The battery table documents each battery's result fields, and
+    writers check them, inside verify-all too."""
+
+    @pytest.fixture(scope="class")
+    def small_dirac(self):
+        return load_config_text(SMALL_DIRAC_CFG)
+
+    @pytest.mark.parametrize("name", list(cli._batteries()))
+    def test_results_have_exactly_the_table_fields(self, small_dirac, name):
+        report, _, _ = run(name, small_dirac, seed=0, target="solve" if name == "convergence" else None)
+        assert set(report["results"]) == cli._batteries()[name][3]
+
+    def test_undocumented_field_inside_verify_all_raises(self, monkeypatch):
+        monkeypatch.setattr(cli, "run_isometry", lambda cfg, seed, nx=None: ({"undocumented": 0.0}, []))
+        with pytest.raises(AssertionError, match=r"undocumented result fields for isometry: \['undocumented'\]"):
+            run("verify-all", load_config_text(SMALL_DIRAC_CFG), seed=0)
 
 
 class TestInternalError:
