@@ -50,6 +50,7 @@ from .cauchy import (
     normal_derivative_data,
     restrict,
     solve_cauchy,
+    solve_cauchy_plain,
     solve_first_order_direct,
 )
 from .greens import (

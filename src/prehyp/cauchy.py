@@ -2,6 +2,11 @@
 solve, a direct first-order solve used as an independent cross-check,
 restriction to other hypersurfaces and the compatibility round trip.
 
+The reduced solve comes plain (solve_cauchy_plain) or verified
+(solve_cauchy): the verified one also checks the pair and measures the
+residual of P, its trace on Sigma and the support leak of the solution.
+A caller that would discard those figures solves plain.
+
 One builder, _right_hand_side, turns an operator into a right-hand side:
 both solvers march one, and the datum d_t Phi_0 that makes
 (P Phi)|_Sigma = 0 is the direct solve's right-hand side at t0.
@@ -419,36 +424,51 @@ def support_leak(phi: GridSection, shadow: CausalShadow, reference: float) -> fl
     return worst / reference if reference > 0 else worst
 
 
+def solve_cauchy_plain(
+    p: FirstOrderOperator,
+    q: FirstOrderOperator,
+    metric: DiagonalMetric,
+    phi0: CauchyData,
+    grid: Optional[Grid1p1] = None,
+) -> GridSection:
+    """Solve P Phi = 0, Phi|_Sigma = Phi_0 through the second-order
+    reduction: build d_t Phi_0 and solve (QP) Phi = 0 with the pair of
+    data.  It checks the causal margin, the CFL condition, prenormal
+    hyperbolicity and blow-up, but neither the pair nor the solution:
+    solve_cauchy does both."""
+    grid = grid or phi0.grid
+    check_causal_margin(metric, grid, phi0.support, phi0.t0)
+    dtphi0 = normal_derivative_data(p, metric, phi0)
+    return solve_second_order(compose(q, p), metric, grid, phi0.values, dtphi0.values, phi0.level)
+
+
 def solve_cauchy(
     p: FirstOrderOperator,
     q: FirstOrderOperator,
     metric: DiagonalMetric,
     phi0: CauchyData,
     grid: Optional[Grid1p1] = None,
-    check_pair: bool = True,
 ) -> Tuple[GridSection, SolveReport]:
-    """Solve P Phi = 0, Phi|_Sigma = Phi_0 through the second-order
-    reduction: build d_t Phi_0, solve (QP) Phi = 0 with the pair of data, and
-    verify the residual, trace and support properties."""
+    """solve_cauchy_plain for a checked complementary pair, and the
+    verification of its solution: the residual of P, its trace on Sigma and
+    the support leak outside the inflated causal shadow of the data."""
     grid = grid or phi0.grid
-    if check_pair:
-        report = is_complementary_pair(p, q, metric)
-        if not report.passed:
-            raise PairCheckError(
-                f"(P, Q) is not a complementary pair (max deviation {report.max_deviation:.3e})"
-            )
-    shadow = check_causal_margin(metric, grid, phi0.support, phi0.t0)
-    dtphi0 = normal_derivative_data(p, metric, phi0)
-    phi = solve_second_order(compose(q, p), metric, grid, phi0.values, dtphi0.values, phi0.level)
+    report = is_complementary_pair(p, q, metric)
+    if not report.passed:
+        raise PairCheckError(
+            f"(P, Q) is not a complementary pair (max deviation {report.max_deviation:.3e})"
+        )
+    phi = solve_cauchy_plain(p, q, metric, phi0, grid)
 
     residual = apply_operator(p, phi)
     interior = residual.values[1:-1]
     res_l2 = float(np.sqrt(np.sum(np.abs(interior) ** 2) * grid.dx * grid.dt))
     res_linf = float(np.max(np.abs(interior)))
     trace = float(np.max(np.abs(residual.values[phi0.level])))
+    # the plain solve's shadow, which the metric keeps
+    shadow = check_causal_margin(metric, grid, phi0.support, phi0.t0)
     leak = support_leak(phi, shadow.inflate(SHADOW_INFLATION_NODES * grid.dx), phi0.linf())
-    report = SolveReport(res_l2, res_linf, trace, leak)
-    return phi, report
+    return phi, SolveReport(res_l2, res_linf, trace, leak)
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +516,13 @@ def compatibility_round_trip(
     grid: Optional[Grid1p1] = None,
 ) -> RoundTripReport:
     """Solve from Sigma, restrict to Sigma', re-solve from Sigma', restrict
-    back; reports the L-infinity distance from the original data."""
+    back; reports the L-infinity distance from the original data.  The
+    first solve checks the pair; the second is plain, since its report
+    would not be read."""
     grid = grid or phi0.grid
     phi, _ = solve_cauchy(p, q, metric, phi0, grid)
     data_prime = restrict(phi, sigma_prime, metric, phi0)
-    phi_back, _ = solve_cauchy(p, q, metric, data_prime, grid, check_pair=False)
+    phi_back = solve_cauchy_plain(p, q, metric, data_prime, grid)
     data_back = restrict(phi_back, sigma, metric, data_prime)
     err = float(np.max(np.abs(data_back.values - phi0.values)))
     return RoundTripReport(err, data_prime.support)

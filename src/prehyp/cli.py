@@ -33,11 +33,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .bundle_ops import is_complementary_pair, symbol_invertibility
-from .cauchy import PairCheckError, SolverBlowupError, solve_cauchy, solve_first_order_direct
+from .cauchy import PairCheckError, SolverBlowupError, solve_cauchy_plain, solve_first_order_direct
 from .config import DIRAC_PRESETS, ConfigError, ScenarioConfig, SourceSpec, load_config
 from .expr import ExprEvalError
 from .geometry import CauchyLine
-from .greens import adjoint_pairing_check, greens_report, make_test_section
+from .greens import _adjoint_pairing_check, _greens_report, greens_apply, greens_report, make_test_section
 from .qft_dirac import beta_sigma, data_space_isometry_check, default_rep, dirac_current, hypersurface_independence
 
 # per-subcommand tolerances at the configured resolution; convergence
@@ -58,6 +58,10 @@ TOLERANCES = {
 }
 
 N_RANDOM_COVECTORS = 200
+
+# the store key of greens' retarded S+ phi of the source, which is
+# adjoint-check's S+ f
+RETARDED_SOURCE = ("P, Q", "source", "retarded")
 
 # the documented report fields; writers reject anything else (each
 # battery's result fields are in _batteries())
@@ -174,10 +178,15 @@ def run_greens(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     scn = cfg.scenario(nx)
     scn.check_source_cones()
     phi = _section_from_spec(scn.grid, scn.source)
+    # advanced first, so that S+ phi is the last solution made: held for
+    # adjoint-check, it then overlaps no other march of this battery
+    advanced = greens_report(scn.p, scn.q, scn.metric, phi, "advanced", scn.grid)
+    retarded, s_phi = _greens_report(scn.p, scn.q, scn.metric, phi, "retarded", scn.grid)
+    if nx is None:  # a convergence rung's S+ phi has no reader
+        scn.hold_driven(RETARDED_SOURCE, s_phi)
     results = {}
     failures = []
-    for direction in ("retarded", "advanced"):
-        rep = greens_report(scn.p, scn.q, scn.metric, phi, direction, scn.grid)
+    for direction, rep in (("retarded", retarded), ("advanced", advanced)):
         results[direction] = vars(rep)
         _gate(failures, f"{direction} identity_i", rep.identity_i, high=TOLERANCES["greens_identity"])
         _gate(failures, f"{direction} identity_ii", rep.identity_ii, high=TOLERANCES["greens_identity"])
@@ -187,9 +196,16 @@ def run_greens(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
 
 def run_adjoint_check(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     scn = cfg.scenario(nx)
+    scn.check_pairing_sections()
     f = _section_from_spec(scn.grid, scn.source)
     psi = _section_from_spec(scn.grid, scn.dual_source)
-    rep = adjoint_pairing_check(scn.p, scn.q, scn.metric, psi, f, scn.grid)
+
+    def s_plus_f():
+        # greens' retarded S+ phi when the store holds it, else solved here
+        held = scn.take_driven(RETARDED_SOURCE)
+        return held if held is not None else greens_apply(scn.p, scn.q, scn.metric, f, "retarded", scn.grid)
+
+    rep = _adjoint_pairing_check(scn.p, scn.q, scn.metric, psi, f, s_plus_f, scn.grid)
     failures = []
     _gate(failures, "pairing defect", rep.defect, high=TOLERANCES["adjoint_defect"])
     _gate(failures, "mismatched-direction control", rep.mismatch_control, low=TOLERANCES["adjoint_mismatch_min"])
@@ -202,7 +218,7 @@ def run_beta(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     phi, _ = scn.solution
     # an independent second solution for the symmetry check
     swapped = cfg.initial_data(grid, list(reversed([f"({c})*(1+x)" for c in cfg.initial_components])))
-    psi, _ = solve_cauchy(scn.p, scn.q, metric, swapped, grid, check_pair=False)
+    psi = solve_cauchy_plain(scn.p, scn.q, metric, swapped, grid)
     rep = default_rep()
     levels = [float(grid.ts[int(round(f * (grid.nt - 1)))]) for f in (0.2, 0.35, 0.5, 0.65, 0.8)]
     herm_rep = hypersurface_independence(psi, phi, levels, metric, rep)
@@ -230,7 +246,7 @@ def run_isometry(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     metric, grid = scn.metric, scn.grid
     # the configured data times 1 (the scenario's solution), x and cos(3*x)
     data = [cfg.initial_data(grid, [f"({c})*({m})" for c in cfg.initial_components]) for m in ("x", "cos(3*x)")]
-    corpus = [scn.solution[0]] + [solve_cauchy(scn.p, scn.q, metric, d, grid, check_pair=False)[0] for d in data]
+    corpus = [scn.solution[0]] + [solve_cauchy_plain(scn.p, scn.q, metric, d, grid) for d in data]
     t_prime = cfg.t0 + 0.5 * (cfg.t_range[1] - cfg.t0)
     rep = data_space_isometry_check(corpus, CauchyLine(cfg.t0), CauchyLine(t_prime), metric, default_rep())
     failures = []
@@ -361,9 +377,10 @@ def _run_verify_all(cfg: ScenarioConfig, seed: int, timings: Dict[str, float]):
     scenario at nx, so that solve, direct-vs-reduced, the ladder's top rung
     and beta judge one solution.  The ladder's rungs and the driven
     batteries' source sections are validated before the first battery, the
-    source's cones included."""
+    source's cones included and zero sections excluded.  greens hands its
+    retarded S+ phi to adjoint-check, which runs next."""
     _ladder(cfg)
-    cfg.scenario().dual_source  # checks the source too: the dual mirrors it when synthesized
+    cfg.scenario().check_pairing_sections()
     cfg.scenario().check_source_cones()
     results = {}
     failures: List[str] = []

@@ -27,7 +27,7 @@ from .bundle_ops import FirstOrderOperator, MatrixField
 from .geometry import Chart1p1, ChartDomainError, DiagonalMetric, MetricPositivityError
 from .cauchy import solve_cauchy
 from .greens import check_source_cones
-from .grids import CauchyData, Grid1p1, MarginError, build_grid, make_cauchy_data, window_support
+from .grids import CauchyData, Grid1p1, GridSection, MarginError, build_grid, make_cauchy_data, window_support
 from .grids import check_causal_margin, check_temporal_margin
 from .qft_dirac import DiracModel, build_dirac_pair
 
@@ -271,6 +271,12 @@ class Scenario:
                 raise ConfigError(f"{at}initial_data.window: causal margin violated at nx = {nx}") from None
         self._configured = {"source": cfg.source, "dual_source": cfg.dual_source}
         self._source_at = _line(cfg.sections, "source", "window_center") + "source.window"
+        self._components_at = {
+            name: _line(cfg.sections, name, "components") + f"{name}.components" for name in self._configured
+        }
+        # driven solutions a battery hands to a later one, keyed on
+        # (operator pair, section, direction); at most one at a time
+        self._driven: Dict[tuple, GridSection] = {}
         self._default_source = _default_source(cfg)
         for name, spec in self._configured.items():
             if spec is not None:
@@ -292,6 +298,29 @@ class Scenario:
     def dual_source(self) -> SourceSpec:
         """[dual_source], or the source mirrored through t = 0 and x = 0."""
         return self._configured["dual_source"] or self._synthesized("dual_source", _mirrored(self.source))
+
+    def hold_driven(self, key: tuple, solution: GridSection) -> None:
+        """Hold a driven solution for a later battery, in place of any
+        held before."""
+        self._driven = {key: solution}
+
+    def take_driven(self, key: tuple) -> Optional[GridSection]:
+        """The driven solution held under key, which the store gives up;
+        None if there is none."""
+        return self._driven.pop(key, None)
+
+    def check_pairing_sections(self) -> None:
+        """The source and the dual source, configured or synthesized, are
+        valid on this grid and each has a component that does not fold to
+        0: adjoint-check pairs them, and the pairing of a zero section is
+        0 whatever the Green's operators, so its control cannot pass."""
+        sections = {"source": self.source, "dual_source": self.dual_source}
+        for name, spec in sections.items():
+            if all(_expr.simplify(_expr.parse(c)) == _expr.ZERO for c in spec.components):
+                error = "every component is 0, so adjoint-check has nothing to pair"
+                if self._configured[name] is None:
+                    raise ConfigError(f"synthesized {name}.components: {error}; add a [{name}] section")
+                raise ConfigError(f"{self._components_at[name]}: {error}")
 
     def check_source_cones(self) -> None:
         """The source's J+ and J-, swept as the greens battery sweeps them

@@ -6,13 +6,18 @@ from zero data before the source, the advanced one backward from zero data
 after it.  For a complementary pair (P, Q), S+- = Q applied to the Green's
 solution of PQ is the Green's operator of P.  The driven solves a battery
 needs of one operator march as one stacked state (_solve_driven).
+
+S+ is unique, so adjoint_pairing_check's S+ f is greens_report's retarded
+S+ phi when f is phi: _greens_report hands S+- phi on with its report,
+and _adjoint_pairing_check takes S+ f from its caller, which solves it
+only when no such solution is at hand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -246,10 +251,18 @@ def greens_report(
     outside J+-(supp phi); identity (ii), S+-(P phi) = phi.  The driven
     solves of phi and of P phi march as one."""
     grid = grid or phi.grid
+    return _greens_report(p, q, metric, phi, direction, grid)[0]
+
+
+def _greens_report(
+    p: FirstOrderOperator, q: FirstOrderOperator, metric: DiagonalMetric, phi: TestSection, direction: str,
+    grid: Grid1p1,
+) -> Tuple[GreensReport, GridSection]:
+    """greens_report and the S+- phi it measures."""
     s_phi, s_p_phi = _greens_apply(p, q, metric, [(phi, direction), (apply_analytic(p, phi), direction)], grid)
     identity_i = _left_inverse_residual(p, phi, s_phi)
     leak = support_leak(s_phi, source_shadow(metric, grid, phi, direction), s_phi.linf())
-    return GreensReport(identity_i, _right_inverse_residual(phi, s_p_phi), leak)
+    return GreensReport(identity_i, _right_inverse_residual(phi, s_p_phi), leak), s_phi
 
 
 def _relative_gap(a: complex, b: complex) -> float:
@@ -271,7 +284,17 @@ def adjoint_pairing_check(
     must not vanish.  Three driven solves in two marches: S_+ f of P Q,
     then S'_- psi and S'_+ psi of P* Q* as one."""
     grid = grid or f.grid
-    rhs = pairing(psi.as_section(), greens_apply(p, q, metric, f, "retarded", grid), metric, grid)
+    return _adjoint_pairing_check(p, q, metric, psi, f, lambda: greens_apply(p, q, metric, f, "retarded", grid), grid)
+
+
+def _adjoint_pairing_check(
+    p: FirstOrderOperator, q: FirstOrderOperator, metric: DiagonalMetric, psi: TestSection, f: TestSection,
+    s_plus_f: Callable[[], GridSection], grid: Grid1p1,
+) -> AdjointReport:
+    """adjoint_pairing_check with S_+ f from s_plus_f(), which is called
+    first; its solution is released once <psi, S_+ f> is taken, before the
+    dual march."""
+    rhs = pairing(psi.as_section(), s_plus_f(), metric, grid)
     dual = _greens_apply(
         formal_adjoint(p, metric), formal_adjoint(q, metric), metric, [(psi, "advanced"), (psi, "retarded")], grid
     )

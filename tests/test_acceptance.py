@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from prehyp.bundle_ops import is_complementary_pair, principal_symbol_1, symbol_invertibility
-from prehyp.cauchy import restrict, solve_cauchy, solve_first_order_direct
+from prehyp.cauchy import restrict, solve_cauchy, solve_cauchy_plain, solve_first_order_direct
 from prehyp.cli import run, write_report
 from prehyp.config import load_config_text
 from prehyp.geometry import CauchyLine, Chart1p1, DiagonalMetric, minkowski
@@ -100,7 +100,7 @@ def test_3_cauchy_convergence_and_characteristic_oracle():
         for nx in (256, 512, 1024):
             grid = build_grid(CHART, MINK, nx)
             phi0 = dirac_data(grid)
-            phi, rep = solve_cauchy(p, q, MINK, phi0, grid, check_pair=False)
+            phi, rep = solve_cauchy(p, q, MINK, phi0, grid)
             errs.append(rep.residual_l2)
             if mass == 0.0 and nx == 1024:
                 # components ride the two characteristics
@@ -178,7 +178,7 @@ def test_5_finite_propagation_leak():
         grid = build_grid(CHART, metric, 1024)
         p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
         phi0 = dirac_data(grid)
-        _, rep = solve_cauchy(p, q, metric, phi0, grid, check_pair=False)
+        _, rep = solve_cauchy(p, q, metric, phi0, grid)
         leaks[name] = rep.support_leak
     worst = max(leaks.values())
     ok = worst <= 1e-7
@@ -246,9 +246,9 @@ def test_6_greens_identities_and_adjoint_pairing():
 
 
 def round_trip_values(p, q, metric, phi0, grid, sigma, sigma_prime):
-    phi, _ = solve_cauchy(p, q, metric, phi0, grid, check_pair=False)
+    phi = solve_cauchy_plain(p, q, metric, phi0, grid)
     mid = restrict(phi, sigma_prime, metric, phi0)
-    back, _ = solve_cauchy(p, q, metric, mid, grid, check_pair=False)
+    back = solve_cauchy_plain(p, q, metric, mid, grid)
     return restrict(back, sigma, metric, mid).values
 
 
@@ -290,7 +290,7 @@ def test_8_cauchy_line_product_quantization_data():
     def solved_corpus(nx):
         grid = build_grid(CHART, MINK, nx)
         data = [dirac_data(grid, comps) for comps in corpus_specs]
-        sols = [solve_cauchy(p, q, MINK, d, grid, check_pair=False)[0] for d in data]
+        sols = [solve_cauchy_plain(p, q, MINK, d, grid) for d in data]
         return grid, data, sols
 
     grid, data, sols = solved_corpus(512)
@@ -307,7 +307,7 @@ def test_8_cauchy_line_product_quantization_data():
     def drift(nx):
         g = build_grid(CHART, MINK, nx)
         d = dirac_data(g)
-        s, _ = solve_cauchy(p, q, MINK, d, g, check_pair=False)
+        s = solve_cauchy_plain(p, q, MINK, d, g)
         levels = [float(g.ts[int(round(f * (g.nt - 1)))]) for f in (0.2, 0.35, 0.5, 0.65, 0.8)]
         return hypersurface_independence(s, s, levels, MINK, rep).hypersurface_drift
 

@@ -39,6 +39,10 @@ SMALL_DIRAC_CFG = DIRAC_CFG.replace("nx = 256", "nx = 128").replace(
     "window_steepness = 2.5", "window_steepness = 10"
 )
 
+CURVED_CFG = SMALL_DIRAC_CFG.replace("alpha = 1\n", "alpha = 1+0.1*sin(t)\n").replace(
+    "beta = 1\n", "beta = 1+0.3*cos(2*x)\n"
+)
+
 SCALAR_CFG = DIRAC_CFG.replace("preset = dirac_massive", "preset = scalar_transport_pair").replace(
     "components = [1, 0.5]", "components = [1]"
 )
@@ -323,8 +327,9 @@ def strict_json(text):
 
 
 class TestZeroData:
-    """With identically zero data the mismatches are absolute, and a ladder
-    whose errors are all 0 has infinite orders, written as "inf"."""
+    """With identically zero data the mismatches are absolute, a ladder
+    whose errors are all 0 has infinite orders, written as "inf", and zero
+    sections, which the adjoint battery cannot pair, are a config error."""
 
     @pytest.mark.parametrize("argv, results", [
         (["direct-vs-reduced"], {"mismatch": 0.0, "reference_linf": 0.0}),
@@ -337,6 +342,38 @@ class TestZeroData:
         assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 0
         report = strict_json((tmp_path / "out" / "report.json").read_text())
         assert report["results"].items() >= results.items()
+
+    @pytest.mark.parametrize("argv", [["adjoint-check"], ["verify-all"]])
+    def test_zero_sections_are_a_config_error(self, tmp_path, capsys, monkeypatch, argv):
+        # the pairing of zero sections is 0, so the control used to fail (exit 2)
+        from prehyp import cauchy
+
+        marches = []
+        real = cauchy._march
+        monkeypatch.setattr(cauchy, "_march", lambda *args: marches.append(1) or real(*args))
+        cfg = write_cfg(tmp_path, ZERO_CFG)
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: synthesized source.components: every component is 0")
+        assert err.rstrip().endswith("add a [source] section")
+        assert not (tmp_path / "out" / "report.json").exists()
+        assert marches == []  # checked before any solve
+
+    def test_configured_zero_dual_source_is_named(self, tmp_path, capsys):
+        text = SCALAR_CFG + """
+[dual_source]
+components = [0*x]
+window_center = 0.0
+window_halfwidth = 0.05
+window_steepness = 2.5
+t_window_center = 0.0
+t_window_halfwidth = 0.01
+t_window_steepness = 50
+"""
+        cfg = write_cfg(tmp_path, text)
+        assert main(["adjoint-check", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line {line_of(text, 'components = [0*x]')}: dual_source.components: ")
 
 
 class TestReportFields:
@@ -373,6 +410,11 @@ class TestInternalError:
         assert not (tmp_path / "out" / "report.json").exists()
 
 
+def held(cfg):
+    """The number of driven solutions a config's scenarios hold."""
+    return sum(len(scn._driven) for scn in cfg._scenarios.values())
+
+
 class TestOneSolvePerQuestion:
     """Each distinct evolution solve in a verdict runs once, and the driven
     solves that share an operator march as one stacked state."""
@@ -397,11 +439,19 @@ class TestOneSolvePerQuestion:
         pytest.param("greens", 4, 2, id="greens-4"),
         # S+ f; S'- psi and the control's S'+ psi as one
         pytest.param("adjoint-check", 3, 2, id="adjoint-check-3"),
-        pytest.param("verify-all", 14, 11, id="verify-all-14"),
+        # adjoint-check's S+ f is greens' retarded S+ phi, marched once
+        pytest.param("verify-all", 13, 10, id="verify-all-13"),
     ])
     def test_solve_count(self, solves, subcommand, solutions, marches):
         run(subcommand, load_config_text(SMALL_DIRAC_CFG), seed=0)
         assert (sum(solves), len(solves)) == (solutions, marches)
+
+    def test_greens_then_adjoint_check_march_s_plus_phi_once(self, solves):
+        # greens' four driven solves in two marches, then only the dual march
+        cfg = load_config_text(SMALL_DIRAC_CFG)
+        for battery in (cli.run_greens, cli.run_adjoint_check):
+            battery(cfg, 0)
+        assert (sum(solves), len(solves)) == (6, 3)
 
     def test_batteries_run_one_by_one_share_the_cauchy_solve(self, solves):
         # the Cauchy solve (shared by solve and beta), adjoint-check's three
@@ -411,11 +461,59 @@ class TestOneSolvePerQuestion:
             battery(cfg, 0)
         assert (sum(solves), len(solves)) == (5, 4)
 
+    @pytest.mark.parametrize("text", [SMALL_DIRAC_CFG, CURVED_CFG], ids=["flat", "curved"])
+    def test_handed_on_s_plus_phi_is_exact_and_released(self, text):
+        alone = run("adjoint-check", load_config_text(text), seed=3)[0]["results"]
+        cfg = load_config_text(text)
+        verify_all = run("verify-all", cfg, seed=3)[0]["results"]
+        assert verify_all["adjoint-check"] == alone
+        assert held(cfg) == 0
+        cfg = load_config_text(text)
+        run("convergence", cfg, seed=3, target="greens")
+        assert held(cfg) == 0
+        cli.run_greens(cfg, 3)
+        assert held(cfg) == 1
+        cli.run_adjoint_check(cfg, 3)
+        assert held(cfg) == 0
+
     def test_one_scenario_per_resolution(self):
         cfg = load_config_text(SMALL_DIRAC_CFG)
         assert cfg.scenario() is cfg.scenario(cfg.nx)
         assert cfg.scenario(64) is cfg.scenario(64)
         assert cfg.scenario(64).grid.nx == 64
+
+
+class TestVerifiedWhereRead:
+    """A Cauchy solve measures its residual and leak only where a report
+    reads them."""
+
+    @pytest.fixture
+    def verifications(self, monkeypatch):
+        """The names of the verification steps cauchy calls."""
+        from prehyp import cauchy
+
+        calls = []
+        for name in ("apply_operator", "support_leak"):
+            real = getattr(cauchy, name)
+            monkeypatch.setattr(cauchy, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        return calls
+
+    def test_beta_and_isometry_verify_no_solve(self, verifications):
+        cfg = load_config_text(SMALL_DIRAC_CFG)
+        cli.run_solve(cfg, 0)
+        assert verifications == ["apply_operator", "support_leak"]
+        verifications.clear()
+        for battery in (cli.run_beta, cli.run_isometry):
+            battery(cfg, 0)
+        assert verifications == []
+
+    def test_round_trip_verifies_its_first_solve_only(self, verifications):
+        from prehyp.cauchy import compatibility_round_trip
+        from prehyp.geometry import CauchyLine
+
+        scn = load_config_text(SMALL_DIRAC_CFG).scenario()
+        compatibility_round_trip(scn.p, scn.q, scn.metric, scn.data, CauchyLine(0.0), CauchyLine(0.05), scn.grid)
+        assert verifications == ["apply_operator", "support_leak"]
 
 
 class TestResolvedAtLoad:
@@ -453,11 +551,6 @@ class TestLadderMargins:
         assert "config error" in err
         assert "nx = 64" in err
         assert not (tmp_path / "out" / "report.json").exists()
-
-
-CURVED_CFG = SMALL_DIRAC_CFG.replace("alpha = 1\n", "alpha = 1+0.1*sin(t)\n").replace(
-    "beta = 1\n", "beta = 1+0.3*cos(2*x)\n"
-)
 
 
 @pytest.fixture
