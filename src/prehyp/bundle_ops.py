@@ -199,34 +199,47 @@ def coefficient_tape(fields: Sequence[MatrixField], xs: np.ndarray) -> Callable:
     return at
 
 
-def contract(coeff, vec: np.ndarray) -> np.ndarray:
-    """coeff @ vec over the last axis, for one field as coefficient_tape
-    returns it; vec is (..., k)."""
-    if isinstance(coeff, np.ndarray):
-        return vec @ coeff.T
-    out = np.zeros(vec.shape, dtype=complex)
-    for i, j, val in coeff:
-        out[..., i] += val * vec[..., j]
-    return out
-
-
 def product(field: MatrixField) -> Callable:
-    """(c, w) -> field @ w over the last axis, c the field's value from its
-    coefficient tape: the one choice of how a field is applied, made once
-    per field.  A field s Id is applied as a broadcast product.  For a
-    non-constant s the tape gives every diagonal entry the one shared
-    value, and s * w is contract's 0 + s * w; a constant s is applied as a
-    number, except one with nonzero real and imaginary parts, which keeps
-    the matrix product, whose complex products round differently.  Values
-    equal contract's up to the sign of zeros."""
+    """bind(w, out) -> run(c): run writes field @ w over the last axis of w
+    into out and returns it, c the field's value as coefficient_tape gives
+    it; for the identity it writes nothing and returns w.  This is the one
+    choice of how a field is applied, made once per field.  bind takes
+    every view once, so a run sees w as it is then; out is not w.
+
+    A field s Id is applied as a broadcast product.  For a non-constant s
+    the tape gives every diagonal entry the one shared value, and s * w is
+    the matrix product's 0 + s * w; a constant s is applied as a number,
+    except one with nonzero real and imaginary parts, which keeps the
+    matrix product, whose complex products round differently.  Any other
+    field is its constant matrix's matmul, or 0 plus each nonzero entry
+    times its column, in order.  Values equal the matrix product's up to
+    the sign of zeros."""
     s = field.scalar
     if s is None and field.diagonal is not None:
-        return lambda c, w: np.asarray(c[0][2])[..., None] * w
+        return lambda w, out: lambda c: np.multiply(np.asarray(c[0][2])[..., None], w, out)
     if s is None or (s.real and s.imag):
-        return contract
+        return _contraction
     if s == 1:
-        return lambda c, w: w
-    return lambda c, w: s * w
+        return lambda w, out: lambda c: w
+    return lambda w, out: lambda c: np.multiply(s, w, out)
+
+
+def _contraction(w: np.ndarray, out: np.ndarray) -> Callable:
+    """product's bind for a general field."""
+    k = w.shape[-1]
+    columns, rows = [w[..., j] for j in range(k)], [out[..., i] for i in range(k)]
+    term = np.empty(w.shape[:-1], dtype=complex)
+
+    def run(c) -> np.ndarray:
+        if isinstance(c, np.ndarray):
+            return np.matmul(w, c.T, out)
+        out.fill(0.0)
+        for i, j, val in c:
+            np.multiply(val, columns[j], term)
+            np.add(rows[i], term, rows[i])
+        return out
+
+    return run
 
 
 def as_matrix_field(value) -> MatrixField:
@@ -482,7 +495,7 @@ def apply_operator(op: Union[FirstOrderOperator, SecondOrderOperator], phi: Grid
     c = coefficient_tape(fields, grid.xs)(grid.ts[:, None])
 
     def term(n: int, w: np.ndarray) -> np.ndarray:
-        return product(fields[n])(c[n], w)
+        return product(fields[n])(w, np.empty(w.shape, complex))(c[n])
 
     if isinstance(op, FirstOrderOperator):
         out = term(0, d_t(v, grid)) + term(1, d_x(v, grid)) + term(2, v)

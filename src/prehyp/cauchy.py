@@ -7,9 +7,10 @@ The reduced solve comes plain (solve_cauchy_plain) or verified
 residual of P, its trace on Sigma and the support leak of the solution.
 A caller that would discard those figures solves plain.
 
-One builder, _right_hand_side, turns an operator into a right-hand side:
-both solvers march one, and the datum d_t Phi_0 that makes
-(P Phi)|_Sigma = 0 is the direct solve's right-hand side at t0.
+One builder, _right_hand_side, turns an operator into a right-hand side,
+a program: both solvers march one, and the datum d_t Phi_0 that makes
+(P Phi)|_Sigma = 0 is the direct solve's right-hand side at t0, the
+program run once on a one-member state.
 
 Time stepping is classical 4th-order one-step (RK4); space is 2nd-order
 centered.  A march evolves a list of starts of one operator, each a state
@@ -19,11 +20,16 @@ solve is a start at an end of the grid, so it marches in one direction.
 Every direction of every start is a member of one stacked RK4 state, with
 its own start state, step sign, stage times and forcing; the members step
 in lockstep, each leaving the stack when its last level is done, and one
-coefficient tape serves them all.
+coefficient tape serves them all.  Each lockstep segment allocates its
+buffers once (the state, the stage states, each stage's derivative, the
+stencil outputs, the products and the forcing rows of a block) and takes
+each view once, so a step is a fixed sequence of ufunc calls with out=,
+in the order of the formulas it replaces, whose values it equals.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
@@ -41,14 +47,7 @@ from .bundle_ops import (
     product,
 )
 from .geometry import CauchyLine, CausalShadow, DiagonalMetric
-from .grids import (
-    CauchyData,
-    Grid1p1,
-    GridSection,
-    check_causal_margin,
-    d_x,
-    d_xx,
-)
+from .grids import CauchyData, Grid1p1, GridSection, _stencil, check_causal_margin
 
 if TYPE_CHECKING:
     from .greens import TestSection
@@ -92,8 +91,13 @@ def normal_derivative_data(
     sigma_n = alpha[:, None, None] * p.a_t.eval(t0, xs)  # (nx, k, k)
     if np.any(np.abs(np.linalg.det(sigma_n)) < 1e-12):
         raise PrenormalHyperbolicityError("sigma_P(normal covector) singular along the hypersurface")
-    rhs, coeffs = _first_order_rhs(p, grid)
-    (dt_phi,) = rhs(coeffs(t0), (phi0.values,), np.zeros(phi0.values.shape, dtype=complex))
+    # the direct solve's program on a one-member state, forced by zeros
+    program, coeffs = _first_order_rhs(p, grid)
+    y = np.array(phi0.values, dtype=complex)[None, None]
+    k = np.empty(y.shape[1:], dtype=complex)
+    (run,) = program([y], [k])
+    run(coeffs(t0), np.zeros(k.shape, dtype=complex))
+    dt_phi = k[0]
     # the window is identically zero outside the declared support, so the
     # derivative carries no content there; mask to keep the support exact
     outside = (xs < phi0.support[0]) | (xs > phi0.support[1])
@@ -113,30 +117,28 @@ class SolverBlowupError(ArithmeticError):
         self.t = t
 
 
-def _unforced(times: np.ndarray) -> list:
-    return [0.0] * len(times)
-
-
 @dataclass
 class _Start:
     """One solution of a march: the state y0 at level j0, marched from
-    there in both directions, and the forcing at its stage times, which
-    forcing(times) gives per direction for all of that direction's stage
-    times at once.  A start at an end of the grid has nothing to march
-    towards that end."""
+    there in both directions, and its forcing, if any: forcing(times)
+    gives, for all of a direction's stage times at once, the index of the
+    first one inside the source's time support and the source at each one
+    inside it, one row per stage time.  A start at an end of the grid has
+    nothing to march towards that end."""
 
     y0: tuple
     j0: int
-    forcing: Callable = _unforced
+    forcing: Optional[Callable] = None
 
 
 class _Member:
     """One direction of a start, a member of the stacked state: the levels
-    it marches from j0 to one end of the grid, its stage times, the forcing
-    at them, the start's output and, from a zero start state, its first
-    step with a forced stage; the levels before that step stay exactly 0
-    and are not marched.  A step's last stage runs at the next level's own
-    time, so that it coincides with the next step's first stage."""
+    it marches from j0 to one end of the grid, its stage times, its forcing
+    rows from stage rows_from on (none if unforced), the start's output
+    and, from a zero start state, its first step with a forced stage; the
+    levels before that step stay exactly 0 and are not marched.  A step's
+    last stage runs at the next level's own time, so that it coincides
+    with the next step's first stage."""
 
     def __init__(self, grid: Grid1p1, start: _Start, step: int, out: np.ndarray, zero_start: bool):
         self.y0 = start.y0
@@ -145,15 +147,20 @@ class _Member:
         self.levels = np.arange(start.j0, grid.nt - 1) if step > 0 else np.arange(start.j0, 0, -1)
         self.first = len(self.levels)
         self.end = None  # the state after its last step
+        self.rows_from, self.rows = 0, np.empty((0,) + start.y0[0].shape, dtype=complex)
         if not len(self.levels):
             return
         # the stage times in order: level, midpoint, level, ..., next level
         self.times = np.empty(2 * len(self.levels) + 1)
         self.times[0::2] = grid.ts[np.append(self.levels, self.levels[-1] + step)]
         self.times[1::2] = grid.ts[self.levels] + step * grid.dt / 2
-        self.f = start.forcing(self.times)
+        if start.forcing is not None:
+            self.rows_from, self.rows = start.forcing(self.times)
         # step n uses the stages 2n, 2n + 1 and 2n + 2
-        forced = next((i for i, fi in enumerate(self.f) if np.any(fi)), len(self.f)) if zero_start else 0
+        forced = 0
+        if zero_start:
+            nonzero = np.flatnonzero(self.rows.any(axis=(1, 2)))
+            forced = self.rows_from + int(nonzero[0]) if len(nonzero) else len(self.times)
         self.first = max(0, (forced - 1) // 2)
 
     def check_finite(self, grid: Grid1p1) -> None:
@@ -167,17 +174,16 @@ class _Member:
             raise SolverBlowupError(bad, float(grid.ts[bad]))
 
 
-def _march(rhs, stages, grid: Grid1p1, starts: list) -> list:
+def _march(program, stages, grid: Grid1p1, starts: list) -> list:
     """March every start from its level to both ends of the grid, all as
     one stacked state; returns, per start, the section holding the first
-    state component at every level.  rhs(c, y, f) gets the coefficient
-    values c at the stage times of the stacked members and the forcing f
-    at them (0.0 if no member is forced).  stages(ts) gives the
-    coefficient values at each stage time of a stage-major (S, members, 1)
-    stack ts (coefficient_tape's at.stages).  Raises SolverBlowupError for
-    the first start, forward before backward, whose final state is not
-    finite.  Every operation acts on each member alone, so a start's
-    solution does not depend on the others marched with it."""
+    state component at every level.  program is _right_hand_side's.
+    stages(ts) gives the coefficient values at each stage time of a
+    stage-major (S, members, 1) stack ts (coefficient_tape's at.stages).
+    Raises SolverBlowupError for the first start, forward before backward,
+    whose final state is not finite.  Every operation acts on each member
+    alone, so a start's solution does not depend on the others marched
+    with it."""
     outs, members = [], []
     for start in starts:
         out = np.empty((grid.nt,) + start.y0[0].shape, dtype=complex)
@@ -188,29 +194,33 @@ def _march(rhs, stages, grid: Grid1p1, starts: list) -> list:
             out[m.levels[:m.first] + step] = 0.0
             members.append(m)
         outs.append(out)
-    _rk4(rhs, stages, [m for m in members if m.first < len(m.levels)], grid)
+    _rk4(program, stages, [m for m in members if m.first < len(m.levels)], grid)
     for m in members:
         m.check_finite(grid)
     return [GridSection(grid, out) for out in outs]
 
 
-def _rk4(rhs, stages, members: list, grid: Grid1p1) -> None:
+def _rk4(program, stages, members: list, grid: Grid1p1) -> None:
     """March the members in lockstep as one state stacked on a leading
     axis, each from its first step and from its own start state, writing
     the first state component of each level into the member's output, and
     keep each member's final state as its end.  The members step together
-    as many steps as the one with the fewest left needs; it leaves the
-    stack, and the rest go on.  Every BLOCK_STEPS steps, stages gives the
-    coefficient values at the stage times of the coming steps, both ends
-    included, and step j of the block gets stages 2j, 2j + 1 and 2j + 2.
+    as many steps as the one with the fewest left needs, a segment; it
+    leaves the stack, and the rest go on.  Every BLOCK_STEPS steps, stages
+    gives the coefficient values at the stage times of the coming steps,
+    both ends included, the members' forcing rows at them are written into
+    the segment's forcing buffer, and step j of the block gets stages 2j,
+    2j + 1 and 2j + 2.
 
-    Each segment marches in buffers of its own, each holding all state
-    components: the state, updated in place, and one buffer per later
-    stage, since a right-hand side may return a component of its input.
-    The stage states and the update y + dt/6 (k1 + 2 k2 + 2 k3 + k4) run
-    on the float64 views in the order of the complex formulas, whose
-    values they equal: a complex times a real column rounds as each part
-    times it."""
+    A segment allocates its buffers once, each holding all state
+    components: the state, updated in place, one buffer per later stage
+    (a stage's derivative of a component but the last is the next
+    component of its state), and the derivative of the last component at
+    each stage.  Every view is taken once, and a step is a fixed sequence
+    of ufunc calls with out=.  The stage states and the update y + dt/6
+    (k1 + 2 k2 + 2 k3 + k4) run on the float64 views in the order of the
+    complex formulas, whose values they equal: a complex times a real
+    column rounds as each part times it."""
     if not members:
         return
     y = np.stack([np.stack([m.y0[c] for m in members]) for c in range(len(members[0].y0))])
@@ -218,41 +228,38 @@ def _rk4(rhs, stages, members: list, grid: Grid1p1) -> None:
         n = min(len(m.levels) - m.first for m in members)
         firsts = [m.first for m in members]
         times = np.stack([m.times[2 * i:2 * (i + n) + 1] for m, i in zip(members, firsts)])
-        rows = [m.f[2 * i:2 * (i + n) + 1] for m, i in zip(members, firsts)]
         targets = np.stack([m.levels[i:i + n] + m.step for m, i in zip(members, firsts)], axis=1).tolist()
         outs = [m.out for m in members]
         dt = np.array([m.step * grid.dt for m in members])[:, None, None]
-        half_dt, sixth_dt = dt / 2, dt / 6
-        # the state and stage buffers as (components, float64 view, the view's components)
         y = np.array(y, dtype=complex, order="C")
-        state, *buffers = (_buffer(y if b == 0 else np.empty(y.shape, complex)) for b in range(4))
-        components, view, _ = state
-        like = components[0]
-        acc, twice = (np.empty(view.shape) for _ in range(2))
+        states = [y] + [np.empty(y.shape, dtype=complex) for _ in range(3)]
+        ks = [np.empty(y.shape[1:], dtype=complex) for _ in range(4)]
+        runs = program(states, ks)
+        views = [x.view(np.float64) for x in states]
+        # per stage, the float64 views of the derivative of each component
+        derivs = [tuple(v[1:]) + (k.view(np.float64),) for v, k in zip(views, ks)]
+        # the stage n + 1 state y + a k_n, and the update, after each run
+        half_dt = dt / 2
+        after = [_stage_state(views[b + 1], views[0], a, derivs[b]) for b, a in enumerate((half_dt, half_dt, dt))]
+        after.append(_update(views[0], dt / 6, derivs))
+        if not grid.periodic:
+            after[-1].append(functools.partial(y[..., ::grid.nx - 1, :].fill, 0.0))
+        # the stage of the block each run takes, as an offset from 2j
+        steps = list(zip(runs, (0, 1, 1, 2), after))
+        rows = list(y[0])
+        forcing = _forcing_blocks(members, firsts, y.shape[2:])
         for s in range(n):
             j = s % BLOCK_STEPS
             if j == 0:
-                block = stages(np.ascontiguousarray(times[:, 2 * s:2 * min(s + BLOCK_STEPS, n) + 1].T)[..., None])
-            cf, cf_mid, cf_next = block[2 * j:2 * j + 3]
-            f, f_mid, f_next = (_stacked([r[c] for r in rows]) for c in range(2 * s, 2 * s + 3))
-            k1 = _views(rhs(cf, components, f), like)
-            k2 = _views(rhs(cf_mid, _axpy(buffers[0], view, half_dt, k1), f_mid), like)
-            k3 = _views(rhs(cf_mid, _axpy(buffers[1], view, half_dt, k2), f_mid), like)
-            k4 = _views(rhs(cf_next, _axpy(buffers[2], view, dt, k3), f_next), like)
-            # ((2 b + a) + 2 c) + d
-            for sc, tc, a, b, c in zip(acc, twice, k1, k2, k3):
-                np.multiply(b, 2.0, out=sc)
-                sc += a
-                np.multiply(c, 2.0, out=tc)
-            acc += twice
-            for sc, d in zip(acc, k4):
-                sc += d
-            acc *= sixth_dt
-            view += acc
-            if not grid.periodic:
-                y[..., ::grid.nx - 1, :] = 0.0
-            for out, j, row in zip(outs, targets[s], y[0]):
-                out[j] = row
+                count = min(BLOCK_STEPS, n - s)
+                block = stages(np.ascontiguousarray(times[:, 2 * s:2 * (s + count) + 1].T)[..., None])
+                f = forcing(s, count)
+            for run, offset, ops in steps:
+                run(block[2 * j + offset], f[2 * j + offset])
+                for op in ops:
+                    op()
+            for out, level, row in zip(outs, targets[s], rows):
+                out[level] = row
         for i, m in enumerate(members):
             m.first += n
             if m.first == len(m.levels):
@@ -262,103 +269,182 @@ def _rk4(rhs, stages, members: list, grid: Grid1p1) -> None:
         y = y[:, keep]
 
 
-def _buffer(stack: np.ndarray) -> tuple:
-    """A stack of state components as the tuple of its components, its
-    float64 view and the view's components."""
-    view = stack.view(np.float64)
-    return tuple(stack), view, tuple(view)
+def _stage_state(into: np.ndarray, y: np.ndarray, a: np.ndarray, k: tuple) -> list:
+    """The ops writing the stage state y + a k into the float64 view into,
+    a a real column and k a stage's derivative per component."""
+    part = functools.partial
+    return [part(np.multiply, kc, a, ic) for ic, kc in zip(into, k)] + [part(np.add, into, y, into)]
 
 
-def _views(arrays, like: np.ndarray) -> tuple:
-    """The float64 views of the complex arrays a right-hand side returns,
-    each of like's shape; a number (the forcing of an operator with no
-    lower-order term) is brought to that shape first."""
-    return tuple(
-        (a if isinstance(a, np.ndarray) and a.shape == like.shape else np.full(like.shape, a, dtype=complex))
-        .view(np.float64)
-        for a in arrays
-    )
+def _update(y: np.ndarray, a: np.ndarray, derivs: list) -> list:
+    """The ops of y += a (((2 k2 + k1) + 2 k3) + k4) on float64 views."""
+    part = functools.partial
+    acc, twice = np.empty(y.shape), np.empty(y.shape)
+    ops = []
+    for sc, tc, k1, k2, k3 in zip(acc, twice, *derivs[:3]):
+        ops += [part(np.multiply, k2, 2.0, sc), part(np.add, sc, k1, sc), part(np.multiply, k3, 2.0, tc)]
+    ops.append(part(np.add, acc, twice, acc))
+    ops += [part(np.add, sc, k4, sc) for sc, k4 in zip(acc, derivs[3])]
+    return ops + [part(np.multiply, acc, a, acc), part(np.add, y, acc, y)]
 
 
-def _stacked(rows: list):
-    """The members' forcing rows at one stage, stacked; 0.0 if none is
-    forced."""
-    if all(isinstance(r, float) for r in rows):
-        return 0.0
-    if len(rows) == 1:
-        return rows[0][None]
-    return np.stack(np.broadcast_arrays(*rows))
+def _forcing_blocks(members: list, firsts: list, shape: tuple) -> Callable:
+    """forcing(s, count) for a segment whose members start at the steps
+    firsts: the members' forcing rows at the stage times of its steps s to
+    s + count, per stage time a (members, *shape) array, 0 for a member
+    with no source there, or None where no member has one.  The rows are
+    written into one buffer allocated once, and the arrays are its views."""
+    forced = [(i, m) for i, m in enumerate(members) if len(m.rows)]
+    if not forced:
+        none = [None] * (2 * BLOCK_STEPS + 1)
+        return lambda s, count: none
+    buffer = np.zeros((2 * BLOCK_STEPS + 1, len(members)) + shape, dtype=complex)
+    rows = list(buffer)
 
-
-def _axpy(into: tuple, y: np.ndarray, a: np.ndarray, k: tuple) -> tuple:
-    """y + a k on float64 views, a a real column, written into the buffer
-    into; returns its components."""
-    components, view, parts = into
-    for part, kc in zip(parts, k):
-        np.multiply(kc, a, out=part)
-    view += y
-    return components
-
-
-def _subtractor(field: MatrixField):
-    """(load, c, w) -> load - field @ w, with a constant +-Id field applied
-    as its sign.  A load that is the number 0.0, an unforced stage's, is
-    not added: the result is the term -field @ w alone."""
-    s = field.scalar
-    if s == 1:
-        return lambda load, c, w: -w if isinstance(load, float) else load - w
-    if s == -1:
-        return lambda load, c, w: w if isinstance(load, float) else load + w
-    apply = product(field)
-    return lambda load, c, w: -apply(c, w) if isinstance(load, float) else load - apply(c, w)
-
-
-def _source_forcing(source: "TestSection", xs: np.ndarray):
-    """forcing(times) for a _Start: the source sampled in one mesh evaluation
-    at the stage times inside its time support, 0.0 at the others, where its
-    window vanishes exactly."""
-    tape = _expr.Tape(source.components, xs)
-    lo, hi = source.t_support
-
-    def forcing(times: np.ndarray) -> list:
-        f = _unforced(times)
-        inside = np.flatnonzero((times >= lo) & (times <= hi))
-        if len(inside):
-            for i, row in zip(inside.tolist(), tape.stack(times[inside, None])):
-                f[i] = row
-        return f
+    def forcing(s: int, count: int) -> list:
+        size = 2 * count + 1
+        inside = np.zeros(size, dtype=bool)
+        for i, m in forced:
+            # the index in m.rows of the block's first stage
+            start = 2 * (firsts[i] + s) - m.rows_from
+            lo, hi = min(max(-start, 0), size), min(max(len(m.rows) - start, 0), size)
+            buffer[:lo, i] = 0.0
+            buffer[lo:hi, i] = m.rows[start + lo:start + hi]
+            buffer[hi:size, i] = 0.0
+            inside[lo:hi] = True
+        return [row if flag else None for row, flag in zip(rows, inside.tolist())]
 
     return forcing
 
 
-def _right_hand_side(lead: MatrixField, terms, xs: np.ndarray):
-    """The right-hand side of lead d_t y[-1] = f - sum field operand(*y) and
-    its coefficient tape on the nodes xs: rhs(c, y, f) = (*y[1:], lead^{-1}
-    (f - sum field operand(*y))), c the tape's values.  The terms whose
-    field folds to 0, and so the stencils only their operands need, are
-    left out, and constant c Id fields are applied as numbers
-    (bundle_ops.product); the rest are subtracted in order, from the first
-    term where f is the number 0.0, so the result equals subtracting every
-    matrix product from f (zeros may differ in sign)."""
-    terms = [(field, operand) for field, operand in terms if not field.is_zero]
-    subtracts = [_subtractor(field) for field, _ in terms]
+def _source_forcing(source: "TestSection", xs: np.ndarray):
+    """forcing(times) for a _Start: the source sampled in one mesh evaluation
+    at the stage times inside its time support; at the others its window
+    vanishes exactly.  The stage times of a direction are monotone, so
+    those inside are consecutive."""
+    tape = _expr.Tape(source.components, xs)
+    lo, hi = source.t_support
+
+    def forcing(times: np.ndarray) -> tuple:
+        inside = np.flatnonzero((times >= lo) & (times <= hi))
+        if not len(inside):
+            return 0, np.empty((0, len(xs), len(source.components)), dtype=complex)
+        return int(inside[0]), tape.stack(times[inside, None])
+
+    return forcing
+
+
+# the load of a forced stage's first term: its forcing rows
+_FORCING = "forcing"
+
+
+def _right_hand_side(lead: MatrixField, terms, grid: Grid1p1):
+    """The right-hand side of lead d_t y[-1] = f - sum field d_x^order y[c]
+    over the terms (field, order, c), as a program, and its coefficient
+    tape on the nodes.  program(states, ks) gives, per stage state y of
+    shape (components, members, nx, k) and output k of shape (members, nx,
+    k), run(c, f): it writes lead^{-1} (f - sum field d_x^order y[c]), the
+    derivative of y's last component, into k, c the tape's values at the
+    stage and f the members' forcing rows, None if none is forced; the
+    derivative of each other component is the next one, y[1:] itself.  The
+    runs share the stencil outputs and scratch arrays, allocated once, and
+    a run is a fixed sequence of ufunc calls with out=.
+
+    The terms whose field folds to 0, and so the stencils only their
+    operands need, are left out, and a constant c Id field is applied as
+    the number c (bundle_ops.product), +-Id as a sign; the rest are
+    subtracted in order, from the first term where no member is forced, so
+    the result equals subtracting every matrix product from f (zeros may
+    differ in sign)."""
+    terms = [(field, order, c) for field, order, c in terms if not field.is_zero]
     inverse = lead.inverse()
-    solve = product(inverse)
-    coeffs = coefficient_tape([field for field, _ in terms] + [inverse], xs)
+    coeffs = coefficient_tape([field for field, _, _ in terms] + [inverse], grid.xs)
+    spacing = {1: 2 * grid.dx, 2: grid.dx**2}
 
-    def rhs(c, y, f):
-        *cs, inv = c
-        load = f
-        for cf, subtract, (_, operand) in zip(cs, subtracts, terms):
-            load = subtract(load, cf, operand(*y))
-        return (*y[1:], solve(inv, load))
+    def program(states: list, ks: list) -> list:
+        shape = ks[0].shape
+        derivatives = {(order, c): np.empty(shape, dtype=complex) for _, order, c in terms if order}
+        scratch, load = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+        runs = []
+        for y, k in zip(states, ks):
+            stencils = [_stencil(y[c], out, spacing[order], -2, order, grid.periodic) for (order, c), out in derivatives.items()]
+            operands = [derivatives[order, c] if order else y[c] for _, order, c in terms]
+            # an identity inverse leaves the load as it is, so it is gathered in k
+            into = k if inverse.scalar == 1 else load
+            variants = []
+            for first in (None, _FORCING):
+                ops, result = [], first
+                for n, ((field, _, _), w) in enumerate(zip(terms, operands)):
+                    term, result = _subtraction(field, n, w, result, into, scratch)
+                    ops += term
+                variants.append(ops + _solution(inverse, result, into, k))
+            runs.append(_stage(stencils, *variants))
+        return runs
 
-    return rhs, coeffs
+    return program, coeffs
+
+
+def _stage(stencils: list, unforced: list, forced: list) -> Callable:
+    """run(c, f): the stencils, then the ops of an unforced or a forced
+    stage."""
+
+    def run(c, f) -> None:
+        for stencil in stencils:
+            stencil()
+        for op in unforced if f is None else forced:
+            op(c, f)
+
+    return run
+
+
+def _subtraction(field: MatrixField, n: int, w: np.ndarray, load, into: np.ndarray, scratch: np.ndarray) -> tuple:
+    """The ops, each op(c, f), writing load - field @ w into into, field's
+    value being c[n]: load is an array, _FORCING for the forcing rows f, or
+    None for the number 0 of an unforced stage, which leaves -field @ w.  A
+    constant +-Id field is applied as its sign, so -(-Id) w is w itself,
+    with no op.  Returns the ops and the array holding the result."""
+    s = field.scalar
+    if s == -1 and load is None:
+        return [], w
+    ops, term = [], w
+    if s not in (1, -1):
+        apply = product(field)(w, scratch)
+        ops.append(lambda c, f: apply(c[n]))
+        term = scratch
+    if load is None:
+        ops.append(lambda c, f: np.negative(term, into))
+    else:
+        combine = np.add if s == -1 else np.subtract
+        if load is _FORCING:
+            ops.append(lambda c, f: combine(f, term, into))
+        else:
+            ops.append(lambda c, f: combine(load, term, into))
+    return ops, into
+
+
+def _solution(inverse: MatrixField, load, into: np.ndarray, k: np.ndarray) -> list:
+    """The ops writing inverse @ load into k, the inverse's value being the
+    last of the coefficient values c: load as _subtraction leaves it, the
+    number 0 of an unforced stage and the forcing rows of a forced one
+    with no term first written into into, which is k for the identity."""
+    ops = []
+    if load is None:
+        ops.append(lambda c, f: into.fill(0.0))
+    elif load is _FORCING:
+        ops.append(lambda c, f: np.copyto(into, f))
+    load = into if load is None or load is _FORCING else load
+    if inverse.scalar == 1:
+        if load is not k:
+            ops.append(lambda c, f: np.copyto(k, load))
+    else:
+        solve = product(inverse)(load, k)
+        ops.append(lambda c, f: solve(c[-1]))
+    return ops
 
 
 def _first_order_rhs(p: FirstOrderOperator, grid: Grid1p1):
     """d_t u = (A^t)^{-1} (f - A^x d_x u - B u) and its coefficient tape."""
-    return _right_hand_side(p.a_t, ((p.a_x, lambda u: d_x(u, grid)), (p.b, lambda u: u)), grid.xs)
+    return _right_hand_side(p.a_t, ((p.a_x, 1, 0), (p.b, 0, 0)), grid)
 
 
 def solve_second_order(
@@ -379,17 +465,13 @@ def _solve_second_order(op: SecondOrderOperator, metric: DiagonalMetric, grid: G
     """solve_second_order for several starts (u, d_t u, j0, source)
     marched as one stacked state; one section per start."""
     grid.check_cfl(metric.max_light_speed())
-    rhs, coeffs = _right_hand_side(op.c_tt, (
-        (op.c_tx.scale(2.0), lambda u, v: d_x(v, grid)),
-        (op.c_xx, lambda u, v: d_xx(u, grid)),
-        (op.d_t, lambda u, v: v),
-        (op.d_x, lambda u, v: d_x(u, grid)),
-        (op.e, lambda u, v: u),
-    ), grid.xs)
-    return _march(rhs, coeffs.stages, grid, [
+    program, coeffs = _right_hand_side(op.c_tt, (
+        (op.c_tx.scale(2.0), 1, 1), (op.c_xx, 2, 0), (op.d_t, 0, 1), (op.d_x, 1, 0), (op.e, 0, 0),
+    ), grid)
+    return _march(program, coeffs.stages, grid, [
         _Start(
             (np.asarray(u0, dtype=complex), np.asarray(v0, dtype=complex)), j0,
-            _unforced if source is None else _source_forcing(source, grid.xs),
+            None if source is None else _source_forcing(source, grid.xs),
         )
         for u0, v0, j0, source in starts
     ])
@@ -409,8 +491,8 @@ def solve_first_order_direct(
     grid = grid or phi0.grid
     grid.check_cfl(metric.max_light_speed())
     check_causal_margin(metric, grid, phi0.support, phi0.t0)
-    rhs, coeffs = _first_order_rhs(p, grid)
-    return _march(rhs, coeffs.stages, grid, [_Start((np.asarray(phi0.values, dtype=complex),), phi0.level)])[0]
+    program, coeffs = _first_order_rhs(p, grid)
+    return _march(program, coeffs.stages, grid, [_Start((np.asarray(phi0.values, dtype=complex),), phi0.level)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -100,12 +100,11 @@ _EDGE_SIGNS = tuple(np.array(c, dtype=float) for c in ((-3, 3), (4, -4), (1, -1)
 
 @functools.lru_cache(maxsize=64)
 def _plan(ndim: int, axis: int, n: int) -> tuple:
-    """Index tuples of a stencil along one axis of n rows: the interior's
-    reads one row below, at and above each interior row; the edge row pairs
-    (i, n - 1 - i) for i < 4, each one strided slice while the two rows are
-    distinct and in order (always so for i = 0, the pair written); on a
-    circle the rows above and below the edge pair, wrapped around; and
-    _EDGE_SIGNS laid along the axis."""
+    """Index tuples of a stencil's edge rows along one axis of n rows: the
+    row pairs (i, n - 1 - i) for i < 4, each one strided slice while the
+    two rows are distinct and in order (always so for i = 0, the pair
+    written); on a circle the rows above and below the edge pair, wrapped
+    around; and _EDGE_SIGNS laid along the axis."""
 
     def at(rows):
         return (rows,) if axis == 0 else (Ellipsis, rows, slice(None))
@@ -115,72 +114,105 @@ def _plan(ndim: int, axis: int, n: int) -> tuple:
         return at(slice(i, n - i, step) if step > 0 else np.array([i, n - 1 - i]))
 
     return (
-        at(slice(0, n - 2)), at(slice(1, n - 1)), at(slice(2, n)),
         tuple(pair(i) for i in range(4)),
         at(slice(1, None, -1)), at(slice(n - 1, n - 3, -1)),
         tuple(np.reshape(c, (2,) + (1,) * (ndim - 1 - axis % ndim)) for c in _EDGE_SIGNS),
     )
 
 
-def _stencil(values: np.ndarray, h: float, axis: int, order: int, periodic: bool = False) -> np.ndarray:
-    """The order-1 or order-2 central difference along axis with spacing h:
-    one-sided at the first and last rows, or wrapped around if periodic."""
+def _stencil(values: np.ndarray, out: np.ndarray, h: float, axis: int, order: int, periodic: bool = False) -> Callable:
+    """run() writing the order-1 or order-2 central difference of values
+    along axis with spacing h into out: one-sided at the first and last
+    rows, or wrapped around if periodic.  values and out are C-contiguous,
+    of one shape and dtype.  The interior is one pass over the flat memory;
+    the rows of that pass that straddle two rows of a leading axis are edge
+    rows, which run() writes after it.  Every view and scratch array is
+    made here, so run() can be called again once values have changed in
+    place (edge rows that are no slice, only on fewer than 8 rows, are
+    copied here)."""
     if values.ndim == 1:
-        return _stencil(values[:, None], h, axis, order, periodic)[:, 0]
-    v = values
-    out = np.empty(v.shape, v.dtype)
-    if v.dtype == np.complex128:
-        if v.strides[-1] != v.itemsize:
-            v = np.ascontiguousarray(v)
-        w, o = v.view(np.float64), out.view(np.float64)
+        return _stencil(values[:, None], out[:, None], h, axis, order, periodic)
+    if values.dtype == np.complex128:
+        w, o = values.view(np.float64), out.view(np.float64)
         scale, by = np.multiply, 1.0 / h
     else:
-        w, o = v, out
+        w, o = values, out
         scale, by = np.true_divide, h
-    below, centre, above, (p0, p1, p2, p3), wrapped_above, wrapped_below, signs = _plan(v.ndim, axis, v.shape[axis])
-    edge, inner = o[p0], o[centre]
+    n = values.shape[axis]
+    row = int(np.prod(w.shape[axis % w.ndim + 1:]))
+    flat_w, flat_o = w.reshape(-1), o.reshape(-1)
+    below, centre, above = flat_w[:-2 * row], flat_w[row:-row], flat_w[2 * row:]
+    inner = flat_o[row:-row]
+    pairs, wrapped_above, wrapped_below, signs = _plan(w.ndim, axis, n)
+    edge, e0 = o[pairs[0]], w[pairs[0]]
+    part = functools.partial
     if order == 1:
-        np.subtract(w[above], w[below], out=inner)
+        ops = [part(np.subtract, above, below, inner)]
         if periodic:
-            np.subtract(w[wrapped_above], w[wrapped_below], out=edge)
+            ops.append(part(np.subtract, w[wrapped_above], w[wrapped_below], edge))
         else:
             c1, c2, c3 = signs
-            np.multiply(c1, w[p0], out=edge)
-            edge += c2 * w[p1]
-            edge -= c3 * w[p2]
+            e1, e2 = w[pairs[1]], w[pairs[2]]
+            tmp = np.empty(edge.shape)
+            ops += [
+                part(np.multiply, c1, e0, edge),
+                part(np.multiply, c2, e1, tmp), part(np.add, edge, tmp, edge),
+                part(np.multiply, c3, e2, tmp), part(np.subtract, edge, tmp, edge),
+            ]
     else:
-        np.multiply(w[centre], 2.0, out=inner)
-        np.subtract(w[above], inner, out=inner)
-        inner += w[below]
-        np.multiply(w[p0], 2.0, out=edge)
+        ops = [
+            part(np.multiply, centre, 2.0, inner),
+            part(np.subtract, above, inner, inner),
+            part(np.add, inner, below, inner),
+            part(np.multiply, e0, 2.0, edge),
+        ]
         if periodic:
-            np.subtract(w[wrapped_above], edge, out=edge)
-            edge += w[wrapped_below]
+            ops += [
+                part(np.subtract, w[wrapped_above], edge, edge),
+                part(np.add, edge, w[wrapped_below], edge),
+            ]
         else:
-            edge -= 5.0 * w[p1]
-            edge += 4.0 * w[p2]
-            edge -= w[p3]
-    scale(o, by, out=o)
+            e1, e2, e3 = (w[p] for p in pairs[1:])
+            tmp = np.empty(edge.shape)
+            ops += [
+                part(np.multiply, 5.0, e1, tmp), part(np.subtract, edge, tmp, edge),
+                part(np.multiply, 4.0, e2, tmp), part(np.add, edge, tmp, edge),
+                part(np.subtract, edge, e3, edge),
+            ]
+    ops.append(part(scale, flat_o, by, flat_o))
+
+    def run() -> None:
+        for op in ops:
+            op()
+
+    return run
+
+
+def _derivative(values: np.ndarray, h: float, axis: int, order: int, periodic: bool = False) -> np.ndarray:
+    """_stencil's difference of values, run once into a new array."""
+    values = np.ascontiguousarray(values)
+    out = np.empty(values.shape, values.dtype)
+    _stencil(values, out, h, axis, order, periodic)()
     return out
 
 
 def d_x(values: np.ndarray, grid: Grid1p1) -> np.ndarray:
     """First x-derivative along axis -2 of (..., nx, k) arrays."""
-    return _stencil(values, 2 * grid.dx, -2, 1, grid.periodic)
+    return _derivative(values, 2 * grid.dx, -2, 1, grid.periodic)
 
 
 def d_xx(values: np.ndarray, grid: Grid1p1) -> np.ndarray:
     """Second x-derivative along axis -2."""
-    return _stencil(values, grid.dx**2, -2, 2, grid.periodic)
+    return _derivative(values, grid.dx**2, -2, 2, grid.periodic)
 
 
 def d_t(values: np.ndarray, grid: Grid1p1) -> np.ndarray:
     """First t-derivative along axis 0 of (nt, nx, k) arrays."""
-    return _stencil(values, 2 * grid.dt, 0, 1)
+    return _derivative(values, 2 * grid.dt, 0, 1)
 
 
 def d_tt(values: np.ndarray, grid: Grid1p1) -> np.ndarray:
-    return _stencil(values, grid.dt**2, 0, 2)
+    return _derivative(values, grid.dt**2, 0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,9 @@ def test_traced_curved_dirac_round(perfbench, tmp_path):
 
 
 def test_traced_flat_ladder_round_sees_the_stencils(perfbench, tmp_path):
-    # the RK4 right-hand sides and apply_operator call grids.d_x and d_xx by
-    # name, so the tracer's stencil layer counts them
+    # apply_operator calls grids.d_x and d_xx by name, so the tracer's
+    # stencil layer counts its stencils; a march binds its own through
+    # grids._stencil, which the layer does not see
     tracer, _ = perfbench
     checks, traced = traced_round(perfbench, tmp_path, "flat_ladder")
     assert checks.attempted > 0 and checks.failures == []
