@@ -5,16 +5,18 @@ application.
 
 Coefficient fields are symbolic: a k x k matrix of expression ASTs.  The
 derivatives that composition and adjoints need are exact (expr.diff), and
-constant folding prunes the entries that vanish identically.  Solvers and
-apply_operator compile the nonzero entries of an operator once into an
-evaluation tape (coefficient_tape) and apply each field through the one
-product that product(field) chooses for it.
+constant folding prunes the entries that vanish identically.
+Compositions, formal adjoints and default-sampled pair checks are kept on
+the operators they were computed from, so a run does each once per
+operator it holds.  Solvers and apply_operator compile the nonzero entries
+of an operator once into an evaluation tape (coefficient_tape) and apply
+each field through the one product that product(field) chooses for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -250,16 +252,22 @@ def as_matrix_field(value) -> MatrixField:
 # ---------------------------------------------------------------------------
 # operators
 
-@dataclass
+@dataclass(frozen=True)
 class FirstOrderOperator:
     """P Phi = A^t d_t Phi + A^x d_x Phi + B Phi.  B is the whole order-0
     part: in a chart a bundle connection is an order-0 term,
-    A^mu (d_mu + omega_mu) = A^mu d_mu + A^mu omega_mu, so it enters B."""
+    A^mu (d_mu + omega_mu) = A^mu d_mu + A^mu omega_mu, so it enters B.
+
+    compose, formal_adjoint and the default-sampled is_complementary_pair
+    keep their results on their first operand, keyed on the others: each
+    is computed once for the operators a caller holds, and dropped with
+    them."""
 
     k: int
     a_t: MatrixField
     a_x: MatrixField
     b: MatrixField
+    _memo: Dict[tuple, object] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, a_t, a_x, b) -> "FirstOrderOperator":
@@ -324,8 +332,20 @@ def principal_symbol_2(op: SecondOrderOperator, point, xi) -> np.ndarray:
     return _single(point, xi, sigma)
 
 
+def _once(owner: FirstOrderOperator, key: tuple, build: Callable[[], object]):
+    """The result kept on owner under key, built on the first request."""
+    if key not in owner._memo:
+        owner._memo[key] = build()
+    return owner._memo[key]
+
+
 def compose(p: FirstOrderOperator, q: FirstOrderOperator) -> SecondOrderOperator:
-    """Expand P(Q Phi) by the product rule into a second-order operator."""
+    """Expand P(Q Phi) by the product rule into a second-order operator,
+    once per pair of operators (kept on p)."""
+    return _once(p, ("compose", q), lambda: _compose(p, q))
+
+
+def _compose(p: FirstOrderOperator, q: FirstOrderOperator) -> SecondOrderOperator:
     if p.k != q.k:
         raise RankMismatchError(f"rank mismatch: {p.k} vs {q.k}")
     pat, pax, pb = p.a_t, p.a_x, p.b
@@ -415,7 +435,20 @@ def is_complementary_pair(
     sample_points: Optional[Sequence[Tuple[float, float]]] = None,
     tol: Optional[float] = None,
 ) -> PairReport:
-    """Check that both PQ and QP are normally hyperbolic."""
+    """Check that both PQ and QP are normally hyperbolic; with the default
+    sample points and tolerance, once per pair and metric (kept on p)."""
+    if sample_points is None and tol is None:
+        return _once(p, ("pair", q, metric), lambda: _pair_check(p, q, metric, None, None))
+    return _pair_check(p, q, metric, sample_points, tol)
+
+
+def _pair_check(
+    p: FirstOrderOperator,
+    q: FirstOrderOperator,
+    metric: DiagonalMetric,
+    sample_points: Optional[Sequence[Tuple[float, float]]],
+    tol: Optional[float],
+) -> PairReport:
     pq = is_normally_hyperbolic(compose(p, q), metric, sample_points, tol)
     qp = is_normally_hyperbolic(compose(q, p), metric, sample_points, tol)
     return PairReport(pq.passed and qp.passed, pq, qp)
@@ -451,8 +484,13 @@ def formal_adjoint(p: FirstOrderOperator, metric: DiagonalMetric) -> FirstOrderO
     rho = alpha * beta: coefficients -A^T and B^T - (1/rho) d_mu(rho A^mu,T).
 
     The pairing is bilinear (dual bundle, no complex conjugation), so
-    matrices transpose without conjugation.
+    matrices transpose without conjugation.  Built once per metric (kept
+    on p).
     """
+    return _once(p, ("adjoint", metric), lambda: _formal_adjoint(p, metric))
+
+
+def _formal_adjoint(p: FirstOrderOperator, metric: DiagonalMetric) -> FirstOrderOperator:
     rho = _expr.simplify(Bin("*", metric.alpha_ast, metric.beta_ast))
     at_t = p.a_t.transpose()
     at_x = p.a_x.transpose()

@@ -13,9 +13,12 @@ literals with optional exponent.  All arithmetic is 64-bit floating point;
 evaluation accepts scalars or numpy arrays for t and x.
 
 fold/simplify fold constants (possibly complex) and prune zeros, diff takes
-exact derivatives (with an internal log node for u^v), and Tape compiles
-ASTs for repeated evaluation on one row of nodes.  parse rejects the
-internal log, step and step_slope nodes; the last two build windows.
+exact derivatives (with an internal log node for u^v), Tape compiles
+ASTs for repeated evaluation on one row of nodes, and compile_points
+compiles them into a straight-line function of a few points, which does
+evaluate's operations on floats (the causal-shadow sweeps).  pretty keeps
+each node's string on the node.  parse rejects the internal log, step and
+step_slope nodes; the last two build windows.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import operator
 import re
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -270,6 +273,65 @@ def _eval(ast: ExprAst, t, x):
     return _check_finite(val, t, x, _CHECKED[ast.op]) if ast.op in _CHECKED else val
 
 
+def compile_points(asts: Sequence[ExprAst], n: int) -> Callable:
+    """The ASTs compiled into one straight-line function f(t, x_0, ...,
+    x_{n-1}) of n points (t, x_i) with one t, returning per AST the tuple
+    of its n values.  f makes _eval's calls in _eval's order, node by node,
+    each node that uses x at every point before the next node, and checks
+    finiteness where _eval does; so inside np.errstate(all="ignore") its
+    values and the ExprEvalError it raises are evaluate's on the array of
+    the n x_i, one AST after the other, as long as numpy gives a scalar the
+    value it gives an element of an array.  The ASTs are real."""
+    env: Dict[str, object] = {"_isfinite": math.isfinite, "_bad": _raise_at_first}
+    lines: List[str] = []
+    xs = [f"x{i}" for i in range(n)]
+
+    def bind(value) -> str:
+        name = f"_c{len(env)}"
+        env[name] = value
+        return name
+
+    def emit(ast: ExprAst) -> List[str]:
+        # the names of the node's values at the n points: n names when the
+        # node uses x, else one name repeated
+        if isinstance(ast, Num):
+            return [bind(ast.value)] * n
+        if isinstance(ast, Var):
+            return ["t"] * n if ast.name == "t" else xs
+        kids = [emit(c) for c in _children(ast)]
+        if isinstance(ast, Neg):
+            form, what = "-{0}", None
+        elif isinstance(ast, Call):
+            form, what = bind(_EVAL_FUNCTIONS[ast.func]) + "({0})", ast.func
+        elif ast.op in _CHECKED:
+            form, what = bind(_OPS[ast.op]) + "({0}, {1})", _CHECKED[ast.op]
+        else:
+            form, what = "{0} " + ast.op + " {1}", None
+        pointwise = any(len(set(k)) > 1 for k in kids)
+        out = [f"_v{len(lines)}_{i}" for i in range(n)] if pointwise else [f"_v{len(lines)}"] * n
+        for i in range(n if pointwise else 1):
+            lines.append(f"    {out[i]} = " + form.format(*(k[i] for k in kids)))
+        if what is not None:
+            vals = out if pointwise else out[:1]
+            lines.append(
+                f"    if not ({' and '.join(f'_isfinite({v})' for v in vals)}):\n"
+                f"        _bad({what!r}, t, ({', '.join(xs)},), ({', '.join(vals)},))"
+            )
+        return out
+
+    results = [emit(a) for a in asts]
+    body = "\n".join(lines + ["    return (" + "".join(f"({', '.join(r)},), " for r in results) + ")"])
+    exec(f"def points(t, {', '.join(xs)}):\n{body}\n", env)
+    return env["points"]
+
+
+def _raise_at_first(what: str, t, xs, values):
+    """compile_points' failure: the ExprEvalError _check_finite raises on
+    the values at (t, xs[i]), values[i] for one value shared by every point."""
+    i = next(i for i, v in enumerate(values) if not math.isfinite(v))
+    raise ExprEvalError(f"non-finite result from {what}", float(t), float(xs[i]))
+
+
 def _children(ast: ExprAst):
     if isinstance(ast, (Neg, Call)):
         return (ast.arg,)
@@ -290,7 +352,17 @@ def uses_var(ast: ExprAst, name: str) -> bool:
 
 def pretty(ast: ExprAst) -> str:
     """Render an AST back to source; fully parenthesized so that
-    pretty(parse(pretty(e))) == pretty(e)."""
+    pretty(parse(pretty(e))) == pretty(e).  The string is kept on the node
+    (fold sorts operands by it), outside the dataclass fields, so it enters
+    neither ==, hash nor repr."""
+    text = ast.__dict__.get("_pretty")
+    if text is None:
+        text = _render(ast)
+        object.__setattr__(ast, "_pretty", text)
+    return text
+
+
+def _render(ast: ExprAst) -> str:
     if isinstance(ast, Num):
         if isinstance(ast.value, complex) or ast.value < 0:
             return f"({ast.value!r})"

@@ -7,7 +7,10 @@ constant-t line is then a spacelike Cauchy hypersurface.  Causal futures
 and pasts are computed by integrating the null characteristic ODE
 dx/dt = +- alpha/beta from the two endpoints of its seed interval: in
 1+1 dimensions J_+ or J_- of one interval meets each constant-t line in
-one interval, so a shadow stores one (lo, hi) pair per time level.
+one interval, so a shadow stores one (lo, hi) pair per time level.  The
+two endpoints march as floats, on alpha and beta compiled once per metric
+(expr.compile_points), with the values and errors of evaluating the
+metric on the pair as an array.
 """
 
 from __future__ import annotations
@@ -89,6 +92,8 @@ class DiagonalMetric:
         self.chart = chart
         self.is_constant = _expr.is_constant(self.alpha_ast) and _expr.is_constant(self.beta_ast)
         self._shadows: Dict[tuple, CausalShadow] = {}
+        # alpha and beta at a sweep's two endpoints, compiled once
+        self.alpha_beta_at_ends = _expr.compile_points([self.alpha_ast, self.beta_ast], 2)
         self._max_light_speed: Optional[float] = None
         # positivity spot-check on a coarse lattice
         ts = np.linspace(chart.t_min, chart.t_max, 9)
@@ -213,14 +218,6 @@ class CausalShadow:
         return CausalShadow(chart, self.times, lo, hi, self.truncated)
 
 
-def _rk4_step(f, t: float, y: np.ndarray, h: float, t_next: float) -> np.ndarray:
-    k1 = f(t, y)
-    k2 = f(t + h / 2, y + h / 2 * k1)
-    k3 = f(t + h / 2, y + h / 2 * k2)
-    k4 = f(t_next, y + h * k3)
-    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def causal_shadow(
     metric: DiagonalMetric,
     seed: Interval,
@@ -262,24 +259,38 @@ def causal_shadow(
     n_steps = max(1, int(np.ceil(span / dt - 1e-12)))
     h = sign * span / n_steps
 
-    # both endpoints follow the outgoing null characteristics in one state,
-    # the left one against and the right one along the direction of
-    # propagation
-    signs = np.array([-sign, sign])
+    # both endpoints follow the outgoing null characteristics, the left one
+    # against and the right one along the direction of propagation, as two
+    # floats marched together: each RK4 stage evaluates the compiled alpha
+    # and beta at both, node by node, left first, and the arithmetic is
+    # that of one state of the two, so the ends and the first non-finite
+    # value are those of the sweep over the pair as an array
+    alpha_beta, wrap, line = metric.alpha_beta_at_ends, chart.wrap, chart.topology == "line"
+
+    def speeds(t, xl, xr):
+        (al, ar), (bl, br) = alpha_beta(t, wrap(xl), wrap(xr))
+        return -sign * (al / bl), sign * (ar / br)
+
     truncated = False
-    ends = np.empty((n_steps + 1, 2))
-    ends[0] = x = np.array([lo, hi])
-    for n in range(n_steps):
-        # the last step ends on t_target itself: t0 + n_steps h can round
-        # past it, out of the chart
-        t = t0 + n * h
-        t_next = t_target if n == n_steps - 1 else t + h
-        x = _rk4_step(lambda tt, xx: signs * metric.light_speed(tt, chart.wrap(xx)), t, x, h, t_next)
-        if chart.topology == "line":
-            truncated |= bool(x[0] < chart.x_min or x[1] > chart.x_max)
-            x[0], x[1] = max(x[0], chart.x_min), min(x[1], chart.x_max)
-        ends[n + 1] = x
-    los, his = ends[:, 0], ends[:, 1]
+    los, his = [lo], [hi]
+    with np.errstate(all="ignore"):
+        for n in range(n_steps):
+            # the last step ends on t_target itself: t0 + n_steps h can
+            # round past it, out of the chart
+            t = t0 + n * h
+            t_next = t_target if n == n_steps - 1 else t + h
+            k1l, k1r = speeds(t, lo, hi)
+            k2l, k2r = speeds(t + h / 2, lo + h / 2 * k1l, hi + h / 2 * k1r)
+            k3l, k3r = speeds(t + h / 2, lo + h / 2 * k2l, hi + h / 2 * k2r)
+            k4l, k4r = speeds(t_next, lo + h * k3l, hi + h * k3r)
+            lo = lo + h / 6 * (k1l + 2 * k2l + 2 * k3l + k4l)
+            hi = hi + h / 6 * (k1r + 2 * k2r + 2 * k3r + k4r)
+            if line:
+                truncated |= bool(lo < chart.x_min or hi > chart.x_max)
+                lo, hi = max(lo, chart.x_min), min(hi, chart.x_max)
+            los.append(lo)
+            his.append(hi)
+    los, his = np.array(los, dtype=float), np.array(his, dtype=float)
     if chart.topology == "circle":
         full = his - los >= chart.period
         los, his = np.where(full, chart.x_min, los), np.where(full, chart.x_max, his)

@@ -146,6 +146,18 @@ class TestCompose:
         with pytest.raises(RankMismatchError):
             compose(transport(), dirac_like(np.zeros((2, 2))))
 
+    def test_operator_algebra_is_kept_on_the_operators(self, chart, mink):
+        g = DiagonalMetric("1+0.1*sin(t)", "1+0.3*cos(2*x)", chart)
+        p, q = dirac_like(0.5 * np.eye(2)), dirac_like(-0.5 * np.eye(2))
+        assert compose(p, q) is compose(p, q) and compose(q, p) is not compose(p, q)
+        assert formal_adjoint(p, g) is formal_adjoint(p, g) and formal_adjoint(p, g) is not formal_adjoint(p, mink)
+        assert is_complementary_pair(p, q, g) is is_complementary_pair(p, q, g)
+        # explicit samples or tolerances are checked anew
+        assert is_complementary_pair(p, q, g, tol=1e-8) is not is_complementary_pair(p, q, g, tol=1e-8)
+        # operators built anew compose anew
+        p2, q2 = dirac_like(0.5 * np.eye(2)), dirac_like(-0.5 * np.eye(2))
+        assert compose(p2, q2) is not compose(p, q)
+
     def test_compose_matches_sequential_application(self, chart, mink):
         # P(Q phi) applied sequentially and the composed operator are both
         # O(h^2) discretizations of the same continuum operator: their

@@ -483,6 +483,40 @@ class TestOneSolvePerQuestion:
         assert cfg.scenario(64).grid.nx == 64
 
 
+@pytest.fixture
+def bodies(monkeypatch):
+    """The number of composition and pair-check bodies run, past the
+    operators' memo."""
+    from prehyp import bundle_ops
+
+    counts = {"compose": 0, "pair": 0}
+    for name, key in (("_compose", "compose"), ("_pair_check", "pair")):
+        def counting(*args, real=getattr(bundle_ops, name), key=key):
+            counts[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(bundle_ops, name, counting)
+    return counts
+
+
+class TestSymbolicWorkOncePerRun:
+    """A run composes PQ, QP and P*Q* once each and checks its pair once,
+    whichever battery asks; the operators of a config keep the results."""
+
+    def test_curved_batteries_compose_three_times_and_check_the_pair_once(self, bodies):
+        cfg = load_config_text(CURVED_CFG)
+        for battery in (cli.run_check_pair, cli.run_solve, cli.run_adjoint_check, cli.run_beta):
+            battery(cfg, 0)
+        assert bodies == {"compose": 3, "pair": 1}
+
+    def test_two_loads_of_one_text_compose_twice(self, bodies):
+        from prehyp.bundle_ops import compose
+
+        pairs = [load_config_text(CURVED_CFG).operators() for _ in range(2)]
+        pq = [compose(p, q) for p, q in pairs]
+        assert bodies["compose"] == 2 and pq[0] is not pq[1]
+
+
 class TestVerifiedWhereRead:
     """A Cauchy solve measures its residual and leak only where a report
     reads them."""

@@ -150,6 +150,15 @@ class TestRoundTrip:
                 assert evaluate(a, t, x) == pytest.approx(evaluate(b, t, x))
 
 
+    @pytest.mark.parametrize("src", CASES)
+    def test_kept_string_is_not_part_of_the_node(self, src):
+        kept, fresh = parse(src), parse(src)
+        text = pretty(kept)
+        assert pretty(kept) is text
+        assert kept == fresh and hash(kept) == hash(fresh) and repr(kept) == repr(fresh)
+        assert "_pretty" not in repr(kept) and pretty(fresh) == text
+
+
 def random_ast(rng, depth=0):
     """A random small AST restricted to everywhere-finite operations."""
     kind = rng.integers(0, 6 if depth < 4 else 2)
@@ -185,6 +194,28 @@ def test_random_asts_match_direct_interpretation():
         t = float(rng.uniform(-1, 1))
         x = float(rng.uniform(-1, 1))
         assert evaluate(ast, t, x) == pytest.approx(oracle(ast, t, x), abs=1e-12)
+
+
+def test_compiled_points_equal_evaluate_on_the_array():
+    # three points, the middle one reusing the first: values bit for bit,
+    # and a non-finite node reported where evaluate reports it
+    rng = np.random.default_rng(2)
+    for _ in range(300):
+        asts = [random_ast(rng), random_ast(rng), Bin("/", random_ast(rng), random_ast(rng))]
+        t, x0, x2 = rng.uniform(-1, 1, 3)
+        xs = np.array([x0, x0, x2])
+        points = expr.compile_points(asts, 3)
+        try:
+            with np.errstate(all="ignore"):
+                got = points(float(t), *map(float, xs))
+        except ExprEvalError as e:
+            with pytest.raises(ExprEvalError) as want:
+                for a in asts:
+                    evaluate(a, float(t), xs)
+            assert (str(e), e.t, e.x) == (str(want.value), want.value.t, want.value.x)
+            continue
+        for a, values in zip(asts, got):
+            assert np.array_equal(np.broadcast_to(evaluate(a, float(t), xs), 3), values)
 
 
 def test_random_asts_survive_round_trip():

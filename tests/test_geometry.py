@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from prehyp.cauchy import support_leak
+from prehyp.expr import ExprEvalError
 from prehyp.geometry import (
     CauchyLine,
     Chart1p1,
@@ -136,14 +137,16 @@ class TestCausalShadow:
         chart = Chart1p1(-0.3, 0.3, -1.0, 1.0)
         metric = DiagonalMetric("1", beta, chart)
         grid = build_grid(chart, metric, 512, 0.4)
+        # the sweep evaluates the metric once per RK4 stage, through its
+        # compiled alpha and beta
         stage_times = []
-        light_speed = DiagonalMetric.light_speed
+        alpha_beta = metric.alpha_beta_at_ends
 
-        def recording(self, t, x):
+        def recording(t, *xs):
             stage_times.append(t)
-            return light_speed(self, t, x)
+            return alpha_beta(t, *xs)
 
-        monkeypatch.setattr(DiagonalMetric, "light_speed", recording)
+        monkeypatch.setattr(metric, "alpha_beta_at_ends", recording)
         edge = chart.t_min if direction == "past" else chart.t_max
         for j in levels:
             s = causal_shadow(metric, (-0.1, 0.1), float(grid.ts[j]), direction, dt=grid.dt)
@@ -323,8 +326,16 @@ SWEEP_CHARTS = {
 }
 
 
+SWEEP_METRICS = {
+    "flat": ("1", "1"),
+    "readme": ("1+0.1*sin(t)", "1+0.3*cos(2*x)"),
+    "general": ("1+0.3*x", "1+0.3*t"),
+    "special": ("1+0.2*tanh(x-t)*exp(-x^2)", "sqrt(1.5+0.4*sin(3*x+t))"),
+}
+
+
 @pytest.mark.parametrize("direction", ["future", "past", "both"])
-@pytest.mark.parametrize("metric", [("1", "1"), ("1+0.1*sin(t)", "1+0.3*cos(2*x)")], ids=["flat", "readme"])
+@pytest.mark.parametrize("metric", list(SWEEP_METRICS.values()), ids=list(SWEEP_METRICS))
 @pytest.mark.parametrize("case", list(SWEEP_CHARTS))
 def test_shadow_and_leak_equal_the_union_sweep(case, metric, direction):
     chart, seed, t0 = SWEEP_CHARTS[case]
@@ -345,3 +356,28 @@ def test_shadow_and_leak_equal_the_union_sweep(case, metric, direction):
     phi = GridSection(grid, rng.standard_normal((grid.nt, grid.nx, 2)) + 1j * rng.standard_normal((grid.nt, grid.nx, 2)))
     leak = support_leak(phi, s.inflate(margin), 1.0)
     assert leak == reference_leak(phi, chart, times, reference_inflate(chart, unions, margin), 1.0)
+
+
+# exp overflows within 0.0042 of c, between the nodes of the metric's
+# positivity lattice (t step 0.075, x step 0.0625), so the metric loads and
+# the sweep fails at its first stage there
+def spike(var, c):
+    return f"1+0*exp(1000*exp(-20000*({var}-{c})^2))"
+
+
+@pytest.mark.parametrize("metric", [
+    pytest.param(("1", spike("x", 0.09375)), id="right end"),
+    pytest.param(("1", spike("x", -0.09375)), id="left end"),
+    pytest.param((spike("t", 0.0375), "1"), id="time"),
+    # both ends fail at one stage, the right one in alpha and the left one
+    # in beta: the array sweep reports the right end, whose node comes first
+    pytest.param((spike("x", 0.09375), spike("x", -0.09375)), id="both ends"),
+])
+def test_non_finite_light_speed_raises_where_the_union_sweep_does(metric):
+    g = DiagonalMetric(*metric, Chart1p1(-0.3, 0.3, -1.0, 1.0))
+    with pytest.raises(ExprEvalError) as got:
+        causal_shadow(g, (-0.05, 0.05), 0.0, "both", dt=0.001)
+    with pytest.raises(ExprEvalError) as want:
+        reference_shadow(g, [(-0.05, 0.05)], 0.0, "both", dt=0.001)
+    assert (str(got.value), got.value.t, got.value.x) == (str(want.value), want.value.t, want.value.x)
+    assert got.value.t > 0.0
