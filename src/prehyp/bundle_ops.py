@@ -5,12 +5,16 @@ application.
 
 Coefficient fields are symbolic: a k x k matrix of expression ASTs.  The
 derivatives that composition and adjoints need are exact (expr.diff), and
-constant folding prunes the entries that vanish identically.
-Compositions, formal adjoints and default-sampled pair checks are kept on
-the operators they were computed from, so a run does each once per
-operator it holds.  Solvers and apply_operator compile the nonzero entries
-of an operator once into an evaluation tape (coefficient_tape) and apply
-each field through the one product that product(field) chooses for it.
+constant folding prunes the entries that vanish identically.  The formal
+adjoint cancels the volume density alpha beta against the factors 1/alpha
+and 1/beta of a principal part: where d_t beta and d_x alpha are 0, a
+Dirac pair's adjoint has no divergence term and its P*Q* has s Id
+fields, as QP has.  Compositions, formal adjoints and default-sampled pair
+checks are kept on the operators they were computed from, so a run does
+each once per operator it holds.  Solvers and apply_operator compile the
+nonzero entries of an operator once into an evaluation tape
+(coefficient_tape) and apply each field through the one product that
+product(field) chooses for it.
 """
 
 from __future__ import annotations
@@ -491,11 +495,29 @@ def formal_adjoint(p: FirstOrderOperator, metric: DiagonalMetric) -> FirstOrderO
 
 
 def _formal_adjoint(p: FirstOrderOperator, metric: DiagonalMetric) -> FirstOrderOperator:
+    """formal_adjoint's body.  rho A^mu,T cancels rho where an entry allows
+    (_times_density); on a Dirac pair with d_t beta = d_x alpha = 0 the
+    divergence term then folds to 0, so the adjoint's B is B^T."""
     rho = _expr.simplify(Bin("*", metric.alpha_ast, metric.beta_ast))
-    at_t = p.a_t.transpose()
-    at_x = p.a_x.transpose()
-    div_term = (at_t.scale(rho).d_dt() + at_x.scale(rho).d_dx()).scale(_bin("/", _expr.ONE, rho))
+    at_t, at_x = p.a_t.transpose(), p.a_x.transpose()
+    rho_at_t, rho_at_x = (_times_density(f, metric, rho) for f in (at_t, at_x))
+    div_term = (rho_at_t.d_dt() + rho_at_x.d_dx()).scale(_bin("/", _expr.ONE, rho))
     return FirstOrderOperator(p.k, -at_t, -at_x, p.b.transpose() - div_term)
+
+
+def _times_density(f: MatrixField, metric: DiagonalMetric, rho: "_expr.ExprAst") -> MatrixField:
+    """f.scale(rho), rho = alpha * beta, except that an entry c * (1/alpha)
+    gives c * beta and c * (1/beta) gives c * alpha, for a number c."""
+    alpha, beta = _as_ast(metric.alpha_ast), _as_ast(metric.beta_ast)
+    cofactor = {_bin("/", _expr.ONE, a): b for a, b in ((alpha, beta), (beta, alpha))}
+    rho = _as_ast(rho)
+
+    def entry(e):
+        c, rest = _expr._split(e)
+        other = None if isinstance(rest, Num) else cofactor.get(rest)
+        return _bin("*", rho, e) if other is None else _bin("*", Num(c), other)
+
+    return f._map(entry)
 
 
 def pairing(psi: GridSection, phi: GridSection, metric: DiagonalMetric, grid: Optional[Grid1p1] = None) -> complex:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prehyp import bundle_ops
 from prehyp.bundle_ops import (
     FirstOrderOperator,
     MatrixField,
@@ -16,9 +17,10 @@ from prehyp.bundle_ops import (
     principal_symbol_2,
     symbol_invertibility,
 )
-from prehyp.expr import uses_var
+from prehyp.expr import Bin, parse, simplify, uses_var
 from prehyp.geometry import Chart1p1, DiagonalMetric
 from prehyp.grids import GridSection, build_grid, plateau_window
+from prehyp.qft_dirac import DiracModel, build_dirac_pair
 
 GAMMA_T = np.array([[0.0, 1.0], [1.0, 0.0]])
 GAMMA_X = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -276,6 +278,27 @@ class TestFormalAdjoint:
         assert np.allclose(back.a_t.constant, GAMMA_T)
         assert np.allclose(back.a_x.constant, GAMMA_X)
         assert np.allclose(back.b.constant, 1.7 * np.eye(2))
+
+    def test_density_cancels_against_the_coframe_factors(self, chart):
+        # rho = alpha beta times c (1/alpha) is c beta and times c (1/beta)
+        # is c alpha, signs and constant factors kept; any other entry is
+        # rho e
+        g = DiagonalMetric("1+0.1*sin(t)", "1+0.3*cos(2*x)", chart)
+        rho = simplify(Bin("*", g.alpha_ast, g.beta_ast))
+        f = MatrixField.from_exprs([["2/(1+0.1*sin(t))", "-1/(1+0.3*cos(2*x))"], ["1+x", "0"]])
+        got = bundle_ops._times_density(f, g, rho)
+        assert got.entries[0] == tuple(simplify(parse(e)) for e in ("2*(1+0.3*cos(2*x))", "-(1+0.1*sin(t))"))
+        assert got.entries[1] == f.scale(rho).entries[1]
+
+    def test_dirac_adjoint_keeps_b_transposed_on_the_readme_metric(self, chart):
+        # d_t beta = d_x alpha = 0: the divergence term folds to 0, so P*'s
+        # B is B^T, and every field of P* Q* is s Id
+        g = DiagonalMetric("1+0.1*sin(t)", "1+0.3*cos(2*x)", chart)
+        p, q = build_dirac_pair(DiracModel(mass=1.0), g)
+        star = formal_adjoint(p, g)
+        assert star.b.entries == p.b.transpose().entries
+        op = compose(star, formal_adjoint(q, g))
+        assert all(f.diagonal is not None for f in (op.c_tt, op.c_tx, op.c_xx, op.d_t, op.d_x, op.e))
 
     def test_integration_by_parts_defect(self, chart):
         # <psi, P phi> == <P* psi, phi> for compactly supported sections

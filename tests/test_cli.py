@@ -517,6 +517,44 @@ class TestSymbolicWorkOncePerRun:
         assert bodies["compose"] == 2 and pq[0] is not pq[1]
 
 
+GENERAL_CFG = CURVED_CFG.replace("1+0.1*sin(t)", "1+0.3*x").replace("1+0.3*cos(2*x)", "1+0.3*t")
+
+
+@pytest.mark.parametrize("text,contracts", [(CURVED_CFG, False), (GENERAL_CFG, True)], ids=["readme", "general"])
+def test_adjoint_check_marches_contract_only_on_the_general_metric(monkeypatch, text, contracts):
+    # on the README metric the adjoint's divergence term folds to 0 and
+    # every field of PQ and P*Q* is s Id; the general metric's P*Q* has
+    # diagonal fields with two different entries, contracted entry by
+    # entry.  Applying Q and Q* to a solution contracts their off-diagonal
+    # principal fields on both metrics, outside the marches, so the counter
+    # is seen to count
+    from prehyp import bundle_ops, cauchy
+
+    runs, marching = {True: 0, False: 0}, []
+    real_contraction, real_march = bundle_ops._contraction, cauchy._march
+
+    def binding(w, out):
+        run = real_contraction(w, out)
+
+        def counted(c):
+            runs[bool(marching)] += 1
+            return run(c)
+
+        return counted
+
+    def march(*args):
+        marching.append(True)
+        try:
+            return real_march(*args)
+        finally:
+            marching.pop()
+
+    monkeypatch.setattr(bundle_ops, "_contraction", binding)
+    monkeypatch.setattr(cauchy, "_march", march)
+    _, failures = cli.run_adjoint_check(load_config_text(text), 0)
+    assert failures == [] and bool(runs[True]) == contracts and runs[False] > 0
+
+
 class TestVerifiedWhereRead:
     """A Cauchy solve measures its residual and leak only where a report
     reads them."""

@@ -6,7 +6,7 @@ import pytest
 
 from prehyp.bundle_ops import FirstOrderOperator, MatrixField, apply_operator, coefficient_tape, compose, formal_adjoint
 from prehyp.config import PRESETS, resolve_preset
-from prehyp.expr import ExprEvalError, Tape, diff, evaluate, parse, simplify
+from prehyp.expr import ONE, Bin, ExprEvalError, Tape, diff, evaluate, fold, parse, simplify
 from prehyp.geometry import Chart1p1, DiagonalMetric
 from prehyp.grids import GridSection, build_grid
 from prehyp.qft_dirac import DiracModel, build_dirac_pair
@@ -53,12 +53,22 @@ def reference_adjoint_b(p, metric, t, xs):
     return np.swapaxes(p.b.eval(t, xs), 1, 2) - div / rho(t, xs)
 
 
+def reference_formal_adjoint(p, metric):
+    """-A^T and B^T - (1/rho) d_mu(rho A^mu,T), with rho A^mu,T as
+    A^mu,T.scale(rho): no factor of rho cancelled."""
+    rho = simplify(Bin("*", metric.alpha_ast, metric.beta_ast))
+    at_t, at_x = p.a_t.transpose(), p.a_x.transpose()
+    div = (at_t.scale(rho).d_dt() + at_x.scale(rho).d_dx()).scale(fold(Bin("/", ONE, rho)))
+    return FirstOrderOperator(p.k, -at_t, -at_x, p.b.transpose() - div)
+
+
 @pytest.mark.parametrize("alpha,beta", METRICS)
 @pytest.mark.parametrize("preset", PRESETS)
 def test_symbolic_compose_and_adjoint_match_finite_differences(preset, alpha, beta):
     metric = DiagonalMetric(alpha, beta, CHART)
     p, q = resolve_preset(preset, 1.0, metric)
-    for a, b in ((p, q), (q, p)):
+    stars = tuple(formal_adjoint(op, metric) for op in (p, q))
+    for a, b in ((p, q), (q, p), stars):
         l = compose(a, b)
         for t in TS:
             ref = reference_compose(a, b, t, XS)
@@ -69,6 +79,21 @@ def test_symbolic_compose_and_adjoint_match_finite_differences(preset, alpha, be
         for t in TS:
             assert np.max(np.abs(star.b.eval(t, XS) - reference_adjoint_b(op, metric, t, XS))) < 1e-9
             assert np.array_equal(star.a_t.eval(t, XS), -np.swapaxes(op.a_t.eval(t, XS), 1, 2))
+
+
+@pytest.mark.parametrize("alpha,beta,fields", [
+    ("exp(t)", "1", ([["1"]], [["0"]], [["0"]])),
+    (*METRICS[1], ([["1+x"]], [["sin(t)"]], [["x"]])),
+    (*METRICS[2], ([["1+x", "t"], ["0", "2"]], [["0", "x*t"], ["1/(2+x)", "0"]], [["1", "0"], ["t", "0"]])),
+])
+def test_adjoint_of_other_principal_entries_is_the_uncancelled_one(alpha, beta, fields):
+    # entries that are not c/alpha or c/beta keep rho e, so every AST of
+    # the adjoint is the uncancelled one
+    metric = DiagonalMetric(alpha, beta, CHART)
+    p = FirstOrderOperator.build(*fields)
+    star, ref = formal_adjoint(p, metric), reference_formal_adjoint(p, metric)
+    for name in ("a_t", "a_x", "b"):
+        assert getattr(star, name).entries == getattr(ref, name).entries, name
 
 
 def test_tape_shares_subtrees_and_hoists_x_only_nodes():
