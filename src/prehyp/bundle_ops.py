@@ -187,7 +187,8 @@ def coefficient_tape(fields: Sequence[MatrixField], xs: np.ndarray) -> Callable:
     the nodes xs.  Returns at(t) giving, per field, its value as product
     applies it: its constant matrix or its nonzero entries as (i, j, value
     at t on xs) triples.  at.stages(ts) gives that list for every stage
-    time of a stage-major stack ts, from one run of the tape (Tape.stages)."""
+    time of a stage-major stack ts, from one run of the tape (Tape.stages);
+    for a constant tape it is one list, built on the first call, repeated."""
     nonzero = [None if f.is_constant else f.nonzero() for f in fields]
     tape = _expr.Tape([e for entries in nonzero if entries for _, _, e in entries], xs)
 
@@ -201,7 +202,17 @@ def coefficient_tape(fields: Sequence[MatrixField], xs: np.ndarray) -> Callable:
     def at(t):
         return values(tape(t))
 
-    at.stages = lambda ts: [values(vals) for vals in tape.stages(ts)]
+    if tape.constant:
+        held = []
+
+        def stages(ts):
+            if not held:
+                held.append(values(tape.stages(ts)[0]))
+            return held * len(ts)
+
+        at.stages = stages
+    else:
+        at.stages = lambda ts: [values(vals) for vals in tape.stages(ts)]
     return at
 
 

@@ -21,10 +21,13 @@ Every direction of every start is a member of one stacked RK4 state, with
 its own start state, step sign, stage times and forcing; the members step
 in lockstep, each leaving the stack when its last level is done, and one
 coefficient tape serves them all.  Each lockstep segment allocates its
-buffers once (the state, the stage states, each stage's derivative, the
-stencil outputs, the products and the forcing rows of a block) and takes
-each view once, so a step is a fixed sequence of ufunc calls with out=,
-in the order of the formulas it replaces, whose values it equals.
+buffers once (the stage states, each with the derivative of its last
+component as one more component, the stencil outputs, the products and
+the forcing rows of a block) and takes each view once, so a step is a
+fixed sequence of ufunc calls with out=, in the order of the formulas it
+replaces, whose values it equals.  The stage states and the update act on
+all components at once, and a stencil's two one-sided edge rows take
+three calls.
 """
 
 from __future__ import annotations
@@ -212,13 +215,16 @@ def _rk4(program, stages, members: list, grid: Grid1p1) -> None:
     the segment's forcing buffer, and step j of the block gets stages 2j,
     2j + 1 and 2j + 2.
 
-    A segment allocates its buffers once, each holding all state
-    components: the state, updated in place, one buffer per later stage
-    (a stage's derivative of a component but the last is the next
-    component of its state), and the derivative of the last component at
-    each stage.  Every view is taken once, and a step is a fixed sequence
-    of ufunc calls with out=.  The stage states and the update y + dt/6
-    (k1 + 2 k2 + 2 k3 + k4) run on the float64 views in the order of the
+    A segment allocates one buffer for its four stages, each of C + 1
+    components for a state of C: the stage state (the first one is the
+    state, updated in place), then the derivative of its last component.
+    The derivative of a component but the last is the next component of
+    the state, so a stage's derivative of every component is the
+    contiguous view of its components 1 to C, and program(states, ks)
+    gets each stage's first C components and its last.  Every view is
+    taken once, and a step is a fixed sequence of ufunc calls with out=.
+    The stage states and the update y + dt/6 (k1 + 2 k2 + 2 k3 + k4) run
+    on the float64 views of all components at once, in the order of the
     complex formulas, whose values they equal: a complex times a real
     column rounds as each part times it."""
     if not members:
@@ -231,17 +237,18 @@ def _rk4(program, stages, members: list, grid: Grid1p1) -> None:
         targets = np.stack([m.levels[i:i + n] + m.step for m, i in zip(members, firsts)], axis=1).tolist()
         outs = [m.out for m in members]
         dt = np.array([m.step * grid.dt for m in members])[:, None, None]
-        y = np.array(y, dtype=complex, order="C")
-        states = [y] + [np.empty(y.shape, dtype=complex) for _ in range(3)]
-        ks = [np.empty(y.shape[1:], dtype=complex) for _ in range(4)]
-        runs = program(states, ks)
-        views = [x.view(np.float64) for x in states]
-        # per stage, the float64 views of the derivative of each component
-        derivs = [tuple(v[1:]) + (k.view(np.float64),) for v, k in zip(views, ks)]
+        # per stage, the state and then the derivative of its last component
+        buffer = np.empty((4, len(y) + 1) + y.shape[1:], dtype=complex)
+        buffer[0, :-1] = y
+        y = buffer[0, :-1]
+        runs = program(list(buffer[:, :-1]), list(buffer[:, -1]))
+        views = buffer.view(np.float64)
+        # per stage, the derivative of each state component: the next one, or k
+        derivs = views[:, 1:]
         # the stage n + 1 state y + a k_n, and the update, after each run
         half_dt = dt / 2
-        after = [_stage_state(views[b + 1], views[0], a, derivs[b]) for b, a in enumerate((half_dt, half_dt, dt))]
-        after.append(_update(views[0], dt / 6, derivs))
+        after = [_stage_state(views[b + 1, :-1], views[0, :-1], a, derivs[b]) for b, a in enumerate((half_dt, half_dt, dt))]
+        after.append(_update(views[0, :-1], dt / 6, derivs))
         if not grid.periodic:
             after[-1].append(functools.partial(y[..., ::grid.nx - 1, :].fill, 0.0))
         # the stage of the block each run takes, as an offset from 2j
@@ -269,23 +276,25 @@ def _rk4(program, stages, members: list, grid: Grid1p1) -> None:
         y = y[:, keep]
 
 
-def _stage_state(into: np.ndarray, y: np.ndarray, a: np.ndarray, k: tuple) -> list:
+def _stage_state(into: np.ndarray, y: np.ndarray, a: np.ndarray, k: np.ndarray) -> list:
     """The ops writing the stage state y + a k into the float64 view into,
-    a a real column and k a stage's derivative per component."""
+    all components at once: a a real column and k a stage's derivative of
+    each component, contiguous views all of one shape."""
     part = functools.partial
-    return [part(np.multiply, kc, a, ic) for ic, kc in zip(into, k)] + [part(np.add, into, y, into)]
+    return [part(np.multiply, k, a, into), part(np.add, into, y, into)]
 
 
-def _update(y: np.ndarray, a: np.ndarray, derivs: list) -> list:
-    """The ops of y += a (((2 k2 + k1) + 2 k3) + k4) on float64 views."""
+def _update(y: np.ndarray, a: np.ndarray, derivs: np.ndarray) -> list:
+    """The ops of y += a (((2 k2 + k1) + 2 k3) + k4) on float64 views, all
+    components at once, k_n being derivs[n - 1]."""
     part = functools.partial
     acc, twice = np.empty(y.shape), np.empty(y.shape)
-    ops = []
-    for sc, tc, k1, k2, k3 in zip(acc, twice, *derivs[:3]):
-        ops += [part(np.multiply, k2, 2.0, sc), part(np.add, sc, k1, sc), part(np.multiply, k3, 2.0, tc)]
-    ops.append(part(np.add, acc, twice, acc))
-    ops += [part(np.add, sc, k4, sc) for sc, k4 in zip(acc, derivs[3])]
-    return ops + [part(np.multiply, acc, a, acc), part(np.add, y, acc, y)]
+    k1, k2, k3, k4 = derivs
+    return [
+        part(np.multiply, k2, 2.0, acc), part(np.add, acc, k1, acc), part(np.multiply, k3, 2.0, twice),
+        part(np.add, acc, twice, acc), part(np.add, acc, k4, acc),
+        part(np.multiply, acc, a, acc), part(np.add, y, acc, y),
+    ]
 
 
 def _forcing_blocks(members: list, firsts: list, shape: tuple) -> Callable:

@@ -545,7 +545,8 @@ class Tape:
     call runs the t-dependent slots only, dropping intermediates after their
     last use.  t is a scalar or broadcasts against xs (ts[:, None] for a
     mesh).  stages(ts) evaluates a stage-major stack of RK4 stage times in
-    one run.  Finiteness is checked as in evaluate."""
+    one run.  Finiteness is checked as in evaluate.  constant is True when
+    no compiled AST depends on t."""
 
     def __init__(self, asts: Sequence[ExprAst], xs):
         self.xs = np.asarray(xs, dtype=float)
@@ -575,6 +576,7 @@ class Tape:
             if a not in self.outputs and a != self._t:
                 self._dynamic[n][4] += (a,)
         self._sliced = [tdep[s] for s in self.outputs]
+        self.constant = not any(self._sliced)
         self._values: Optional[List[object]] = None
 
     def _run(self, code: List[list], vals: List[object], t) -> List[object]:

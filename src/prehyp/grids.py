@@ -93,31 +93,28 @@ def build_grid(chart: Chart1p1, metric: DiagonalMetric, nx: int, cfl: float = 0.
 # as a product with its reciprocal, so the values equal those of the
 # complex formulas.  Real values are divided by the spacing.
 
-# the first-derivative edge rows as (c1 e0 + c2 e1) - c3 e2 over the pair
-# (left, right): -3 v0 + 4 v1 - v2 and its mirror 3 v-1 - 4 v-2 + v-3
-_EDGE_SIGNS = tuple(np.array(c, dtype=float) for c in ((-3, 3), (4, -4), (1, -1)))
+# the one-sided edge rows as weights of the rows i and n - 1 - i, i = 0, 1,
+# ..., for the pair (left, right): -3 v0 + 4 v1 - v2 and its mirror
+# 3 v-1 - 4 v-2 + v-3 for the first derivative, 2 v0 - 5 v1 + 4 v2 - v3
+# on either side for the second
+_EDGE_WEIGHTS = {1: ((-3, 3), (4, -4), (-1, 1)), 2: ((2, 2), (-5, -5), (4, 4), (-1, -1))}
 
 
 @functools.lru_cache(maxsize=64)
-def _plan(ndim: int, axis: int, n: int) -> tuple:
-    """Index tuples of a stencil's edge rows along one axis of n rows: the
-    row pairs (i, n - 1 - i) for i < 4, each one strided slice while the
-    two rows are distinct and in order (always so for i = 0, the pair
-    written); on a circle the rows above and below the edge pair, wrapped
-    around; and _EDGE_SIGNS laid along the axis."""
+def _plan(ndim: int, axis: int, n: int, order: int) -> tuple:
+    """Indices of a stencil's edge rows along one axis of n rows: the edge
+    pair (0, n - 1) as one strided slice; the rows (i, n - 1 - i) each edge
+    row is made of, as an (order + 2, 2) index array, and their
+    _EDGE_WEIGHTS laid along the axis; and on a circle the rows above and
+    below the edge pair, wrapped around."""
+    axis %= ndim
 
     def at(rows):
-        return (rows,) if axis == 0 else (Ellipsis, rows, slice(None))
+        return (slice(None),) * axis + (rows,)
 
-    def pair(i):
-        step = n - 1 - 2 * i
-        return at(slice(i, n - i, step) if step > 0 else np.array([i, n - 1 - i]))
-
-    return (
-        tuple(pair(i) for i in range(4)),
-        at(slice(1, None, -1)), at(slice(n - 1, n - 3, -1)),
-        tuple(np.reshape(c, (2,) + (1,) * (ndim - 1 - axis % ndim)) for c in _EDGE_SIGNS),
-    )
+    rows = np.array([(i, n - 1 - i) for i in range(order + 2)])
+    weights = np.reshape(np.array(_EDGE_WEIGHTS[order], dtype=float), rows.shape + (1,) * (ndim - 1 - axis))
+    return at(slice(0, n, n - 1)), rows, weights, at(slice(1, None, -1)), at(slice(n - 1, n - 3, -1))
 
 
 def _stencil(values: np.ndarray, out: np.ndarray, h: float, axis: int, order: int, periodic: bool = False) -> Callable:
@@ -126,10 +123,13 @@ def _stencil(values: np.ndarray, out: np.ndarray, h: float, axis: int, order: in
     rows, or wrapped around if periodic.  values and out are C-contiguous,
     of one shape and dtype.  The interior is one pass over the flat memory;
     the rows of that pass that straddle two rows of a leading axis are edge
-    rows, which run() writes after it.  Every view and scratch array is
-    made here, so run() can be called again once values have changed in
-    place (edge rows that are no slice, only on fewer than 8 rows, are
-    copied here)."""
+    rows, which run() writes after it.  Both one-sided edge rows take three
+    calls: the rows they are made of are gathered into one buffer, times
+    their weights, and summed along the axis in index order from -0.0, the
+    additive identity that keeps the sign of a zero, so each equals the
+    formula evaluated left to right (a - b is a + (-b), and -e is (-1) e).
+    Every view and buffer is made here, so run() can be called again once
+    values have changed in place."""
     if values.ndim == 1:
         return _stencil(values[:, None], out[:, None], h, axis, order, periodic)
     if values.dtype == np.complex128:
@@ -139,46 +139,40 @@ def _stencil(values: np.ndarray, out: np.ndarray, h: float, axis: int, order: in
         w, o = values, out
         scale, by = np.true_divide, h
     n = values.shape[axis]
-    row = int(np.prod(w.shape[axis % w.ndim + 1:]))
+    axis %= w.ndim
+    row = int(np.prod(w.shape[axis + 1:]))
     flat_w, flat_o = w.reshape(-1), o.reshape(-1)
     below, centre, above = flat_w[:-2 * row], flat_w[row:-row], flat_w[2 * row:]
     inner = flat_o[row:-row]
-    pairs, wrapped_above, wrapped_below, signs = _plan(w.ndim, axis, n)
-    edge, e0 = o[pairs[0]], w[pairs[0]]
+    pair, rows, weights, wrapped_above, wrapped_below = _plan(w.ndim, axis, n, order)
+    edge = o[pair]
     part = functools.partial
     if order == 1:
         ops = [part(np.subtract, above, below, inner)]
         if periodic:
             ops.append(part(np.subtract, w[wrapped_above], w[wrapped_below], edge))
-        else:
-            c1, c2, c3 = signs
-            e1, e2 = w[pairs[1]], w[pairs[2]]
-            tmp = np.empty(edge.shape)
-            ops += [
-                part(np.multiply, c1, e0, edge),
-                part(np.multiply, c2, e1, tmp), part(np.add, edge, tmp, edge),
-                part(np.multiply, c3, e2, tmp), part(np.subtract, edge, tmp, edge),
-            ]
     else:
         ops = [
             part(np.multiply, centre, 2.0, inner),
             part(np.subtract, above, inner, inner),
             part(np.add, inner, below, inner),
-            part(np.multiply, e0, 2.0, edge),
         ]
         if periodic:
             ops += [
+                part(np.multiply, w[pair], 2.0, edge),
                 part(np.subtract, w[wrapped_above], edge, edge),
                 part(np.add, edge, w[wrapped_below], edge),
             ]
-        else:
-            e1, e2, e3 = (w[p] for p in pairs[1:])
-            tmp = np.empty(edge.shape)
-            ops += [
-                part(np.multiply, 5.0, e1, tmp), part(np.subtract, edge, tmp, edge),
-                part(np.multiply, 4.0, e2, tmp), part(np.add, edge, tmp, edge),
-                part(np.subtract, edge, e3, edge),
-            ]
+    if not periodic:
+        if n < len(rows):
+            raise ValueError(f"a one-sided order-{order} stencil needs {len(rows)} rows, not {n}")
+        gathered = np.empty(w.shape[:axis] + rows.shape + w.shape[axis + 1:], dtype=w.dtype)
+        # take's mode "raise" would buffer its output; the rows are in range
+        ops += [
+            part(w.take, rows, axis, gathered, "clip"),
+            part(np.multiply, gathered, weights, gathered),
+            part(np.add.reduce, gathered, axis, None, edge, False, -0.0),
+        ]
     ops.append(part(scale, flat_o, by, flat_o))
 
     def run() -> None:

@@ -141,14 +141,64 @@ def reference_d_tt(v, grid):
 
 STENCILS = [(d_x, reference_d_x), (d_xx, reference_d_xx), (d_t, reference_d_t), (d_tt, reference_d_tt)]
 
+# per stencil: its spacing on a grid, its axis and its order
+EDGES = {
+    d_x: (lambda g: 2 * g.dx, -2, 1), d_xx: (lambda g: g.dx**2, -2, 2),
+    d_t: (lambda g: 2 * g.dt, 0, 1), d_tt: (lambda g: g.dt**2, 0, 2),
+}
+
+
+def float_rows(v):
+    # the float64 view the stencils run on, a single axis made a column
+    v = np.ascontiguousarray(v)
+    v = v[:, None] if v.ndim == 1 else v
+    return v.view(np.float64) if v.dtype == complex else v
+
+
+def reference_edge_rows(v, grid, stencil):
+    """The edge rows 0 and n - 1 of a stencil along its axis as the calls
+    that wrote them one at a time, on the float64 view: (c1 e0 + c2 e1) -
+    c3 e2 with c1, c2, c3 = (-3, 3), (4, -4), (1, -1) for the pair (left,
+    right) at order 1, ((2 e0 - 5 e1) + 4 e2) - e3 at order 2, e_i the rows
+    i and n - 1 - i, then scaled by 1 / h, or over h for real values."""
+    spacing, axis, order = EDGES[stencil]
+    h, w = spacing(grid), float_rows(v)
+    n = w.shape[axis]
+    e = [np.take(w, [i, n - 1 - i], axis=axis) for i in range(order + 2)]
+
+    def sides(left, right):
+        return np.reshape([float(left), float(right)], (2,) + (1,) * (w.ndim - 1 - axis % w.ndim))
+
+    if order == 1:
+        edge = np.multiply(sides(-3, 3), e[0])
+        edge = np.add(edge, np.multiply(sides(4, -4), e[1]))
+        edge = np.subtract(edge, np.multiply(sides(1, -1), e[2]))
+    else:
+        edge = np.multiply(e[0], 2.0)
+        edge = np.subtract(edge, np.multiply(5.0, e[1]))
+        edge = np.add(edge, np.multiply(4.0, e[2]))
+        edge = np.subtract(edge, e[3])
+    return edge * (1.0 / h) if np.iscomplexobj(v) else edge / h
+
+
+def assert_edge_bytes(stencil, v, grid, got):
+    # equal bytes, which np.array_equal does not check: it equates 0 and -0
+    axis = EDGES[stencil][1]
+    w = float_rows(got)
+    edge = np.take(w, [0, w.shape[axis] - 1], axis=axis)
+    assert edge.tobytes() == reference_edge_rows(v, grid, stencil).tobytes(), (stencil.__name__, v.shape)
+
 
 def stencil_input(rng, shape, kind):
-    """Values of the given shape, zero on the first third of axis -2 (signed
-    zeros and exact cancellations), as a C-order complex or real array, a
-    stride-0 broadcast along the leading or the last axis, or a view whose
-    last axis is not contiguous."""
+    """Values of the given shape, zero on the first third of axis -2 (zeros
+    of random sign, and exact cancellations), as a C-order complex or real
+    array, a stride-0 broadcast along the leading or the last axis, or a
+    view whose last axis is not contiguous."""
     base = rng.standard_normal(shape) + (0 if kind == "real" else 1j * rng.standard_normal(shape))
-    base[..., : shape[-2] // 3, :] = 0.0
+    zeros = base[..., : shape[-2] // 3, :]
+    zeros.real = np.copysign(0.0, zeros.real)
+    if kind != "real":
+        zeros.imag = np.copysign(0.0, zeros.imag)
     if kind == "broadcast leading":
         return np.broadcast_to(base[:1], shape)
     if kind == "broadcast last":
@@ -174,15 +224,22 @@ def test_stencils_equal_the_complex_formulas(topology, nx, kind):
             got, want = stencil(v, grid), reference(v, grid)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want), (stencil.__name__, shape)
+            if topology == "line" or stencil in (d_t, d_tt):
+                assert_edge_bytes(stencil, v, grid, got)
 
 
-@pytest.mark.parametrize("nt", [3, 4, 5, 7])
+@pytest.mark.parametrize("nt", [3, 4, 5, 6, 7, 8, 9])
 def test_time_stencils_on_few_levels(grid_small, nt):
     # the edge rows overlap or cross on so few levels
     v = stencil_input(np.random.default_rng(nt), (nt, 8, 2), "complex")
     for stencil, reference in STENCILS[2:] if nt >= 4 else STENCILS[2:3]:
-        assert np.array_equal(stencil(v, grid_small), reference(v, grid_small))
-        assert np.array_equal(stencil(v[:, 0, 0], grid_small), reference(v[:, 0, 0], grid_small))
+        for values in (v, v[:, 0, 0]):
+            got = stencil(values, grid_small)
+            assert np.array_equal(got, reference(values, grid_small))
+            assert_edge_bytes(stencil, values, grid_small, got)
+    if nt < 4:
+        with pytest.raises(ValueError, match="needs 4 rows"):
+            d_tt(v, grid_small)
 
 
 def test_complex_over_real_is_the_product_with_the_reciprocal(chart, mink):

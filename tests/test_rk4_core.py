@@ -22,6 +22,7 @@ rounds as its parts do, and the remaining operations run in the same
 order (zeros may differ in sign).
 """
 
+import functools
 import math
 
 import numpy as np
@@ -555,6 +556,58 @@ def test_curved_solve_runs_the_coefficient_tape_once_per_block(chart, monkeypatc
     assert len(runs) == math.ceil(shorter / block) + math.ceil((longest - shorter) / block) < longest / 8
     segments = ((2, shorter), (1, longest - shorter))  # (members, steps)
     assert runs == [(2 * min(block, n - s) + 1, m, 1) for m, n in segments for s in range(0, n, block)]
+
+
+def count_bound_calls(monkeypatch):
+    """Record the callable of every call a march's steps make through the
+    functools.partial objects it binds, and the steps of each march: the
+    partials are made while a segment is built, and the calls are counted
+    from the first block's coefficient values to the end of the march,
+    outside the coefficient tape's runs."""
+    calls, steps, counting = [], [], [False]
+
+    class Counting(functools.partial):
+        def __call__(self, *args, **kwargs):
+            if counting[0]:
+                calls.append(self.func)
+            return super().__call__(*args, **kwargs)
+
+    real = cauchy._rk4
+
+    def rk4(program, stages, members, grid):
+        steps.append(max(len(m.levels) - m.first for m in members))
+
+        def counted(ts):
+            counting[0] = False
+            block = stages(ts)
+            counting[0] = True
+            return block
+
+        try:
+            real(program, counted, members, grid)
+        finally:
+            counting[0] = False
+
+    monkeypatch.setattr(functools, "partial", Counting)
+    monkeypatch.setattr(cauchy, "_rk4", rk4)
+    return calls, steps
+
+
+@pytest.mark.parametrize("metric_name, nx, per_step", [("minkowski", 512, 42), ("readme", 160, 62)])
+def test_a_lockstep_step_makes_a_fixed_number_of_bound_numpy_calls(chart, monkeypatch, metric_name, nx, per_step):
+    # a centred Cauchy solve marches two members in lockstep; each step
+    # makes the same bound calls, each one numpy call: a ufunc, a ufunc's
+    # reduce or an array's take or fill, so the count repeats exactly.  The
+    # README march's coefficient products are closures, not counted here
+    metric = DiagonalMetric(*METRICS[metric_name], chart)
+    p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
+    grid = build_grid(chart, metric, nx)
+    phi0 = make_cauchy_data(grid, ["1", "0.5"], 0.0, steepness=10.0)
+    calls, steps = count_bound_calls(monkeypatch)
+    cauchy.solve_cauchy_plain(p, q, metric, phi0, grid)
+    assert steps == [max(phi0.level, grid.nt - 1 - phi0.level)] and abs(2 * phi0.level - (grid.nt - 1)) <= 1
+    assert len(calls) == per_step * steps[0]
+    assert all(isinstance(f, np.ufunc) or isinstance(getattr(f, "__self__", None), (np.ndarray, np.ufunc)) for f in calls)
 
 
 @pytest.mark.parametrize("metric_name", ["readme", "varying"])
