@@ -13,8 +13,8 @@ fields, as QP has.  Compositions, formal adjoints and default-sampled pair
 checks are kept on the operators they were computed from, so a run does
 each once per operator it holds.  Solvers and apply_operator compile the
 nonzero entries of an operator once into an evaluation tape
-(coefficient_tape) and apply each field through the one product that
-product(field) chooses for it.
+(coefficient_tape), which gives every field as its entries, and apply
+each field through the one product that product(field) chooses for it.
 """
 
 from __future__ import annotations
@@ -185,19 +185,17 @@ class MatrixField:
 def coefficient_tape(fields: Sequence[MatrixField], xs: np.ndarray) -> Callable:
     """Compile the nonzero entries of several fields into one expr.Tape on
     the nodes xs.  Returns at(t) giving, per field, its value as product
-    applies it: its constant matrix or its nonzero entries as (i, j, value
-    at t on xs) triples.  at.stages(ts) gives that list for every stage
+    applies it: its nonzero entries as (i, j, value at t on xs) triples,
+    in row-major order; a constant entry is a constant slot of the tape,
+    its value a number.  at.stages(ts) gives that list for every stage
     time of a stage-major stack ts, from one run of the tape (Tape.stages);
     for a constant tape it is one list, built on the first call, repeated."""
-    nonzero = [None if f.is_constant else f.nonzero() for f in fields]
-    tape = _expr.Tape([e for entries in nonzero if entries for _, _, e in entries], xs)
+    nonzero = [f.nonzero() for f in fields]
+    tape = _expr.Tape([e for entries in nonzero for _, _, e in entries], xs)
 
     def values(vals: list) -> list:
         vals = iter(vals)
-        return [
-            f.constant if entries is None else [(i, j, next(vals)) for i, j, _ in entries]
-            for f, entries in zip(fields, nonzero)
-        ]
+        return [[(i, j, next(vals)) for i, j, _ in entries] for entries in nonzero]
 
     def at(t):
         return values(tape(t))
@@ -218,42 +216,48 @@ def coefficient_tape(fields: Sequence[MatrixField], xs: np.ndarray) -> Callable:
 
 def product(field: MatrixField) -> Callable:
     """bind(w, out) -> run(c): run writes field @ w over the last axis of w
-    into out and returns it, c the field's value as coefficient_tape gives
-    it; for the identity it writes nothing and returns w.  This is the one
-    choice of how a field is applied, made once per field.  bind takes
-    every view once, so a run sees w as it is then; out is not w.
-
-    A field s Id is applied as a broadcast product.  For a non-constant s
-    the tape gives every diagonal entry the one shared value, and s * w is
-    the matrix product's 0 + s * w; a constant s is applied as a number,
-    except one with nonzero real and imaginary parts, which keeps the
-    matrix product, whose complex products round differently.  Any other
-    field is its constant matrix's matmul, or 0 plus each nonzero entry
-    times its column, in order.  Values equal the matrix product's up to
-    the sign of zeros."""
+    into out and returns it, c the field's entries as coefficient_tape
+    gives them; for the identity it writes nothing and returns w.  This is
+    the one choice of how a field is applied, made once per field, among
+    four kinds: the identity; a constant c Id, any complex c, applied as
+    the number c; a non-constant s Id, whose diagonal entries share one
+    tape value, applied as the broadcast product s * w; and every other
+    field, constant or not, contracted entry by entry (_contraction).
+    bind takes every view once, so a run sees w as it is then; out is not
+    w.  Values equal the matrix product's up to the sign of zeros."""
     s = field.scalar
-    if s is None and field.diagonal is not None:
-        return lambda w, out: lambda c: np.multiply(np.asarray(c[0][2])[..., None], w, out)
-    if s is None or (s.real and s.imag):
-        return _contraction
     if s == 1:
         return lambda w, out: lambda c: w
-    return lambda w, out: lambda c: np.multiply(s, w, out)
+    if s is not None:
+        return lambda w, out: lambda c: np.multiply(s, w, out)
+    if field.diagonal is not None:
+        return lambda w, out: lambda c: np.multiply(np.asarray(c[0][2])[..., None], w, out)
+    return _contraction
 
 
 def _contraction(w: np.ndarray, out: np.ndarray) -> Callable:
-    """product's bind for a general field."""
+    """product's bind for a general field.  c lists the entries row by
+    row, as coefficient_tape gives them: run(c) writes each row's first
+    entry times its column into the row, multiplies each later entry of
+    the row into one scratch term and adds it, and fills a row with no
+    nonzero entry with 0."""
     k = w.shape[-1]
     columns, rows = [w[..., j] for j in range(k)], [out[..., i] for i in range(k)]
     term = np.empty(w.shape[:-1], dtype=complex)
 
     def run(c) -> np.ndarray:
-        if isinstance(c, np.ndarray):
-            return np.matmul(w, c.T, out)
-        out.fill(0.0)
+        filled = 0  # the rows before this one are written
         for i, j, val in c:
-            np.multiply(val, columns[j], term)
-            np.add(rows[i], term, rows[i])
+            if i < filled:
+                np.multiply(val, columns[j], term)
+                np.add(rows[i], term, rows[i])
+                continue
+            for row in rows[filled:i]:
+                row.fill(0.0)
+            np.multiply(val, columns[j], rows[i])
+            filled = i + 1
+        for row in rows[filled:]:
+            row.fill(0.0)
         return out
 
     return run

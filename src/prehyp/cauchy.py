@@ -26,8 +26,8 @@ component as one more component, the stencil outputs, the products and
 the forcing rows of a block) and takes each view once, so a step is a
 fixed sequence of ufunc calls with out=, in the order of the formulas it
 replaces, whose values it equals.  The stage states and the update act on
-all components at once, and a stencil's two one-sided edge rows take
-three calls.
+all components at once, and a stencil's two edge rows, one-sided on a
+line or wrapped around on a circle, take three calls.
 """
 
 from __future__ import annotations

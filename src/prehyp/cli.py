@@ -59,10 +59,6 @@ TOLERANCES = {
 
 N_RANDOM_COVECTORS = 200
 
-# the store key of greens' retarded S+ phi of the source, which is
-# adjoint-check's S+ f
-RETARDED_SOURCE = ("P, Q", "source", "retarded")
-
 # the documented report fields; writers reject anything else (each
 # battery's result fields are in _batteries())
 REPORT_FIELDS = {"subcommand", "seed", "scenario", "results", "passed", "failures"}
@@ -183,7 +179,7 @@ def run_greens(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     advanced = greens_report(scn.p, scn.q, scn.metric, phi, "advanced", scn.grid)
     retarded, s_phi = _greens_report(scn.p, scn.q, scn.metric, phi, "retarded", scn.grid)
     if nx is None:  # a convergence rung's S+ phi has no reader
-        scn.hold_driven(RETARDED_SOURCE, s_phi)
+        scn.s_plus_source = s_phi
     results = {}
     failures = []
     for direction, rep in (("retarded", retarded), ("advanced", advanced)):
@@ -201,8 +197,8 @@ def run_adjoint_check(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     psi = _section_from_spec(scn.grid, scn.dual_source)
 
     def s_plus_f():
-        # greens' retarded S+ phi when the store holds it, else solved here
-        held = scn.take_driven(RETARDED_SOURCE)
+        # greens' retarded S+ phi when the scenario holds it, else solved here
+        held, scn.s_plus_source = scn.s_plus_source, None
         return held if held is not None else greens_apply(scn.p, scn.q, scn.metric, f, "retarded", scn.grid)
 
     rep = _adjoint_pairing_check(scn.p, scn.q, scn.metric, psi, f, s_plus_f, scn.grid)

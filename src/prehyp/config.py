@@ -274,9 +274,9 @@ class Scenario:
         self._components_at = {
             name: _line(cfg.sections, name, "components") + f"{name}.components" for name in self._configured
         }
-        # driven solutions a battery hands to a later one, keyed on
-        # (operator pair, section, direction); at most one at a time
-        self._driven: Dict[tuple, GridSection] = {}
+        # greens' retarded S+ phi of [source] at the configured nx, which
+        # adjoint-check takes as its S+ f and clears
+        self.s_plus_source: Optional[GridSection] = None
         self._default_source = _default_source(cfg)
         for name, spec in self._configured.items():
             if spec is not None:
@@ -298,16 +298,6 @@ class Scenario:
     def dual_source(self) -> SourceSpec:
         """[dual_source], or the source mirrored through t = 0 and x = 0."""
         return self._configured["dual_source"] or self._synthesized("dual_source", _mirrored(self.source))
-
-    def hold_driven(self, key: tuple, solution: GridSection) -> None:
-        """Hold a driven solution for a later battery, in place of any
-        held before."""
-        self._driven = {key: solution}
-
-    def take_driven(self, key: tuple) -> Optional[GridSection]:
-        """The driven solution held under key, which the store gives up;
-        None if there is none."""
-        return self._driven.pop(key, None)
 
     def check_pairing_sections(self) -> None:
         """The source and the dual source, configured or synthesized, are

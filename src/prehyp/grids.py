@@ -85,7 +85,8 @@ def build_grid(chart: Chart1p1, metric: DiagonalMetric, nx: int, cfl: float = 0.
 
 
 # ---------------------------------------------------------------------------
-# finite differences (2nd order centered; one-sided at line edges)
+# finite differences (2nd order centered; one-sided at line edges, wrapped
+# around on a circle)
 #
 # The stencils run on the float64 view of complex values, so that real and
 # imaginary parts go through the same real operations, and scale by the
@@ -93,28 +94,32 @@ def build_grid(chart: Chart1p1, metric: DiagonalMetric, nx: int, cfl: float = 0.
 # as a product with its reciprocal, so the values equal those of the
 # complex formulas.  Real values are divided by the spacing.
 
-# the one-sided edge rows as weights of the rows i and n - 1 - i, i = 0, 1,
-# ..., for the pair (left, right): -3 v0 + 4 v1 - v2 and its mirror
-# 3 v-1 - 4 v-2 + v-3 for the first derivative, 2 v0 - 5 v1 + 4 v2 - v3
-# on either side for the second
+# the edge rows of the pair (left, right) = (0, n - 1) as weighted sums of
+# rows, per row of a stencil's plan the row it reads on either side and its
+# weights.  One-sided on a line, the rows i and n - 1 - i, i = 0, 1, ...:
+# -3 v0 + 4 v1 - v2 and its mirror 3 v-1 - 4 v-2 + v-3 for the first
+# derivative, 2 v0 - 5 v1 + 4 v2 - v3 on either side for the second.
+# Wrapped on a circle: v1 - v-1 and v0 - v-2, then (v1 - 2 v0) + v-1 and
+# (v0 - 2 v-1) + v-2, with v-i the row n - i.
 _EDGE_WEIGHTS = {1: ((-3, 3), (4, -4), (-1, 1)), 2: ((2, 2), (-5, -5), (4, 4), (-1, -1))}
+_WRAPPED_WEIGHTS = {1: ((1, 1), (-1, -1)), 2: ((1, 1), (-2, -2), (1, 1))}
 
 
 @functools.lru_cache(maxsize=64)
-def _plan(ndim: int, axis: int, n: int, order: int) -> tuple:
+def _plan(ndim: int, axis: int, n: int, order: int, periodic: bool) -> tuple:
     """Indices of a stencil's edge rows along one axis of n rows: the edge
-    pair (0, n - 1) as one strided slice; the rows (i, n - 1 - i) each edge
-    row is made of, as an (order + 2, 2) index array, and their
-    _EDGE_WEIGHTS laid along the axis; and on a circle the rows above and
-    below the edge pair, wrapped around."""
+    pair (0, n - 1) as one strided slice, the rows each edge row is made
+    of as an (m, 2) index array, one row per term, and their weights laid
+    along the axis; one-sided on a line, wrapped around on a circle."""
     axis %= ndim
-
-    def at(rows):
-        return (slice(None),) * axis + (rows,)
-
-    rows = np.array([(i, n - 1 - i) for i in range(order + 2)])
-    weights = np.reshape(np.array(_EDGE_WEIGHTS[order], dtype=float), rows.shape + (1,) * (ndim - 1 - axis))
-    return at(slice(0, n, n - 1)), rows, weights, at(slice(1, None, -1)), at(slice(n - 1, n - 3, -1))
+    if periodic:
+        rows = np.array([(1, 0), (n - 1, n - 2)] if order == 1 else [(1, 0), (0, n - 1), (n - 1, n - 2)])
+        table = _WRAPPED_WEIGHTS[order]
+    else:
+        rows = np.array([(i, n - 1 - i) for i in range(order + 2)])
+        table = _EDGE_WEIGHTS[order]
+    weights = np.reshape(np.array(table, dtype=float), rows.shape + (1,) * (ndim - 1 - axis))
+    return (slice(None),) * axis + (slice(0, n, n - 1),), rows, weights
 
 
 def _stencil(values: np.ndarray, out: np.ndarray, h: float, axis: int, order: int, periodic: bool = False) -> Callable:
@@ -123,13 +128,14 @@ def _stencil(values: np.ndarray, out: np.ndarray, h: float, axis: int, order: in
     rows, or wrapped around if periodic.  values and out are C-contiguous,
     of one shape and dtype.  The interior is one pass over the flat memory;
     the rows of that pass that straddle two rows of a leading axis are edge
-    rows, which run() writes after it.  Both one-sided edge rows take three
-    calls: the rows they are made of are gathered into one buffer, times
-    their weights, and summed along the axis in index order from -0.0, the
-    additive identity that keeps the sign of a zero, so each equals the
-    formula evaluated left to right (a - b is a + (-b), and -e is (-1) e).
-    Every view and buffer is made here, so run() can be called again once
-    values have changed in place."""
+    rows, which run() writes after it.  Both edge rows, on a line or on a
+    circle, take three calls: the rows they are made of (_plan) are
+    gathered into one buffer, times their weights, and summed along the
+    axis in index order from -0.0, the additive identity that keeps the
+    sign of a zero, so each equals the formula evaluated left to right
+    (a - b is a + (-b), and -e is (-1) e).  Every view and buffer is made
+    here, so run() can be called again once values have changed in
+    place."""
     if values.ndim == 1:
         return _stencil(values[:, None], out[:, None], h, axis, order, periodic)
     if values.dtype == np.complex128:
@@ -144,36 +150,26 @@ def _stencil(values: np.ndarray, out: np.ndarray, h: float, axis: int, order: in
     flat_w, flat_o = w.reshape(-1), o.reshape(-1)
     below, centre, above = flat_w[:-2 * row], flat_w[row:-row], flat_w[2 * row:]
     inner = flat_o[row:-row]
-    pair, rows, weights, wrapped_above, wrapped_below = _plan(w.ndim, axis, n, order)
-    edge = o[pair]
+    pair, rows, weights = _plan(w.ndim, axis, n, order, periodic)
+    if not periodic and n < len(rows):
+        raise ValueError(f"a one-sided order-{order} stencil needs {len(rows)} rows, not {n}")
     part = functools.partial
     if order == 1:
         ops = [part(np.subtract, above, below, inner)]
-        if periodic:
-            ops.append(part(np.subtract, w[wrapped_above], w[wrapped_below], edge))
     else:
         ops = [
             part(np.multiply, centre, 2.0, inner),
             part(np.subtract, above, inner, inner),
             part(np.add, inner, below, inner),
         ]
-        if periodic:
-            ops += [
-                part(np.multiply, w[pair], 2.0, edge),
-                part(np.subtract, w[wrapped_above], edge, edge),
-                part(np.add, edge, w[wrapped_below], edge),
-            ]
-    if not periodic:
-        if n < len(rows):
-            raise ValueError(f"a one-sided order-{order} stencil needs {len(rows)} rows, not {n}")
-        gathered = np.empty(w.shape[:axis] + rows.shape + w.shape[axis + 1:], dtype=w.dtype)
-        # take's mode "raise" would buffer its output; the rows are in range
-        ops += [
-            part(w.take, rows, axis, gathered, "clip"),
-            part(np.multiply, gathered, weights, gathered),
-            part(np.add.reduce, gathered, axis, None, edge, False, -0.0),
-        ]
-    ops.append(part(scale, flat_o, by, flat_o))
+    gathered = np.empty(w.shape[:axis] + rows.shape + w.shape[axis + 1:], dtype=w.dtype)
+    # take's mode "raise" would buffer its output; the rows are in range
+    ops += [
+        part(w.take, rows, axis, gathered, "clip"),
+        part(np.multiply, gathered, weights, gathered),
+        part(np.add.reduce, gathered, axis, None, o[pair], False, -0.0),
+        part(scale, flat_o, by, flat_o),
+    ]
 
     def run() -> None:
         for op in ops:

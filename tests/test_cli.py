@@ -412,7 +412,7 @@ class TestInternalError:
 
 def held(cfg):
     """The number of driven solutions a config's scenarios hold."""
-    return sum(len(scn._driven) for scn in cfg._scenarios.values())
+    return sum(scn.s_plus_source is not None for scn in cfg._scenarios.values())
 
 
 class TestOneSolvePerQuestion:

@@ -49,8 +49,6 @@ METRICS = {
 
 def contract(coeff, vec):
     # coeff @ vec over the last axis, for one field as coefficient_tape gives it
-    if isinstance(coeff, np.ndarray):
-        return vec @ coeff.T
     out = np.zeros(vec.shape, dtype=complex)
     for i, j, val in coeff:
         out[..., i] += val * vec[..., j]
@@ -394,14 +392,75 @@ def test_shared_diagonal_fields_contract_as_the_matrix_product(s, c):
 
 @pytest.mark.parametrize("c", [1, -1, 0.49, -2.5, 1j, 0.3 + 0.7j])
 def test_constant_identity_fields_contract_as_the_matrix_product(c):
+    # c Id w is applied as the number product c * w, for a complex c too
     field = MatrixField.from_constant(c * np.eye(2))
     rng = np.random.default_rng(5)
     w, load = (rng.normal(size=(128, 2)) + 1j * rng.normal(size=(128, 2)) for _ in range(2))
     assert field.scalar == c
-    applied, later, forced, unforced = products(field, field.constant, w, load)
-    assert np.array_equal(applied, w @ field.constant.T)
-    assert np.array_equal(later, load - w @ field.constant.T) and np.array_equal(forced, later)
-    assert np.array_equal(unforced, 0.0 - w @ field.constant.T)
+    values = coefficient_tape([field], np.linspace(-1.0, 1.0, 128))(0.0)[0]
+    applied, later, forced, unforced = products(field, values, w, load)
+    assert np.array_equal(applied, c * w)
+    assert np.array_equal(later, load - c * w) and np.array_equal(forced, later)
+    assert np.array_equal(unforced, 0.0 - c * w)
+
+
+def signed_zero_input(rng, shape):
+    """Complex values with zeros of either sign in both parts on the first
+    third of axis -2."""
+    w = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    zeros = w[..., : shape[-2] // 3, :]
+    zeros.real = np.copysign(0.0, rng.normal(size=zeros.shape))
+    zeros.imag = np.copysign(0.0, rng.normal(size=zeros.shape))
+    return w
+
+
+CONTRACTED_FIELDS = {
+    "gamma0": [[0, 1], [1, 0]],
+    "gamma1": [[0, -1], [1, 0]],
+    "klein_gordon_b": [[0, 1.0], [-1.0, 0]],
+    "zero_row": [[0.3 - 0.2j, -1.5], [0, 0]],
+    "diagonal": [[0.5, 0], [0, -2.0]],
+    "dense": [[0.3 + 0.7j, -1.2], [2.5j, 0.49]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACTED_FIELDS))
+def test_constant_fields_are_contracted_entry_by_entry(name):
+    # a constant field other than c Id is contracted from its tape entries:
+    # each row's first entry times its column, the later ones added, and a
+    # row with no entry filled with 0
+    field = MatrixField.from_constant(CONTRACTED_FIELDS[name])
+    assert field.is_constant and field.scalar is None
+    values = coefficient_tape([field], np.linspace(-1.0, 1.0, 64))(0.0)[0]
+    assert [(i, j) for i, j, _ in values] == [(i, j) for i, j, _ in field.nonzero()]
+    assert all(np.ndim(v) == 0 for _, _, v in values)
+    rng = np.random.default_rng(11)
+    w, load = (signed_zero_input(rng, (2, 64, 2)) for _ in range(2))
+    applied, later, forced, unforced = products(field, values, w, load)
+    assert np.array_equal(applied, contract(values, w))
+    assert np.array_equal(later, load - contract(values, w)) and np.array_equal(forced, later)
+    assert np.array_equal(unforced, 0.0 - contract(values, w))
+    if name == "zero_row":
+        empty = np.stack([applied[..., 1].real, applied[..., 1].imag])
+        assert not empty.any() and not np.signbit(empty).any()
+
+
+def test_flat_direct_march_makes_no_matmul(chart, monkeypatch):
+    # the flat Dirac pair's A^x and the inverse of A^t are constant, not
+    # c Id: the march contracts them from their entries
+    metric, p, q, grid, components = scenario(chart, "dirac_massive", "minkowski")
+    phi0 = make_cauchy_data(grid, components, 0.0)
+    calls = count_runs(monkeypatch, bundle_ops, "_contraction")
+    matmuls = []
+    real = np.matmul
+
+    def spy(*args, **kwargs):
+        matmuls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    u = solve_first_order_direct(p, metric, phi0, grid)
+    assert matmuls == [] and calls and np.isfinite(u.values).all() and u.values.any()
 
 
 @pytest.mark.parametrize("metric_name", sorted(METRICS))
