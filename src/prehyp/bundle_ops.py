@@ -391,38 +391,31 @@ class HyperbolicityReport:
     worst_covector: Optional[Tuple[float, float]] = None
 
 
-def default_symbol_tol(constant_coefficients: bool, coeff_scale: float = 1.0) -> float:
+def default_symbol_tol(constant_coefficients: bool, coeff_scale: float) -> float:
     if constant_coefficients:
         return 1e-12 * (1.0 + coeff_scale)
     return 1e-8
 
 
-def metric_sample_points(metric: DiagonalMetric, n_t: int = 3, n_x: int = 9) -> List[Tuple[float, float]]:
+def metric_sample_points(metric: DiagonalMetric) -> List[Tuple[float, float]]:
+    """A 3 x 9 lattice of the chart, corners included."""
     chart = metric.chart
-    ts = np.linspace(chart.t_min, chart.t_max, n_t)
-    xs = np.linspace(chart.x_min, chart.x_max, n_x)
+    ts = np.linspace(chart.t_min, chart.t_max, 3)
+    xs = np.linspace(chart.x_min, chart.x_max, 9)
     return [(float(t), float(x)) for t in ts for x in xs]
 
 
-def is_normally_hyperbolic(
-    op: SecondOrderOperator,
-    metric: DiagonalMetric,
-    sample_points: Optional[Sequence[Tuple[float, float]]] = None,
-    tol: Optional[float] = None,
-) -> HyperbolicityReport:
-    """Check sigma_L(xi) == g(xi, xi) Id at the polarization covector set.
+def is_normally_hyperbolic(op: SecondOrderOperator, metric: DiagonalMetric) -> HyperbolicityReport:
+    """Check sigma_L(xi) == g(xi, xi) Id at the polarization covector set,
+    at the metric_sample_points.
 
     Three covectors determine a quadratic form in two dimensions, so the
     check at {(1,0), (0,1), (1,1)} is sufficient pointwise.
     """
-    if sample_points is None:
-        sample_points = metric_sample_points(metric)
-    if not sample_points:
-        raise ValueError("sample_points must be nonempty")
-    if tol is None:
-        constant = op.is_constant and metric.is_constant
-        scale = max(np.max(np.abs(f.constant)) for f in (op.c_tt, op.c_tx, op.c_xx)) if constant else 1.0
-        tol = default_symbol_tol(constant, float(scale))
+    sample_points = metric_sample_points(metric)
+    constant = op.is_constant and metric.is_constant
+    scale = max(np.max(np.abs(f.constant)) for f in (op.c_tt, op.c_tx, op.c_xx)) if constant else 1.0
+    tol = default_symbol_tol(constant, float(scale))
     # every sample point with every covector, in the order the report
     # names the first worst one: points outer, covectors inner
     n_xi = len(POLARIZATION_COVECTORS)
@@ -447,29 +440,15 @@ class PairReport:
         return max(self.pq.max_deviation, self.qp.max_deviation)
 
 
-def is_complementary_pair(
-    p: FirstOrderOperator,
-    q: FirstOrderOperator,
-    metric: DiagonalMetric,
-    sample_points: Optional[Sequence[Tuple[float, float]]] = None,
-    tol: Optional[float] = None,
-) -> PairReport:
-    """Check that both PQ and QP are normally hyperbolic; with the default
-    sample points and tolerance, once per pair and metric (kept on p)."""
-    if sample_points is None and tol is None:
-        return _once(p, ("pair", q, metric), lambda: _pair_check(p, q, metric, None, None))
-    return _pair_check(p, q, metric, sample_points, tol)
+def is_complementary_pair(p: FirstOrderOperator, q: FirstOrderOperator, metric: DiagonalMetric) -> PairReport:
+    """Check that both PQ and QP are normally hyperbolic, once per pair and
+    metric (kept on p)."""
+    return _once(p, ("pair", q, metric), lambda: _pair_check(p, q, metric))
 
 
-def _pair_check(
-    p: FirstOrderOperator,
-    q: FirstOrderOperator,
-    metric: DiagonalMetric,
-    sample_points: Optional[Sequence[Tuple[float, float]]],
-    tol: Optional[float],
-) -> PairReport:
-    pq = is_normally_hyperbolic(compose(p, q), metric, sample_points, tol)
-    qp = is_normally_hyperbolic(compose(q, p), metric, sample_points, tol)
+def _pair_check(p: FirstOrderOperator, q: FirstOrderOperator, metric: DiagonalMetric) -> PairReport:
+    pq = is_normally_hyperbolic(compose(p, q), metric)
+    qp = is_normally_hyperbolic(compose(q, p), metric)
     return PairReport(pq.passed and qp.passed, pq, qp)
 
 
@@ -480,15 +459,16 @@ class InvertibilityReport:
     condition_estimate: float
 
 
-def symbol_invertibility(op: FirstOrderOperator, point, xi, tol: float = 1e-12) -> InvertibilityReport:
-    """Whether sigma_P(xi) is invertible, relative to its largest entry
-    (its power by float_power, as in DiagonalMetric.inverse_on_covector).
+def symbol_invertibility(op: FirstOrderOperator, point, xi) -> InvertibilityReport:
+    """Whether sigma_P(xi) is invertible: |det| above 1e-12 relative to its
+    largest entry (its power by float_power, as in
+    DiagonalMetric.inverse_on_covector).
     For (n, 2) arrays of points or covectors each field is an array of n."""
     sigma = principal_symbol_1(op, point, xi)
     abs_det = np.abs(np.linalg.det(sigma))
     peak = np.max(np.abs(sigma), axis=(-2, -1))
     scale = np.where(peak > 0, peak, 1.0)
-    invertible = abs_det > tol * np.float_power(scale, op.k)
+    invertible = abs_det > 1e-12 * np.float_power(scale, op.k)
     cond = np.where(invertible, np.linalg.cond(sigma), np.inf)
     if sigma.ndim == 2:
         return InvertibilityReport(bool(invertible), float(abs_det), float(cond))

@@ -37,7 +37,7 @@ from .cauchy import PairCheckError, SolverBlowupError, solve_cauchy_plain, solve
 from .config import DIRAC_PRESETS, ConfigError, ScenarioConfig, SourceSpec, load_config
 from .expr import ExprEvalError
 from .geometry import CauchyLine
-from .greens import _adjoint_pairing_check, _greens_report, greens_apply, greens_report, make_test_section
+from .greens import adjoint_pairing_check, greens_apply, greens_report, make_test_section
 from .qft_dirac import beta_sigma, data_space_isometry_check, default_rep, dirac_current, hypersurface_independence
 
 # per-subcommand tolerances at the configured resolution; convergence
@@ -176,8 +176,8 @@ def run_greens(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     phi = _section_from_spec(scn.grid, scn.source)
     # advanced first, so that S+ phi is the last solution made: held for
     # adjoint-check, it then overlaps no other march of this battery
-    advanced = greens_report(scn.p, scn.q, scn.metric, phi, "advanced", scn.grid)
-    retarded, s_phi = _greens_report(scn.p, scn.q, scn.metric, phi, "retarded", scn.grid)
+    advanced = greens_report(scn.p, scn.q, scn.metric, phi, "advanced", scn.grid)[0]
+    retarded, s_phi = greens_report(scn.p, scn.q, scn.metric, phi, "retarded", scn.grid)
     if nx is None:  # a convergence rung's S+ phi has no reader
         scn.s_plus_source = s_phi
     results = {}
@@ -199,9 +199,9 @@ def run_adjoint_check(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     def s_plus_f():
         # greens' retarded S+ phi when the scenario holds it, else solved here
         held, scn.s_plus_source = scn.s_plus_source, None
-        return held if held is not None else greens_apply(scn.p, scn.q, scn.metric, f, "retarded", scn.grid)
+        return held if held is not None else greens_apply(scn.p, scn.q, scn.metric, [(f, "retarded")], scn.grid)[0]
 
-    rep = _adjoint_pairing_check(scn.p, scn.q, scn.metric, psi, f, s_plus_f, scn.grid)
+    rep = adjoint_pairing_check(scn.p, scn.q, scn.metric, psi, f, s_plus_f, scn.grid)
     failures = []
     _gate(failures, "pairing defect", rep.defect, high=TOLERANCES["adjoint_defect"])
     _gate(failures, "mismatched-direction control", rep.mismatch_control, low=TOLERANCES["adjoint_mismatch_min"])

@@ -4,13 +4,14 @@ Green's operators are realized as driven solves per test section (never as
 assembled kernels): the retarded solution of L u = phi integrates forward
 from zero data before the source, the advanced one backward from zero data
 after it.  For a complementary pair (P, Q), S+- = Q applied to the Green's
-solution of PQ is the Green's operator of P.  The driven solves a battery
-needs of one operator march as one stacked state (_solve_driven).
+solution of PQ is the Green's operator of P.  solve_driven and
+greens_apply take a list of (source, direction) jobs: the driven solves a
+battery needs of one operator march as one stacked state.
 
 S+ is unique, so adjoint_pairing_check's S+ f is greens_report's retarded
-S+ phi when f is phi: _greens_report hands S+- phi on with its report,
-and _adjoint_pairing_check takes S+ f from its caller, which solves it
-only when no such solution is at hand.
+S+ phi when f is phi: greens_report hands S+- phi on with its report, and
+adjoint_pairing_check takes S+ f from a callable of its caller, which
+solves it only when no such solution is at hand.
 """
 
 from __future__ import annotations
@@ -77,23 +78,12 @@ def make_test_section(
     )
 
 
-def solve_driven(
-    op: SecondOrderOperator,
-    metric: DiagonalMetric,
-    source: TestSection,
-    direction: str,
-    grid: Optional[Grid1p1] = None,
-) -> GridSection:
-    """Retarded: integrate L u = phi forward from zero data before the
-    source; advanced: backward from zero data after it."""
-    grid = grid or source.grid
-    return _solve_driven(op, metric, [(source, direction)], grid)[0]
-
-
-def _solve_driven(op: SecondOrderOperator, metric: DiagonalMetric, jobs: list, grid: Grid1p1) -> List[GridSection]:
-    """solve_driven for each (source, direction) job, the jobs marched as
-    one stacked state with one coefficient tape; one solution per job,
-    each equal to the job's solve_driven alone."""
+def solve_driven(op: SecondOrderOperator, metric: DiagonalMetric, jobs: list, grid: Grid1p1) -> List[GridSection]:
+    """For each (source, direction) job, retarded: integrate L u = phi
+    forward from zero data before the source; advanced: backward from zero
+    data after it.  The jobs march as one stacked state with one
+    coefficient tape; one solution per job, each equal to the job's
+    solution marched alone."""
     starts = []
     for source, direction in jobs:
         if direction not in ("retarded", "advanced"):
@@ -108,25 +98,12 @@ def _solve_driven(op: SecondOrderOperator, metric: DiagonalMetric, jobs: list, g
 
 
 def greens_apply(
-    p: FirstOrderOperator,
-    q: FirstOrderOperator,
-    metric: DiagonalMetric,
-    phi: TestSection,
-    direction: str,
-    grid: Optional[Grid1p1] = None,
-) -> GridSection:
-    """S+- phi = Q (G+- phi) where G+- is the Green's solve for the
-    normally hyperbolic composition PQ."""
-    grid = grid or phi.grid
-    return _greens_apply(p, q, metric, [(phi, direction)], grid)[0]
-
-
-def _greens_apply(
     p: FirstOrderOperator, q: FirstOrderOperator, metric: DiagonalMetric, jobs: list, grid: Grid1p1
 ) -> List[GridSection]:
-    """greens_apply for each (section, direction) job, the Green's solves
-    of PQ marched as one (_solve_driven)."""
-    solutions = _solve_driven(compose(p, q), metric, jobs, grid)
+    """S+- phi = Q (G+- phi) for each (phi, direction) job, where G+- is the
+    Green's solve for the normally hyperbolic composition PQ; the jobs'
+    solves march as one (solve_driven)."""
+    solutions = solve_driven(compose(p, q), metric, jobs, grid)
     # each solution is released once Q has been applied to it
     return [apply_operator(q, solutions.pop(0)) for _ in jobs]
 
@@ -219,7 +196,7 @@ def identity_i_residual(
 ) -> float:
     """Relative L2 residual of P(S+- phi) = phi."""
     grid = grid or phi.grid
-    return _left_inverse_residual(p, phi, greens_apply(p, q, metric, phi, direction, grid))
+    return _left_inverse_residual(p, phi, greens_apply(p, q, metric, [(phi, direction)], grid)[0])
 
 
 def _right_inverse_residual(psi: TestSection, s_p_psi: GridSection) -> float:
@@ -236,7 +213,7 @@ def identity_ii_residual(
 ) -> float:
     """Relative L2 residual of S+-(P psi) = psi for compactly supported psi."""
     grid = grid or psi.grid
-    return _right_inverse_residual(psi, greens_apply(p, q, metric, apply_analytic(p, psi), direction, grid))
+    return _right_inverse_residual(psi, greens_apply(p, q, metric, [(apply_analytic(p, psi), direction)], grid)[0])
 
 
 def greens_report(
@@ -246,20 +223,12 @@ def greens_report(
     phi: TestSection,
     direction: str,
     grid: Optional[Grid1p1] = None,
-) -> GreensReport:
-    """Identity (i), P(S+- phi) = phi, and the relative leak of S+- phi
-    outside J+-(supp phi); identity (ii), S+-(P phi) = phi.  The driven
-    solves of phi and of P phi march as one."""
-    grid = grid or phi.grid
-    return _greens_report(p, q, metric, phi, direction, grid)[0]
-
-
-def _greens_report(
-    p: FirstOrderOperator, q: FirstOrderOperator, metric: DiagonalMetric, phi: TestSection, direction: str,
-    grid: Grid1p1,
 ) -> Tuple[GreensReport, GridSection]:
-    """greens_report and the S+- phi it measures."""
-    s_phi, s_p_phi = _greens_apply(p, q, metric, [(phi, direction), (apply_analytic(p, phi), direction)], grid)
+    """Identity (i), P(S+- phi) = phi, and the relative leak of S+- phi
+    outside J+-(supp phi); identity (ii), S+-(P phi) = phi; and the S+- phi
+    they measure.  The driven solves of phi and of P phi march as one."""
+    grid = grid or phi.grid
+    s_phi, s_p_phi = greens_apply(p, q, metric, [(phi, direction), (apply_analytic(p, phi), direction)], grid)
     identity_i = _left_inverse_residual(p, phi, s_phi)
     leak = support_leak(s_phi, source_shadow(metric, grid, phi, direction), s_phi.linf())
     return GreensReport(identity_i, _right_inverse_residual(phi, s_p_phi), leak), s_phi
@@ -276,26 +245,18 @@ def adjoint_pairing_check(
     metric: DiagonalMetric,
     psi: TestSection,
     f: TestSection,
+    s_plus_f: Callable[[], GridSection],
     grid: Optional[Grid1p1] = None,
 ) -> AdjointReport:
     """The relative gap between <S'_- psi, f> and <psi, S_+ f> for the
     bilinear pairing, the dual side through the formal adjoints P*, Q*;
     and its negative control, the gap with S'_+ in place of S'_-, which
-    must not vanish.  Three driven solves in two marches: S_+ f of P Q,
-    then S'_- psi and S'_+ psi of P* Q* as one."""
+    must not vanish.  S_+ f comes from s_plus_f(), which is called first;
+    its solution is released once <psi, S_+ f> is taken, before
+    S'_- psi and S'_+ psi of P* Q* march as one."""
     grid = grid or f.grid
-    return _adjoint_pairing_check(p, q, metric, psi, f, lambda: greens_apply(p, q, metric, f, "retarded", grid), grid)
-
-
-def _adjoint_pairing_check(
-    p: FirstOrderOperator, q: FirstOrderOperator, metric: DiagonalMetric, psi: TestSection, f: TestSection,
-    s_plus_f: Callable[[], GridSection], grid: Grid1p1,
-) -> AdjointReport:
-    """adjoint_pairing_check with S_+ f from s_plus_f(), which is called
-    first; its solution is released once <psi, S_+ f> is taken, before the
-    dual march."""
     rhs = pairing(psi.as_section(), s_plus_f(), metric, grid)
-    dual = _greens_apply(
+    dual = greens_apply(
         formal_adjoint(p, metric), formal_adjoint(q, metric), metric, [(psi, "advanced"), (psi, "retarded")], grid
     )
     lhs, control = (pairing(s_psi, f.as_section(), metric, grid) for s_psi in dual)
@@ -314,6 +275,6 @@ def uniqueness_probe(
     """Sup distance between the Green's applications built from two
     complementary partners of the same P; vanishes under refinement."""
     grid = grid or phi.grid
-    s1 = greens_apply(p, q, metric, phi, direction, grid)
-    s2 = greens_apply(p, q_alt, metric, phi, direction, grid)
+    s1 = greens_apply(p, q, metric, [(phi, direction)], grid)[0]
+    s2 = greens_apply(p, q_alt, metric, [(phi, direction)], grid)[0]
     return float(np.max(np.abs(s1.values - s2.values)))

@@ -11,7 +11,7 @@ Green's machinery; the two are never mixed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -71,20 +71,18 @@ class DiracModel:
     mass: float = 0.0
 
 
-def build_dirac_pair(
-    model: DiracModel, metric: Optional[DiagonalMetric] = None
-) -> Tuple[FirstOrderOperator, FirstOrderOperator]:
+def build_dirac_pair(model: DiracModel, metric: DiagonalMetric) -> Tuple[FirstOrderOperator, FirstOrderOperator]:
     """The one Dirac construction: (P, Q) = (D + i m, D - i m) on a
-    diagonal metric (Minkowski if None).  The principal part uses the
-    orthonormal coframe, A^t = gamma0 / alpha and A^x = gamma1 / beta, so
-    sigma_P sigma_Q = g(xi, xi) Id pointwise; on Minkowski it is plainly
+    diagonal metric.  The principal part uses the orthonormal coframe,
+    A^t = gamma0 / alpha and A^x = gamma1 / beta, so sigma_P sigma_Q =
+    g(xi, xi) Id pointwise; on Minkowski it is plainly
     (gamma0, gamma1).  D carries the spin connection in its order-0 part,
     A^mu omega_mu with omega = ((d_t beta) / (2 beta), (d_x alpha) / (2 alpha)) Id,
     that is (gamma0 d_t beta + gamma1 d_x alpha) / (2 alpha beta), which
     keeps the current conserved (Baer, Ginoux and Pfaeffle, Wave Equations
     on Lorentzian Manifolds and Quantization, 2007).  It is 0 on metrics
     with d_t beta = d_x alpha = 0, Minkowski among them."""
-    alpha, beta = (Num(1.0), Num(1.0)) if metric is None else (metric.alpha_ast, metric.beta_ast)
+    alpha, beta = metric.alpha_ast, metric.beta_ast
     rep = model.rep
     rep.validate()
     gamma0, gamma1 = MatrixField.from_constant(rep.gamma0), MatrixField.from_constant(rep.gamma1)

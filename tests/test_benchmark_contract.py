@@ -3,9 +3,13 @@
 perfbench is imported, never changed: its workloads call cfg.metric(),
 grid(), operators() and initial_data(), its tracer wraps every public
 function plus MatrixField.eval, cli._run_verify_all and cli._ladder_error,
-and digests each causal shadow through CausalShadow.intervals.  A traced
-round of each workload and the set-up of two run here as the benchmark
-runs them.
+and digests each causal shadow through CausalShadow.intervals.  Its work
+counters read two more prehyp names: the grid that
+cauchy.solve_second_order's signature binds and the .values of its single
+result give the RK4 steps of an evolution solve, and the calls of
+greens.solve_driven count the driven marches (greens.driven_solves).  A
+traced round of each workload and the set-up of two run here as the
+benchmark runs them.
 """
 
 import sys
@@ -50,6 +54,8 @@ def test_traced_curved_dirac_round(perfbench, tmp_path):
     sweeps = stats["geometry.causal_shadow"][0]
     assert sweeps > 0 and len(digests["shadow"]) == sweeps
     assert tracer.layer_metrics(traced, 1.0)["geometry.causal_shadow.calls"] == sweeps
+    # adjoint-check's S+ f, then its dual march
+    assert tracer.layer_metrics(traced, 1.0)["greens.driven_solves"] == 2
 
 
 def test_traced_flat_ladder_round_sees_the_stencils(perfbench, tmp_path):
@@ -60,6 +66,8 @@ def test_traced_flat_ladder_round_sees_the_stencils(perfbench, tmp_path):
     checks, traced = traced_round(perfbench, tmp_path, "flat_ladder")
     assert checks.attempted > 0 and checks.failures == []
     assert tracer.layer_metrics(traced, 1.0)["grids.stencil.calls"] > 0
+    # identities (i) and (ii) at three resolutions, one driven march each
+    assert tracer.layer_metrics(traced, 1.0)["greens.driven_solves"] == 6
 
 
 def test_traced_verify_all_flat_round_sees_the_batteries(perfbench, tmp_path):
@@ -70,6 +78,8 @@ def test_traced_verify_all_flat_round_sees_the_batteries(perfbench, tmp_path):
     assert checks.attempted > 0 and checks.failures == []
     assert tracer.layer_metrics(traced, 1.0)["cli.battery.busy_s"] > 0
     assert traced.totals()[0]["cli._ladder_error"][0] == 3
+    # greens' two marches and adjoint-check's dual march
+    assert tracer.layer_metrics(traced, 1.0)["greens.driven_solves"] == 3
 
 
 @pytest.mark.parametrize("name", ["flat_ladder", "verify_all_flat"])

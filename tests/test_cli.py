@@ -434,32 +434,51 @@ class TestOneSolvePerQuestion:
         monkeypatch.setattr(cauchy, "_march", counting)
         return marches
 
-    @pytest.mark.parametrize("subcommand, solutions, marches", [
+    @pytest.fixture
+    def driven(self, monkeypatch):
+        """The number of greens.solve_driven calls: every driven march
+        passes through it, as the benchmark's tracer counts them."""
+        from prehyp import greens
+
+        calls = []
+        real = greens.solve_driven
+
+        def counting(op, metric, jobs, grid):
+            calls.append(len(jobs))
+            return real(op, metric, jobs, grid)
+
+        monkeypatch.setattr(greens, "solve_driven", counting)
+        return calls
+
+    @pytest.mark.parametrize("subcommand, solutions, marches, driven_marches", [
         # S+-phi and S+-(P phi), one march per direction
-        pytest.param("greens", 4, 2, id="greens-4"),
+        pytest.param("greens", 4, 2, 2, id="greens-4"),
         # S+ f; S'- psi and the control's S'+ psi as one
-        pytest.param("adjoint-check", 3, 2, id="adjoint-check-3"),
+        pytest.param("adjoint-check", 3, 2, 2, id="adjoint-check-3"),
         # adjoint-check's S+ f is greens' retarded S+ phi, marched once
-        pytest.param("verify-all", 13, 10, id="verify-all-13"),
+        pytest.param("verify-all", 13, 10, 3, id="verify-all-13"),
     ])
-    def test_solve_count(self, solves, subcommand, solutions, marches):
+    def test_solve_count(self, solves, driven, subcommand, solutions, marches, driven_marches):
         run(subcommand, load_config_text(SMALL_DIRAC_CFG), seed=0)
         assert (sum(solves), len(solves)) == (solutions, marches)
+        assert len(driven) == driven_marches
 
-    def test_greens_then_adjoint_check_march_s_plus_phi_once(self, solves):
+    def test_greens_then_adjoint_check_march_s_plus_phi_once(self, solves, driven):
         # greens' four driven solves in two marches, then only the dual march
         cfg = load_config_text(SMALL_DIRAC_CFG)
         for battery in (cli.run_greens, cli.run_adjoint_check):
             battery(cfg, 0)
         assert (sum(solves), len(solves)) == (6, 3)
+        assert driven == [2, 2, 2]
 
-    def test_batteries_run_one_by_one_share_the_cauchy_solve(self, solves):
+    def test_batteries_run_one_by_one_share_the_cauchy_solve(self, solves, driven):
         # the Cauchy solve (shared by solve and beta), adjoint-check's three
         # driven solves in two marches and beta's second solution
         cfg = load_config_text(CURVED_CFG)
         for battery in (cli.run_check_pair, cli.run_solve, cli.run_adjoint_check, cli.run_beta):
             battery(cfg, 0)
         assert (sum(solves), len(solves)) == (5, 4)
+        assert driven == [1, 2]
 
     @pytest.mark.parametrize("text", [SMALL_DIRAC_CFG, CURVED_CFG], ids=["flat", "curved"])
     def test_handed_on_s_plus_phi_is_exact_and_released(self, text):

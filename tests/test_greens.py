@@ -38,6 +38,11 @@ def section(grid, components=("1", "0.5"), x_window=X_WINDOW, t_window=T_WINDOW)
     return make_test_section(grid, list(components), x_window, t_window)
 
 
+def s_plus(p, q, metric, f, grid):
+    """adjoint_pairing_check's S_+ f, solved when it is called."""
+    return lambda: greens_apply(p, q, metric, [(f, "retarded")], grid)[0]
+
+
 class TestSections:
     def test_support_box(self, grid_greens):
         s = section(grid_greens)
@@ -54,20 +59,20 @@ class TestSections:
         p, q = dirac_pair
         wide = section(grid_greens, t_window=(0.0, 0.28, 100.0))
         with pytest.raises(MarginError):
-            greens_apply(p, q, mink, wide, "retarded", grid_greens)
+            greens_apply(p, q, mink, [(wide, "retarded")], grid_greens)
 
     def test_unknown_direction(self, mink, grid_greens, dirac_pair):
         p, q = dirac_pair
         s = section(grid_greens)
         with pytest.raises(ValueError):
-            solve_driven(compose(p, q), mink, s, "sideways", grid_greens)
+            solve_driven(compose(p, q), mink, [(s, "sideways")], grid_greens)
 
 
 class TestBasicProperties:
     def test_zero_source_gives_zero(self, mink, grid_greens, dirac_pair):
         p, q = dirac_pair
         s = section(grid_greens, components=("0", "0"))
-        out = greens_apply(p, q, mink, s, "retarded", grid_greens)
+        out = greens_apply(p, q, mink, [(s, "retarded")], grid_greens)[0]
         assert out.linf() == 0.0
 
     def test_linearity(self, mink, grid_greens, dirac_pair):
@@ -82,23 +87,23 @@ class TestBasicProperties:
             a.x_support,
         )
         assert np.allclose(combo.values, 2.0 * a.values + 3j * b.values, rtol=0, atol=1e-14)
-        sa = greens_apply(p, q, mink, a, "retarded", grid_greens)
-        sb = greens_apply(p, q, mink, b, "retarded", grid_greens)
-        sc = greens_apply(p, q, mink, combo, "retarded", grid_greens)
+        sa = greens_apply(p, q, mink, [(a, "retarded")], grid_greens)[0]
+        sb = greens_apply(p, q, mink, [(b, "retarded")], grid_greens)[0]
+        sc = greens_apply(p, q, mink, [(combo, "retarded")], grid_greens)[0]
         gap = np.max(np.abs(sc.values - 2.0 * sa.values - 3j * sb.values))
         assert gap < 1e-11 * max(sc.linf(), 1.0)
 
     def test_retarded_vanishes_before_source(self, mink, grid_greens, dirac_pair):
         p, q = dirac_pair
         s = section(grid_greens)
-        out = greens_apply(p, q, mink, s, "retarded", grid_greens)
+        out = greens_apply(p, q, mink, [(s, "retarded")], grid_greens)[0]
         before = grid_greens.ts < s.t_support[0] - 2 * grid_greens.dt
         assert np.max(np.abs(out.values[before])) < 1e-12 * out.linf()
 
     def test_advanced_vanishes_after_source(self, mink, grid_greens, dirac_pair):
         p, q = dirac_pair
         s = section(grid_greens)
-        out = greens_apply(p, q, mink, s, "advanced", grid_greens)
+        out = greens_apply(p, q, mink, [(s, "advanced")], grid_greens)[0]
         after = grid_greens.ts > s.t_support[1] + 2 * grid_greens.dt
         assert np.max(np.abs(out.values[after])) < 1e-12 * out.linf()
 
@@ -131,7 +136,7 @@ class TestSourceEvaluation:
             return real(u)
 
         monkeypatch.setitem(expr._EVAL_FUNCTIONS, "step", counting)
-        greens_apply(p, q, mink, s, "retarded", grid)
+        greens_apply(p, q, mink, [(s, "retarded")], grid)
         # the tape is built on the first call: the x window's two steps
         assert [a.shape for a in args[:2]] == [(grid.nx,), (grid.nx,)]
         # then the t window's rise and fall, once each, on one column of the
@@ -163,12 +168,12 @@ class TestGreensIdentities:
     @pytest.mark.parametrize("direction", ["retarded", "advanced"])
     def test_identity_causal_support(self, mink, grid_greens, dirac_pair, direction):
         p, q = dirac_pair
-        leak = greens_report(p, q, mink, section(grid_greens), direction, grid_greens).support_leak
+        leak = greens_report(p, q, mink, section(grid_greens), direction, grid_greens)[0].support_leak
         assert leak < 1e-7
 
     def test_report_bundles_all_checks(self, mink, grid_greens, dirac_pair):
         p, q = dirac_pair
-        rep = greens_report(p, q, mink, section(grid_greens), "retarded", grid_greens)
+        rep = greens_report(p, q, mink, section(grid_greens), "retarded", grid_greens)[0]
         assert rep.identity_i < 2e-2
         assert rep.identity_ii < 2e-2
         assert rep.support_leak < 1e-7
@@ -179,7 +184,7 @@ class TestAdjointPairing:
         p, q = dirac_pair
         f = section(grid_greens, components=("1", "0"))
         psi = section(grid_greens, components=("0", "1"), x_window=(0.2, 0.05, 2.5))
-        rep = adjoint_pairing_check(p, q, mink, psi, f, grid_greens)
+        rep = adjoint_pairing_check(p, q, mink, psi, f, s_plus(p, q, mink, f, grid_greens), grid_greens)
         assert abs(rep.lhs) > 0 and abs(rep.rhs) > 0
         assert rep.defect < 1e-3
 
@@ -196,13 +201,13 @@ class TestAdjointPairing:
         calls = []
         real = greens.compose
         monkeypatch.setattr(greens, "compose", lambda a, b: calls.append((a, b)) or real(a, b))
-        rep = adjoint_pairing_check(p, q, metric, psi, f, grid)
+        rep = adjoint_pairing_check(p, q, metric, psi, f, s_plus(p, q, metric, f, grid), grid)
         assert len(calls) == 2
         monkeypatch.setattr(greens, "compose", real)
         p_star, q_star = formal_adjoint(p, metric), formal_adjoint(q, metric)
-        rhs = pairing(psi.as_section(), greens_apply(p, q, metric, f, "retarded", grid), metric, grid)
+        rhs = pairing(psi.as_section(), greens_apply(p, q, metric, [(f, "retarded")], grid)[0], metric, grid)
         lhs, control = (
-            pairing(greens_apply(p_star, q_star, metric, psi, d, grid), f.as_section(), metric, grid)
+            pairing(greens_apply(p_star, q_star, metric, [(psi, d)], grid)[0], f.as_section(), metric, grid)
             for d in ("advanced", "retarded")
         )
         assert (rep.lhs, rep.rhs) == (lhs, rhs)
@@ -212,7 +217,7 @@ class TestAdjointPairing:
         p, q = dirac_pair
         f = section(grid_greens, components=("1", "0"))
         psi = section(grid_greens, components=("0", "1"), x_window=(0.2, 0.05, 2.5))
-        control = adjoint_pairing_check(p, q, mink, psi, f, grid_greens).mismatch_control
+        control = adjoint_pairing_check(p, q, mink, psi, f, s_plus(p, q, mink, f, grid_greens), grid_greens).mismatch_control
         assert control > 1e-1
 
     def test_causally_disjoint_sources_pair_to_zero(self, chart, mink, dirac_pair):
@@ -222,7 +227,7 @@ class TestAdjointPairing:
         grid = build_grid(chart, mink, 384)
         f = make_test_section(grid, ["1", "0"], (-0.55, 0.02, 10.0), (0.0, 0.02, 10.0))
         psi = make_test_section(grid, ["0", "1"], (0.55, 0.02, 10.0), (0.0, 0.02, 10.0))
-        s_f = greens_apply(p, q, mink, f, "retarded", grid)
+        s_f = greens_apply(p, q, mink, [(f, "retarded")], grid)[0]
         val = abs(
             np.sum(np.conj(psi.values) * 0 + psi.values * s_f.values)
         )  # plain overlap; supports never meet inside the chart
@@ -269,7 +274,7 @@ class TestUniqueness:
             grid = build_grid(chart, metric, nx)
             phi = section(grid)
             gaps.append(uniqueness_probe(p, q, q_alt, metric, phi, "retarded", grid))
-            s, s_alt = (greens_apply(a, b, metric, phi, "retarded", grid).values for a, b in ((p, q), (p_alt, q_alt)))
+            s, s_alt = (greens_apply(a, b, metric, [(phi, "retarded")], grid)[0].values for a, b in ((p, q), (p_alt, q_alt)))
             controls.append(float(np.max(np.abs(s - s_alt))))
         assert gaps[-1] < 1e-5 and np.log2(gaps[-2] / gaps[-1]) >= 1.8
         assert min(controls) > 1e-2 and controls[-1] > 0.9 * controls[0]

@@ -278,14 +278,13 @@ def beta_drifts(cfg, nxs=(128, 256)):
 
 class TestSpinConnection:
     @pytest.mark.parametrize(
-        "alpha,beta", [("1", "1"), ("1+0.1*sin(t)", "1+0.3*cos(2*x)"), (None, None)], ids=["flat", "readme", "default"]
+        "alpha,beta", [("1", "1"), ("1+0.1*sin(t)", "1+0.3*cos(2*x)")], ids=["flat", "readme"]
     )
     def test_b_is_the_mass_term_where_the_spin_term_vanishes(self, chart, alpha, beta):
         # the spin term is added only when it does not fold to 0: adding a
         # zero field would change the sign of Q's zeros, and with it the
         # report's echo; repr shows the sign of every zero
-        metric = None if alpha is None else DiagonalMetric(alpha, beta, chart)
-        p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
+        p, q = build_dirac_pair(DiracModel(mass=1.0), DiagonalMetric(alpha, beta, chart))
         mass = MatrixField.from_constant(1j * np.eye(2))
         assert repr(p.b.entries) == repr(mass.entries)
         assert repr(q.b.entries) == repr((-mass).entries)

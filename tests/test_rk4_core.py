@@ -202,8 +202,8 @@ def test_solutions_equal_the_unpruned_scheme(chart, monkeypatch, preset, metric_
                 return solve_cauchy(p, q, metric, phi0, grid)[0].values
             if solve == "batched":
                 jobs = driven_batch(grid, components)
-                return np.stack([u.values for u in greens._solve_driven(compose(p, q), metric, jobs, grid)])
-            return greens_apply(p, q, metric, section, solve, grid).values
+                return np.stack([u.values for u in greens.solve_driven(compose(p, q), metric, jobs, grid)])
+            return greens_apply(p, q, metric, [(section, solve)], grid)[0].values
 
         blocks = count_blocks(monkeypatch)
         actual = run()
@@ -330,7 +330,7 @@ def test_minkowski_dirac_rhs_takes_no_first_derivative(chart, mink, monkeypatch)
     # right-hand side needs d_xx u alone; the unpruned scheme takes two d_x
     orders = count_stencil_runs(monkeypatch)
     p, q, grid, section = dirac_scenario(chart, mink)
-    greens_apply(p, q, mink, section, "retarded", grid)
+    greens_apply(p, q, mink, [(section, "retarded")], grid)
     assert orders() and set(orders()) == {2}
 
 
@@ -339,7 +339,7 @@ def test_minkowski_dirac_rhs_makes_no_matrix_contraction(chart, mink, monkeypatc
     # as a sign or a number, where the unpruned scheme makes three contractions
     calls = count_runs(monkeypatch, bundle_ops, "_contraction")
     p, q, grid, section = dirac_scenario(chart, mink)
-    u = greens.solve_driven(compose(p, q), mink, section, "retarded", grid)
+    u = greens.solve_driven(compose(p, q), mink, [(section, "retarded")], grid)[0]
     assert calls == [] and u.values.any()
     op = compose(p, q)
     assert (op.c_xx.scalar, op.e.scalar, op.c_tt.inverse().scalar) == (-1, 1, 1)
@@ -353,7 +353,7 @@ def test_curved_dirac_rhs_makes_no_matrix_contraction(chart, monkeypatch):
     p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
     grid = build_grid(chart, metric, 128)
     section = make_test_section(grid, ["1", "0.5"], X_WINDOW, T_WINDOW)
-    u = greens.solve_driven(compose(p, q), metric, section, "retarded", grid)
+    u = greens.solve_driven(compose(p, q), metric, [(section, "retarded")], grid)[0]
     assert calls == [] and u.values.any()
     op = compose(p, q)
     fields = (op.c_xx, op.d_t, op.d_x, op.c_tt.inverse())
@@ -497,7 +497,7 @@ def test_driven_sweep_starts_at_its_first_forced_stage(chart, mink, monkeypatch,
     # which the source is nonzero; the levels before it stay 0
     orders = count_stencil_runs(monkeypatch)
     p, q, grid, section = dirac_scenario(chart, mink)
-    greens_apply(p, q, mink, section, direction, grid)
+    greens_apply(p, q, mink, [(section, direction)], grid)
     lo, hi = section.t_support
     order = np.arange(grid.nt) if direction == "retarded" else np.arange(grid.nt)[::-1]
     dt = grid.dt if direction == "retarded" else -grid.dt
@@ -511,7 +511,7 @@ def test_driven_sweep_starts_at_its_first_forced_stage(chart, mink, monkeypatch,
     assert first > 0.2 * grid.nt
     assert orders() == [2] * 4 * (grid.nt - 1 - first)
 
-    u = greens.solve_driven(compose(p, q), mink, section, direction, grid).values
+    u = greens.solve_driven(compose(p, q), mink, [(section, direction)], grid)[0].values
     assert not u[order[:first + 1]].any()
     assert u[order[first + 1]].any()
     outside = grid.ts < lo if direction == "retarded" else grid.ts > hi
@@ -553,9 +553,9 @@ def test_lockstep_on_a_circle_equals_the_unpruned_scheme(monkeypatch, t0):
     if t0 == "driven":
         # four driven members stacked, their stencils wrapped around
         jobs = driven_batch(grid, ["cos(pi*x)", "0.5"])
-        actual = np.stack([u.values for u in greens._solve_driven(compose(p, q), metric, jobs, grid)])
+        actual = np.stack([u.values for u in greens.solve_driven(compose(p, q), metric, jobs, grid)])
         use_reference(monkeypatch)
-        expected = np.stack([u.values for u in greens._solve_driven(compose(p, q), metric, jobs, grid)])
+        expected = np.stack([u.values for u in greens.solve_driven(compose(p, q), metric, jobs, grid)])
         assert np.isfinite(actual).all() and np.abs(actual).max() > 0
         assert np.array_equal(actual, expected)
         return
@@ -683,7 +683,7 @@ def test_adjoint_driven_solves_equal_the_unpruned_scheme(chart, monkeypatch, met
     section = make_test_section(grid, components, X_WINDOW, T_WINDOW)
     directions = ["advanced", "retarded"] if direction == "both" else [direction]
     contractions = count_runs(monkeypatch, bundle_ops, "_contraction")
-    solutions = greens._solve_driven(op, metric, [(section, d) for d in directions], grid)
+    solutions = greens.solve_driven(op, metric, [(section, d) for d in directions], grid)
     if metric_name == "readme":
         fields = (op.c_tt, op.c_tx, op.c_xx, op.d_t, op.d_x, op.e)
         assert all(f.diagonal is not None for f in fields) and not contractions
@@ -752,11 +752,11 @@ def test_batched_driven_solves_equal_the_solves_one_at_a_time(chart, monkeypatch
     late = make_test_section(grid, components[::-1], (0.1, 0.05, 2.5), (0.08, 0.03, 10.0))
     jobs = [(early, "retarded"), (late, "advanced"), (late, "retarded"), (early, "advanced")]
     marches = count_marches(monkeypatch)
-    batched = greens._solve_driven(op, metric, jobs, grid)
+    batched = greens.solve_driven(op, metric, jobs, grid)
     assert marches == [4]
     firsts = []
     for (source, direction), u in zip(jobs, batched):
-        alone = greens.solve_driven(op, metric, source, direction, grid)
+        alone = greens.solve_driven(op, metric, [(source, direction)], grid)[0]
         assert np.isfinite(u.values).all() and np.abs(u.values).max() > 0
         assert np.array_equal(u.values, alone.values)
         order = np.arange(grid.nt) if direction == "retarded" else np.arange(grid.nt)[::-1]
@@ -774,11 +774,11 @@ def test_a_batched_member_that_blows_up_raises_with_its_level_and_time(chart, mi
     grid = build_grid(chart, mink, 128)
     early = make_test_section(grid, ["1"], X_WINDOW, (-0.15, 0.01, 40.0))
     late = make_test_section(grid, ["1"], X_WINDOW, (0.15, 0.01, 40.0))
-    assert np.isfinite(greens.solve_driven(op, mink, late, "retarded", grid).values).all()
+    assert np.isfinite(greens.solve_driven(op, mink, [(late, "retarded")], grid)[0].values).all()
     alone = {}
     for job in ((early, "retarded"), (late, "advanced")):
         with pytest.raises(cauchy.SolverBlowupError) as exc:
-            greens.solve_driven(op, mink, *job, grid)
+            greens.solve_driven(op, mink, [job], grid)
         alone[job[1]] = (exc.value.level, exc.value.t)
     assert alone["retarded"] != alone["advanced"]
     for jobs in (
@@ -787,6 +787,6 @@ def test_a_batched_member_that_blows_up_raises_with_its_level_and_time(chart, mi
         [(early, "retarded"), (late, "advanced")],
     ):
         with pytest.raises(cauchy.SolverBlowupError) as exc:
-            greens._solve_driven(op, mink, jobs, grid)
+            greens.solve_driven(op, mink, jobs, grid)
         blown = next(direction for source, direction in jobs if not (source is late and direction == "retarded"))
         assert (exc.value.level, exc.value.t) == alone[blown]
