@@ -66,12 +66,10 @@ from .greens import (
     uniqueness_probe,
 )
 from .qft_dirac import (
-    CliffordRep,
     DiracModel,
     beta_sigma,
     build_dirac_pair,
     data_space_isometry_check,
-    default_rep,
     dirac_adjoint,
     dirac_current,
     hypersurface_independence,

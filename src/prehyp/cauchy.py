@@ -463,16 +463,16 @@ def solve_second_order(
     phi0_values: np.ndarray,
     dtphi0_values: np.ndarray,
     j0: int,
-    source: Optional["TestSection"] = None,
 ) -> GridSection:
-    """Method-of-lines solve of L u = f (f a test section, none for f = 0)
-    from data (u, d_t u) at level j0, in both time directions."""
-    return _solve_second_order(op, metric, grid, [(phi0_values, dtphi0_values, j0, source)])[0]
+    """Method-of-lines solve of L u = 0 from data (u, d_t u) at level j0,
+    in both time directions (driven solves: greens.solve_driven)."""
+    return _solve_second_order(op, metric, grid, [(phi0_values, dtphi0_values, j0, None)])[0]
 
 
 def _solve_second_order(op: SecondOrderOperator, metric: DiagonalMetric, grid: Grid1p1, starts: list) -> list:
-    """solve_second_order for several starts (u, d_t u, j0, source)
-    marched as one stacked state; one section per start."""
+    """Method-of-lines solves of L u = f for several starts (u, d_t u, j0,
+    source), f a test section or None for f = 0, marched as one stacked
+    state; one section per start."""
     grid.check_cfl(metric.max_light_speed())
     program, coeffs = _right_hand_side(op.c_tt, (
         (op.c_tx.scale(2.0), 1, 1), (op.c_xx, 2, 0), (op.d_t, 0, 1), (op.d_x, 1, 0), (op.e, 0, 0),

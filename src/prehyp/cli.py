@@ -11,9 +11,10 @@ report.json (plus CSV dumps when requested); wall-clock timings go to a
 separate timings.json so reports stay byte-reproducible.
 
 Exit codes: 0 all tolerances met, 1 configuration error, 2 tolerance
-failure, operators that are not a complementary pair where a battery
-solves with them, a solve that blew up or a coefficient that is not finite
-during a run, 3 internal error (its traceback goes to error.txt in the output
+failure (in verify-all also a convergence rung the config cannot build),
+operators that are not a complementary pair where a battery solves with
+them, a solve that blew up or a coefficient that is not finite during a
+run, 3 internal error (its traceback goes to error.txt in the output
 directory).
 """
 
@@ -38,7 +39,7 @@ from .config import DIRAC_PRESETS, ConfigError, ScenarioConfig, SourceSpec, load
 from .expr import ExprEvalError
 from .geometry import CauchyLine
 from .greens import adjoint_pairing_check, greens_apply, greens_report, make_test_section
-from .qft_dirac import beta_sigma, data_space_isometry_check, default_rep, dirac_current, hypersurface_independence
+from .qft_dirac import beta_sigma, data_space_isometry_check, dirac_current, hypersurface_independence
 
 # per-subcommand tolerances at the configured resolution; convergence
 # orders are gated separately
@@ -215,11 +216,10 @@ def run_beta(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     # an independent second solution for the symmetry check
     swapped = cfg.initial_data(grid, list(reversed([f"({c})*(1+x)" for c in cfg.initial_components])))
     psi = solve_cauchy_plain(scn.p, scn.q, metric, swapped, grid)
-    rep = default_rep()
     levels = [float(grid.ts[int(round(f * (grid.nt - 1)))]) for f in (0.2, 0.35, 0.5, 0.65, 0.8)]
-    herm_rep = hypersurface_independence(psi, phi, levels, metric, rep)
-    b_pf = beta_sigma(psi, phi, CauchyLine(cfg.t0), metric, rep)
-    b_fp = beta_sigma(phi, psi, CauchyLine(cfg.t0), metric, rep)
+    herm_rep = hypersurface_independence(psi, phi, levels, metric)
+    b_pf = beta_sigma(psi, phi, CauchyLine(cfg.t0), metric)
+    b_fp = beta_sigma(phi, psi, CauchyLine(cfg.t0), metric)
     herm_defect = abs(b_pf - np.conj(b_fp))
     scale = max(abs(b_pf), 1.0)
     herm_defect = float(herm_defect / scale)
@@ -243,8 +243,8 @@ def run_isometry(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     # the configured data times 1 (the scenario's solution), x and cos(3*x)
     data = [cfg.initial_data(grid, [f"({c})*({m})" for c in cfg.initial_components]) for m in ("x", "cos(3*x)")]
     corpus = [scn.solution[0]] + [solve_cauchy_plain(scn.p, scn.q, metric, d, grid) for d in data]
-    t_prime = cfg.t0 + 0.5 * (cfg.t_range[1] - cfg.t0)
-    rep = data_space_isometry_check(corpus, CauchyLine(cfg.t0), CauchyLine(t_prime), metric, default_rep())
+    t_prime = cfg.t0 + 0.5 * (metric.chart.t_max - cfg.t0)
+    rep = data_space_isometry_check(corpus, CauchyLine(cfg.t0), CauchyLine(t_prime), metric)
     failures = []
     _gate(failures, "Gram mismatch", rep.gram_mismatch, high=TOLERANCES["isometry_mismatch"])
     _gate(failures, "min Gram eigenvalue", rep.min_gram_eigenvalue, low=0.0, strict=True)
@@ -371,11 +371,12 @@ def run(subcommand: str, cfg: ScenarioConfig, seed: int = 0, target: Optional[st
 def _run_verify_all(cfg: ScenarioConfig, seed: int, timings: Dict[str, float]):
     """Every battery the preset allows, in table order, on the config's
     scenario at nx, so that solve, direct-vs-reduced, the ladder's top rung
-    and beta judge one solution.  The ladder's rungs and the driven
-    batteries' source sections are validated before the first battery, the
-    source's cones included and zero sections excluded.  greens hands its
-    retarded S+ phi to adjoint-check, which runs next."""
-    _ladder(cfg)
+    and beta judge one solution.  The driven batteries' source sections are
+    validated before the first battery, the source's cones included and
+    zero sections excluded.  A ladder rung that the config cannot build
+    fails convergence alone, with no results, and every other battery still
+    gives its verdict.  greens hands its retarded S+ phi to adjoint-check,
+    which runs next."""
     cfg.scenario().check_pairing_sections()
     cfg.scenario().check_source_cones()
     results = {}
@@ -387,7 +388,12 @@ def _run_verify_all(cfg: ScenarioConfig, seed: int, timings: Dict[str, float]):
         if name == "convergence":
             name, args = "convergence solve", ("solve",)
         start = time.perf_counter()
-        results[name], fails = battery(cfg, seed, *args)
+        try:
+            results[name], fails = battery(cfg, seed, *args)
+        except ConfigError as e:  # a ladder rung that the config cannot build
+            if name != "convergence solve":
+                raise
+            fails = [str(e)]
         timings[name] = time.perf_counter() - start
         failures.extend(f"{name}: {f}" for f in fails)
     return results, failures
@@ -458,7 +464,7 @@ def write_csv_dumps(artifacts: Dict, out_dir: str) -> List[str]:
     if "beta" in artifacts:
         phi = artifacts["beta"]
         j = phi.grid.nt // 2
-        density = dirac_current(phi.values[j], phi.values[j], default_rep(), "t")
+        density = dirac_current(phi.values[j], phi.values[j], "t")
         written.append(_write_csv(
             out_dir, "current_density.csv", ["x", "j_t"],
             ([repr(float(x)), repr(float(d.real))] for x, d in zip(phi.grid.xs, density)),

@@ -136,10 +136,6 @@ class SourceSpec:
 class ScenarioConfig:
     alpha: str
     beta: str
-    t_range: Tuple[float, float]
-    x_range: Tuple[float, float]
-    topology: str
-    rank: int
     preset: Optional[str]
     mass: float
     spacetime: DiagonalMetric
@@ -187,13 +183,14 @@ class ScenarioConfig:
 
     def echo(self) -> Dict[str, object]:
         """The resolved configuration as plain JSON-compatible data."""
+        chart = self.spacetime.chart
         return {
             "spacetime": {
                 "alpha": self.alpha, "beta": self.beta,
-                "t_range": list(self.t_range), "x_range": list(self.x_range),
-                "topology": self.topology,
+                "t_range": [chart.t_min, chart.t_max], "x_range": [chart.x_min, chart.x_max],
+                "topology": chart.topology,
             },
-            "bundle": {"rank": self.rank},
+            "bundle": {"rank": self.pair[0].k},
             "operator_P": _echo_operator(self.pair[0]),
             "operator_Q": _echo_operator(self.pair[1]),
             "preset": self.preset,
@@ -232,8 +229,8 @@ def _echo_source(spec: Optional[SourceSpec]) -> Optional[Dict[str, object]]:
 def _default_source(cfg: ScenarioConfig) -> SourceSpec:
     """Synthesize a source for driven runs when the config has no [source]
     block: the initial-data window in x, a narrow window around t0 in t."""
-    span = cfg.t_range[1] - cfg.t_range[0]
-    t_half = 0.05 * span
+    chart = cfg.spacetime.chart
+    t_half = 0.05 * (chart.t_max - chart.t_min)
     return SourceSpec(
         list(cfg.initial_components),
         WindowSpec(cfg.window.center, cfg.window.halfwidth, cfg.window.steepness),
@@ -263,7 +260,7 @@ class Scenario:
         self.grid = cfg.grid(self.metric, nx)
         self.p, self.q = cfg.operators()
         self.data = cfg.initial_data(self.grid)
-        if cfg.topology == "line":
+        if self.metric.chart.topology == "line":
             try:  # a window off the chart fails before its sweep
                 check_causal_margin(self.metric, self.grid, self.data.support, self.data.t0)
             except (MarginError, ChartDomainError):
@@ -549,7 +546,7 @@ def load_config_text(text: str) -> ScenarioConfig:
             raise ConfigError(f"{at('output', 'formats')}: unknown format {f!r}")
 
     cfg = ScenarioConfig(
-        alpha, beta, t_range, x_range, topology, rank, preset, mass,
+        alpha, beta, preset, mass,
         metric, pair, nx, cfl, t0, comps, window, source, dual_source,
         out_dir, formats, sections,
     )

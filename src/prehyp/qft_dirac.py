@@ -1,4 +1,4 @@
-"""The concrete spin-1/2 model: 1+1 Clifford representation, the
+"""The concrete spin-1/2 model: the 1+1 gamma matrices as constants, the
 complementary pair (D + i m, D - i m), the Dirac-current Hermitian product on
 Cauchy lines, its positivity and hypersurface independence, and the
 finite-corpus data-space isometry check.
@@ -10,7 +10,7 @@ Green's machinery; the two are never mixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -21,45 +21,17 @@ from .geometry import CauchyLine, DiagonalMetric
 from .grids import GridSection
 
 
-class CliffordError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class CliffordRep:
-    """2x2 gamma matrices for signature (+,-): g0^2 = Id, g1^2 = -Id,
-    {g0, g1} = 0, g0 Hermitian."""
-
-    gamma0: np.ndarray
-    gamma1: np.ndarray
-
-    def validate(self, tol: float = 1e-14) -> None:
-        g0, g1 = np.asarray(self.gamma0), np.asarray(self.gamma1)
-        eye = np.eye(2)
-        checks = [
-            (g0 @ g0 - eye, "gamma0^2 != Id"),
-            (g1 @ g1 + eye, "gamma1^2 != -Id"),
-            (g0 @ g1 + g1 @ g0, "gamma0 gamma1 + gamma1 gamma0 != 0"),
-            (g0 - g0.conj().T, "gamma0 not Hermitian"),
-        ]
-        for mat, msg in checks:
-            if np.max(np.abs(mat)) > tol:
-                raise CliffordError(msg)
-
-
-def default_rep() -> CliffordRep:
-    rep = CliffordRep(
-        gamma0=np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-        gamma1=np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex),
-    )
-    rep.validate()
-    return rep
+# the gamma matrices for signature (+,-): GAMMA0^2 = Id, GAMMA1^2 = -Id,
+# {GAMMA0, GAMMA1} = 0 and GAMMA0 Hermitian.  Another representation is a
+# unitary change of spinor frame, so none of the results depends on this one.
+GAMMA0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+GAMMA1 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+GAMMA0.flags.writeable = GAMMA1.flags.writeable = False  # shared by every caller
 
 
 @dataclass
 class DiracModel:
-    """Spin-1/2 model data: representation and mass.  The pair's mass term
-    is i * m * Id.
+    """Spin-1/2 model data: the mass.  The pair's mass term is i * m * Id.
 
     The factor i is forced by the current: gamma0 times the mass term must
     be anti-Hermitian for d_a j^a = 0 while gamma0 itself stays Hermitian
@@ -67,7 +39,6 @@ class DiracModel:
     satisfies both only at m = 0.
     """
 
-    rep: CliffordRep = field(default_factory=default_rep)
     mass: float = 0.0
 
 
@@ -83,9 +54,7 @@ def build_dirac_pair(model: DiracModel, metric: DiagonalMetric) -> Tuple[FirstOr
     on Lorentzian Manifolds and Quantization, 2007).  It is 0 on metrics
     with d_t beta = d_x alpha = 0, Minkowski among them."""
     alpha, beta = metric.alpha_ast, metric.beta_ast
-    rep = model.rep
-    rep.validate()
-    gamma0, gamma1 = MatrixField.from_constant(rep.gamma0), MatrixField.from_constant(rep.gamma1)
+    gamma0, gamma1 = MatrixField.from_constant(GAMMA0), MatrixField.from_constant(GAMMA1)
     a_t = gamma0.scale(Bin("/", Num(1.0), alpha))
     a_x = gamma1.scale(Bin("/", Num(1.0), beta))
     half_over_rho = Bin("/", Num(0.5), Bin("*", alpha, beta))
@@ -100,20 +69,18 @@ def build_dirac_pair(model: DiracModel, metric: DiagonalMetric) -> Tuple[FirstOr
 # ---------------------------------------------------------------------------
 # Dirac adjoint, current and the Cauchy-line product
 
-def dirac_adjoint(values: np.ndarray, rep: CliffordRep) -> np.ndarray:
+def dirac_adjoint(values: np.ndarray) -> np.ndarray:
     """Co-spinor phi+ = conj(phi)^T gamma0 per node; anti-linear in phi."""
     if values.shape[-1] != 2:
         raise ValueError("Dirac adjoint needs rank-2 sections")
-    return np.einsum("...i,ij->...j", np.conj(values), rep.gamma0)
+    return np.einsum("...i,ij->...j", np.conj(values), GAMMA0)
 
 
-def dirac_current(
-    psi: np.ndarray, phi: np.ndarray, rep: CliffordRep, index: str
-) -> np.ndarray:
+def dirac_current(psi: np.ndarray, phi: np.ndarray, index: str) -> np.ndarray:
     """Frame current j^a = psi+ gamma^a phi per node (a in {t, x});
     sesquilinear: anti-linear in psi, linear in phi."""
-    gamma = rep.gamma0 if index == "t" else rep.gamma1
-    psi_plus = dirac_adjoint(psi, rep)
+    gamma = GAMMA0 if index == "t" else GAMMA1
+    psi_plus = dirac_adjoint(psi)
     return np.einsum("...i,ij,...j->...", psi_plus, gamma, phi)
 
 
@@ -122,7 +89,6 @@ def beta_sigma(
     phi: GridSection,
     sigma: CauchyLine,
     metric: DiagonalMetric,
-    rep: CliffordRep,
 ) -> complex:
     """beta_Sigma(Psi, Phi) = int_Sigma n_a j^a d mu = int psi+ gamma0 phi
     beta(t0, x) dx: the lapse cancels between the normal covector and the
@@ -130,7 +96,7 @@ def beta_sigma(
     measure."""
     grid = psi.grid
     j = grid.level_of(sigma.t0)
-    density = dirac_current(psi.values[j], phi.values[j], rep, "t")
+    density = dirac_current(psi.values[j], phi.values[j], "t")
     measure = np.broadcast_to(
         np.asarray(metric.hypersurface_measure(CauchyLine(float(grid.ts[j])), grid.xs)),
         (grid.nx,),
@@ -153,20 +119,17 @@ def hypersurface_independence(
     phi: GridSection,
     t_levels: Sequence[float],
     metric: DiagonalMetric,
-    rep: CliffordRep,
 ) -> HermitianReport:
     """Evaluate beta_Sigma at each level; drift is the max pairwise
     deviation relative to the largest magnitude (0 if all values vanish)."""
-    values = [
-        beta_sigma(psi, phi, CauchyLine(t), metric, rep) for t in t_levels
-    ]
+    values = [beta_sigma(psi, phi, CauchyLine(t), metric) for t in t_levels]
     scale = max(abs(v) for v in values)
     drift = 0.0
     if scale > 0:
         drift = max(
             abs(a - b) for a in values for b in values
         ) / scale
-    self_product = beta_sigma(phi, phi, CauchyLine(t_levels[0]), metric, rep)
+    self_product = beta_sigma(phi, phi, CauchyLine(t_levels[0]), metric)
     return HermitianReport(values[0], float(self_product.real), drift)
 
 
@@ -183,13 +146,12 @@ def data_space_isometry_check(
     sigma: CauchyLine,
     sigma_prime: CauchyLine,
     metric: DiagonalMetric,
-    rep: CliffordRep,
 ) -> IsometryReport:
     """Compare the Gram matrices of beta at Sigma and Sigma' over solved
     sections; the evolution map is an isometry up to scheme error, and the
     Gram matrix is positive definite for linearly independent data."""
     gram_a, gram_b = (
-        np.array([[beta_sigma(a, b, line, metric, rep) for b in solutions] for a in solutions])
+        np.array([[beta_sigma(a, b, line, metric) for b in solutions] for a in solutions])
         for line in (sigma, sigma_prime)
     )
     scale = float(np.max(np.abs(gram_a)))

@@ -31,7 +31,6 @@ from prehyp.qft_dirac import (
     beta_sigma,
     build_dirac_pair,
     data_space_isometry_check,
-    default_rep,
     hypersurface_independence,
 )
 
@@ -290,7 +289,6 @@ def test_7_hypersurface_round_trip():
 
 def test_8_cauchy_line_product_quantization_data():
     model = DiracModel(mass=1.0)
-    rep = default_rep()
     p, q = build_dirac_pair(model, MINK)
     corpus_specs = (["1", "0"], ["x", "1"], ["cos(3*x)", "0.5"])
 
@@ -303,12 +301,12 @@ def test_8_cauchy_line_product_quantization_data():
     grid, data, sols = solved_corpus(512)
     sigma = CauchyLine(0.0)
 
-    min_norm = min(beta_sigma(s, s, sigma, MINK, rep).real for s in sols)
+    min_norm = min(beta_sigma(s, s, sigma, MINK).real for s in sols)
     herm = 0.0
     for a in sols:
         for b in sols:
-            lhs = beta_sigma(a, b, sigma, MINK, rep)
-            rhs = np.conj(beta_sigma(b, a, sigma, MINK, rep))
+            lhs = beta_sigma(a, b, sigma, MINK)
+            rhs = np.conj(beta_sigma(b, a, sigma, MINK))
             herm = max(herm, abs(lhs - rhs) / max(abs(lhs), 1.0))
 
     def drift(nx):
@@ -316,7 +314,7 @@ def test_8_cauchy_line_product_quantization_data():
         d = dirac_data(g)
         s = solve_cauchy_plain(p, q, MINK, d, g)
         levels = [float(g.ts[int(round(f * (g.nt - 1)))]) for f in (0.2, 0.35, 0.5, 0.65, 0.8)]
-        return hypersurface_independence(s, s, levels, MINK, rep).hypersurface_drift
+        return hypersurface_independence(s, s, levels, MINK).hypersurface_drift
 
     d512, d1024 = drift(512), drift(1024)
     drift_order = order(d512, d1024)
@@ -325,11 +323,11 @@ def test_8_cauchy_line_product_quantization_data():
     frozen[:] = frozen[grid.level_of(0.0)]
     from prehyp.grids import GridSection
     off_shell = hypersurface_independence(
-        sols[0], GridSection(grid, frozen), [0.0, 0.2], MINK, rep
+        sols[0], GridSection(grid, frozen), [0.0, 0.2], MINK
     ).hypersurface_drift
 
     _, _, sols1024 = solved_corpus(1024)
-    iso = data_space_isometry_check(sols1024, sigma, CauchyLine(0.15), MINK, rep)
+    iso = data_space_isometry_check(sols1024, sigma, CauchyLine(0.15), MINK)
 
     ok = (
         min_norm > 0 and herm <= 1e-12 and drift_order >= 1.8

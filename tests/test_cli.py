@@ -1,4 +1,6 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +86,16 @@ def write_cfg(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+@pytest.fixture
+def scenario_text(monkeypatch):
+    """The benchmark's scenario generator, perfbench.workloads.scenario_text."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.workloads import scenario_text
+
+    return scenario_text
 
 
 class TestJsonable:
@@ -633,7 +645,7 @@ class TestResolvedAtLoad:
 
 
 class TestLadderMargins:
-    @pytest.mark.parametrize("argv", [["convergence", "solve"], ["verify-all"]])
+    @pytest.mark.parametrize("argv", [["convergence", "solve"]])
     def test_coarse_rung_margin_is_a_config_error(self, tmp_path, capsys, argv):
         # nx = 256 passes validation, but its nx/4 rung keeps no causal margin
         cfg = write_cfg(tmp_path, DIRAC_CFG)
@@ -642,6 +654,31 @@ class TestLadderMargins:
         assert "config error" in err
         assert "nx = 64" in err
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("metric", [("1", "1"), ("1+0.1*sin(t)", "1+0.3*cos(2*x)")], ids=["flat", "readme"])
+    def test_coarse_rung_fails_convergence_alone(self, tmp_path, capsys, scenario_text, metric):
+        # the same rung in verify-all fails convergence only: every other
+        # battery reports its own verdict, and all of them pass at nx = 256
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, scenario_text(1, 3, 256, metric, str(out)))
+        assert main(["verify-all", "--config", cfg]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert sorted(report["results"]) == sorted(set(cli.SUBCOMMANDS) - {"convergence", "verify-all"})
+        (failure,) = report["failures"]
+        assert failure.startswith("convergence solve: ")
+        assert failure.endswith("initial_data.window: causal margin violated at nx = 64")
+        assert f"  {failure}" in capsys.readouterr().out
+
+
+def test_verify_all_on_a_circle(tmp_path, scenario_text):
+    # a curved circle metric; at nx = 128 its gates fail on resolution
+    text = scenario_text(1, 3, 256, ("1+0.1*sin(t)", "1+0.3*cos(pi*x)"), str(tmp_path / "out"))
+    assert "topology = line" in text
+    cfg = write_cfg(tmp_path, text.replace("topology = line", "topology = circle"))
+    assert main(["verify-all", "--config", cfg]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["scenario"]["spacetime"]["topology"] == "circle"
+    assert "convergence solve" in report["results"]
 
 
 @pytest.fixture

@@ -112,7 +112,7 @@ class TestLoadValidation:
     def test_base_config_loads(self):
         cfg = load_config_text(BASE)
         assert cfg.preset == "dirac_massive"
-        assert cfg.rank == 2
+        assert cfg.pair[0].k == 2
         assert cfg.nx == 128
         assert cfg.t0 == 0.0
         assert cfg.initial_components == ["1", "0.5"]
@@ -231,6 +231,21 @@ window_steepness = 2.5
         assert echo["grid"] == {"nx": 128, "cfl": 0.4}
         assert echo["initial_data"]["window"]["halfwidth"] == 0.05
         assert echo["preset"] == "dirac_massive"
+
+    def test_echo_reads_the_chart_and_the_rank_of_the_pair(self):
+        echo = load_config_text(BASE).echo()
+        assert echo["spacetime"] == {
+            "alpha": "1", "beta": "1", "t_range": [-0.3, 0.3], "x_range": [-1.0, 1.0], "topology": "line",
+        }
+        # integer bounds in the file are echoed as the chart's floats
+        assert all(isinstance(v, float) for v in echo["spacetime"]["x_range"])
+        assert echo["bundle"] == {"rank": 2}
+        text = BASE.replace("x_range = [-1, 1]", "x_range = [-1, 1]\ntopology = circle").replace(
+            "preset = dirac_massive", "preset = scalar_transport_pair"
+        ).replace("components = [1, 0.5]", "components = [1]")
+        echo = load_config_text(text).echo()
+        assert echo["spacetime"]["topology"] == "circle"
+        assert echo["bundle"] == {"rank": 1}
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_echo_renders_the_resolved_operators(self, preset):

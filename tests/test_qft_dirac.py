@@ -10,83 +10,63 @@ from prehyp.config import load_config_text
 from prehyp.geometry import CauchyLine, DiagonalMetric
 from prehyp.grids import GridSection, build_grid, make_cauchy_data
 from prehyp.qft_dirac import (
-    CliffordError,
-    CliffordRep,
+    GAMMA0,
+    GAMMA1,
     DiracModel,
     beta_sigma,
     build_dirac_pair,
     data_space_isometry_check,
-    default_rep,
     dirac_adjoint,
     dirac_current,
     hypersurface_independence,
 )
 
 
-class TestCliffordRep:
-    def test_default_rep_valid(self):
-        rep = default_rep()
-        rep.validate()
-        assert np.allclose(rep.gamma0 @ rep.gamma0, np.eye(2))
-        assert np.allclose(rep.gamma1 @ rep.gamma1, -np.eye(2))
+class TestGammaConstants:
+    def test_clifford_relations(self):
+        eye = np.eye(2)
+        for mat in (GAMMA0 @ GAMMA0 - eye, GAMMA1 @ GAMMA1 + eye, GAMMA0 @ GAMMA1 + GAMMA1 @ GAMMA0,
+                    GAMMA0 - GAMMA0.conj().T):
+            assert np.max(np.abs(mat)) <= 1e-14
 
-    def test_broken_square_detected(self):
-        rep = CliffordRep(gamma0=2.0 * np.eye(2), gamma1=np.array([[0, -1], [1, 0]]))
-        with pytest.raises(CliffordError, match="gamma0"):
-            rep.validate()
-
-    def test_non_anticommuting_detected(self):
-        g0 = np.array([[1.0, 0.0], [0.0, -1.0]])  # Hermitian, squares to Id
-        rep = CliffordRep(gamma0=g0, gamma1=np.array([[1j, 0], [0, 1j]]))
-        with pytest.raises(CliffordError):
-            rep.validate()
-
-    def test_non_hermitian_detected(self):
-        g0 = np.array([[0.0, 1j], [-1j, 0.0]])  # Hermitian actually; break it
-        rep = CliffordRep(
-            gamma0=np.array([[0.0, 1.0], [0.0, 0.0]]) + np.array([[0.0, 0.0], [1.0, 0.0]]) * 1j,
-            gamma1=np.array([[0, -1], [1, 0]]),
-        )
-        with pytest.raises(CliffordError):
-            rep.validate()
+    def test_constants_are_read_only(self):
+        for gamma in (GAMMA0, GAMMA1):
+            with pytest.raises(ValueError):
+                gamma[0, 0] = 1.0
 
 
 class TestAdjointAndCurrent:
     def test_adjoint_swaps_components(self):
-        rep = default_rep()
-        assert np.allclose(dirac_adjoint(np.array([1.0, 0.0]), rep), [0.0, 1.0])
-        assert np.allclose(dirac_adjoint(np.array([0.0, 1j]), rep), [-1j, 0.0])
+        assert np.allclose(dirac_adjoint(np.array([1.0, 0.0])), [0.0, 1.0])
+        assert np.allclose(dirac_adjoint(np.array([0.0, 1j])), [-1j, 0.0])
 
     def test_adjoint_is_antilinear(self):
-        rep = default_rep()
         v = np.array([0.3 + 0.1j, -0.2 + 0.7j])
         c = 2.0 - 3.0j
-        assert np.allclose(dirac_adjoint(c * v, rep), np.conj(c) * dirac_adjoint(v, rep))
+        assert np.allclose(dirac_adjoint(c * v), np.conj(c) * dirac_adjoint(v))
 
     def test_adjoint_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
-            dirac_adjoint(np.array([1.0, 0.0, 0.0]), default_rep())
+            dirac_adjoint(np.array([1.0, 0.0, 0.0]))
 
     def test_time_current_is_probability_density(self):
-        rep = default_rep()
         rng = np.random.default_rng(0)
         v = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
-        j_t = dirac_current(v, v, rep, "t")
+        j_t = dirac_current(v, v, "t")
         assert np.allclose(j_t, np.sum(np.abs(v) ** 2, axis=-1))
         assert np.all(j_t.real > 0)
 
     def test_current_sesquilinear(self):
-        rep = default_rep()
         rng = np.random.default_rng(1)
         a = rng.normal(size=2) + 1j * rng.normal(size=2)
         b = rng.normal(size=2) + 1j * rng.normal(size=2)
         c = 1.5 - 0.5j
         for index in ("t", "x"):
-            assert dirac_current(c * a, b, rep, index) == pytest.approx(
-                np.conj(c) * dirac_current(a, b, rep, index)
+            assert dirac_current(c * a, b, index) == pytest.approx(
+                np.conj(c) * dirac_current(a, b, index)
             )
-            assert dirac_current(a, c * b, rep, index) == pytest.approx(
-                c * dirac_current(a, b, rep, index)
+            assert dirac_current(a, c * b, index) == pytest.approx(
+                c * dirac_current(a, b, index)
             )
 
 
@@ -96,23 +76,20 @@ class TestBetaSigma:
         return GridSection(grid, np.array(vals))
 
     def test_positive_on_nonzero_sections(self, mink, grid_small):
-        rep = default_rep()
         phi = self.constant_section(grid_small, [1.0, 0.5j])
-        val = beta_sigma(phi, phi, CauchyLine(0.0), mink, rep)
+        val = beta_sigma(phi, phi, CauchyLine(0.0), mink)
         assert val.imag == pytest.approx(0.0, abs=1e-14)
         # integrand is 1.25 over a width-2 line with unit measure
         assert val.real == pytest.approx(2.5, rel=1e-12)
 
     def test_scales_with_hypersurface_measure(self, chart):
-        rep = default_rep()
         g2 = DiagonalMetric("1", "2", chart)
         grid = build_grid(chart, g2, 128)
         phi = self.constant_section(grid, [1.0, 0.0])
-        val = beta_sigma(phi, phi, CauchyLine(0.0), g2, rep)
+        val = beta_sigma(phi, phi, CauchyLine(0.0), g2)
         assert val.real == pytest.approx(4.0, rel=1e-12)  # 2 (width) * 2 (measure)
 
     def test_hermitian_symmetry(self, mink, grid_small):
-        rep = default_rep()
         rng = np.random.default_rng(2)
         a = GridSection(
             grid_small,
@@ -124,17 +101,16 @@ class TestBetaSigma:
             rng.normal(size=(grid_small.nt, grid_small.nx, 2))
             + 1j * rng.normal(size=(grid_small.nt, grid_small.nx, 2)),
         )
-        lhs = beta_sigma(a, b, CauchyLine(0.0), mink, rep)
-        rhs = np.conj(beta_sigma(b, a, CauchyLine(0.0), mink, rep))
+        lhs = beta_sigma(a, b, CauchyLine(0.0), mink)
+        rhs = np.conj(beta_sigma(b, a, CauchyLine(0.0), mink))
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
     def test_disjoint_supports_give_zero(self, mink, grid_medium):
-        rep = default_rep()
         left = make_cauchy_data(grid_medium, ["1", "0"], 0.0, center=-0.5, steepness=10.0)
         right = make_cauchy_data(grid_medium, ["0", "1"], 0.0, center=0.5, steepness=10.0)
         a = GridSection(grid_medium, np.broadcast_to(left.values, (grid_medium.nt,) + left.values.shape).copy())
         b = GridSection(grid_medium, np.broadcast_to(right.values, (grid_medium.nt,) + right.values.shape).copy())
-        assert abs(beta_sigma(a, b, CauchyLine(0.0), mink, rep)) < 1e-14
+        assert abs(beta_sigma(a, b, CauchyLine(0.0), mink)) < 1e-14
 
 
 class TestConservation:
@@ -144,7 +120,7 @@ class TestConservation:
         phi0 = make_cauchy_data(grid, ["1", "0.5"], 0.0)
         phi = solve_cauchy_plain(p, q, metric, phi0, grid)
         levels = [float(grid.ts[int(f * (grid.nt - 1))]) for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
-        rep = hypersurface_independence(phi, phi, levels, metric, default_rep())
+        rep = hypersurface_independence(phi, phi, levels, metric)
         return rep
 
     def test_on_shell_conserved_and_positive(self, chart, mink):
@@ -159,7 +135,7 @@ class TestConservation:
 
     def test_zero_section_has_zero_drift(self, mink, grid_small):
         z = GridSection.zeros(grid_small, 2)
-        rep = hypersurface_independence(z, z, [0.0, 0.1], mink, default_rep())
+        rep = hypersurface_independence(z, z, [0.0, 0.1], mink)
         assert rep.hypersurface_drift == 0.0
         assert rep.value == 0
 
@@ -173,7 +149,7 @@ class TestConservation:
         frozen = GridSection(
             grid, np.broadcast_to(phi0.values, phi.values.shape).copy()
         )
-        mixed = hypersurface_independence(phi, frozen, [0.0, 0.2], mink, default_rep())
+        mixed = hypersurface_independence(phi, frozen, [0.0, 0.2], mink)
         assert mixed.hypersurface_drift > 1e-2
 
 
@@ -193,11 +169,6 @@ class TestBuildPair:
         det = np.linalg.det(principal_symbol_1(p, pt, xi))
         assert det == pytest.approx(-g.inverse_on_covector(pt, xi), abs=1e-10)
 
-    def test_broken_rep_rejected(self, mink):
-        model = DiracModel(rep=CliffordRep(np.eye(2) * 2.0, np.array([[0, -1], [1, 0]])))
-        with pytest.raises(CliffordError):
-            build_dirac_pair(model, mink)
-
 
 class TestIsometry:
     def test_gram_matrices_match_across_hypersurfaces(self, chart, mink):
@@ -208,7 +179,7 @@ class TestIsometry:
             solve_cauchy(p, q, mink, make_cauchy_data(grid, comps, 0.0), grid)[0]
             for comps in (["1", "0"], ["x", "1"], ["cos(3*x)", "0.5"])
         ]
-        rep = data_space_isometry_check(solutions, CauchyLine(0.0), CauchyLine(0.15), mink, model.rep)
+        rep = data_space_isometry_check(solutions, CauchyLine(0.0), CauchyLine(0.15), mink)
         assert rep.gram_mismatch < 1e-2
         assert rep.min_gram_eigenvalue > 0
         assert rep.gram_sigma.shape == (3, 3)
@@ -293,9 +264,8 @@ class TestSpinConnection:
         # (gamma0 d_t beta + gamma1 d_x alpha) / (2 alpha beta), in P and Q alike
         g = DiagonalMetric(*GENERAL_METRIC, chart)
         p, q = build_dirac_pair(DiracModel(mass=1.0), g)
-        rep = default_rep()
         for t, x in ((0.1, -0.4), (-0.25, 0.7)):
-            spin = 0.3 * (rep.gamma0 + rep.gamma1) / (2 * (1 + 0.3 * x) * (1 + 0.3 * t))
+            spin = 0.3 * (GAMMA0 + GAMMA1) / (2 * (1 + 0.3 * x) * (1 + 0.3 * t))
             assert np.allclose(p.b.at(t, x), spin + 1j * np.eye(2), rtol=0, atol=1e-14)
             assert np.allclose(q.b.at(t, x), spin - 1j * np.eye(2), rtol=0, atol=1e-14)
         assert is_complementary_pair(p, q, g).passed
