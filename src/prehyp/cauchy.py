@@ -15,8 +15,13 @@ program run once on a one-member state.
 Time stepping is classical 4th-order one-step (RK4); space is 2nd-order
 centered.  A march evolves a list of starts of one operator, each a state
 at a level and its forcing, with one output per start, marched from its
-level to both ends of the grid.  A Cauchy solve is one start; a driven
-solve is a start at an end of the grid, so it marches in one direction.
+level to both ends of its span of levels: the whole grid, or fewer where
+the solution's only reader reads fewer (a pairing reads it only where
+the other section is nonzero, a Cauchy-line product only on its lines),
+as solve_cauchy_plain and greens.solve_driven's jobs take it.  The rows
+outside the span hold 0, and only the function that chose the span
+reads the solution.  A Cauchy solve is one start; a driven solve is a
+start at an end of the grid, so it marches in one direction.
 Every direction of every start is a member of one stacked RK4 state, with
 its own start state, step sign, stage times and forcing; the members step
 in lockstep, each leaving the stack when its last level is done, and one
@@ -123,20 +128,24 @@ class SolverBlowupError(ArithmeticError):
 @dataclass
 class _Start:
     """One solution of a march: the state y0 at level j0, marched from
-    there in both directions, and its forcing, if any: forcing(times)
-    gives, for all of a direction's stage times at once, the index of the
-    first one inside the source's time support and the source at each one
-    inside it, one row per stage time.  A start at an end of the grid has
-    nothing to march towards that end."""
+    there towards both ends of its span (lo, hi) of levels, the whole grid
+    by default, and its forcing, if any: forcing(times) gives, for all of a
+    direction's stage times at once, the index of the first one inside the
+    source's time support and the source at each one inside it, one row
+    per stage time.  A start at an end of its span has nothing to march
+    towards that end.  The output holds 0 outside the span, so only the
+    function that chose the span reads it."""
 
     y0: tuple
     j0: int
     forcing: Optional[Callable] = None
+    span: Optional[Tuple[int, int]] = None
 
 
 class _Member:
     """One direction of a start, a member of the stacked state: the levels
-    it marches from j0 to one end of the grid, its stage times, its forcing
+    it marches from j0 to lo or to hi, the ends of the start's span (none
+    where j0 is at or beyond that end), its stage times, its forcing
     rows from stage rows_from on (none if unforced), the start's output
     and, from a zero start state, its first step with a forced stage; the
     levels before that step stay exactly 0 and are not marched.  A step's
@@ -147,7 +156,8 @@ class _Member:
         self.y0 = start.y0
         self.step = step
         self.out = out
-        self.levels = np.arange(start.j0, grid.nt - 1) if step > 0 else np.arange(start.j0, 0, -1)
+        lo, hi = start.span or (0, grid.nt - 1)
+        self.levels = np.arange(start.j0, hi) if step > 0 else np.arange(start.j0, lo, -1)
         self.first = len(self.levels)
         self.end = None  # the state after its last step
         self.rows_from, self.rows = 0, np.empty((0,) + start.y0[0].shape, dtype=complex)
@@ -178,15 +188,16 @@ class _Member:
 
 
 def _march(program, stages, grid: Grid1p1, starts: list) -> list:
-    """March every start from its level to both ends of the grid, all as
+    """March every start from its level to both ends of its span, all as
     one stacked state; returns, per start, the section holding the first
-    state component at every level.  program is _right_hand_side's.
-    stages(ts) gives the coefficient values at each stage time of a
-    stage-major (S, members, 1) stack ts (coefficient_tape's at.stages).
-    Raises SolverBlowupError for the first start, forward before backward,
-    whose final state is not finite.  Every operation acts on each member
-    alone, so a start's solution does not depend on the others marched
-    with it."""
+    state component at every level of its span and 0 at the others.
+    program is _right_hand_side's.  stages(ts) gives the coefficient
+    values at each stage time of a stage-major (S, members, 1) stack ts
+    (coefficient_tape's at.stages).  Raises SolverBlowupError for the
+    first start, forward before backward, whose final state is not finite.
+    Every operation acts on each member alone, so a start's solution does
+    not depend on the others marched with it, and on its span it equals
+    the solution marched over the whole grid."""
     outs, members = [], []
     for start in starts:
         out = np.empty((grid.nt,) + start.y0[0].shape, dtype=complex)
@@ -200,6 +211,10 @@ def _march(program, stages, grid: Grid1p1, starts: list) -> list:
     _rk4(program, stages, [m for m in members if m.first < len(m.levels)], grid)
     for m in members:
         m.check_finite(grid)
+    for start, out in zip(starts, outs):
+        lo, hi = start.span or (0, grid.nt - 1)
+        out[:lo] = 0.0
+        out[hi + 1:] = 0.0
     return [GridSection(grid, out) for out in outs]
 
 
@@ -463,15 +478,18 @@ def solve_second_order(
     phi0_values: np.ndarray,
     dtphi0_values: np.ndarray,
     j0: int,
+    span: Optional[Tuple[int, int]] = None,
 ) -> GridSection:
     """Method-of-lines solve of L u = 0 from data (u, d_t u) at level j0,
-    in both time directions (driven solves: greens.solve_driven)."""
-    return _solve_second_order(op, metric, grid, [(phi0_values, dtphi0_values, j0, None)])[0]
+    in both time directions, over the levels lo..hi of span (the whole
+    grid by default; 0 outside it).  Driven solves: greens.solve_driven."""
+    return _solve_second_order(op, metric, grid, [(phi0_values, dtphi0_values, j0, None, span)])[0]
 
 
 def _solve_second_order(op: SecondOrderOperator, metric: DiagonalMetric, grid: Grid1p1, starts: list) -> list:
     """Method-of-lines solves of L u = f for several starts (u, d_t u, j0,
-    source), f a test section or None for f = 0, marched as one stacked
+    source, span), f a test section or None for f = 0 and span the levels
+    (lo, hi) to march or None for the whole grid, marched as one stacked
     state; one section per start."""
     grid.check_cfl(metric.max_light_speed())
     program, coeffs = _right_hand_side(op.c_tt, (
@@ -480,9 +498,9 @@ def _solve_second_order(op: SecondOrderOperator, metric: DiagonalMetric, grid: G
     return _march(program, coeffs.stages, grid, [
         _Start(
             (np.asarray(u0, dtype=complex), np.asarray(v0, dtype=complex)), j0,
-            None if source is None else _source_forcing(source, grid.xs),
+            None if source is None else _source_forcing(source, grid.xs), span,
         )
-        for u0, v0, j0, source in starts
+        for u0, v0, j0, source, span in starts
     ])
 
 
@@ -521,16 +539,18 @@ def solve_cauchy_plain(
     metric: DiagonalMetric,
     phi0: CauchyData,
     grid: Optional[Grid1p1] = None,
+    span: Optional[Tuple[int, int]] = None,
 ) -> GridSection:
     """Solve P Phi = 0, Phi|_Sigma = Phi_0 through the second-order
     reduction: build d_t Phi_0 and solve (QP) Phi = 0 with the pair of
     data.  It checks the causal margin, the CFL condition, prenormal
     hyperbolicity and blow-up, but neither the pair nor the solution:
-    solve_cauchy does both."""
+    solve_cauchy does both.  span (lo, hi) marches only those levels, for
+    a caller that reads no others: the solution is 0 outside them."""
     grid = grid or phi0.grid
     check_causal_margin(metric, grid, phi0.support, phi0.t0)
     dtphi0 = normal_derivative_data(p, metric, phi0)
-    return solve_second_order(compose(q, p), metric, grid, phi0.values, dtphi0.values, phi0.level)
+    return solve_second_order(compose(q, p), metric, grid, phi0.values, dtphi0.values, phi0.level, span=span)
 
 
 def solve_cauchy(

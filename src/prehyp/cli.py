@@ -173,7 +173,7 @@ def run_direct_vs_reduced(cfg: ScenarioConfig, seed: int, nx: Optional[int] = No
 
 def run_greens(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     scn = cfg.scenario(nx)
-    scn.check_source_cones()
+    scn.check_source_cones(("source",))
     phi = _section_from_spec(scn.grid, scn.source)
     # advanced first, so that S+ phi is the last solution made: held for
     # adjoint-check, it then overlaps no other march of this battery
@@ -194,13 +194,17 @@ def run_greens(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
 def run_adjoint_check(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     scn = cfg.scenario(nx)
     scn.check_pairing_sections()
+    scn.check_source_cones()
     f = _section_from_spec(scn.grid, scn.source)
     psi = _section_from_spec(scn.grid, scn.dual_source)
 
-    def s_plus_f():
-        # greens' retarded S+ phi when the scenario holds it, else solved here
+    def s_plus_f(span):
+        # greens' retarded S+ phi when the scenario holds it, else solved
+        # here over the levels the pairing reads
         held, scn.s_plus_source = scn.s_plus_source, None
-        return held if held is not None else greens_apply(scn.p, scn.q, scn.metric, [(f, "retarded")], scn.grid)[0]
+        if held is not None:
+            return held
+        return greens_apply(scn.p, scn.q, scn.metric, [(f, "retarded", span)], scn.grid)[0]
 
     rep = adjoint_pairing_check(scn.p, scn.q, scn.metric, psi, f, s_plus_f, scn.grid)
     failures = []
@@ -213,10 +217,12 @@ def run_beta(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     scn = cfg.scenario(nx)
     metric, grid = scn.metric, scn.grid
     phi, _ = scn.solution
-    # an independent second solution for the symmetry check
+    js = [int(round(f * (grid.nt - 1))) for f in (0.2, 0.35, 0.5, 0.65, 0.8)] + [grid.level_of(cfg.t0)]
+    levels = [float(grid.ts[j]) for j in js[:-1]]
+    # an independent second solution for the symmetry check, read only at
+    # the levels and at t0
     swapped = cfg.initial_data(grid, list(reversed([f"({c})*(1+x)" for c in cfg.initial_components])))
-    psi = solve_cauchy_plain(scn.p, scn.q, metric, swapped, grid)
-    levels = [float(grid.ts[int(round(f * (grid.nt - 1)))]) for f in (0.2, 0.35, 0.5, 0.65, 0.8)]
+    psi = solve_cauchy_plain(scn.p, scn.q, metric, swapped, grid, (min(js), max(js)))
     herm_rep = hypersurface_independence(psi, phi, levels, metric)
     b_pf = beta_sigma(psi, phi, CauchyLine(cfg.t0), metric)
     b_fp = beta_sigma(phi, psi, CauchyLine(cfg.t0), metric)
@@ -242,8 +248,10 @@ def run_isometry(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     metric, grid = scn.metric, scn.grid
     # the configured data times 1 (the scenario's solution), x and cos(3*x)
     data = [cfg.initial_data(grid, [f"({c})*({m})" for c in cfg.initial_components]) for m in ("x", "cos(3*x)")]
-    corpus = [scn.solution[0]] + [solve_cauchy_plain(scn.p, scn.q, metric, d, grid) for d in data]
     t_prime = cfg.t0 + 0.5 * (metric.chart.t_max - cfg.t0)
+    # the two new solutions are read only at t0 and t'
+    span = (grid.level_of(cfg.t0), grid.level_of(t_prime))
+    corpus = [scn.solution[0]] + [solve_cauchy_plain(scn.p, scn.q, metric, d, grid, span) for d in data]
     rep = data_space_isometry_check(corpus, CauchyLine(cfg.t0), CauchyLine(t_prime), metric)
     failures = []
     _gate(failures, "Gram mismatch", rep.gram_mismatch, high=TOLERANCES["isometry_mismatch"])
@@ -372,10 +380,10 @@ def _run_verify_all(cfg: ScenarioConfig, seed: int, timings: Dict[str, float]):
     """Every battery the preset allows, in table order, on the config's
     scenario at nx, so that solve, direct-vs-reduced, the ladder's top rung
     and beta judge one solution.  The driven batteries' source sections are
-    validated before the first battery, the source's cones included and
-    zero sections excluded.  A ladder rung that the config cannot build
-    fails convergence alone, with no results, and every other battery still
-    gives its verdict.  greens hands its retarded S+ phi to adjoint-check,
+    validated before the first battery, the cones of the source and the
+    dual source included and zero sections excluded.  A ladder rung that
+    the config cannot build fails convergence alone, with no results, and
+    every other battery still gives its verdict.  greens hands its retarded S+ phi to adjoint-check,
     which runs next."""
     cfg.scenario().check_pairing_sections()
     cfg.scenario().check_source_cones()

@@ -267,9 +267,11 @@ class Scenario:
                 at = _line(cfg.sections, "initial_data", "window_center")
                 raise ConfigError(f"{at}initial_data.window: causal margin violated at nx = {nx}") from None
         self._configured = {"source": cfg.source, "dual_source": cfg.dual_source}
-        self._source_at = _line(cfg.sections, "source", "window_center") + "source.window"
         self._components_at = {
             name: _line(cfg.sections, name, "components") + f"{name}.components" for name in self._configured
+        }
+        self._window_at = {
+            name: _line(cfg.sections, name, "window_center") + f"{name}.window" for name in self._configured
         }
         # greens' retarded S+ phi of [source] at the configured nx, which
         # adjoint-check takes as its S+ f and clears
@@ -309,22 +311,28 @@ class Scenario:
                     raise ConfigError(f"synthesized {name}.components: {error}; add a [{name}] section")
                 raise ConfigError(f"{self._components_at[name]}: {error}")
 
-    def check_source_cones(self) -> None:
-        """The source's J+ and J-, swept as the greens battery sweeps them
-        for its leak, stay inside the chart on this grid; checked before
-        its driven solves rather than at load, where the sweeps would be
-        extra work for the batteries that never use them."""
-        spec = self.source
-        try:
-            check_source_cones(
-                self.metric, self.grid,
-                window_support(*astuple(spec.x_window)), window_support(*astuple(spec.t_window)),
-            )
-        except MarginError:
-            error = f"{self._source_at}: the source's causal future or past leaves the chart at nx = {self.grid.nx}"
-            if self._configured["source"] is None:
-                error = f"synthesized {error}; add a [source] section"
-            raise ConfigError(error) from None
+    def check_source_cones(self, names: Tuple[str, ...] = ("source", "dual_source")) -> None:
+        """The J+ and J- of each named section, the source and the dual
+        source by default, configured or synthesized, swept as the greens
+        battery sweeps them for its leak, stay inside the chart on this
+        grid: greens needs the source's, adjoint-check both sections'.
+        Checked before the driven solves rather than at load, where the
+        sweeps would be extra work for the batteries that never use them."""
+        for name in names:
+            spec = getattr(self, name)
+            try:
+                check_source_cones(
+                    self.metric, self.grid,
+                    window_support(*astuple(spec.x_window)), window_support(*astuple(spec.t_window)),
+                )
+            except MarginError:
+                error = (
+                    f"{self._window_at[name]}: the {name}'s causal future or past leaves the chart"
+                    f" at nx = {self.grid.nx}"
+                )
+                if self._configured[name] is None:
+                    error = f"synthesized {error}; add a [{name}] section"
+                raise ConfigError(error) from None
 
     def _synthesized(self, name: str, spec: SourceSpec) -> SourceSpec:
         try:

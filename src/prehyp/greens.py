@@ -6,12 +6,15 @@ from zero data before the source, the advanced one backward from zero data
 after it.  For a complementary pair (P, Q), S+- = Q applied to the Green's
 solution of PQ is the Green's operator of P.  solve_driven and
 greens_apply take a list of (source, direction) jobs: the driven solves a
-battery needs of one operator march as one stacked state.
+battery needs of one operator march as one stacked state.  A job may
+also name the span (lo, hi) of levels its reader reads: its march stops
+at the ends of that span, and its solution is 0 outside it.
 
 S+ is unique, so adjoint_pairing_check's S+ f is greens_report's retarded
 S+ phi when f is phi: greens_report hands S+- phi on with its report, and
 adjoint_pairing_check takes S+ f from a callable of its caller, which
-solves it only when no such solution is at hand.
+solves it only when no such solution is at hand, over the levels the
+pairing reads.
 """
 
 from __future__ import annotations
@@ -78,14 +81,20 @@ def make_test_section(
     )
 
 
+def _job(source: TestSection, direction: str, span: Optional[Tuple[int, int]] = None) -> tuple:
+    return source, direction, span
+
+
 def solve_driven(op: SecondOrderOperator, metric: DiagonalMetric, jobs: list, grid: Grid1p1) -> List[GridSection]:
-    """For each (source, direction) job, retarded: integrate L u = phi
-    forward from zero data before the source; advanced: backward from zero
-    data after it.  The jobs march as one stacked state with one
-    coefficient tape; one solution per job, each equal to the job's
-    solution marched alone."""
+    """For each (source, direction) or (source, direction, span) job,
+    retarded: integrate L u = phi forward from zero data before the
+    source; advanced: backward from zero data after it.  A span (lo, hi)
+    stops the march at its end, and the solution is 0 outside it: only the
+    caller that chose it reads the solution.  The jobs march as one
+    stacked state with one coefficient tape; one solution per job, each
+    equal to the job's solution marched alone."""
     starts = []
-    for source, direction in jobs:
+    for source, direction, span in (_job(*job) for job in jobs):
         if direction not in ("retarded", "advanced"):
             raise ValueError(f"unknown direction {direction!r}")
         check_temporal_margin(grid, source.t_support)
@@ -93,7 +102,7 @@ def solve_driven(op: SecondOrderOperator, metric: DiagonalMetric, jobs: list, gr
         # from the end of the grid before the source; the other direction
         # has no levels to march
         j0 = 0 if direction == "retarded" else grid.nt - 1
-        starts.append((zeros, zeros, j0, source))
+        starts.append((zeros, zeros, j0, source, span))
     return _solve_second_order(op, metric, grid, starts)
 
 
@@ -102,7 +111,9 @@ def greens_apply(
 ) -> List[GridSection]:
     """S+- phi = Q (G+- phi) for each (phi, direction) job, where G+- is the
     Green's solve for the normally hyperbolic composition PQ; the jobs'
-    solves march as one (solve_driven)."""
+    solves march as one (solve_driven).  A job's span is that of G+- phi:
+    Q's t-stencil makes the first and last of its levels wrong, so a
+    reader widens its span by a level each side (stencil_span)."""
     solutions = solve_driven(compose(p, q), metric, jobs, grid)
     # each solution is released once Q has been applied to it
     return [apply_operator(q, solutions.pop(0)) for _ in jobs]
@@ -234,6 +245,17 @@ def greens_report(
     return GreensReport(identity_i, _right_inverse_residual(phi, s_p_phi), leak), s_phi
 
 
+def stencil_span(grid: Grid1p1, t_support: Tuple[float, float]) -> Optional[Tuple[int, int]]:
+    """The levels inside t_support, where a section with that time support
+    can be nonzero, and one level each side for the t-stencil of
+    apply_operator: the span of the driven march whose S+- a pairing with
+    that section reads.  None, the whole grid, if no level is inside."""
+    inside = np.flatnonzero((grid.ts >= t_support[0]) & (grid.ts <= t_support[1]))
+    if not len(inside):
+        return None
+    return max(int(inside[0]) - 1, 0), min(int(inside[-1]) + 1, grid.nt - 1)
+
+
 def _relative_gap(a: complex, b: complex) -> float:
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale > 0 else abs(a - b)
@@ -245,19 +267,24 @@ def adjoint_pairing_check(
     metric: DiagonalMetric,
     psi: TestSection,
     f: TestSection,
-    s_plus_f: Callable[[], GridSection],
+    s_plus_f: Callable[[Optional[Tuple[int, int]]], GridSection],
     grid: Optional[Grid1p1] = None,
 ) -> AdjointReport:
     """The relative gap between <S'_- psi, f> and <psi, S_+ f> for the
     bilinear pairing, the dual side through the formal adjoints P*, Q*;
     and its negative control, the gap with S'_+ in place of S'_-, which
-    must not vanish.  S_+ f comes from s_plus_f(), which is called first;
-    its solution is released once <psi, S_+ f> is taken, before
-    S'_- psi and S'_+ psi of P* Q* march as one."""
+    must not vanish.  The pairing reads S_+ f only where psi is nonzero,
+    and S'_-+ psi only where f is.  S_+ f comes from s_plus_f(span), span
+    the stencil_span of psi's time support (a solution over more levels
+    serves as well), which is called first; its solution is released once
+    <psi, S_+ f> is taken, before S'_- psi and S'_+ psi of P* Q* march as
+    one over the stencil_span of f's."""
     grid = grid or f.grid
-    rhs = pairing(psi.as_section(), s_plus_f(), metric, grid)
+    rhs = pairing(psi.as_section(), s_plus_f(stencil_span(grid, psi.t_support)), metric, grid)
+    span = stencil_span(grid, f.t_support)
     dual = greens_apply(
-        formal_adjoint(p, metric), formal_adjoint(q, metric), metric, [(psi, "advanced"), (psi, "retarded")], grid
+        formal_adjoint(p, metric), formal_adjoint(q, metric), metric,
+        [(psi, "advanced", span), (psi, "retarded", span)], grid,
     )
     lhs, control = (pairing(s_psi, f.as_section(), metric, grid) for s_psi in dual)
     return AdjointReport(_relative_gap(lhs, rhs), lhs, rhs, _relative_gap(control, rhs))

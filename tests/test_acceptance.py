@@ -48,8 +48,9 @@ def order(coarse, fine):
 
 
 def s_plus(p, q, metric, f, grid):
-    """adjoint_pairing_check's S_+ f, solved when it is called."""
-    return lambda: greens_apply(p, q, metric, [(f, "retarded")], grid)[0]
+    """adjoint_pairing_check's S_+ f, solved over the span it is called
+    with."""
+    return lambda span: greens_apply(p, q, metric, [(f, "retarded", span)], grid)[0]
 
 
 def dirac_data(grid, components=("1", "0.5"), steepness=2.5):

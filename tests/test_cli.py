@@ -428,8 +428,9 @@ def held(cfg):
 
 
 class TestOneSolvePerQuestion:
-    """Each distinct evolution solve in a verdict runs once, and the driven
-    solves that share an operator march as one stacked state."""
+    """Each distinct evolution solve in a verdict runs once, the driven
+    solves that share an operator march as one stacked state, and each
+    march stops where its readers stop reading."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -462,18 +463,46 @@ class TestOneSolvePerQuestion:
         monkeypatch.setattr(greens, "solve_driven", counting)
         return calls
 
-    @pytest.mark.parametrize("subcommand, solutions, marches, driven_marches", [
-        # S+-phi and S+-(P phi), one march per direction
-        pytest.param("greens", 4, 2, 2, id="greens-4"),
-        # S+ f; S'- psi and the control's S'+ psi as one
-        pytest.param("adjoint-check", 3, 2, 2, id="adjoint-check-3"),
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """The RK4 steps of all marches: (lockstep steps, member steps).
+        A march's members step together until each has taken its own."""
+        from prehyp import cauchy
+
+        counts = [0, 0]
+        real = cauchy._rk4
+
+        def counting(program, stages, members, grid):
+            left = [len(m.levels) - m.first for m in members]
+            counts[0] += max(left, default=0)
+            counts[1] += sum(left)
+            return real(program, stages, members, grid)
+
+        monkeypatch.setattr(cauchy, "_rk4", counting)
+        return counts
+
+    @pytest.mark.parametrize("subcommand, solutions, marches, driven_marches, lockstep, member_steps", [
+        # S+-phi and S+-(P phi), one march per direction, over the whole grid
+        pytest.param("greens", 4, 2, 2, 116, 232, id="greens-4"),
+        # S+ f up to the end of psi's levels; S'- psi and the control's
+        # S'+ psi as one, each up to its end of f's levels (116, 174 over
+        # the whole grid)
+        pytest.param("adjoint-check", 3, 2, 2, 40, 60, id="adjoint-check-3"),
+        pytest.param("solve", 1, 1, 0, 48, 96, id="solve-1"),
+        # the swapped solution over beta's five levels and t0 (96, 192)
+        pytest.param("beta", 2, 2, 0, 77, 154, id="beta-2"),
+        # the two corpus solutions from t0 to t' (144, 288)
+        pytest.param("isometry", 3, 3, 0, 96, 144, id="isometry-3"),
         # adjoint-check's S+ f is greens' retarded S+ phi, marched once
-        pytest.param("verify-all", 13, 10, 3, id="verify-all-13"),
+        # (450, 900)
+        pytest.param("verify-all", 13, 10, 3, 345, 642, id="verify-all-13"),
     ])
-    def test_solve_count(self, solves, driven, subcommand, solutions, marches, driven_marches):
+    def test_solve_count(self, solves, driven, steps, subcommand, solutions, marches, driven_marches, lockstep,
+                         member_steps):
         run(subcommand, load_config_text(SMALL_DIRAC_CFG), seed=0)
         assert (sum(solves), len(solves)) == (solutions, marches)
         assert len(driven) == driven_marches
+        assert steps == [lockstep, member_steps]
 
     def test_greens_then_adjoint_check_march_s_plus_phi_once(self, solves, driven):
         # greens' four driven solves in two marches, then only the dual march
@@ -483,14 +512,17 @@ class TestOneSolvePerQuestion:
         assert (sum(solves), len(solves)) == (6, 3)
         assert driven == [2, 2, 2]
 
-    def test_batteries_run_one_by_one_share_the_cauchy_solve(self, solves, driven):
+    def test_batteries_run_one_by_one_share_the_cauchy_solve(self, solves, driven, steps):
         # the Cauchy solve (shared by solve and beta), adjoint-check's three
-        # driven solves in two marches and beta's second solution
+        # driven solves in two marches and beta's second solution, all but
+        # the first over the levels their readers read (250, 430 over the
+        # whole grid)
         cfg = load_config_text(CURVED_CFG)
         for battery in (cli.run_check_pair, cli.run_solve, cli.run_adjoint_check, cli.run_beta):
             battery(cfg, 0)
         assert (sum(solves), len(solves)) == (5, 4)
         assert driven == [1, 2]
+        assert steps == [137, 249]
 
     @pytest.mark.parametrize("text", [SMALL_DIRAC_CFG, CURVED_CFG], ids=["flat", "curved"])
     def test_handed_on_s_plus_phi_is_exact_and_released(self, text):
@@ -714,7 +746,9 @@ class TestOneSweepPerShadow:
         cfg = load_config_text(CURVED_CFG)
         for battery in (cli.run_check_pair, cli.run_solve, cli.run_adjoint_check, cli.run_beta):
             battery(cfg, 0)
-        assert [s[2] for s in sweeps] == ["both", "future", "past"]
+        # then adjoint-check's source cones; the dual source mirrors the
+        # synthesized source onto its own box, whose cones are kept
+        assert [s[2] for s in sweeps] == ["both", "future", "past", "future", "past"]
 
     def test_load_validates_the_shadow_the_solve_uses(self, sweeps):
         cfg = load_config_text(CURVED_CFG.replace("window_center = 0.0", "t0 = 0.0123\nwindow_center = 0.0"))
@@ -834,6 +868,37 @@ class TestSourceWindows:
         assert err.startswith(f"config error: line {line_of(text, 'window_center = 0.45')}: source.window: ")
         assert "leaves the chart at nx = " in err
         assert not (tmp_path / "out" / "report.json").exists()
+
+    # a dual source late in the run near the x-boundary: its J+ stays on
+    # the chart, its J- leaves it
+    DUAL_NEAR_EDGE = SOURCE + SOURCE.replace("[source]", "[dual_source]").replace(
+        "window_center = 0.0\nwindow_halfwidth = 0.05\nwindow_steepness = 2.5",
+        "window_center = 0.45\nwindow_halfwidth = 0.05\nwindow_steepness = 10",
+    ).replace("t_window_center = 0.0", "t_window_center = 0.2")
+
+    @pytest.mark.parametrize("argv", [["adjoint-check"], ["verify-all"]])
+    def test_dual_source_cone_leaves_the_chart(self, tmp_path, capsys, monkeypatch, argv):
+        # adjoint-check used to march with it and report its gates (exit 0
+        # or 2); now no march starts
+        from prehyp import cauchy
+
+        marches = []
+        real = cauchy._march
+        monkeypatch.setattr(cauchy, "_march", lambda *args: marches.append(1) or real(*args))
+        text = SMALL_DIRAC_CFG + self.DUAL_NEAR_EDGE
+        code = self.run_main(tmp_path, argv, text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"config error: line {line_of(text, 'window_center = 0.45')}: dual_source.window: "
+            "the dual_source's causal future or past leaves the chart at nx = 128\n"
+        )
+        assert not (tmp_path / "out" / "report.json").exists()
+        assert marches == []
+
+    def test_greens_does_not_check_the_dual_source(self):
+        results, _ = cli.run_greens(load_config_text(SMALL_DIRAC_CFG + self.DUAL_NEAR_EDGE), 0)
+        assert set(results) == {"retarded", "advanced"}
 
     def test_synthesized_source_cone_leaves_the_chart(self, tmp_path, capsys):
         # the synthesized source's cones start 0.06 before and after t0,

@@ -39,8 +39,9 @@ def section(grid, components=("1", "0.5"), x_window=X_WINDOW, t_window=T_WINDOW)
 
 
 def s_plus(p, q, metric, f, grid):
-    """adjoint_pairing_check's S_+ f, solved when it is called."""
-    return lambda: greens_apply(p, q, metric, [(f, "retarded")], grid)[0]
+    """adjoint_pairing_check's S_+ f, solved over the span it is called
+    with."""
+    return lambda span: greens_apply(p, q, metric, [(f, "retarded", span)], grid)[0]
 
 
 class TestSections:
@@ -212,6 +213,32 @@ class TestAdjointPairing:
         )
         assert (rep.lhs, rep.rhs) == (lhs, rhs)
         assert rep.mismatch_control == abs(control - rhs) / max(abs(control), abs(rhs))
+
+    def test_marches_stop_where_the_pairing_stops_reading(self, chart, dirac_pair, monkeypatch):
+        # f early and psi late: S+ f is marched over psi's levels, S'-+ psi
+        # over f's, each widened by a level for the t-stencil of Q or Q*,
+        # and the report equals that of marches over the whole grid
+        from prehyp import greens
+
+        metric = DiagonalMetric("1+0.1*sin(t)", "1+0.3*cos(2*x)", chart)
+        p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
+        grid = build_grid(chart, metric, 128)
+        f = section(grid, components=("1", "0"), t_window=(-0.1, 0.02, 20.0))
+        psi = section(grid, components=("0", "1"), x_window=(0.2, 0.05, 2.5), t_window=(0.1, 0.02, 20.0))
+        spans = []
+        real = greens.solve_driven
+
+        def solve_driven(op, metric, jobs, grid):
+            spans.append([job[2] for job in jobs])
+            return real(op, metric, jobs, grid)
+
+        monkeypatch.setattr(greens, "solve_driven", solve_driven)
+        rep = adjoint_pairing_check(p, q, metric, psi, f, s_plus(p, q, metric, f, grid), grid)
+        inside = [np.flatnonzero((grid.ts >= lo) & (grid.ts <= hi)) for lo, hi in (psi.t_support, f.t_support)]
+        (psi_lo, psi_hi), (f_lo, f_hi) = ((int(i[0]) - 1, int(i[-1]) + 1) for i in inside)
+        assert spans == [[(psi_lo, psi_hi)], [(f_lo, f_hi)] * 2] and f_hi < psi_lo
+        monkeypatch.setattr(greens, "stencil_span", lambda grid, t_support: None)
+        assert adjoint_pairing_check(p, q, metric, psi, f, s_plus(p, q, metric, f, grid), grid) == rep
 
     def test_mismatched_directions_is_a_negative_control(self, mink, grid_greens, dirac_pair):
         p, q = dirac_pair

@@ -30,7 +30,7 @@ import pytest
 
 from prehyp import bundle_ops, cauchy, greens
 from prehyp.bundle_ops import FirstOrderOperator, MatrixField, coefficient_tape, compose, formal_adjoint, product
-from prehyp.cauchy import solve_cauchy, solve_first_order_direct, solve_second_order
+from prehyp.cauchy import solve_cauchy, solve_cauchy_plain, solve_first_order_direct, solve_second_order
 from prehyp.config import PRESETS as PRESET_NAMES, resolve_preset
 from prehyp.expr import ExprEvalError, Tape
 from prehyp.geometry import Chart1p1, DiagonalMetric
@@ -99,7 +99,7 @@ def reference_evolve(rhs, y0, grid, j0):
     return GridSection(grid, np.stack([states[j][0] for j in range(grid.nt)]))
 
 
-def reference_solve_second_order(op, metric, grid, phi0_values, dtphi0_values, j0, source=None):
+def reference_solve_second_order(op, metric, grid, phi0_values, dtphi0_values, j0, source=None, span=None):
     grid.check_cfl(metric.max_light_speed())
     coeffs = coefficient_tape((op.c_tx.scale(2.0), op.c_xx, op.d_t, op.d_x, op.e, op.c_tt.inverse()), grid.xs)
     forcing = Tape(source.components, grid.xs) if source is not None else None
@@ -115,7 +115,12 @@ def reference_solve_second_order(op, metric, grid, phi0_values, dtphi0_values, j
         return (v.copy(), contract(inv_tt, load))
 
     y0 = (phi0_values.astype(complex).copy(), dtphi0_values.astype(complex).copy())
-    return reference_evolve(rhs, y0, grid, j0)
+    u = reference_evolve(rhs, y0, grid, j0)
+    if span is not None:  # the whole march, 0 outside the span
+        lo, hi = span
+        u.values[:lo] = 0.0
+        u.values[hi + 1:] = 0.0
+    return u
 
 
 def reference_solve_first_order_direct(p, metric, phi0, grid):
@@ -161,7 +166,10 @@ def scenario(chart, case, metric_name):
 def reference_solves(op, metric, grid, starts):
     # each start alone, in both directions: a driven start at an end of the
     # grid has nothing to march in the other
-    return [reference_solve_second_order(op, metric, grid, u0, v0, j0, source) for u0, v0, j0, source in starts]
+    return [
+        reference_solve_second_order(op, metric, grid, u0, v0, j0, source, span)
+        for u0, v0, j0, source, span in starts
+    ]
 
 
 def use_reference(monkeypatch):
@@ -294,7 +302,7 @@ def test_all_nonzero_fields_equal_the_unpruned_scheme(chart, mink, monkeypatch, 
         starts = [(phi0.values, 0.5 * phi0.values, phi0.level, section), (zeros, zeros, 0, section)]
     else:
         starts = [(zeros, zeros, grid.nt // 2)]
-    starts = [start + (None,) * (4 - len(start)) for start in starts]
+    starts = [start + (None,) * (5 - len(start)) for start in starts]
     rhs_calls = count_rhs_calls(monkeypatch)
     actual = np.stack([u.values for u in cauchy._solve_second_order(op, mink, grid, starts)])
     assert np.isfinite(actual).all()
@@ -790,3 +798,63 @@ def test_a_batched_member_that_blows_up_raises_with_its_level_and_time(chart, mi
             greens.solve_driven(op, mink, jobs, grid)
         blown = next(direction for source, direction in jobs if not (source is late and direction == "retarded"))
         assert (exc.value.level, exc.value.t) == alone[blown]
+
+
+def count_member_steps(monkeypatch):
+    """Record the steps each march's members take, per march."""
+    steps = []
+    real = cauchy._rk4
+
+    def counting(program, stages, members, grid):
+        steps.append(sum(len(m.levels) - m.first for m in members))
+        return real(program, stages, members, grid)
+
+    monkeypatch.setattr(cauchy, "_rk4", counting)
+    return steps
+
+
+@pytest.mark.parametrize("metric_name", sorted(METRICS))
+@pytest.mark.parametrize("start", ["cauchy", "retarded", "advanced"])
+def test_a_spanned_march_equals_the_full_march_on_its_span(chart, monkeypatch, metric_name, start):
+    # the span ends inside the source's time support and on both sides of
+    # t0, so every member that marches stops short of the grid's end
+    metric, p, q, grid, components = scenario(chart, "dirac_massive", metric_name)
+    section = make_test_section(grid, components, X_WINDOW, T_WINDOW)
+    lo, hi = span = (grid.nt // 4, 3 * grid.nt // 5)
+    phi0 = make_cauchy_data(grid, components, 0.0)
+    assert lo < phi0.level < hi and section.t_support[0] < grid.ts[hi] < section.t_support[1]
+    steps = count_member_steps(monkeypatch)
+    if start == "cauchy":
+        full, spanned = (solve_cauchy_plain(p, q, metric, phi0, grid, s).values for s in (None, span))
+        assert steps == [grid.nt - 1, hi - lo]
+    else:
+        op = compose(p, q)
+        full, spanned = (greens.solve_driven(op, metric, [(section, start, s)], grid)[0].values for s in (None, span))
+        assert steps[1] < steps[0]
+    assert np.abs(full[lo:hi + 1]).max() > 0
+    assert np.array_equal(spanned[lo:hi + 1], full[lo:hi + 1])
+    assert not spanned[:lo].any() and not spanned[hi + 1:].any()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("direction", ["retarded", "advanced"])
+def test_a_blow_up_inside_a_span_raises_at_its_first_non_finite_level(chart, mink, direction):
+    # the overflowing operator of the batched blow-up test: a span that
+    # reaches past the first non-finite level raises at that level, and one
+    # that ends before it stays finite
+    b = 1e4
+    op = compose(FirstOrderOperator.build([[1.0]], [[0.0]], [[-b]]), FirstOrderOperator.build([[1.0]], [[0.0]], [[b]]))
+    grid = build_grid(chart, mink, 128)
+    center = -0.15 if direction == "retarded" else 0.15
+    section = make_test_section(grid, ["1"], X_WINDOW, (center, 0.01, 40.0))
+    with pytest.raises(cauchy.SolverBlowupError) as exc:
+        greens.solve_driven(op, mink, [(section, direction)], grid)
+    level = exc.value.level
+    if direction == "retarded":
+        before, past = (0, level - 1), (0, level + 3)
+    else:
+        before, past = (level + 1, grid.nt - 1), (level - 3, grid.nt - 1)
+    with pytest.raises(cauchy.SolverBlowupError) as exc:
+        greens.solve_driven(op, mink, [(section, direction, past)], grid)
+    assert (exc.value.level, exc.value.t) == (level, grid.ts[level])
+    assert np.isfinite(greens.solve_driven(op, mink, [(section, direction, before)], grid)[0].values).all()
