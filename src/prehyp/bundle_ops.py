@@ -27,7 +27,7 @@ import numpy as np
 from . import expr as _expr
 from .expr import Bin, Neg, Num
 from .geometry import DiagonalMetric
-from .grids import Grid1p1, GridSection, d_t, d_tt, d_x, d_xx
+from .grids import Grid1p1, GridSection, block_levels, d_t, d_tt, d_x, d_xx, level_blocks
 
 
 class RankMismatchError(ValueError):
@@ -537,31 +537,66 @@ def pairing(psi: GridSection, phi: GridSection, metric: DiagonalMetric, grid: Op
 
 def apply_operator(op: Union[FirstOrderOperator, SecondOrderOperator], phi: GridSection) -> GridSection:
     """Discrete realization of the operator on a sampled section: centered
-    2nd-order differences in t and x (one-sided at edges).  Coefficients
-    that depend on t are evaluated on the whole (nt, nx) mesh at once."""
+    2nd-order differences in t and x (one-sided at edges).  The
+    coefficients are evaluated on the whole (nt, nx) mesh at once; the
+    rest runs block by block of levels (grids.level_blocks), so that its
+    arrays stay the size of a block: each block's first term is written
+    into the output, each later one into one block scratch and added, in
+    the order of the sum of terms, so the values are those of that sum on
+    the whole mesh.  Only the levels whose stencil window holds a nonzero
+    value are computed, and the others are 0 (zeros may differ in sign):
+    the levels before a driven solution's source and outside a march's
+    span cost no stencil or product."""
     grid = phi.grid
-    if grid.nt < 4 or grid.nx < 4:
+    nt = grid.nt
+    if nt < 4 or grid.nx < 4:
         raise StencilError("grid too small for the stencil")
-    v = phi.values
-    if isinstance(op, FirstOrderOperator):
+    v = np.ascontiguousarray(phi.values)
+    first = isinstance(op, FirstOrderOperator)
+    if first:
         fields = (op.a_t, op.a_x, op.b)
     else:
         fields = (op.c_tt, op.c_tx.scale(2.0), op.c_xx, op.d_t, op.d_x, op.e)
-    c = coefficient_tape(fields, grid.xs)(grid.ts[:, None])
-
-    def term(n: int, w: np.ndarray) -> np.ndarray:
-        return product(fields[n])(w, np.empty(w.shape, complex))(c[n])
-
-    if isinstance(op, FirstOrderOperator):
-        out = term(0, d_t(v, grid)) + term(1, d_x(v, grid)) + term(2, v)
+    coeffs = coefficient_tape(fields, grid.xs)(grid.ts[:, None])
+    binds = [product(f) for f in fields]
+    out = np.empty(v.shape, complex)
+    nonzero = np.flatnonzero(v.reshape(nt, -1).any(axis=1))
+    if not len(nonzero):
+        out.fill(0.0)
         return GridSection(grid, out)
-    vt = d_t(v, grid)
-    out = (
-        term(0, d_tt(v, grid))
-        + term(1, d_x(vt, grid))
-        + term(2, d_xx(v, grid))
-        + term(3, vt)
-        + term(4, d_x(v, grid))
-        + term(5, v)
-    )
+    # a level reads the levels next to it, and an end level 4 levels in
+    start = 0 if nonzero[0] < 4 else int(nonzero[0]) - 1
+    stop = nt if nonzero[-1] >= nt - 4 else int(nonzero[-1]) + 2
+    out[:start].fill(0.0)
+    out[stop:].fill(0.0)
+    size = block_levels(out[0].nbytes, stop - start)
+    # the t-stencils' window, an x-stencil's block and the terms after the first
+    window = np.empty((max(size + 2, 4),) + v.shape[1:], v.dtype)
+    block = np.empty((size,) + v.shape[1:], v.dtype)
+    scratch = np.empty((size,) + v.shape[1:], complex)
+    for a, b, lo, hi in level_blocks(nt, out[0].nbytes, start, stop):
+        into, rows, n = out[a:b], slice(a - lo, b - lo), b - a
+
+        def term(f: int, w: np.ndarray) -> None:
+            # the f-th term on the block's rows w, written or added into into
+            c = [(i, j, val[a:b] if np.ndim(val) == 2 else val) for i, j, val in coeffs[f]]
+            if f == 0:
+                value = binds[f](w, into)(c)
+                if value is not into:
+                    np.copyto(into, value)
+            else:
+                np.add(into, binds[f](w, scratch[:n])(c), into)
+
+        if first:
+            term(0, d_t(v[lo:hi], grid, window[:hi - lo])[rows])
+            term(1, d_x(v[a:b], grid, block[:n]))
+            term(2, v[a:b])
+            continue
+        term(0, d_tt(v[lo:hi], grid, window[:hi - lo])[rows])
+        vt = d_t(v[lo:hi], grid, window[:hi - lo])[rows]
+        term(1, d_x(vt, grid, block[:n]))
+        term(2, d_xx(v[a:b], grid, block[:n]))
+        term(3, vt)
+        term(4, d_x(v[a:b], grid, block[:n]))
+        term(5, v[a:b])
     return GridSection(grid, out)

@@ -55,7 +55,7 @@ from .bundle_ops import (
     product,
 )
 from .geometry import CauchyLine, CausalShadow, DiagonalMetric
-from .grids import CauchyData, Grid1p1, GridSection, _stencil, check_causal_margin
+from .grids import CauchyData, Grid1p1, GridSection, _stencil, check_causal_margin, squared_norm
 
 if TYPE_CHECKING:
     from .greens import TestSection
@@ -572,9 +572,8 @@ def solve_cauchy(
     phi = solve_cauchy_plain(p, q, metric, phi0, grid)
 
     residual = apply_operator(p, phi)
-    interior = residual.values[1:-1]
-    res_l2 = float(np.sqrt(np.sum(np.abs(interior) ** 2) * grid.dx * grid.dt))
-    res_linf = float(np.max(np.abs(interior)))
+    sum_sq, res_linf = squared_norm(residual.values[1:-1])
+    res_l2 = float(np.sqrt(sum_sq * grid.dx * grid.dt))
     trace = float(np.max(np.abs(residual.values[phi0.level])))
     # the plain solve's shadow, which the metric keeps
     shadow = check_causal_margin(metric, grid, phi0.support, phi0.t0)

@@ -616,6 +616,24 @@ class Tape:
 
     def stack(self, t) -> np.ndarray:
         """The compiled ASTs at time(s) t as one complex array whose last
-        axis runs over the ASTs: (len(xs), n) for a scalar t."""
+        axis runs over the ASTs: (len(xs), n) for a scalar t.  On a mesh,
+        t a column of times (m, 1), it runs block by block of levels
+        (grids.level_blocks), each block's values written straight into
+        that array; a non-finite value raises the ExprEvalError that the
+        whole mesh at once raises."""
+        from .grids import level_blocks  # grids imports this module
+
         shape = np.broadcast_shapes(np.shape(t), self.xs.shape)
-        return np.stack([np.broadcast_to(v, shape) for v in self(t)], axis=-1).astype(complex, copy=False)
+        out = np.empty(shape + (len(self.outputs),), dtype=complex)
+        if np.ndim(t) < 2:
+            for n, v in enumerate(self(t)):
+                out[..., n] = v
+            return out
+        try:
+            for a, b, _, _ in level_blocks(len(out), out[0].nbytes):
+                for n, v in enumerate(self(t[a:b])):
+                    out[a:b, ..., n] = v
+        except ExprEvalError:
+            self(t)
+            raise
+        return out

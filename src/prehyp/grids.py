@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -19,6 +19,14 @@ from .geometry import CausalShadow, Chart1p1, ChartDomainError, DiagonalMetric
 
 SUPPORT_EPS = 1e-14
 BOUNDARY_MARGIN_NODES = 8
+# bytes of the levels a whole-mesh pass works on at a time (level_blocks):
+# 32 levels of an nx 512, rank-2 complex section.  apply_operator(Q) at
+# nx 512 took 7.6 / 6.7 / 6.7 / 6.6 / 8.0 ms in blocks of 8 / 16 / 32 /
+# 64 / 128 levels on Minkowski and 12.8 ms on the whole mesh at once, and
+# 10.6 / 9.1 / 9.5 / 9.3 / 11.2 and 17.2 ms on the README metric (fastest
+# of 15 on a 2-core Xeon VM with 2 MiB of L2 per core): 32 levels is the
+# middle of the plateau from 16 to 64
+BLOCK_BYTES = 512 * 1024
 
 
 class CFLError(ValueError):
@@ -178,31 +186,92 @@ def _stencil(values: np.ndarray, out: np.ndarray, h: float, axis: int, order: in
     return run
 
 
-def _derivative(values: np.ndarray, h: float, axis: int, order: int, periodic: bool = False) -> np.ndarray:
-    """_stencil's difference of values, run once into a new array."""
+def _derivative(
+    values: np.ndarray, h: float, axis: int, order: int, periodic: bool = False, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """_stencil's difference of values, run once into out, a new array by
+    default."""
     values = np.ascontiguousarray(values)
-    out = np.empty(values.shape, values.dtype)
+    if out is None:
+        out = np.empty(values.shape, values.dtype)
     _stencil(values, out, h, axis, order, periodic)()
     return out
 
 
-def d_x(values: np.ndarray, grid: Grid1p1) -> np.ndarray:
-    """First x-derivative along axis -2 of (..., nx, k) arrays."""
-    return _derivative(values, 2 * grid.dx, -2, 1, grid.periodic)
+def d_x(values: np.ndarray, grid: Grid1p1, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """First x-derivative along axis -2 of (..., nx, k) arrays, written
+    into out if given (C-contiguous, of the shape and dtype of values).
+    It acts on each level alone, so a block of levels gets the rows of
+    the whole mesh."""
+    return _derivative(values, 2 * grid.dx, -2, 1, grid.periodic, out)
 
 
-def d_xx(values: np.ndarray, grid: Grid1p1) -> np.ndarray:
-    """Second x-derivative along axis -2."""
-    return _derivative(values, grid.dx**2, -2, 2, grid.periodic)
+def d_xx(values: np.ndarray, grid: Grid1p1, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Second x-derivative along axis -2, written into out as d_x."""
+    return _derivative(values, grid.dx**2, -2, 2, grid.periodic, out)
 
 
-def d_t(values: np.ndarray, grid: Grid1p1) -> np.ndarray:
-    """First t-derivative along axis 0 of (nt, nx, k) arrays."""
-    return _derivative(values, 2 * grid.dt, 0, 1)
+def d_t(values: np.ndarray, grid: Grid1p1, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """First t-derivative along axis 0 of (nt, nx, k) arrays, written into
+    out as d_x.  Run on the window level_blocks gives a block, its rows
+    for the block's levels are those of the whole mesh."""
+    return _derivative(values, 2 * grid.dt, 0, 1, False, out)
 
 
-def d_tt(values: np.ndarray, grid: Grid1p1) -> np.ndarray:
-    return _derivative(values, grid.dt**2, 0, 2)
+def d_tt(values: np.ndarray, grid: Grid1p1, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Second t-derivative along axis 0, written into out and run on a
+    block's window as d_t."""
+    return _derivative(values, grid.dt**2, 0, 2, False, out)
+
+
+# ---------------------------------------------------------------------------
+# passes over a whole mesh, a block of levels at a time
+
+def level_blocks(
+    nt: int, level_bytes: int, start: int = 0, stop: Optional[int] = None
+) -> Iterator[Tuple[int, int, int, int]]:
+    """The levels start..stop-1 of a mesh of nt levels (all of them by
+    default) in blocks [a, b), in order, each as (a, b, lo, hi) with the
+    window [lo, hi) of levels that the t-stencils of the rows a..b-1 read:
+    a-1..b, widened to 4 levels where it has fewer, as many as the
+    one-sided rows at the chart's ends read.  Run on the window, a
+    t-stencil's rows a - lo .. b - lo - 1 are its rows a..b-1 on the whole
+    mesh.  The blocks split the levels evenly into as few as hold
+    BLOCK_BYTES at level_bytes a level (block_levels)."""
+    stop = nt if stop is None else stop
+    size = block_levels(level_bytes, stop - start)
+    for a in range(start, stop, size):
+        b = min(a + size, stop)
+        lo = max(a - 1, 0)
+        hi = min(max(b + 1, lo + 4), nt)
+        yield a, b, max(min(lo, hi - 4), 0), hi
+
+
+def block_levels(level_bytes: int, levels: int) -> int:
+    """The levels of each block but the last when level_blocks splits
+    levels levels."""
+    most = max(BLOCK_BYTES // max(level_bytes, 1), 1)
+    return -(-levels // -(-levels // most)) if levels > 0 else most
+
+
+def squared_norm(a: np.ndarray, b: Optional[np.ndarray] = None) -> Tuple[float, float]:
+    """(sum |a - b|^2, max |a - b|) over the entries of a and b, arrays of
+    one shape with levels along axis 0 (of a alone without b).  |a - b| is
+    written block by block of levels into one float array, each block's
+    max taken and the block squared in place, so no complex difference of
+    the whole size is made; one np.sum over that array adds the squares
+    in the order np.sum(np.abs(a - b) ** 2) does, so both figures equal
+    those of the whole-array formulas."""
+    sq = np.empty(a.shape)
+    level = a[0].nbytes if len(a) else 0
+    scratch = None if b is None else np.empty((block_levels(level, len(a)),) + a.shape[1:], np.result_type(a, b))
+    peaks = []
+    for lo, hi, _, _ in level_blocks(len(a), level):
+        r = a[lo:hi] if b is None else np.subtract(a[lo:hi], b[lo:hi], scratch[:hi - lo])
+        block = np.abs(r, sq[lo:hi])
+        peaks.append(np.max(block))
+        np.square(block, block)
+    return float(np.sum(sq)), float(np.max(peaks, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
