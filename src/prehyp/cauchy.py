@@ -553,6 +553,13 @@ def solve_cauchy_plain(
     return solve_second_order(compose(q, p), metric, grid, phi0.values, dtphi0.values, phi0.level, span=span)
 
 
+def _check_pair(p: FirstOrderOperator, q: FirstOrderOperator, metric: DiagonalMetric) -> None:
+    """Raise PairCheckError unless (P, Q) is a complementary pair."""
+    report = is_complementary_pair(p, q, metric)
+    if not report.passed:
+        raise PairCheckError(f"(P, Q) is not a complementary pair (max deviation {report.max_deviation:.3e})")
+
+
 def solve_cauchy(
     p: FirstOrderOperator,
     q: FirstOrderOperator,
@@ -564,11 +571,7 @@ def solve_cauchy(
     verification of its solution: the residual of P, its trace on Sigma and
     the support leak outside the inflated causal shadow of the data."""
     grid = grid or phi0.grid
-    report = is_complementary_pair(p, q, metric)
-    if not report.passed:
-        raise PairCheckError(
-            f"(P, Q) is not a complementary pair (max deviation {report.max_deviation:.3e})"
-        )
+    _check_pair(p, q, metric)
     phi = solve_cauchy_plain(p, q, metric, phi0, grid)
 
     residual = apply_operator(p, phi)
@@ -613,7 +616,8 @@ def restrict(
 @dataclass
 class RoundTripReport:
     round_trip_error: float
-    intermediate_support: Tuple[float, float]
+    # the data restricted back to Sigma
+    data_back: CauchyData
 
 
 def compatibility_round_trip(
@@ -625,14 +629,15 @@ def compatibility_round_trip(
     sigma_prime: CauchyLine,
     grid: Optional[Grid1p1] = None,
 ) -> RoundTripReport:
-    """Solve from Sigma, restrict to Sigma', re-solve from Sigma', restrict
-    back; reports the L-infinity distance from the original data.  The
-    first solve checks the pair; the second is plain, since its report
-    would not be read."""
+    """Check the pair, then solve from Sigma, restrict to Sigma', re-solve
+    from Sigma' and restrict back; reports the returned data and its
+    L-infinity distance from the original.  Both solves are plain: the
+    round trip reads no residual or leak."""
     grid = grid or phi0.grid
-    phi, _ = solve_cauchy(p, q, metric, phi0, grid)
+    _check_pair(p, q, metric)
+    phi = solve_cauchy_plain(p, q, metric, phi0, grid)
     data_prime = restrict(phi, sigma_prime, metric, phi0)
     phi_back = solve_cauchy_plain(p, q, metric, data_prime, grid)
     data_back = restrict(phi_back, sigma, metric, data_prime)
     err = float(np.max(np.abs(data_back.values - phi0.values)))
-    return RoundTripReport(err, data_prime.support)
+    return RoundTripReport(err, data_back)

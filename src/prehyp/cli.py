@@ -6,9 +6,10 @@ full verification battery.
 Subcommands: check-pair, solve, direct-vs-reduced, greens, adjoint-check,
 beta, isometry, convergence <subcommand>, verify-all.  Each battery is one
 row of _batteries(), which the subcommands, the convergence targets, the
-report-field check and verify-all read.  Every run writes a deterministic
-report.json (plus CSV dumps when requested); wall-clock timings go to a
-separate timings.json so reports stay byte-reproducible.
+report-field check and verify-all read; the driven ones take their test
+sections from the scenario (source_section).  Every run writes a
+deterministic report.json (plus CSV dumps when requested); wall-clock
+timings go to a separate timings.json so reports stay byte-reproducible.
 
 Exit codes: 0 all tolerances met, 1 configuration error, 2 tolerance
 failure (in verify-all also a convergence rung the config cannot build),
@@ -35,10 +36,10 @@ import numpy as np
 
 from .bundle_ops import is_complementary_pair, symbol_invertibility
 from .cauchy import PairCheckError, SolverBlowupError, solve_cauchy_plain, solve_first_order_direct
-from .config import DIRAC_PRESETS, ConfigError, ScenarioConfig, SourceSpec, load_config
+from .config import DIRAC_PRESETS, ConfigError, ScenarioConfig, load_config
 from .expr import ExprEvalError
 from .geometry import CauchyLine
-from .greens import adjoint_pairing_check, greens_apply, greens_report, make_test_section
+from .greens import adjoint_pairing_check, greens_apply, greens_report
 from .qft_dirac import beta_sigma, data_space_isometry_check, dirac_current, hypersurface_independence
 
 # per-subcommand tolerances at the configured resolution; convergence
@@ -95,18 +96,6 @@ def _gate(failures: List[str], label: str, value, low: float = -math.inf,
         v = float(value)
         bound = f"<= {high:.1e}" if v > high or low == -math.inf else f"{'>' if strict else '>='} {low:.1e}"
         failures.append(f"{label} {v:.3e} not {bound}")
-
-
-# ---------------------------------------------------------------------------
-# scenario plumbing
-
-def _section_from_spec(grid, spec: SourceSpec):
-    return make_test_section(
-        grid,
-        spec.components,
-        (spec.x_window.center, spec.x_window.halfwidth, spec.x_window.steepness),
-        (spec.t_window.center, spec.t_window.halfwidth, spec.t_window.steepness),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +162,7 @@ def run_direct_vs_reduced(cfg: ScenarioConfig, seed: int, nx: Optional[int] = No
 
 def run_greens(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     scn = cfg.scenario(nx)
-    scn.check_source_cones(("source",))
-    phi = _section_from_spec(scn.grid, scn.source)
+    phi = scn.source_section("source")
     # advanced first, so that S+ phi is the last solution made: held for
     # adjoint-check, it then overlaps no other march of this battery
     advanced = greens_report(scn.p, scn.q, scn.metric, phi, "advanced", scn.grid)[0]
@@ -194,9 +182,7 @@ def run_greens(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
 def run_adjoint_check(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     scn = cfg.scenario(nx)
     scn.check_pairing_sections()
-    scn.check_source_cones()
-    f = _section_from_spec(scn.grid, scn.source)
-    psi = _section_from_spec(scn.grid, scn.dual_source)
+    f, psi = scn.source_section("source"), scn.source_section("dual_source")
 
     def s_plus_f(span):
         # greens' retarded S+ phi when the scenario holds it, else solved
@@ -379,14 +365,16 @@ def run(subcommand: str, cfg: ScenarioConfig, seed: int = 0, target: Optional[st
 def _run_verify_all(cfg: ScenarioConfig, seed: int, timings: Dict[str, float]):
     """Every battery the preset allows, in table order, on the config's
     scenario at nx, so that solve, direct-vs-reduced, the ladder's top rung
-    and beta judge one solution.  The driven batteries' source sections are
-    validated before the first battery, the cones of the source and the
-    dual source included and zero sections excluded.  A ladder rung that
-    the config cannot build fails convergence alone, with no results, and
-    every other battery still gives its verdict.  greens hands its retarded S+ phi to adjoint-check,
-    which runs next."""
-    cfg.scenario().check_pairing_sections()
-    cfg.scenario().check_source_cones()
+    and beta judge one solution.  Before the first battery, the scenario's
+    check_pairing_sections excludes zero sections and source_section
+    validates the source and the dual source, cones included.  A ladder
+    rung that the config cannot build fails convergence alone, with no
+    results, and every other battery still gives its verdict.  greens
+    hands its retarded S+ phi to adjoint-check, which runs next."""
+    scn = cfg.scenario()
+    scn.check_pairing_sections()
+    for name in ("source", "dual_source"):
+        scn.source_section(name)
     results = {}
     failures: List[str] = []
     for name, (battery, _, dirac, _) in _batteries().items():

@@ -13,20 +13,22 @@ A scenario names a spacetime, a bundle rank, an operator pair (either a
 preset or explicit coefficient matrices), a grid, windowed initial data
 and optionally a windowed source for driven (Green's operator) runs.  The
 loader resolves the metric and the operator pair once, into the objects
-the solvers use.
+the solvers use.  A Scenario is the config at one resolution; its
+source_section turns the source or the dual source, configured or
+synthesized, into the validated test section a battery drives with.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import expr as _expr
 from .bundle_ops import FirstOrderOperator, MatrixField
 from .geometry import Chart1p1, ChartDomainError, DiagonalMetric, MetricPositivityError
 from .cauchy import solve_cauchy
-from .greens import check_source_cones
+from .greens import TestSection, make_test_section, source_cone
 from .grids import CauchyData, Grid1p1, GridSection, MarginError, build_grid, make_cauchy_data, window_support
 from .grids import check_causal_margin, check_temporal_margin
 from .qft_dirac import DiracModel, build_dirac_pair
@@ -118,8 +120,10 @@ def parse_config_text(text: str) -> Dict[str, Dict[str, object]]:
 # ---------------------------------------------------------------------------
 # scenario structure
 
-@dataclass
-class WindowSpec:
+class WindowSpec(NamedTuple):
+    """A window's arguments, in the order window_support,
+    make_cauchy_data and make_test_section take them."""
+
     center: float
     halfwidth: float
     steepness: float
@@ -168,10 +172,7 @@ class ScenarioConfig:
     def initial_data(self, grid: Grid1p1, components: Optional[List[str]] = None) -> CauchyData:
         """The configured window times the given components (the
         configured ones by default)."""
-        return make_cauchy_data(
-            grid, components or self.initial_components, self.t0,
-            self.window.center, self.window.halfwidth, self.window.steepness,
-        )
+        return make_cauchy_data(grid, components or self.initial_components, self.t0, *self.window)
 
     def scenario(self, nx: Optional[int] = None) -> "Scenario":
         """The scenario at nx (the configured resolution by default),
@@ -199,11 +200,7 @@ class ScenarioConfig:
             "initial_data": {
                 "components": self.initial_components,
                 "t0": self.t0,
-                "window": {
-                    "center": self.window.center,
-                    "halfwidth": self.window.halfwidth,
-                    "steepness": self.window.steepness,
-                },
+                "window": self.window._asdict(),
             },
             "source": _echo_source(self.source),
             "dual_source": _echo_source(self.dual_source),
@@ -220,7 +217,7 @@ def _echo_operator(op: FirstOrderOperator) -> Dict[str, object]:
 def _echo_source(spec: Optional[SourceSpec]) -> Optional[Dict[str, object]]:
     if spec is None:
         return None
-    return {"components": spec.components, "x_window": vars(spec.x_window), "t_window": vars(spec.t_window)}
+    return {"components": spec.components, "x_window": spec.x_window._asdict(), "t_window": spec.t_window._asdict()}
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +228,12 @@ def _default_source(cfg: ScenarioConfig) -> SourceSpec:
     block: the initial-data window in x, a narrow window around t0 in t."""
     chart = cfg.spacetime.chart
     t_half = 0.05 * (chart.t_max - chart.t_min)
-    return SourceSpec(
-        list(cfg.initial_components),
-        WindowSpec(cfg.window.center, cfg.window.halfwidth, cfg.window.steepness),
-        WindowSpec(cfg.t0, t_half, 1.0 / t_half),
-    )
+    return SourceSpec(list(cfg.initial_components), cfg.window, WindowSpec(cfg.t0, t_half, 1.0 / t_half))
 
 
 def _mirrored(spec: SourceSpec) -> SourceSpec:
-    return SourceSpec(
-        list(spec.components),
-        WindowSpec(-spec.x_window.center, spec.x_window.halfwidth, spec.x_window.steepness),
-        WindowSpec(-spec.t_window.center, spec.t_window.halfwidth, spec.t_window.steepness),
-    )
+    x_window, t_window = (w._replace(center=-w.center) for w in (spec.x_window, spec.t_window))
+    return SourceSpec(list(spec.components), x_window, t_window)
 
 
 class Scenario:
@@ -260,28 +250,22 @@ class Scenario:
         self.grid = cfg.grid(self.metric, nx)
         self.p, self.q = cfg.operators()
         self.data = cfg.initial_data(self.grid)
+        # the parsed file, for the line an error names
+        self._sections = cfg.sections
         if self.metric.chart.topology == "line":
             try:  # a window off the chart fails before its sweep
                 check_causal_margin(self.metric, self.grid, self.data.support, self.data.t0)
             except (MarginError, ChartDomainError):
-                at = _line(cfg.sections, "initial_data", "window_center")
-                raise ConfigError(f"{at}initial_data.window: causal margin violated at nx = {nx}") from None
+                at = _window_at(cfg.sections, "initial_data", "window")
+                raise ConfigError(f"{at}: causal margin violated at nx = {nx}") from None
         self._configured = {"source": cfg.source, "dual_source": cfg.dual_source}
-        self._components_at = {
-            name: _line(cfg.sections, name, "components") + f"{name}.components" for name in self._configured
-        }
-        self._window_at = {
-            name: _line(cfg.sections, name, "window_center") + f"{name}.window" for name in self._configured
-        }
         # greens' retarded S+ phi of [source] at the configured nx, which
         # adjoint-check takes as its S+ f and clears
         self.s_plus_source: Optional[GridSection] = None
         self._default_source = _default_source(cfg)
         for name, spec in self._configured.items():
             if spec is not None:
-                self._check_section(spec, *(
-                    _line(cfg.sections, name, f"{w}_center") + f"{name}.{w}" for w in ("window", "t_window")
-                ))
+                self._checked(name, spec)
 
     @cached_property
     def solution(self):
@@ -291,12 +275,12 @@ class Scenario:
     @cached_property
     def source(self) -> SourceSpec:
         """[source], or one synthesized from the initial window around t0."""
-        return self._configured["source"] or self._synthesized("source", self._default_source)
+        return self._configured["source"] or self._checked("source", self._default_source)
 
     @cached_property
     def dual_source(self) -> SourceSpec:
         """[dual_source], or the source mirrored through t = 0 and x = 0."""
-        return self._configured["dual_source"] or self._synthesized("dual_source", _mirrored(self.source))
+        return self._configured["dual_source"] or self._checked("dual_source", _mirrored(self.source))
 
     def check_pairing_sections(self) -> None:
         """The source and the dual source, configured or synthesized, are
@@ -306,52 +290,48 @@ class Scenario:
         sections = {"source": self.source, "dual_source": self.dual_source}
         for name, spec in sections.items():
             if all(_expr.simplify(_expr.parse(c)) == _expr.ZERO for c in spec.components):
-                error = "every component is 0, so adjoint-check has nothing to pair"
-                if self._configured[name] is None:
-                    raise ConfigError(f"synthesized {name}.components: {error}; add a [{name}] section")
-                raise ConfigError(f"{self._components_at[name]}: {error}")
+                at = _at(self._sections, name, "components")
+                raise self._error(name, f"{at}: every component is 0, so adjoint-check has nothing to pair")
 
-    def check_source_cones(self, names: Tuple[str, ...] = ("source", "dual_source")) -> None:
-        """The J+ and J- of each named section, the source and the dual
-        source by default, configured or synthesized, swept as the greens
-        battery sweeps them for its leak, stay inside the chart on this
-        grid: greens needs the source's, adjoint-check both sections'.
-        Checked before the driven solves rather than at load, where the
-        sweeps would be extra work for the batteries that never use them."""
-        for name in names:
-            spec = getattr(self, name)
-            try:
-                check_source_cones(
-                    self.metric, self.grid,
-                    window_support(*astuple(spec.x_window)), window_support(*astuple(spec.t_window)),
-                )
-            except MarginError:
-                error = (
-                    f"{self._window_at[name]}: the {name}'s causal future or past leaves the chart"
-                    f" at nx = {self.grid.nx}"
-                )
-                if self._configured[name] is None:
-                    error = f"synthesized {error}; add a [{name}] section"
-                raise ConfigError(error) from None
+    def source_section(self, name: str) -> TestSection:
+        """The "source" or the "dual_source", configured or synthesized, as
+        a test section on this grid, once its J+ and J- are known to stay
+        inside the chart, as the driven solves and their leak need them.
+        Unlike the shadow of Cauchy data they may come within
+        BOUNDARY_MARGIN_NODES nodes of the boundary: they start at the ends
+        of the time support, and the window tails that reach so far leave
+        the Green's identities well inside their gates.  Checked here, not
+        at load, so that only the batteries that drive with the section
+        sweep its cones; the metric keeps them.  Built per call: a kept
+        section would keep its sampled mesh."""
+        spec = getattr(self, name)
+        x_support, t_support = window_support(*spec.x_window), window_support(*spec.t_window)
+        for direction in ("retarded", "advanced"):
+            if source_cone(self.metric, self.grid, x_support, t_support, direction).truncated:
+                at, nx = _window_at(self._sections, name, "window"), self.grid.nx
+                raise self._error(name, f"{at}: the {name}'s causal future or past leaves the chart at nx = {nx}")
+        return make_test_section(self.grid, spec.components, spec.x_window, spec.t_window)
 
-    def _synthesized(self, name: str, spec: SourceSpec) -> SourceSpec:
+    def _checked(self, name: str, spec: SourceSpec) -> SourceSpec:
+        """The section's spec, once its x box lies inside a line chart and
+        its time support BOUNDARY_MARGIN_NODES levels clear of the grid's
+        time edges, as the driven solves need them."""
+        chart, x_box = self.metric.chart, window_support(*spec.x_window)
+        if chart.topology == "line" and not chart.x_min <= x_box[0] < x_box[1] <= chart.x_max:
+            raise self._error(name, f"{_window_at(self._sections, name, 'window')}: x support {x_box} leaves the chart")
         try:
-            self._check_section(spec, f"{name}.window", f"{name}.t_window")
-        except ConfigError as e:
-            raise ConfigError(f"synthesized {e}; add a [{name}] section") from None
+            check_temporal_margin(self.grid, window_support(*spec.t_window))
+        except MarginError as e:
+            at = _window_at(self._sections, name, "t_window")
+            raise self._error(name, f"{at}: {e} at nx = {self.grid.nx}") from None
         return spec
 
-    def _check_section(self, spec: SourceSpec, x_at: str, t_at: str) -> None:
-        """A source section's x box inside a line chart, and its time
-        support BOUNDARY_MARGIN_NODES levels clear of the grid's time
-        edges, as the driven solves need them."""
-        chart, x_box = self.metric.chart, window_support(*astuple(spec.x_window))
-        if chart.topology == "line" and not chart.x_min <= x_box[0] < x_box[1] <= chart.x_max:
-            raise ConfigError(f"{x_at}: x support {x_box} leaves the chart")
-        try:
-            check_temporal_margin(self.grid, window_support(*astuple(spec.t_window)))
-        except MarginError as e:
-            raise ConfigError(f"{t_at}: {e} at nx = {self.grid.nx}") from None
+    def _error(self, name: str, error: str) -> ConfigError:
+        """The error about a section; a synthesized one names the section
+        to add."""
+        if self._configured[name] is None:
+            return ConfigError(f"synthesized {error}; add a [{name}] section")
+        return ConfigError(error)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +382,12 @@ def _at(sections, section: str, key: str) -> str:
     """How an error names a key: 'line N: section.key', without the line
     when the key is not in the file."""
     return f"{_line(sections, section, key)}{section}.{key}"
+
+
+def _window_at(sections, section: str, window: str) -> str:
+    """How an error names a window: 'line N: section.window', N the line
+    of its centre."""
+    return f"{_line(sections, section, f'{window}_center')}{section}.{window}"
 
 
 def _number(value, name: str) -> float:

@@ -39,7 +39,6 @@ from .geometry import CausalShadow, DiagonalMetric
 from .grids import (
     Grid1p1,
     GridSection,
-    MarginError,
     check_temporal_margin,
     squared_norm,
     window_expr,
@@ -177,21 +176,6 @@ def source_shadow(
     stencil margin."""
     shadow = source_cone(metric, grid, section.x_support, section.t_support, direction)
     return shadow.inflate(SHADOW_INFLATION_NODES * grid.dx)
-
-
-def check_source_cones(
-    metric: DiagonalMetric, grid: Grid1p1, x_support: Tuple[float, float], t_support: Tuple[float, float]
-) -> None:
-    """Validate that both source cones of a support box stay inside the
-    chart, as the driven solves and their leak need them; raises
-    MarginError.  Unlike the shadow of Cauchy data they may come within
-    BOUNDARY_MARGIN_NODES nodes of the boundary: they start at the ends of
-    the source's time support, wider than a shadow from its centre, and
-    the window tails that reach so far leave the Green's identities well
-    inside their gates."""
-    for direction in ("retarded", "advanced"):
-        if source_cone(metric, grid, x_support, t_support, direction).truncated:
-            raise MarginError(f"the {direction} source cone leaves the chart")
 
 
 def relative_l2(a: np.ndarray, ref: np.ndarray, grid: Grid1p1) -> float:

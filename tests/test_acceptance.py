@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from prehyp.bundle_ops import is_complementary_pair, principal_symbol_1, symbol_invertibility
-from prehyp.cauchy import restrict, solve_cauchy, solve_cauchy_plain, solve_first_order_direct
+from prehyp.cauchy import compatibility_round_trip, solve_cauchy, solve_cauchy_plain, solve_first_order_direct
 from prehyp.cli import run, write_report
 from prehyp.config import load_config_text
 from prehyp.geometry import CauchyLine, Chart1p1, DiagonalMetric, minkowski
@@ -252,13 +252,6 @@ def test_6_greens_identities_and_adjoint_pairing():
     assert elapsed < 120
 
 
-def round_trip_values(p, q, metric, phi0, grid, sigma, sigma_prime):
-    phi = solve_cauchy_plain(p, q, metric, phi0, grid)
-    mid = restrict(phi, sigma_prime, metric, phi0)
-    back = solve_cauchy_plain(p, q, metric, mid, grid)
-    return restrict(back, sigma, metric, mid).values
-
-
 def test_7_hypersurface_round_trip():
     p, q = build_dirac_pair(DiracModel(mass=1.0), MINK)
     sigma, sigma_prime = CauchyLine(0.0), CauchyLine(0.1)
@@ -266,19 +259,18 @@ def test_7_hypersurface_round_trip():
     for nx in (256, 512, 1024):
         grid = build_grid(CHART, MINK, nx)
         phi0 = dirac_data(grid, steepness=5.0)
-        got = round_trip_values(p, q, MINK, phi0, grid, sigma, sigma_prime)
-        errs.append(float(np.max(np.abs(got - phi0.values))))
+        errs.append(compatibility_round_trip(p, q, MINK, phi0, sigma, sigma_prime, grid).round_trip_error)
     o = order(errs[1], errs[2])
 
     grid = build_grid(CHART, MINK, 256)
     a = dirac_data(grid, ("1", "0"), steepness=5.0)
     b = dirac_data(grid, ("x", "1"), steepness=5.0)
     combo = CauchyData(grid, 0.0, 2.0 * a.values + 3j * b.values, a.support)
-    lin_gap = float(np.max(np.abs(
-        round_trip_values(p, q, MINK, combo, grid, sigma, sigma_prime)
-        - 2.0 * round_trip_values(p, q, MINK, a, grid, sigma, sigma_prime)
-        - 3j * round_trip_values(p, q, MINK, b, grid, sigma, sigma_prime)
-    )))
+
+    def back(data):
+        return compatibility_round_trip(p, q, MINK, data, sigma, sigma_prime, grid).data_back.values
+
+    lin_gap = float(np.max(np.abs(back(combo) - 2.0 * back(a) - 3j * back(b))))
     ok = errs[2] <= 1e-3 and o >= 1.8 and lin_gap <= 1e-12
     announce(7, "solve-restrict-resolve round trip", ok,
              f"Linf error {errs[2]:.2e} <= 1e-3 at nx=1024, order {o:.2f} >= 1.8, "

@@ -8,8 +8,8 @@ counters read two more prehyp names: the grid that
 cauchy.solve_second_order's signature binds and the .values of its single
 result give the RK4 steps of an evolution solve, and the calls of
 greens.solve_driven count the driven marches (greens.driven_solves).  A
-traced round of each workload and the set-up of two run here as the
-benchmark runs them.
+traced round and the set-up of each workload run here as the benchmark
+runs them.
 """
 
 import sys
@@ -82,7 +82,7 @@ def test_traced_verify_all_flat_round_sees_the_batteries(perfbench, tmp_path):
     assert tracer.layer_metrics(traced, 1.0)["greens.driven_solves"] == 3
 
 
-@pytest.mark.parametrize("name", ["flat_ladder", "verify_all_flat"])
+@pytest.mark.parametrize("name", ["flat_ladder", "curved_dirac", "verify_all_flat"])
 def test_workload_setup_runs(perfbench, tmp_path, name):
     _, workloads = perfbench
     workload = workloads.WORKLOADS[name](1, str(tmp_path / name))

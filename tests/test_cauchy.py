@@ -235,6 +235,17 @@ class TestRestrictAndRoundTrip:
         )
         assert rep.round_trip_error < 2e-2
 
+    def test_round_trip_rejects_a_non_pair_before_solving(self, mink, grid_medium, monkeypatch):
+        from prehyp import cauchy
+
+        p = FirstOrderOperator.build([[1.0]], [[1.0]], [[0.0]])
+        phi0 = make_cauchy_data(grid_medium, ["1"], 0.0)
+        marches = []
+        monkeypatch.setattr(cauchy, "_march", lambda *args: marches.append(1))
+        with pytest.raises(PairCheckError, match="^\\(P, Q\\) is not a complementary pair"):
+            compatibility_round_trip(p, p, mink, phi0, CauchyLine(0.0), CauchyLine(0.1), grid_medium)
+        assert marches == []
+
 
 class TestReports:
     def test_residual_and_trace_small(self, chart, mink):

@@ -13,6 +13,8 @@ from prehyp.config import (
     resolve_preset,
 )
 from prehyp.geometry import DiagonalMetric
+from prehyp.greens import make_test_section
+from prehyp.grids import window_support
 
 BASE = """
 [spacetime]
@@ -108,6 +110,24 @@ class TestPresets:
         assert is_complementary_pair(p, q, cfg.metric()).passed
 
 
+SCALAR = BASE.replace("preset = dirac_massive", "preset = scalar_transport_pair").replace(
+    "components = [1, 0.5]", "components = [1]"
+)
+
+EXPLICIT = SCALAR.replace("preset = scalar_transport_pair\nmass = 1.0\n", """A_t = [[1]]
+A_x = [[1]]
+B = [[0]]
+
+[operator_Q]
+A_t = [[1]]
+A_x = [[-1]]
+B = [[0]]
+
+[bundle]
+rank = 1
+""")
+
+
 class TestLoadValidation:
     def test_base_config_loads(self):
         cfg = load_config_text(BASE)
@@ -152,6 +172,42 @@ class TestLoadValidation:
         with pytest.raises(ConfigError) as exc:
             load_config_text(BASE.replace(old, new))
         assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("base, old, new, message", [
+        (SCALAR, "x_range = [-1, 1]", "x_range = [-1, 1]]", "line 6: unbalanced ']'"),
+        (SCALAR, "x_range = [-1, 1]", "x_range = [-1, 1", "line 6: list value must end with ']'"),
+        (SCALAR, "[output]", "[ ]", "line 22: empty section name"),
+        (SCALAR, "x_range = [-1, 1]", "x_range = [-1, 0, 1]", "line 6: spacetime.x_range must be a two-element list"),
+        (SCALAR, "x_range = [-1, 1]", "x_range = [-1, 1]\ntopology = torus",
+         "line 7: spacetime.topology must be 'line' or 'circle'"),
+        (SCALAR, "alpha = 1", "alpha = sqrt(x)",
+         "line 3: spacetime.alpha: non-finite result from sqrt at (t=-0.3, x=-1.0)"),
+        (SCALAR, "[grid]", "[operator_Q]\npreset = klein_gordon_factorized\n\n[grid]",
+         "line 13: operator_Q.preset disagrees with operator_P.preset"),
+        (SCALAR, "preset = scalar_transport_pair", "preset = maxwell",
+         "line 9: operator_P.preset: unknown preset 'maxwell'; known presets: "
+         "dirac_massive, dirac_massless, scalar_transport_pair, klein_gordon_factorized"),
+        (EXPLICIT, "rank = 1", "rank = 0", "line 19: bundle.rank must be a positive integer"),
+        (EXPLICIT, "A_t = [[1]]\nA_x = [[1]]", "A_t = [[1], [1]]\nA_x = [[1]]",
+         "line 9: operator_P.A_t must be a 1x1 matrix of expressions"),
+        (EXPLICIT, "A_t = [[1]]\nA_x = [[1]]", "A_t = [[1, 0]]\nA_x = [[1]]",
+         "line 9: operator_P.A_t must be a 1x1 matrix of expressions"),
+        (SCALAR, "cfl = 0.4", "cfl = 1.5", "line 14: grid.cfl must be in (0, 1]"),
+    ], ids=[
+        "unbalanced-close", "unclosed-list", "empty-section", "range-length", "topology", "non-finite-alpha",
+        "preset-disagrees", "unknown-preset", "rank", "matrix-rows", "matrix-row-length", "cfl",
+    ])
+    def test_error_messages(self, base, old, new, message):
+        assert old in base
+        with pytest.raises(ConfigError) as exc:
+            load_config_text(base.replace(old, new, 1))
+        assert str(exc.value) == message
+
+    def test_explicit_scalar_pair_loads(self):
+        assert load_config_text(EXPLICIT).preset is None
+
+    def test_a_bare_format_is_a_list_of_one(self):
+        assert load_config_text(SCALAR.replace("formats = [json]", "formats = json")).output_formats == ["json"]
 
     def test_internal_functions_are_not_in_the_grammar(self):
         with pytest.raises(ConfigError, match="unknown identifier 'step'"):
@@ -282,3 +338,51 @@ t_window_steepness = 10.0
         assert a["dual_source"]["components"] == ["1", "0.5"]
         assert a["dual_source"]["x_window"]["center"] == 0.2
         assert load_config_text(BASE).echo()["dual_source"] is None
+
+
+SOURCE = """
+[source]
+components = [1, 0.5*x]
+window_center = 0.1
+window_halfwidth = 0.05
+window_steepness = 2.5
+t_window_center = 0.02
+t_window_halfwidth = 0.01
+t_window_steepness = 50
+"""
+
+
+class TestSourceSection:
+    def test_equals_the_test_section_of_its_spec(self):
+        scn = load_config_text(BASE + SOURCE).scenario()
+        for name in ("source", "dual_source"):
+            spec = getattr(scn, name)
+            want = make_test_section(scn.grid, spec.components, spec.x_window, spec.t_window)
+            got = scn.source_section(name)
+            assert got.grid is scn.grid
+            assert got.components == want.components
+            assert (got.x_support, got.t_support) == (want.x_support, want.t_support)
+
+    def test_a_second_call_sweeps_no_cone_and_keeps_no_section(self, monkeypatch):
+        from prehyp import geometry
+
+        scn = load_config_text(BASE + SOURCE).scenario()
+        sweeps = []
+        real = geometry.causal_shadow
+        monkeypatch.setattr(geometry, "causal_shadow", lambda *a, **k: sweeps.append(a[3]) or real(*a, **k))
+        first = scn.source_section("source")
+        assert sweeps == ["future", "past"]
+        second = scn.source_section("source")
+        assert len(sweeps) == 2
+        # built per call, so no scenario keeps a sampled mesh
+        assert second is not first
+
+    def test_synthesized_dual_source_mirrors_the_source(self):
+        scn = load_config_text(BASE + SOURCE).scenario()
+        source, dual = scn.source, scn.dual_source
+        assert dual.components == source.components
+        assert dual.x_window == source.x_window._replace(center=-0.1)
+        assert dual.t_window == source.t_window._replace(center=-0.02)
+        section = scn.source_section("dual_source")
+        assert section.x_support == window_support(-0.1, 0.05, 2.5)
+        assert section.t_support == window_support(-0.02, 0.01, 50)
