@@ -11,7 +11,10 @@ and 1/beta of a principal part: where d_t beta and d_x alpha are 0, a
 Dirac pair's adjoint has no divergence term and its P*Q* has s Id
 fields, as QP has.  Compositions, formal adjoints and default-sampled pair
 checks are kept on the operators they were computed from, so a run does
-each once per operator it holds.  Solvers and apply_operator compile the
+each once per operator it holds; PQ is the QP already composed where the
+two have the same fields, so that what the solvers keep on a second-order
+operator, its right-hand side per grid, serves both.  Solvers and
+apply_operator compile the
 nonzero entries of an operator once into an evaluation tape
 (coefficient_tape), which gives every field as its entries, and apply
 each field through the one product that product(field) chooses for it.
@@ -20,6 +23,7 @@ each field through the one product that product(field) chooses for it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -72,15 +76,16 @@ class MatrixField:
     def is_zero(self) -> bool:
         return self.is_constant and not self.constant.any()
 
-    @property
+    @cached_property
     def diagonal(self) -> Optional["_expr.ExprAst"]:
-        """s when the field is s Id for one expression s, else None."""
+        """s when the field is s Id for one expression s, else None; found
+        once per field, its entries being tuples."""
         s = self.entries[0][0]
         if all(e == (s if i == j else _expr.ZERO) for i, row in enumerate(self.entries) for j, e in enumerate(row)):
             return s
         return None
 
-    @property
+    @cached_property
     def scalar(self) -> Optional[complex]:
         """c when the field is the constant c Id, else None."""
         s = self.diagonal
@@ -278,8 +283,9 @@ class FirstOrderOperator:
     A^mu (d_mu + omega_mu) = A^mu d_mu + A^mu omega_mu, so it enters B.
 
     compose, formal_adjoint and the default-sampled is_complementary_pair
-    keep their results on their first operand, keyed on the others: each
-    is computed once for the operators a caller holds, and dropped with
+    keep their results on their first operand, keyed on the others, and
+    the solvers its direct right-hand side per grid (kept): each is
+    computed once for the operators a caller holds, and dropped with
     them."""
 
     k: int
@@ -297,7 +303,9 @@ class FirstOrderOperator:
 @dataclass
 class SecondOrderOperator:
     """L Phi = C^tt d_t^2 Phi + 2 C^tx d_t d_x Phi + C^xx d_x^2 Phi
-    + D^t d_t Phi + D^x d_x Phi + E Phi."""
+    + D^t d_t Phi + D^x d_x Phi + E Phi.
+
+    The solvers keep its march set-up on it, one per grid (kept)."""
 
     k: int
     c_tt: MatrixField
@@ -306,12 +314,20 @@ class SecondOrderOperator:
     d_t: MatrixField
     d_x: MatrixField
     e: MatrixField
+    _memo: Dict[tuple, object] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def fields(self) -> Tuple[MatrixField, ...]:
+        return (self.c_tt, self.c_tx, self.c_xx, self.d_t, self.d_x, self.e)
 
     @property
     def is_constant(self) -> bool:
-        return all(
-            f.is_constant for f in (self.c_tt, self.c_tx, self.c_xx, self.d_t, self.d_x, self.e)
-        )
+        return all(f.is_constant for f in self.fields)
+
+    def same_fields(self, other: "SecondOrderOperator") -> bool:
+        """Whether other has this operator's fields, entry for entry: the
+        same operator, whose march is this one's."""
+        return self.k == other.k and all(a.entries == b.entries for a, b in zip(self.fields, other.fields))
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +367,9 @@ def principal_symbol_2(op: SecondOrderOperator, point, xi) -> np.ndarray:
     return _single(point, xi, sigma)
 
 
-def _once(owner: FirstOrderOperator, key: tuple, build: Callable[[], object]):
-    """The result kept on owner under key, built on the first request."""
+def kept(owner: Union[FirstOrderOperator, SecondOrderOperator], key: tuple, build: Callable[[], object]):
+    """The result kept on an operator under key, built on the first
+    request."""
     if key not in owner._memo:
         owner._memo[key] = build()
     return owner._memo[key]
@@ -360,8 +377,15 @@ def _once(owner: FirstOrderOperator, key: tuple, build: Callable[[], object]):
 
 def compose(p: FirstOrderOperator, q: FirstOrderOperator) -> SecondOrderOperator:
     """Expand P(Q Phi) by the product rule into a second-order operator,
-    once per pair of operators (kept on p)."""
-    return _once(p, ("compose", q), lambda: _compose(p, q))
+    once per pair of operators (kept on p).  Where QP, kept on q, has the
+    same fields, PQ is that operator, so that the two share what is kept
+    on it."""
+    return kept(p, ("compose", q), lambda: _shared(_compose(p, q), q._memo.get(("compose", p))))
+
+
+def _shared(new: SecondOrderOperator, held: Optional[SecondOrderOperator]) -> SecondOrderOperator:
+    """held where it has the fields of new, else new."""
+    return held if held is not None and held.same_fields(new) else new
 
 
 def _compose(p: FirstOrderOperator, q: FirstOrderOperator) -> SecondOrderOperator:
@@ -443,7 +467,7 @@ class PairReport:
 def is_complementary_pair(p: FirstOrderOperator, q: FirstOrderOperator, metric: DiagonalMetric) -> PairReport:
     """Check that both PQ and QP are normally hyperbolic, once per pair and
     metric (kept on p)."""
-    return _once(p, ("pair", q, metric), lambda: _pair_check(p, q, metric))
+    return kept(p, ("pair", q, metric), lambda: _pair_check(p, q, metric))
 
 
 def _pair_check(p: FirstOrderOperator, q: FirstOrderOperator, metric: DiagonalMetric) -> PairReport:
@@ -486,7 +510,7 @@ def formal_adjoint(p: FirstOrderOperator, metric: DiagonalMetric) -> FirstOrderO
     matrices transpose without conjugation.  Built once per metric (kept
     on p).
     """
-    return _once(p, ("adjoint", metric), lambda: _formal_adjoint(p, metric))
+    return kept(p, ("adjoint", metric), lambda: _formal_adjoint(p, metric))
 
 
 def _formal_adjoint(p: FirstOrderOperator, metric: DiagonalMetric) -> FirstOrderOperator:
@@ -517,19 +541,31 @@ def _times_density(f: MatrixField, metric: DiagonalMetric, rho: "_expr.ExprAst")
 
 def pairing(psi: GridSection, phi: GridSection, metric: DiagonalMetric, grid: Optional[Grid1p1] = None) -> complex:
     """Bilinear spacetime pairing <psi, phi> = int sum_i psi_i phi_i rho,
-    by trapezoidal quadrature over the chart."""
+    by trapezoidal quadrature over the chart.  The density is taken only
+    on the levels from the first to the last where both sections have a
+    nonzero value, the x-integral is 0 on the others, and the
+    t-trapezoid runs over every level, so the sum is that over the whole
+    mesh."""
     grid = grid or phi.grid
     if psi.values.shape != phi.values.shape:
         raise ValueError("sections must share the grid and rank")
-    tt = grid.ts[:, None]
-    xx = grid.xs[None, :]
-    rho = np.broadcast_to(np.asarray(metric.volume_density(tt, xx)), (grid.nt, grid.nx))
-    density = np.einsum("tnc,tnc->tn", psi.values, phi.values) * rho
-    if grid.periodic:
-        inner_x = density.sum(axis=1) * grid.dx
-    else:
-        inner_x = np.trapezoid(density, dx=grid.dx, axis=1)
+    both = np.flatnonzero(_nonzero_levels(psi.values) & _nonzero_levels(phi.values))
+    inner_x = np.zeros(grid.nt, dtype=complex)
+    if len(both):
+        lo, hi = both[0], both[-1] + 1
+        rho = np.broadcast_to(np.asarray(metric.volume_density(grid.ts[lo:hi, None], grid.xs[None, :])), (hi - lo, grid.nx))
+        density = np.einsum("tnc,tnc->tn", psi.values[lo:hi], phi.values[lo:hi]) * rho
+        if grid.periodic:
+            inner_x[lo:hi] = density.sum(axis=1) * grid.dx
+        else:
+            inner_x[lo:hi] = np.trapezoid(density, dx=grid.dx, axis=1)
     return complex(np.trapezoid(inner_x, dx=grid.dt))
+
+
+def _nonzero_levels(values: np.ndarray) -> np.ndarray:
+    """Per level of an (nt, nx, k) complex array, whether any value there
+    is nonzero."""
+    return values.reshape(len(values), -1).any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +592,7 @@ def apply_operator(op: Union[FirstOrderOperator, SecondOrderOperator], phi: Grid
     if first:
         fields = (op.a_t, op.a_x, op.b)
     else:
-        fields = (op.c_tt, op.c_tx.scale(2.0), op.c_xx, op.d_t, op.d_x, op.e)
+        fields = (op.c_tt, op.c_tx.scale(2.0), *op.fields[2:])
     coeffs = coefficient_tape(fields, grid.xs)(grid.ts[:, None])
     binds = [product(f) for f in fields]
     out = np.empty(v.shape, complex)

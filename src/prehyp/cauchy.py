@@ -10,7 +10,9 @@ A caller that would discard those figures solves plain.
 One builder, _right_hand_side, turns an operator into a right-hand side,
 a program: both solvers march one, and the datum d_t Phi_0 that makes
 (P Phi)|_Sigma = 0 is the direct solve's right-hand side at t0, the
-program run once on a one-member state.
+program run once on a one-member state.  A right-hand side is built once
+per operator and grid and kept on the operator, so every solve of one
+operator on one grid marches one program and one coefficient tape.
 
 Time stepping is classical 4th-order one-step (RK4); space is 2nd-order
 centered.  A march evolves a list of starts of one operator, each a state
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -52,6 +54,7 @@ from .bundle_ops import (
     coefficient_tape,
     compose,
     is_complementary_pair,
+    kept,
     product,
 )
 from .geometry import CauchyLine, CausalShadow, DiagonalMetric
@@ -384,6 +387,8 @@ def _right_hand_side(lead: MatrixField, terms, grid: Grid1p1):
     inverse = lead.inverse()
     coeffs = coefficient_tape([field for field, _, _ in terms] + [inverse], grid.xs)
     spacing = {1: 2 * grid.dx, 2: grid.dx**2}
+    binds = [_bind(field) for field, _, _ in terms]
+    solve = _bind(inverse)
 
     def program(states: list, ks: list) -> list:
         shape = ks[0].shape
@@ -399,13 +404,35 @@ def _right_hand_side(lead: MatrixField, terms, grid: Grid1p1):
             for first in (None, _FORCING):
                 ops, result = [], first
                 for n, ((field, _, _), w) in enumerate(zip(terms, operands)):
-                    term, result = _subtraction(field, n, w, result, into, scratch)
+                    term, result = _subtraction(field, n, w, result, into, scratch, binds[n])
                     ops += term
-                variants.append(ops + _solution(inverse, result, into, k))
+                variants.append(ops + _solution(inverse, result, into, k, solve))
             runs.append(_stage(stencils, *variants))
         return runs
 
     return program, coeffs
+
+
+def _bind(field: MatrixField) -> Callable:
+    """product(field), except for a non-constant s Id field free of t: its
+    value is laid out once, on the first run, as (nx, k) complex rows, so
+    that each product multiplies two complex arrays instead of broadcasting
+    the real s over the last axis (numpy makes s complex either way, so
+    the values are equal)."""
+    s = field.diagonal
+    if s is None or field.scalar is not None or _expr.uses_var(s, "t"):
+        return product(field)
+    rows = []
+
+    def bind(w: np.ndarray, out: np.ndarray) -> Callable:
+        def run(c) -> np.ndarray:
+            if not rows:
+                rows.append(np.repeat(np.asarray(c[0][2], dtype=complex)[:, None], w.shape[-1], axis=1))
+            return np.multiply(rows[0], w, out)
+
+        return run
+
+    return bind
 
 
 def _stage(stencils: list, unforced: list, forced: list) -> Callable:
@@ -421,18 +448,21 @@ def _stage(stencils: list, unforced: list, forced: list) -> Callable:
     return run
 
 
-def _subtraction(field: MatrixField, n: int, w: np.ndarray, load, into: np.ndarray, scratch: np.ndarray) -> tuple:
+def _subtraction(
+    field: MatrixField, n: int, w: np.ndarray, load, into: np.ndarray, scratch: np.ndarray, bind: Callable
+) -> tuple:
     """The ops, each op(c, f), writing load - field @ w into into, field's
-    value being c[n]: load is an array, _FORCING for the forcing rows f, or
-    None for the number 0 of an unforced stage, which leaves -field @ w.  A
-    constant +-Id field is applied as its sign, so -(-Id) w is w itself,
-    with no op.  Returns the ops and the array holding the result."""
+    value being c[n] and bind its product (_bind): load is an array,
+    _FORCING for the forcing rows f, or None for the number 0 of an
+    unforced stage, which leaves -field @ w.  A constant +-Id field is
+    applied as its sign, so -(-Id) w is w itself, with no op.  Returns the
+    ops and the array holding the result."""
     s = field.scalar
     if s == -1 and load is None:
         return [], w
     ops, term = [], w
     if s not in (1, -1):
-        apply = product(field)(w, scratch)
+        apply = bind(w, scratch)
         ops.append(lambda c, f: apply(c[n]))
         term = scratch
     if load is None:
@@ -446,11 +476,12 @@ def _subtraction(field: MatrixField, n: int, w: np.ndarray, load, into: np.ndarr
     return ops, into
 
 
-def _solution(inverse: MatrixField, load, into: np.ndarray, k: np.ndarray) -> list:
+def _solution(inverse: MatrixField, load, into: np.ndarray, k: np.ndarray, bind: Callable) -> list:
     """The ops writing inverse @ load into k, the inverse's value being the
-    last of the coefficient values c: load as _subtraction leaves it, the
-    number 0 of an unforced stage and the forcing rows of a forced one
-    with no term first written into into, which is k for the identity."""
+    last of the coefficient values c and bind its product (_bind): load as
+    _subtraction leaves it, the number 0 of an unforced stage and the
+    forcing rows of a forced one with no term first written into into,
+    which is k for the identity."""
     ops = []
     if load is None:
         ops.append(lambda c, f: into.fill(0.0))
@@ -461,14 +492,30 @@ def _solution(inverse: MatrixField, load, into: np.ndarray, k: np.ndarray) -> li
         if load is not k:
             ops.append(lambda c, f: np.copyto(k, load))
     else:
-        solve = product(inverse)(load, k)
+        solve = bind(load, k)
         ops.append(lambda c, f: solve(c[-1]))
     return ops
 
 
+def _kept_per_grid(op: Union[FirstOrderOperator, SecondOrderOperator], grid: Grid1p1, build: Callable):
+    """build(), kept on op per grid: keyed on the grid's identity, and the
+    entry holds the grid, so that no other grid can take its key."""
+    return kept(op, ("rhs", id(grid)), lambda: (grid, build()))[1]
+
+
 def _first_order_rhs(p: FirstOrderOperator, grid: Grid1p1):
-    """d_t u = (A^t)^{-1} (f - A^x d_x u - B u) and its coefficient tape."""
-    return _right_hand_side(p.a_t, ((p.a_x, 1, 0), (p.b, 0, 0)), grid)
+    """d_t u = (A^t)^{-1} (f - A^x d_x u - B u) and its coefficient tape,
+    built once per operator and grid."""
+    return _kept_per_grid(p, grid, lambda: _right_hand_side(p.a_t, ((p.a_x, 1, 0), (p.b, 0, 0)), grid))
+
+
+def _second_order_rhs(op: SecondOrderOperator, grid: Grid1p1):
+    """L u = f as d_t v = (C^tt)^{-1} (f - 2 C^tx d_x v - C^xx d_x^2 u
+    - D^t v - D^x d_x u - E u), v = d_t u, and its coefficient tape, built
+    once per operator and grid: every solve of op on grid marches it."""
+    return _kept_per_grid(op, grid, lambda: _right_hand_side(op.c_tt, (
+        (op.c_tx.scale(2.0), 1, 1), (op.c_xx, 2, 0), (op.d_t, 0, 1), (op.d_x, 1, 0), (op.e, 0, 0),
+    ), grid))
 
 
 def solve_second_order(
@@ -490,15 +537,16 @@ def _solve_second_order(op: SecondOrderOperator, metric: DiagonalMetric, grid: G
     """Method-of-lines solves of L u = f for several starts (u, d_t u, j0,
     source, span), f a test section or None for f = 0 and span the levels
     (lo, hi) to march or None for the whole grid, marched as one stacked
-    state; one section per start."""
+    state; one section per start.  A source that several starts share is
+    sampled by one forcing."""
     grid.check_cfl(metric.max_light_speed())
-    program, coeffs = _right_hand_side(op.c_tt, (
-        (op.c_tx.scale(2.0), 1, 1), (op.c_xx, 2, 0), (op.d_t, 0, 1), (op.d_x, 1, 0), (op.e, 0, 0),
-    ), grid)
+    program, coeffs = _second_order_rhs(op, grid)
+    sources = {id(source): source for *_, source, _ in starts if source is not None}
+    forcing = {key: _source_forcing(source, grid.xs) for key, source in sources.items()}
     return _march(program, coeffs.stages, grid, [
         _Start(
             (np.asarray(u0, dtype=complex), np.asarray(v0, dtype=complex)), j0,
-            None if source is None else _source_forcing(source, grid.xs), span,
+            None if source is None else forcing[id(source)], span,
         )
         for u0, v0, j0, source, span in starts
     ])

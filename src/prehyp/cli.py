@@ -39,7 +39,7 @@ from .cauchy import PairCheckError, SolverBlowupError, solve_cauchy_plain, solve
 from .config import DIRAC_PRESETS, ConfigError, ScenarioConfig, load_config
 from .expr import ExprEvalError
 from .geometry import CauchyLine
-from .greens import adjoint_pairing_check, greens_apply, greens_report
+from .greens import adjoint_pairing_check, greens_report
 from .qft_dirac import beta_sigma, data_space_isometry_check, dirac_current, hypersurface_independence
 
 # per-subcommand tolerances at the configured resolution; convergence
@@ -183,16 +183,9 @@ def run_adjoint_check(cfg: ScenarioConfig, seed: int, nx: Optional[int] = None):
     scn = cfg.scenario(nx)
     scn.check_pairing_sections()
     f, psi = scn.source_section("source"), scn.source_section("dual_source")
-
-    def s_plus_f(span):
-        # greens' retarded S+ phi when the scenario holds it, else solved
-        # here over the levels the pairing reads
-        held, scn.s_plus_source = scn.s_plus_source, None
-        if held is not None:
-            return held
-        return greens_apply(scn.p, scn.q, scn.metric, [(f, "retarded", span)], scn.grid)[0]
-
-    rep = adjoint_pairing_check(scn.p, scn.q, scn.metric, psi, f, s_plus_f, scn.grid)
+    # greens' retarded S+ phi when the scenario holds it, released before
+    # the dual march; else None, and S+ f is solved with the dual pair
+    rep = adjoint_pairing_check(scn.p, scn.q, scn.metric, psi, f, scn.take_s_plus_source(), scn.grid)
     failures = []
     _gate(failures, "pairing defect", rep.defect, high=TOLERANCES["adjoint_defect"])
     _gate(failures, "mismatched-direction control", rep.mismatch_control, low=TOLERANCES["adjoint_mismatch_min"])

@@ -267,6 +267,13 @@ class Scenario:
             if spec is not None:
                 self._checked(name, spec)
 
+    def take_s_plus_source(self) -> Optional[GridSection]:
+        """The held S+ phi, which the scenario then no longer holds: passed
+        straight to its reader, it is freed as soon as the reader lets it
+        go."""
+        held, self.s_plus_source = self.s_plus_source, None
+        return held
+
     @cached_property
     def solution(self):
         """(phi, SolveReport) of the configured Cauchy problem."""

@@ -614,17 +614,18 @@ class Tape:
             raise
         return [[v[s] if sliced else v for v, sliced in zip(out, self._sliced)] for s in range(len(ts))]
 
-    def stack(self, t) -> np.ndarray:
+    def stack(self, t, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The compiled ASTs at time(s) t as one complex array whose last
-        axis runs over the ASTs: (len(xs), n) for a scalar t.  On a mesh,
-        t a column of times (m, 1), it runs block by block of levels
-        (grids.level_blocks), each block's values written straight into
-        that array; a non-finite value raises the ExprEvalError that the
-        whole mesh at once raises."""
+        axis runs over the ASTs, written into out if given: (len(xs), n)
+        for a scalar t.  On a mesh, t a column of times (m, 1), it runs
+        block by block of levels (grids.level_blocks), each block's values
+        written straight into that array; a non-finite value raises the
+        ExprEvalError that the whole mesh at once raises."""
         from .grids import level_blocks  # grids imports this module
 
         shape = np.broadcast_shapes(np.shape(t), self.xs.shape)
-        out = np.empty(shape + (len(self.outputs),), dtype=complex)
+        if out is None:
+            out = np.empty(shape + (len(self.outputs),), dtype=complex)
         if np.ndim(t) < 2:
             for n, v in enumerate(self(t)):
                 out[..., n] = v

@@ -12,16 +12,18 @@ at the ends of that span, and its solution is 0 outside it.
 
 S+ is unique, so adjoint_pairing_check's S+ f is greens_report's retarded
 S+ phi when f is phi: greens_report hands S+- phi on with its report, and
-adjoint_pairing_check takes S+ f from a callable of its caller, which
-solves it only when no such solution is at hand, over the levels the
-pairing reads.
+adjoint_pairing_check takes S+ f from its caller when the caller holds
+it.  Otherwise it solves S+ f over the levels the pairing reads, in the
+march of its dual pair S'-+ psi where P* Q* has the fields of PQ (for
+the Dirac pair, where d_x alpha and d_t beta are 0): then both are one
+normally hyperbolic operator, whose Green's operators one march gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,8 +64,16 @@ class TestSection:
 
     @cached_property
     def values(self) -> np.ndarray:
-        """The section sampled on the grid: (nt, nx, k)."""
-        return _expr.Tape(self.components, self.grid.xs).stack(self.grid.ts[:, None])
+        """The section sampled on the grid: (nt, nx, k).  Only the levels
+        inside the time support are sampled; outside it the window is 0,
+        and so are the values."""
+        ts = self.grid.ts
+        out = np.zeros((len(ts), self.grid.nx, self.k), dtype=complex)
+        inside = np.flatnonzero((ts >= self.t_support[0]) & (ts <= self.t_support[1]))
+        if len(inside):
+            lo, hi = inside[0], inside[-1] + 1
+            _expr.Tape(self.components, self.grid.xs).stack(ts[lo:hi, None], out[lo:hi])
+        return out
 
     def as_section(self) -> GridSection:
         return GridSection(self.grid, self.values)
@@ -260,26 +270,34 @@ def adjoint_pairing_check(
     metric: DiagonalMetric,
     psi: TestSection,
     f: TestSection,
-    s_plus_f: Callable[[Optional[Tuple[int, int]]], GridSection],
+    s_plus_f: Optional[GridSection] = None,
     grid: Optional[Grid1p1] = None,
 ) -> AdjointReport:
     """The relative gap between <S'_- psi, f> and <psi, S_+ f> for the
     bilinear pairing, the dual side through the formal adjoints P*, Q*;
     and its negative control, the gap with S'_+ in place of S'_-, which
     must not vanish.  The pairing reads S_+ f only where psi is nonzero,
-    and S'_-+ psi only where f is.  S_+ f comes from s_plus_f(span), span
-    the stencil_span of psi's time support (a solution over more levels
-    serves as well), which is called first; its solution is released once
-    <psi, S_+ f> is taken, before S'_- psi and S'_+ psi of P* Q* march as
-    one over the stencil_span of f's."""
+    and S'_-+ psi only where f is, so each Green's solve marches over the
+    stencil_span of the other section's time support.  s_plus_f is S_+ f
+    when the caller holds it (over more levels serves as well), else None:
+    then S_+ f is solved here, in the march of S'_- psi and S'_+ psi where
+    P* Q* has the fields of PQ, else in a march of its own, paired and
+    released before the dual march."""
     grid = grid or f.grid
-    rhs = pairing(psi.as_section(), s_plus_f(stencil_span(grid, psi.t_support)), metric, grid)
+    p_star, q_star = formal_adjoint(p, metric), formal_adjoint(q, metric)
+    op, dual_op = compose(p, q), compose(p_star, q_star)
     span = stencil_span(grid, f.t_support)
-    dual = greens_apply(
-        formal_adjoint(p, metric), formal_adjoint(q, metric), metric,
-        [(psi, "advanced", span), (psi, "retarded", span)], grid,
-    )
-    lhs, control = (pairing(s_psi, f.as_section(), metric, grid) for s_psi in dual)
+    dual = [(psi, "advanced", span), (psi, "retarded", span)]
+    joint = s_plus_f is None and op.same_fields(dual_op)
+    if s_plus_f is None:
+        s_plus = (f, "retarded", stencil_span(grid, psi.t_support))
+        solutions = solve_driven(op, metric, [s_plus] + (dual if joint else []), grid)
+        s_plus_f = apply_operator(q, solutions.pop(0))
+    rhs = pairing(psi.as_section(), s_plus_f, metric, grid)
+    del s_plus_f  # released before the dual march, unless the caller holds it
+    if not joint:
+        solutions = solve_driven(dual_op, metric, dual, grid)
+    lhs, control = (pairing(apply_operator(q_star, solutions.pop(0)), f.as_section(), metric, grid) for _ in dual)
     return AdjointReport(_relative_gap(lhs, rhs), lhs, rhs, _relative_gap(control, rhs))
 
 

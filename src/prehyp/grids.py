@@ -8,6 +8,7 @@ light speed.  Cauchy hypersurfaces snap to grid time levels.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -154,7 +155,7 @@ def _stencil(values: np.ndarray, out: np.ndarray, h: float, axis: int, order: in
         scale, by = np.true_divide, h
     n = values.shape[axis]
     axis %= w.ndim
-    row = int(np.prod(w.shape[axis + 1:]))
+    row = math.prod(w.shape[axis + 1:])
     flat_w, flat_o = w.reshape(-1), o.reshape(-1)
     below, centre, above = flat_w[:-2 * row], flat_w[row:-row], flat_w[2 * row:]
     inner = flat_o[row:-row]

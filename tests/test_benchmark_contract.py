@@ -54,8 +54,8 @@ def test_traced_curved_dirac_round(perfbench, tmp_path):
     sweeps = stats["geometry.causal_shadow"][0]
     assert sweeps > 0 and len(digests["shadow"]) == sweeps
     assert tracer.layer_metrics(traced, 1.0)["geometry.causal_shadow.calls"] == sweeps
-    # adjoint-check's S+ f, then its dual march
-    assert tracer.layer_metrics(traced, 1.0)["greens.driven_solves"] == 2
+    # adjoint-check's S+ f and its dual pair, one march
+    assert tracer.layer_metrics(traced, 1.0)["greens.driven_solves"] == 1
 
 
 def test_traced_flat_ladder_round_sees_the_stencils(perfbench, tmp_path):

@@ -151,11 +151,17 @@ class TestCompose:
     def test_operator_algebra_is_kept_on_the_operators(self, chart, mink):
         g = DiagonalMetric("1+0.1*sin(t)", "1+0.3*cos(2*x)", chart)
         p, q = dirac_like(0.5 * np.eye(2)), dirac_like(-0.5 * np.eye(2))
-        assert compose(p, q) is compose(p, q) and compose(q, p) is not compose(p, q)
+        assert compose(p, q) is compose(p, q)
+        # QP has the fields of PQ, so it is PQ, whichever is composed first
+        assert compose(q, p) is compose(p, q)
+        p2, q2 = dirac_like(0.5 * np.eye(2)), dirac_like(-0.5 * np.eye(2))
+        assert compose(q2, p2) is compose(p2, q2)
+        # a different product is a different operator
+        r = dirac_like(np.array([[0.5, 0.0], [0.0, -0.5]]))
+        assert not compose(p, r).same_fields(compose(r, p)) and compose(r, p) is not compose(p, r)
         assert formal_adjoint(p, g) is formal_adjoint(p, g) and formal_adjoint(p, g) is not formal_adjoint(p, mink)
         assert is_complementary_pair(p, q, g) is is_complementary_pair(p, q, g)
         # operators built anew compose anew
-        p2, q2 = dirac_like(0.5 * np.eye(2)), dirac_like(-0.5 * np.eye(2))
         assert compose(p2, q2) is not compose(p, q)
 
     def test_compose_matches_sequential_application(self, chart, mink):

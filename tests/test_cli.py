@@ -505,10 +505,10 @@ class TestOneSolvePerQuestion:
     @pytest.mark.parametrize("subcommand, solutions, marches, driven_marches, lockstep, member_steps", [
         # S+-phi and S+-(P phi), one march per direction, over the whole grid
         pytest.param("greens", 4, 2, 2, 116, 232, id="greens-4"),
-        # S+ f up to the end of psi's levels; S'- psi and the control's
-        # S'+ psi as one, each up to its end of f's levels (116, 174 over
-        # the whole grid)
-        pytest.param("adjoint-check", 3, 2, 2, 40, 60, id="adjoint-check-3"),
+        # S+ f up to the end of psi's levels, marched with S'- psi and the
+        # control's S'+ psi, each up to its end of f's levels: P* Q* has
+        # the fields of PQ (116, 174 over the whole grid)
+        pytest.param("adjoint-check", 3, 1, 1, 20, 60, id="adjoint-check-3"),
         pytest.param("solve", 1, 1, 0, 48, 96, id="solve-1"),
         # the swapped solution over beta's five levels and t0 (96, 192)
         pytest.param("beta", 2, 2, 0, 77, 154, id="beta-2"),
@@ -535,15 +535,22 @@ class TestOneSolvePerQuestion:
 
     def test_batteries_run_one_by_one_share_the_cauchy_solve(self, solves, driven, steps):
         # the Cauchy solve (shared by solve and beta), adjoint-check's three
-        # driven solves in two marches and beta's second solution, all but
+        # driven solves in one march and beta's second solution, all but
         # the first over the levels their readers read (250, 430 over the
         # whole grid)
         cfg = load_config_text(CURVED_CFG)
         for battery in (cli.run_check_pair, cli.run_solve, cli.run_adjoint_check, cli.run_beta):
             battery(cfg, 0)
-        assert (sum(solves), len(solves)) == (5, 4)
+        assert (sum(solves), len(solves)) == (5, 3)
+        assert driven == [3]
+        assert steps == [114, 249]
+
+    def test_adjoint_check_on_the_general_metric_marches_s_plus_f_alone(self, solves, driven):
+        # there P* Q* has other fields than PQ, so S+ f is marched before
+        # the dual pair, as two marches
+        cli.run_adjoint_check(load_config_text(GENERAL_CFG), 0)
+        assert (sum(solves), len(solves)) == (3, 2)
         assert driven == [1, 2]
-        assert steps == [137, 249]
 
     @pytest.mark.parametrize("text", [SMALL_DIRAC_CFG, CURVED_CFG], ids=["flat", "curved"])
     def test_handed_on_s_plus_phi_is_exact_and_released(self, text):
@@ -559,6 +566,20 @@ class TestOneSolvePerQuestion:
         assert held(cfg) == 1
         cli.run_adjoint_check(cfg, 3)
         assert held(cfg) == 0
+
+    def test_held_s_plus_phi_is_freed_before_the_dual_march(self, monkeypatch):
+        import weakref
+
+        from prehyp import greens
+
+        cfg = load_config_text(SMALL_DIRAC_CFG)
+        cli.run_greens(cfg, 0)
+        held = weakref.ref(cfg.scenario().s_plus_source)
+        alive = []
+        real = greens.solve_driven
+        monkeypatch.setattr(greens, "solve_driven", lambda *args: alive.append(held() is not None) or real(*args))
+        cli.run_adjoint_check(cfg, 0)
+        assert alive == [False]
 
     def test_one_scenario_per_resolution(self):
         cfg = load_config_text(SMALL_DIRAC_CFG)
@@ -599,6 +620,48 @@ class TestSymbolicWorkOncePerRun:
         pairs = [load_config_text(CURVED_CFG).operators() for _ in range(2)]
         pq = [compose(p, q) for p, q in pairs]
         assert bodies["compose"] == 2 and pq[0] is not pq[1]
+
+    def test_each_operator_builds_one_right_hand_side_per_grid(self, monkeypatch):
+        # the Cauchy datum's P and the solve's QP, once per load: beta's
+        # second solution and adjoint-check's march (PQ and P* Q*, which
+        # have QP's fields) reuse them, and a second load, like a second
+        # grid, builds its own
+        from prehyp import cauchy
+
+        built = []
+        real = cauchy._right_hand_side
+        monkeypatch.setattr(cauchy, "_right_hand_side", lambda *args: built.append(args[0]) or real(*args))
+        for _ in range(2):
+            cfg = load_config_text(CURVED_CFG)
+            for battery in (cli.run_solve, cli.run_adjoint_check, cli.run_beta):
+                battery(cfg, 0)
+            assert len(built) == 2
+            built.clear()
+        cli.run_solve(cfg, 0, 64)
+        assert len(built) == 2
+
+    def test_a_curved_round_compiles_each_march_tape_once(self, monkeypatch):
+        # the round of the curved_dirac benchmark: the march tapes of P's
+        # datum and of QP once each (15 compiles before, each solve and
+        # the dual march building its own), f's forcing and psi's once
+        # each; apply_operator's tapes (P, Q and Q* twice) and each
+        # sampled section's (f and psi) are compiled per call.  The
+        # synthesized psi mirrors f through 0, so the two compile equal
+        # tapes: 6 distinct
+        from prehyp.expr import Tape, pretty
+
+        compiles = []
+        real = Tape.__init__
+
+        def init(self, asts, xs):
+            compiles.append((tuple(pretty(a) for a in asts), np.asarray(xs).tobytes()))
+            real(self, asts, xs)
+
+        monkeypatch.setattr(Tape, "__init__", init)
+        cfg = load_config_text(CURVED_CFG)
+        for battery in (cli.run_check_pair, cli.run_solve, cli.run_adjoint_check, cli.run_beta):
+            battery(cfg, 0)
+        assert (len(compiles), len(set(compiles))) == (10, 6)
 
 
 GENERAL_CFG = CURVED_CFG.replace("1+0.1*sin(t)", "1+0.3*x").replace("1+0.3*cos(2*x)", "1+0.3*t")

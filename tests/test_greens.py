@@ -38,12 +38,6 @@ def section(grid, components=("1", "0.5"), x_window=X_WINDOW, t_window=T_WINDOW)
     return make_test_section(grid, list(components), x_window, t_window)
 
 
-def s_plus(p, q, metric, f, grid):
-    """adjoint_pairing_check's S_+ f, solved over the span it is called
-    with."""
-    return lambda span: greens_apply(p, q, metric, [(f, "retarded", span)], grid)[0]
-
-
 class TestSections:
     def test_support_box(self, grid_greens):
         s = section(grid_greens)
@@ -180,44 +174,78 @@ class TestGreensIdentities:
         assert rep.support_leak < 1e-7
 
 
+def dual_sides(chart, monkeypatch, alpha, beta):
+    """Check adjoint_pairing_check on a Dirac pair against greens_apply's
+    sides, each marched alone; returns the jobs of each of its marches
+    after checking that it composes twice."""
+    from prehyp import greens
+
+    metric = DiagonalMetric(alpha, beta, chart)
+    p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
+    grid = build_grid(chart, metric, 128)
+    f = section(grid, components=("1", "0"), t_window=(0.0, 0.02, 20.0))
+    psi = section(grid, components=("0", "1"), x_window=(0.2, 0.05, 2.5), t_window=(0.0, 0.02, 20.0))
+    calls, jobs = [], []
+    real, real_driven = greens.compose, greens.solve_driven
+    monkeypatch.setattr(greens, "compose", lambda a, b: calls.append((a, b)) or real(a, b))
+    monkeypatch.setattr(greens, "solve_driven", lambda op, m, js, g: jobs.append(len(js)) or real_driven(op, m, js, g))
+    rep = adjoint_pairing_check(p, q, metric, psi, f, None, grid)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    p_star, q_star = formal_adjoint(p, metric), formal_adjoint(q, metric)
+    assert compose(p, q).same_fields(compose(p_star, q_star)) == (len(jobs) == 1)
+    rhs = pairing(psi.as_section(), greens_apply(p, q, metric, [(f, "retarded")], grid)[0], metric, grid)
+    lhs, control = (
+        pairing(greens_apply(p_star, q_star, metric, [(psi, d)], grid)[0], f.as_section(), metric, grid)
+        for d in ("advanced", "retarded")
+    )
+    assert (rep.lhs, rep.rhs) == (lhs, rhs)
+    assert rep.mismatch_control == abs(control - rhs) / max(abs(control), abs(rhs))
+    return jobs
+
+
 class TestAdjointPairing:
     def test_defect_small(self, mink, grid_greens, dirac_pair):
         p, q = dirac_pair
         f = section(grid_greens, components=("1", "0"))
         psi = section(grid_greens, components=("0", "1"), x_window=(0.2, 0.05, 2.5))
-        rep = adjoint_pairing_check(p, q, mink, psi, f, s_plus(p, q, mink, f, grid_greens), grid_greens)
+        rep = adjoint_pairing_check(p, q, mink, psi, f, None, grid_greens)
         assert abs(rep.lhs) > 0 and abs(rep.rhs) > 0
         assert rep.defect < 1e-3
 
-    def test_dual_sides_share_one_composition(self, chart, dirac_pair, monkeypatch):
-        # P Q for S_+ f and P* Q* once for S'_- psi and S'_+ psi; the dual
-        # sides equal greens_apply's, which composes P* Q* per call
+    def test_dual_sides_share_one_composition(self, chart, monkeypatch):
+        # P Q for S_+ f and P* Q* once for S'_- psi and S'_+ psi; on the
+        # README metric P* Q* has the fields of P Q, so S_+ f marches with
+        # them
+        assert dual_sides(chart, monkeypatch, "1+0.1*sin(t)", "1+0.3*cos(2*x)") == [3]
+
+    def test_the_general_metric_marches_s_plus_f_alone(self, chart, monkeypatch):
+        # there P* Q* has other fields than P Q: S_+ f first, then the dual
+        # pair
+        assert dual_sides(chart, monkeypatch, "1+0.3*x", "1+0.3*t") == [1, 2]
+
+    def test_a_held_s_plus_f_leaves_only_the_dual_march(self, chart, monkeypatch):
+        # S_+ f over the whole grid, held by the caller, gives the report
+        # that S_+ f solved over psi's levels gives
         from prehyp import greens
 
         metric = DiagonalMetric("1+0.1*sin(t)", "1+0.3*cos(2*x)", chart)
         p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
         grid = build_grid(chart, metric, 128)
-        f = section(grid, components=("1", "0"), t_window=(0.0, 0.02, 20.0))
-        psi = section(grid, components=("0", "1"), x_window=(0.2, 0.05, 2.5), t_window=(0.0, 0.02, 20.0))
-        calls = []
-        real = greens.compose
-        monkeypatch.setattr(greens, "compose", lambda a, b: calls.append((a, b)) or real(a, b))
-        rep = adjoint_pairing_check(p, q, metric, psi, f, s_plus(p, q, metric, f, grid), grid)
-        assert len(calls) == 2
-        monkeypatch.setattr(greens, "compose", real)
-        p_star, q_star = formal_adjoint(p, metric), formal_adjoint(q, metric)
-        rhs = pairing(psi.as_section(), greens_apply(p, q, metric, [(f, "retarded")], grid)[0], metric, grid)
-        lhs, control = (
-            pairing(greens_apply(p_star, q_star, metric, [(psi, d)], grid)[0], f.as_section(), metric, grid)
-            for d in ("advanced", "retarded")
-        )
-        assert (rep.lhs, rep.rhs) == (lhs, rhs)
-        assert rep.mismatch_control == abs(control - rhs) / max(abs(control), abs(rhs))
+        f = section(grid, components=("1", "0"), t_window=(-0.05, 0.02, 20.0))
+        psi = section(grid, components=("0", "1"), x_window=(0.2, 0.05, 2.5), t_window=(0.05, 0.02, 20.0))
+        held = greens_apply(p, q, metric, [(f, "retarded")], grid)[0]
+        jobs = []
+        real = greens.solve_driven
+        monkeypatch.setattr(greens, "solve_driven", lambda op, m, js, g: jobs.append(len(js)) or real(op, m, js, g))
+        assert adjoint_pairing_check(p, q, metric, psi, f, held, grid) == adjoint_pairing_check(p, q, metric, psi, f, None, grid)
+        assert jobs == [2, 3]
 
     def test_marches_stop_where_the_pairing_stops_reading(self, chart, dirac_pair, monkeypatch):
         # f early and psi late: S+ f is marched over psi's levels, S'-+ psi
         # over f's, each widened by a level for the t-stencil of Q or Q*,
-        # and the report equals that of marches over the whole grid
+        # all three in one march, and the report equals that of marches
+        # over the whole grid
         from prehyp import greens
 
         metric = DiagonalMetric("1+0.1*sin(t)", "1+0.3*cos(2*x)", chart)
@@ -233,18 +261,18 @@ class TestAdjointPairing:
             return real(op, metric, jobs, grid)
 
         monkeypatch.setattr(greens, "solve_driven", solve_driven)
-        rep = adjoint_pairing_check(p, q, metric, psi, f, s_plus(p, q, metric, f, grid), grid)
+        rep = adjoint_pairing_check(p, q, metric, psi, f, None, grid)
         inside = [np.flatnonzero((grid.ts >= lo) & (grid.ts <= hi)) for lo, hi in (psi.t_support, f.t_support)]
         (psi_lo, psi_hi), (f_lo, f_hi) = ((int(i[0]) - 1, int(i[-1]) + 1) for i in inside)
-        assert spans == [[(psi_lo, psi_hi)], [(f_lo, f_hi)] * 2] and f_hi < psi_lo
+        assert spans == [[(psi_lo, psi_hi)] + [(f_lo, f_hi)] * 2] and f_hi < psi_lo
         monkeypatch.setattr(greens, "stencil_span", lambda grid, t_support: None)
-        assert adjoint_pairing_check(p, q, metric, psi, f, s_plus(p, q, metric, f, grid), grid) == rep
+        assert adjoint_pairing_check(p, q, metric, psi, f, None, grid) == rep
 
     def test_mismatched_directions_is_a_negative_control(self, mink, grid_greens, dirac_pair):
         p, q = dirac_pair
         f = section(grid_greens, components=("1", "0"))
         psi = section(grid_greens, components=("0", "1"), x_window=(0.2, 0.05, 2.5))
-        control = adjoint_pairing_check(p, q, mink, psi, f, s_plus(p, q, mink, f, grid_greens), grid_greens).mismatch_control
+        control = adjoint_pairing_check(p, q, mink, psi, f, None, grid_greens).mismatch_control
         assert control > 1e-1
 
     def test_causally_disjoint_sources_pair_to_zero(self, chart, mink, dirac_pair):

@@ -375,7 +375,7 @@ def products(field, c, w, load):
     out, into, scratch = (np.empty(w.shape, dtype=complex) for _ in range(3))
     results = [product(field)(w, out)(c).copy()]
     for first, f in ((load, None), (cauchy._FORCING, load), (None, None)):
-        ops, result = cauchy._subtraction(field, 0, w, first, into, scratch)
+        ops, result = cauchy._subtraction(field, 0, w, first, into, scratch, cauchy._bind(field))
         for op in ops:
             op([c], f)
         results.append(result.copy())
@@ -396,6 +396,30 @@ def test_shared_diagonal_fields_contract_as_the_matrix_product(s, c):
     assert np.array_equal(applied, contract(c, w))
     assert np.array_equal(later, load - contract(c, w)) and np.array_equal(forced, later)
     assert np.array_equal(unforced, 0.0 - contract(c, w))
+
+
+@pytest.mark.parametrize("s, laid_out", [("1+0.3*cos(2*x)", True), ("-0.6*sin(2*x)/(1+0.3*cos(2*x))", True),
+                                         ("(1+x)*(0.2+t)", False), ("2", False)])
+def test_x_only_diagonal_fields_are_laid_out_as_complex_rows(s, laid_out, monkeypatch):
+    # README's C^xx and D^x are s(x) Id: the right-hand side multiplies by
+    # s laid out once as (nx, k) complex rows, whose products equal the
+    # broadcast real s's bit for bit, signed zeros included (numpy makes
+    # s complex either way)
+    field = MatrixField.from_exprs([[s, 0], [0, s]])
+    xs = np.linspace(-1.0, 1.0, 128)
+    c = coefficient_tape([field], xs)(0.25)[0]
+    bind = cauchy._bind(field)
+    layouts = []
+    real = np.repeat
+    monkeypatch.setattr(np, "repeat", lambda *args, **kwargs: layouts.append(1) or real(*args, **kwargs))
+    rng = np.random.default_rng(7)
+    for members in (2, 3):
+        w = signed_zero_input(rng, (members, 128, 2))
+        out, expected = np.empty(w.shape, complex), np.empty(w.shape, complex)
+        applied = bind(w, out)(c)
+        product(field)(w, expected)(c)
+        assert applied.view(np.float64).tobytes() == expected.view(np.float64).tobytes()
+    assert len(layouts) == laid_out
 
 
 @pytest.mark.parametrize("c", [1, -1, 0.49, -2.5, 1j, 0.3 + 0.7j])
