@@ -193,8 +193,9 @@ def coefficient_tape(fields: Sequence[MatrixField], xs: np.ndarray) -> Callable:
     applies it: its nonzero entries as (i, j, value at t on xs) triples,
     in row-major order; a constant entry is a constant slot of the tape,
     its value a number.  at.stages(ts) gives that list for every stage
-    time of a stage-major stack ts, from one run of the tape (Tape.stages);
-    for a constant tape it is one list, built on the first call, repeated."""
+    time of a stage-major stack ts, from one run of the tape (Tape.stages,
+    which gives a value of t alone as complex); for a constant tape it is
+    one list, built on the first call, repeated."""
     nonzero = [f.nonzero() for f in fields]
     tape = _expr.Tape([e for entries in nonzero for _, _, e in entries], xs)
 

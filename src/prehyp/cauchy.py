@@ -33,8 +33,21 @@ component as one more component, the stencil outputs, the products and
 the forcing rows of a block) and takes each view once, so a step is a
 fixed sequence of ufunc calls with out=, in the order of the formulas it
 replaces, whose values it equals.  The stage states and the update act on
-all components at once, and a stencil's two edge rows, one-sided on a
-line or wrapped around on a circle, take three calls.
+all components at once, with dt/2, dt and dt/6 as numbers, or laid out
+over the state where its members step in both directions, and a
+stencil's two edge rows, one-sided on a line or wrapped around on a
+circle, take three calls.
+
+Where C^xx and D^x of a second-order operator are real s Id fields free
+of t, one of them not constant (a metric whose beta depends on x alone,
+the README's), C^xx d_x^2 u + D^x d_x u, and E u where E is such a field
+too, is one three-point operator a_i u_{i+1} + b_i u_i + e_i u_{i-1}:
+real weights per node, built once per right-hand side from the tape's
+values and laid out over a segment's members, eight calls on the float64
+view where two stencils and their products made twelve and more.  It is
+the same second-order scheme in exact arithmetic, and its values move in
+the last bits; every other operator keeps the stencils, and its march
+outputs are those of the formulas above.
 """
 
 from __future__ import annotations
@@ -58,7 +71,16 @@ from .bundle_ops import (
     product,
 )
 from .geometry import CauchyLine, CausalShadow, DiagonalMetric
-from .grids import CauchyData, Grid1p1, GridSection, _stencil, check_causal_margin, squared_norm
+from .grids import (
+    CauchyData,
+    Grid1p1,
+    GridSection,
+    _stencil,
+    _three_point,
+    check_causal_margin,
+    squared_norm,
+    three_point_weights,
+)
 
 if TYPE_CHECKING:
     from .greens import TestSection
@@ -244,7 +266,10 @@ def _rk4(program, stages, members: list, grid: Grid1p1) -> None:
     The stage states and the update y + dt/6 (k1 + 2 k2 + 2 k3 + k4) run
     on the float64 views of all components at once, in the order of the
     complex formulas, whose values they equal: a complex times a real
-    column rounds as each part times it."""
+    number rounds as each part times it.  Their coefficients dt/2, dt and
+    dt/6 are numbers where the segment's members share a step sign, else
+    arrays of the views' shape laid out once per segment
+    (_step_coefficients)."""
     if not members:
         return
     y = np.stack([np.stack([m.y0[c] for m in members]) for c in range(len(members[0].y0))])
@@ -254,7 +279,6 @@ def _rk4(program, stages, members: list, grid: Grid1p1) -> None:
         times = np.stack([m.times[2 * i:2 * (i + n) + 1] for m, i in zip(members, firsts)])
         targets = np.stack([m.levels[i:i + n] + m.step for m, i in zip(members, firsts)], axis=1).tolist()
         outs = [m.out for m in members]
-        dt = np.array([m.step * grid.dt for m in members])[:, None, None]
         # per stage, the state and then the derivative of its last component
         buffer = np.empty((4, len(y) + 1) + y.shape[1:], dtype=complex)
         buffer[0, :-1] = y
@@ -264,9 +288,9 @@ def _rk4(program, stages, members: list, grid: Grid1p1) -> None:
         # per stage, the derivative of each state component: the next one, or k
         derivs = views[:, 1:]
         # the stage n + 1 state y + a k_n, and the update, after each run
-        half_dt = dt / 2
+        half_dt, dt, sixth_dt = _step_coefficients([m.step * grid.dt for m in members], views[0, :-1].shape)
         after = [_stage_state(views[b + 1, :-1], views[0, :-1], a, derivs[b]) for b, a in enumerate((half_dt, half_dt, dt))]
-        after.append(_update(views[0, :-1], dt / 6, derivs))
+        after.append(_update(views[0, :-1], sixth_dt, derivs))
         if not grid.periodic:
             after[-1].append(functools.partial(y[..., ::grid.nx - 1, :].fill, 0.0))
         # the stage of the block each run takes, as an offset from 2j
@@ -294,15 +318,27 @@ def _rk4(program, stages, members: list, grid: Grid1p1) -> None:
         y = y[:, keep]
 
 
-def _stage_state(into: np.ndarray, y: np.ndarray, a: np.ndarray, k: np.ndarray) -> list:
+def _step_coefficients(dts: list, shape: tuple) -> tuple:
+    """dt/2, dt and dt/6 for the members' signed steps dts: numbers where
+    the members share one step, else arrays of the float64 view's shape
+    (components, members, nx, 2k), each member's own value over its rows,
+    so that no stage or update multiply broadcasts a column."""
+    if len(set(dts)) == 1:
+        return dts[0] / 2, dts[0], dts[0] / 6
+    column = np.array(dts)[:, None, None]
+    return tuple(np.ascontiguousarray(np.broadcast_to(a, shape)) for a in (column / 2, column, column / 6))
+
+
+def _stage_state(into: np.ndarray, y: np.ndarray, a, k: np.ndarray) -> list:
     """The ops writing the stage state y + a k into the float64 view into,
-    all components at once: a a real column and k a stage's derivative of
-    each component, contiguous views all of one shape."""
+    all components at once: a a number or an array of into's shape
+    (_step_coefficients) and k a stage's derivative of each component,
+    contiguous views all of one shape."""
     part = functools.partial
     return [part(np.multiply, k, a, into), part(np.add, into, y, into)]
 
 
-def _update(y: np.ndarray, a: np.ndarray, derivs: np.ndarray) -> list:
+def _update(y: np.ndarray, a, derivs: np.ndarray) -> list:
     """The ops of y += a (((2 k2 + k1) + 2 k3) + k4) on float64 views, all
     components at once, k_n being derivs[n - 1]."""
     part = functools.partial
@@ -375,7 +411,8 @@ def _right_hand_side(lead: MatrixField, terms, grid: Grid1p1):
     stage and f the members' forcing rows, None if none is forced; the
     derivative of each other component is the next one, y[1:] itself.  The
     runs share the stencil outputs and scratch arrays, allocated once, and
-    a run is a fixed sequence of ufunc calls with out=.
+    a run is a fixed sequence of ufunc calls with out=.  A term (x, _X, c),
+    x a _ThreePoint, subtracts x's operator applied to y[c].
 
     The terms whose field folds to 0, and so the stencils only their
     operands need, are left out, and a constant c Id field is applied as
@@ -385,32 +422,111 @@ def _right_hand_side(lead: MatrixField, terms, grid: Grid1p1):
     differ in sign)."""
     terms = [(field, order, c) for field, order, c in terms if not field.is_zero]
     inverse = lead.inverse()
-    coeffs = coefficient_tape([field for field, _, _ in terms] + [inverse], grid.xs)
+    # each term's fields in the tape, from slots[n] on
+    parts = [field.fields if order == _X else (field,) for field, order, _ in terms]
+    slots = np.cumsum([0] + [len(fields) for fields in parts]).tolist()
+    coeffs = coefficient_tape([f for fields in parts for f in fields] + [inverse], grid.xs)
     spacing = {1: 2 * grid.dx, 2: grid.dx**2}
-    binds = [_bind(field) for field, _, _ in terms]
+    binds = [None if order == _X else _bind(field) for field, order, _ in terms]
     solve = _bind(inverse)
 
     def program(states: list, ks: list) -> list:
         shape = ks[0].shape
         derivatives = {(order, c): np.empty(shape, dtype=complex) for _, order, c in terms if order}
+        layouts = {n: field.layout(shape) for n, (field, order, _) in enumerate(terms) if order == _X}
         scratch, load = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
         runs = []
         for y, k in zip(states, ks):
-            stencils = [_stencil(y[c], out, spacing[order], -2, order, grid.periodic) for (order, c), out in derivatives.items()]
+            stencils = [
+                _stencil(y[c], out, spacing[order], -2, order, grid.periodic)
+                for (order, c), out in derivatives.items() if order in spacing
+            ]
             operands = [derivatives[order, c] if order else y[c] for _, order, c in terms]
+            # each _ThreePoint writes the negative of its operator into its operand
+            three_points = {
+                n: field.bind(y[c], operands[n], layouts[n], slots[n])
+                for n, (field, order, c) in enumerate(terms) if order == _X
+            }
             # an identity inverse leaves the load as it is, so it is gathered in k
             into = k if inverse.scalar == 1 else load
             variants = []
             for first in (None, _FORCING):
                 ops, result = [], first
-                for n, ((field, _, _), w) in enumerate(zip(terms, operands)):
-                    term, result = _subtraction(field, n, w, result, into, scratch, binds[n])
+                for n, ((field, order, _), w) in enumerate(zip(terms, operands)):
+                    if order == _X:
+                        ops.append(three_points[n])
+                        field = field.minus
+                    term, result = _subtraction(field, slots[n], w, result, into, scratch, binds[n])
                     ops += term
                 variants.append(ops + _solution(inverse, result, into, k, solve))
             runs.append(_stage(stencils, *variants))
         return runs
 
     return program, coeffs
+
+
+# the order of a term that is a _ThreePoint
+_X = "x"
+
+
+class _ThreePoint:
+    """C^xx d_x^2 + D^x d_x + E of a second-order operator, as one term of
+    its right-hand side: one three-point operator on the nodes
+    (grids._three_point), for real s Id fields C^xx, D^x and E free of t
+    (E is the zero field where the operator's is not one, and that stays a
+    term of its own).  The weights, of the operator's negative
+    (grids.three_point_weights), are built on the first run from the
+    fields' tape values and kept, and laid out over each segment's
+    members; the term subtracts -Id times the negative, which leaves it
+    as it is where it comes first in an unforced stage."""
+
+    is_zero = False
+
+    def __init__(self, fields: tuple, grid: Grid1p1):
+        self.fields, self.grid = fields, grid
+        self.minus = MatrixField.from_constant(-np.eye(fields[0].k))
+        self._nodes = None
+
+    def layout(self, shape: tuple) -> Callable:
+        """weights(c), the weights and edge weights as _three_point takes
+        them for complex arrays of shape (members, nx, k), c being the
+        fields' tape values: laid out on the first call and shared by every
+        later one."""
+        laid = []
+
+        def weights(c) -> tuple:
+            if not laid:
+                if self._nodes is None:
+                    values = [np.real(v[0][2]) if v else 0.0 for v in c]
+                    self._nodes = tuple(np.negative(w) for w in three_point_weights(*values, self.grid))
+                nodes, edges = self._nodes
+                row = 2 * shape[-1]
+                full, ends = np.empty((3,) + shape[:-1] + (row,)), np.empty(shape[:1] + edges.shape + (row,))
+                full[...] = nodes[:, None, :, None]
+                ends[...] = edges[..., None]
+                laid.append((full, ends))
+            return laid[0]
+
+        return weights
+
+    def bind(self, w: np.ndarray, out: np.ndarray, weights: Callable, slot: int) -> Callable:
+        """op(c, f) writing the negative of the operator applied to w into
+        out, the fields' tape values being c[slot:slot + 3]; the first run
+        binds the three-point operator."""
+        runs = []
+
+        def run(c, f) -> None:
+            if not runs:
+                runs.append(_three_point(w, out, *weights(c[slot:slot + 3]), self.grid.periodic))
+            runs[0]()
+
+        return run
+
+
+def _real_x_only(field: MatrixField) -> bool:
+    """Whether field is s Id for a real s free of t."""
+    s = field.diagonal
+    return s is not None and not _expr.uses_var(s, "t") and _expr.is_real(s)
 
 
 def _bind(field: MatrixField) -> Callable:
@@ -513,9 +629,21 @@ def _second_order_rhs(op: SecondOrderOperator, grid: Grid1p1):
     """L u = f as d_t v = (C^tt)^{-1} (f - 2 C^tx d_x v - C^xx d_x^2 u
     - D^t v - D^x d_x u - E u), v = d_t u, and its coefficient tape, built
     once per operator and grid: every solve of op on grid marches it."""
-    return _kept_per_grid(op, grid, lambda: _right_hand_side(op.c_tt, (
-        (op.c_tx.scale(2.0), 1, 1), (op.c_xx, 2, 0), (op.d_t, 0, 1), (op.d_x, 1, 0), (op.e, 0, 0),
-    ), grid))
+    return _kept_per_grid(op, grid, lambda: _right_hand_side(op.c_tt, _second_order_terms(op, grid), grid))
+
+
+def _second_order_terms(op: SecondOrderOperator, grid: Grid1p1) -> list:
+    """The terms of L's right-hand side in order.  Where C^xx and D^x are
+    real s Id fields free of t, one of them not constant (a metric whose
+    beta depends on x alone), C^xx d_x^2 u + D^x d_x u is one three-point
+    operator, subtracted in C^xx's place, and so is E u where E is such a
+    field too; the rest keep the stencils."""
+    terms = [(op.c_tx.scale(2.0), 1, 1), (op.c_xx, 2, 0), (op.d_t, 0, 1), (op.d_x, 1, 0), (op.e, 0, 0)]
+    if not (_real_x_only(op.c_xx) and _real_x_only(op.d_x)) or (op.c_xx.is_constant and op.d_x.is_constant):
+        return terms
+    folded = _real_x_only(op.e)
+    x = _ThreePoint((op.c_xx, op.d_x, op.e if folded else MatrixField.zero(op.k)), grid)
+    return [terms[0], (x, _X, 0), terms[2]] + ([] if folded else [terms[4]])
 
 
 def solve_second_order(

@@ -318,11 +318,13 @@ def _battery(name: str, cfg: ScenarioConfig) -> tuple:
 # ---------------------------------------------------------------------------
 # orchestration
 
-def run(subcommand: str, cfg: ScenarioConfig, seed: int = 0, target: Optional[str] = None):
+def run(subcommand: str, cfg: ScenarioConfig, seed: int = 0, target: Optional[str] = None, out_dir: Optional[str] = None):
     """Execute a subcommand; returns (report dict, timings dict, artifacts).
 
     The report is fully deterministic for a fixed config and seed; all
-    wall-clock measurements live in the timings dict.
+    wall-clock measurements live in the timings dict.  It echoes out_dir,
+    the directory it is written to, as its output directory (the config's
+    by default).
     """
     timings: Dict[str, float] = {}
     artifacts: Dict[str, object] = {}
@@ -346,7 +348,7 @@ def run(subcommand: str, cfg: ScenarioConfig, seed: int = 0, target: Optional[st
     report = {
         "subcommand": subcommand if target is None else f"{subcommand} {target}",
         "seed": seed,
-        "scenario": _jsonable(cfg.echo()),
+        "scenario": _jsonable(cfg.echo(out_dir)),
         "results": _jsonable(results),
         "passed": not failures,
         "failures": list(failures),
@@ -483,7 +485,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         out_dir = args.out or cfg.output_directory
         if args.subcommand != "convergence" and args.target is not None:
             raise ConfigError(f"unexpected argument {args.target!r}")
-        report, timings, artifacts = run(args.subcommand, cfg, args.seed, args.target)
+        report, timings, artifacts = run(args.subcommand, cfg, args.seed, args.target, out_dir)
         if "json" in cfg.output_formats:
             print(write_report(report, out_dir))
             write_timings(timings, out_dir)

@@ -182,8 +182,10 @@ class ScenarioConfig:
             self._scenarios[nx] = Scenario(self, nx)
         return self._scenarios[nx]
 
-    def echo(self) -> Dict[str, object]:
-        """The resolved configuration as plain JSON-compatible data."""
+    def echo(self, directory: Optional[str] = None) -> Dict[str, object]:
+        """The resolved configuration as plain JSON-compatible data, with
+        directory as the output directory, the configured one by default:
+        the directory the report is written to."""
         chart = self.spacetime.chart
         return {
             "spacetime": {
@@ -204,7 +206,7 @@ class ScenarioConfig:
             },
             "source": _echo_source(self.source),
             "dual_source": _echo_source(self.dual_source),
-            "output": {"directory": self.output_directory, "formats": self.output_formats},
+            "output": {"directory": directory or self.output_directory, "formats": self.output_formats},
         }
 
 

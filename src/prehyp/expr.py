@@ -350,6 +350,14 @@ def uses_var(ast: ExprAst, name: str) -> bool:
     return any(uses_var(c, name) for c in _children(ast))
 
 
+def is_real(ast: ExprAst) -> bool:
+    """True if every number in the expression is real, so that its values
+    are real wherever they are finite."""
+    if isinstance(ast, Num):
+        return complex(ast.value).imag == 0
+    return all(is_real(c) for c in _children(ast))
+
+
 def pretty(ast: ExprAst) -> str:
     """Render an AST back to source; fully parenthesized so that
     pretty(parse(pretty(e))) == pretty(e).  The string is kept on the node
@@ -604,14 +612,21 @@ class Tape:
         """The values at every stage time ts[s] of the stage-major (S,
         members, 1) stack ts, from one run: per stage, the slice v[s] of
         each t-dependent value v, the shape ts[s] alone gives, and each
-        other value whole.  A non-finite value raises the ExprEvalError
-        that evaluating ts[0], ts[1], ... one by one raises first."""
+        other value whole.  A t-dependent value free of x, one number per
+        stage and member, is cast to complex once for the whole stack: a
+        product with a complex state makes it complex either way.  A
+        non-finite value raises the ExprEvalError that evaluating ts[0],
+        ts[1], ... one by one raises first."""
         try:
             out = self(ts)
         except ExprEvalError:
             for t in ts:
                 self(t)
             raise
+        out = [
+            np.asarray(v, dtype=complex) if sliced and np.shape(v)[-1:] == (1,) else v
+            for v, sliced in zip(out, self._sliced)
+        ]
         return [[v[s] if sliced else v for v, sliced in zip(out, self._sliced)] for s in range(len(ts))]
 
     def stack(self, t, out: Optional[np.ndarray] = None) -> np.ndarray:

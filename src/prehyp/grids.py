@@ -171,20 +171,84 @@ def _stencil(values: np.ndarray, out: np.ndarray, h: float, axis: int, order: in
             part(np.subtract, above, inner, inner),
             part(np.add, inner, below, inner),
         ]
+    ops += _edge_rows(w, o, axis, pair, rows, weights)
+    ops.append(part(scale, flat_o, by, flat_o))
+    return _sequence(ops)
+
+
+def _edge_rows(w: np.ndarray, o: np.ndarray, axis: int, pair: tuple, rows: np.ndarray, weights: np.ndarray) -> list:
+    """The three ops writing both edge rows of o, the pair, as weighted
+    sums of the rows of w along axis: gathered into one buffer, times the
+    weights, summed in index order from -0.0."""
+    part = functools.partial
     gathered = np.empty(w.shape[:axis] + rows.shape + w.shape[axis + 1:], dtype=w.dtype)
     # take's mode "raise" would buffer its output; the rows are in range
-    ops += [
+    return [
         part(w.take, rows, axis, gathered, "clip"),
         part(np.multiply, gathered, weights, gathered),
         part(np.add.reduce, gathered, axis, None, o[pair], False, -0.0),
-        part(scale, flat_o, by, flat_o),
     ]
+
+
+def _sequence(ops: list) -> Callable:
+    """run() calling the ops in order."""
 
     def run() -> None:
         for op in ops:
             op()
 
     return run
+
+
+def three_point_weights(c, d, e, grid: Grid1p1) -> Tuple[np.ndarray, np.ndarray]:
+    """The weights of u -> c d_xx u + d d_x u + e u, c, d and e real
+    numbers or arrays over the nodes, as one three-point operator
+    a_i u_{i+1} + b_i u_i + e_i u_{i-1} (_three_point): the rows (a, b, e)
+    of a (3, nx) array, a = c/dx^2 + d/(2 dx), b = e - 2 c/dx^2 and
+    e = c/dx^2 - d/(2 dx), the centred stencils of d_xx and d_x; and the
+    edge rows' weights, per row of an order-2 stencil's plan (_plan) and
+    edge, an (m, 2) array.  On a line those are c times d_xx's one-sided
+    weights plus d times d_x's plus e on the edge node, on a circle the
+    rows a, b, e at the nodes 0 and n - 1.  In exact arithmetic the
+    operator is the stencils' sum."""
+    n = grid.nx
+    c, d, e = (np.broadcast_to(v, (n,)) for v in (c, d, e))
+    cc, dd = c / grid.dx**2, d / (2 * grid.dx)
+    weights = np.stack([cc + dd, e - 2.0 * cc, cc - dd])
+    ends = [0, n - 1]
+    if grid.periodic:
+        return weights, weights[:, ends]
+    second, first, own = (np.array(table, dtype=float) for table in (
+        _EDGE_WEIGHTS[2], _EDGE_WEIGHTS[1] + ((0, 0),), ((1, 1), (0, 0), (0, 0), (0, 0)),
+    ))
+    return weights, (cc[ends] * second + dd[ends] * first) + e[ends] * own
+
+
+def _three_point(values: np.ndarray, out: np.ndarray, weights: np.ndarray, edges: np.ndarray, periodic: bool) -> Callable:
+    """run() writing a_i v_{i+1} + b_i v_i + e_i v_{i-1} along axis -2 of
+    the complex values into out, C-contiguous arrays of one shape, in
+    eight calls on their float64 views.  weights holds (a, b, e) laid out
+    as that view, each node's weight over its row, and edges the edge
+    rows' weights laid out as the rows they are made of, gathered as an
+    order-2 stencil's (_plan, three_point_weights).  The interior is one
+    pass over the flat memory, (a v+ + b v) + e v-, whose rows that
+    straddle two rows of a leading axis are edge rows, written after it
+    by _stencil's gather-weight-sum.  Every view and buffer is made here,
+    so run() can be called again once values have changed in place."""
+    w, o = values.view(np.float64), out.view(np.float64)
+    row = w.shape[-1]
+    flat_w, flat_o = w.reshape(-1), o.reshape(-1)
+    below, centre, above = flat_w[:-2 * row], flat_w[row:-row], flat_w[2 * row:]
+    inner = flat_o[row:-row]
+    a, b, e = (x.reshape(-1)[row:-row] for x in weights)
+    scratch = np.empty(inner.shape)
+    part = functools.partial
+    ops = [
+        part(np.multiply, above, a, inner), part(np.multiply, centre, b, scratch), part(np.add, inner, scratch, inner),
+        part(np.multiply, below, e, scratch), part(np.add, inner, scratch, inner),
+    ]
+    pair, rows, _ = _plan(w.ndim, -2, w.shape[-2], 2, periodic)
+    return _sequence(ops + _edge_rows(w, o, w.ndim - 2, pair, rows, edges))
 
 
 def _derivative(

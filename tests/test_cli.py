@@ -204,6 +204,18 @@ class TestMain:
         assert (tmp_path / "out" / "report.json").exists()
         assert (tmp_path / "out" / "timings.json").exists()
 
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_report_echoes_the_directory_it_is_written_to(self, tmp_path, monkeypatch, flag):
+        # --out overrides [output] directory, and the report echoes the
+        # directory the run wrote to, not the configured one
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, SCALAR_CFG.replace("directory = out", "directory = configured"))
+        out = str(tmp_path / "given") if flag else "configured"
+        assert main(["check-pair", "--config", cfg] + (["--out", out] if flag else [])) == 0
+        report = json.loads(Path(out, "report.json").read_text())
+        assert report["scenario"]["output"]["directory"] == out
+        assert Path("configured").exists() != flag
+
     def test_missing_config_exit_one(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "missing.cfg")])
         assert code == 1

@@ -15,11 +15,16 @@ reference Cauchy datum d_t Phi_0), the coefficients at every stage, the
 source sampled at every stage time, every level marched, one half after
 the other, and the states collected per level; its stencils and RK4
 update are the complex formulas, where the solvers run both on float64
-views.  Solutions must be
+views, with dt/2, dt and dt/6 as numbers or laid out over the state.
+Where C^xx and D^x are real s Id fields free of t, one of them not
+constant, the solvers apply C^xx d_x^2 u + D^x d_x u (+ E u where E is
+one too) as one three-point operator with real weights per node, in
+C^xx's place; the reference takes the same weights in the same place
+(reference_three_point), and the stencils elsewhere.  Solutions must be
 equal under np.array_equal, since a - 0 = a, c Id w = c w, zero data
 under zero forcing stay 0, a complex number times or over a real one
-rounds as its parts do, and the remaining operations run in the same
-order (zeros may differ in sign).
+rounds as its parts do, a - b = a + (-b), and the remaining operations
+run in the same order (zeros may differ in sign).
 """
 
 import functools
@@ -29,10 +34,18 @@ import numpy as np
 import pytest
 
 from prehyp import bundle_ops, cauchy, greens
-from prehyp.bundle_ops import FirstOrderOperator, MatrixField, coefficient_tape, compose, formal_adjoint, product
+from prehyp.bundle_ops import (
+    FirstOrderOperator,
+    MatrixField,
+    SecondOrderOperator,
+    coefficient_tape,
+    compose,
+    formal_adjoint,
+    product,
+)
 from prehyp.cauchy import solve_cauchy, solve_cauchy_plain, solve_first_order_direct, solve_second_order
 from prehyp.config import PRESETS as PRESET_NAMES, resolve_preset
-from prehyp.expr import ExprEvalError, Tape
+from prehyp.expr import ExprEvalError, Tape, is_real, uses_var
 from prehyp.geometry import Chart1p1, DiagonalMetric
 from prehyp.grids import CauchyData, GridSection, build_grid, make_cauchy_data
 from prehyp.greens import greens_apply, make_test_section
@@ -77,6 +90,37 @@ def reference_d_xx(v, grid):
     return out
 
 
+def real_x_only(field):
+    s = field.diagonal
+    return s is not None and not uses_var(s, "t") and is_real(s)
+
+
+def three_point_terms(op):
+    """The fields the solver applies as one three-point operator, (C^xx,
+    D^x, E) or (C^xx, D^x) where E is not one of them, or None."""
+    if not (real_x_only(op.c_xx) and real_x_only(op.d_x)) or (op.c_xx.is_constant and op.d_x.is_constant):
+        return None
+    return (op.c_xx, op.d_x, op.e) if real_x_only(op.e) else (op.c_xx, op.d_x)
+
+
+def reference_three_point(u, c, d, e, grid):
+    # c d_xx u + d d_x u + e u with the weights folded per node, c, d and e
+    # s Id fields' values: (a u+ + b u) + e u- in the interior, and on a
+    # line the one-sided rows of d_xx and d_x combined per edge row
+    n = grid.nx
+    c, d, e = (np.broadcast_to(np.real(v[0][2] if v else 0.0), (n,)) for v in (c, d, e))
+    cc, dd = c / grid.dx**2, d / (2 * grid.dx)
+    a, b, f = ((cc + dd)[:, None], (e - 2.0 * cc)[:, None], (cc - dd)[:, None])
+    if grid.periodic:
+        return (a * np.roll(u, -1, axis=-2) + b * u) + f * np.roll(u, 1, axis=-2)
+    out = np.empty_like(u)
+    out[..., 1:-1, :] = (a[1:-1] * u[..., 2:, :] + b[1:-1] * u[..., 1:-1, :]) + f[1:-1] * u[..., :-2, :]
+    for i, rows, first in ((0, (0, 1, 2, 3), (-3, 4, -1, 0)), (n - 1, (n - 1, n - 2, n - 3, n - 4), (3, -4, 1, 0))):
+        w = [(cc[i] * s2 + dd[i] * s1) + e[i] * s0 for s2, s1, s0 in zip((2, -5, 4, -1), first, (1, 0, 0, 0))]
+        out[..., i, :] = w[0] * u[..., rows[0], :] + w[1] * u[..., rows[1], :] + w[2] * u[..., rows[2], :] + w[3] * u[..., rows[3], :]
+    return out
+
+
 def reference_evolve(rhs, y0, grid, j0):
     states = {j0: y0}
     for forward in (True, False):
@@ -103,6 +147,7 @@ def reference_solve_second_order(op, metric, grid, phi0_values, dtphi0_values, j
     grid.check_cfl(metric.max_light_speed())
     coeffs = coefficient_tape((op.c_tx.scale(2.0), op.c_xx, op.d_t, op.d_x, op.e, op.c_tt.inverse()), grid.xs)
     forcing = Tape(source.components, grid.xs) if source is not None else None
+    fused = three_point_terms(op)
 
     def rhs(t, y):
         u, v = y
@@ -111,7 +156,14 @@ def reference_solve_second_order(op, metric, grid, phi0_values, dtphi0_values, j
         uxx = reference_d_xx(u, grid)
         vx = reference_d_x(v, grid)
         f = forcing.stack(t) if forcing is not None else 0.0
-        load = f - contract(c_tx2, vx) - contract(c_xx, uxx) - contract(dt_c, v) - contract(dx_c, ux) - contract(e_c, u)
+        if fused is None:
+            load = f - contract(c_tx2, vx) - contract(c_xx, uxx) - contract(dt_c, v) - contract(dx_c, ux) - contract(e_c, u)
+        else:
+            # the three-point operator in C^xx's place, E u after D^t v where it is not folded in
+            load = f - contract(c_tx2, vx) - reference_three_point(u, c_xx, dx_c, e_c if len(fused) == 3 else [], grid)
+            load = load - contract(dt_c, v)
+            if len(fused) == 2:
+                load = load - contract(e_c, u)
         return (v.copy(), contract(inv_tt, load))
 
     y0 = (phi0_values.astype(complex).copy(), dtphi0_values.astype(complex).copy())
@@ -651,17 +703,29 @@ def test_curved_solve_runs_the_coefficient_tape_once_per_block(chart, monkeypatc
 
 def count_bound_calls(monkeypatch):
     """Record the callable of every call a march's steps make through the
-    functools.partial objects it binds, and the steps of each march: the
-    partials are made while a segment is built, and the calls are counted
-    from the first block's coefficient values to the end of the march,
-    outside the coefficient tape's runs."""
-    calls, steps, counting = [], [], [False]
+    functools.partial objects it binds, the field of every coefficient
+    product they run (cauchy._bind's closures), and the steps of each
+    march: the partials are made while a segment is built or on its first
+    run, and the calls are counted from the first block's coefficient
+    values to the end of the march, outside the coefficient tape's runs."""
+    calls, products, steps, counting = [], [], [], [False]
 
     class Counting(functools.partial):
         def __call__(self, *args, **kwargs):
             if counting[0]:
                 calls.append(self.func)
             return super().__call__(*args, **kwargs)
+
+    bind = cauchy._bind
+
+    def counted_bind(field):
+        real_bind = bind(field)
+
+        def binding(w, out):
+            run = real_bind(w, out)
+            return lambda c: (products.append(field) if counting[0] else None) or run(c)
+
+        return binding
 
     real = cauchy._rk4
 
@@ -680,25 +744,86 @@ def count_bound_calls(monkeypatch):
             counting[0] = False
 
     monkeypatch.setattr(functools, "partial", Counting)
+    monkeypatch.setattr(cauchy, "_bind", counted_bind)
     monkeypatch.setattr(cauchy, "_rk4", rk4)
-    return calls, steps
+    return calls, products, steps
 
 
-@pytest.mark.parametrize("metric_name, nx, per_step", [("minkowski", 512, 42), ("readme", 160, 62)])
+@pytest.mark.parametrize("metric_name, nx, per_step", [("minkowski", 512, 42), ("readme", 160, 46)])
 def test_a_lockstep_step_makes_a_fixed_number_of_bound_numpy_calls(chart, monkeypatch, metric_name, nx, per_step):
     # a centred Cauchy solve marches two members in lockstep; each step
     # makes the same bound calls, each one numpy call: a ufunc, a ufunc's
-    # reduce or an array's take or fill, so the count repeats exactly.  The
-    # README march's coefficient products are closures, not counted here
+    # reduce or an array's take or fill, so the count repeats exactly.  On
+    # the README metric a stage's C^xx d_x^2 u + D^x d_x u + E u is one
+    # three-point operator, 8 bound calls where two stencils made 12, and
+    # its coefficient products, closures, are D^t's and (C^tt)^-1's
     metric = DiagonalMetric(*METRICS[metric_name], chart)
     p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
     grid = build_grid(chart, metric, nx)
     phi0 = make_cauchy_data(grid, ["1", "0.5"], 0.0, steepness=10.0)
-    calls, steps = count_bound_calls(monkeypatch)
+    calls, products, steps = count_bound_calls(monkeypatch)
     cauchy.solve_cauchy_plain(p, q, metric, phi0, grid)
     assert steps == [max(phi0.level, grid.nt - 1 - phi0.level)] and abs(2 * phi0.level - (grid.nt - 1)) <= 1
     assert len(calls) == per_step * steps[0]
     assert all(isinstance(f, np.ufunc) or isinstance(getattr(f, "__self__", None), (np.ndarray, np.ufunc)) for f in calls)
+    op = compose(q, p)
+    if metric_name == "minkowski":
+        assert products == []
+    else:
+        assert len(products) == 8 * steps[0]
+        assert {f.entries for f in products} == {op.d_t.entries, op.c_tt.inverse().entries}
+
+
+def record_step_coefficients(monkeypatch):
+    """Record, per stage-state and update op list a march builds, the shape
+    of its coefficient and of the arrays it scales."""
+    shapes = []
+    stage_state, update = cauchy._stage_state, cauchy._update
+
+    def recording_stage_state(into, y, a, k):
+        shapes.append((np.shape(a), into.shape))
+        return stage_state(into, y, a, k)
+
+    def recording_update(y, a, derivs):
+        shapes.append((np.shape(a), y.shape))
+        return update(y, a, derivs)
+
+    monkeypatch.setattr(cauchy, "_stage_state", recording_stage_state)
+    monkeypatch.setattr(cauchy, "_update", recording_update)
+    return shapes
+
+
+def count_three_points(monkeypatch):
+    """Record every three-point operator a march binds."""
+    built = []
+    real = cauchy._three_point
+    monkeypatch.setattr(cauchy, "_three_point", lambda *args: built.append(args) or real(*args))
+    return built
+
+
+@pytest.mark.parametrize("metric_name", ["minkowski", "readme"])
+@pytest.mark.parametrize("solve", ["cauchy", "retarded", "both"])
+def test_stage_coefficients_broadcast_no_column(chart, monkeypatch, metric_name, solve):
+    # dt/2, dt and dt/6 are numbers where a segment's members share a step
+    # sign and arrays of the stage state's shape where they do not, never
+    # a (members, 1, 1) column; a Minkowski march binds no three-point
+    # operator, a README one one per stage of each segment
+    metric, p, q, grid, components = scenario(chart, "dirac_massive", metric_name)
+    shapes, built = record_step_coefficients(monkeypatch), count_three_points(monkeypatch)
+    if solve == "cauchy":
+        phi0 = make_cauchy_data(grid, components, 0.0, steepness=10.0)
+        u = [solve_cauchy_plain(p, q, metric, phi0, grid)]
+    else:
+        section = make_test_section(grid, components, X_WINDOW, T_WINDOW)
+        jobs = [(section, "retarded")] + ([(section, "advanced")] if solve == "both" else [])
+        u = greens.solve_driven(compose(p, q), metric, jobs, grid)
+    assert all(np.abs(v.values).max() > 0 for v in u)
+    # the first segment has both directions unless the march is one-sided
+    mixed = solve != "retarded"
+    assert shapes and shapes[0][0] == (shapes[0][1] if mixed else ())
+    assert all(a in ((), into) for a, into in shapes) and all(a == () for a, _ in shapes[4:])
+    segments = len(shapes) // 4
+    assert len(built) == (0 if metric_name == "minkowski" else 4 * segments)
 
 
 @pytest.mark.parametrize("metric_name", ["readme", "varying"])
@@ -727,6 +852,93 @@ def test_adjoint_driven_solves_equal_the_unpruned_scheme(chart, monkeypatch, met
         expected = reference_solve_second_order(op, metric, grid, zeros, zeros, j0, source=section)
         assert np.isfinite(actual.values).all() and np.abs(actual.values).max() > 0
         assert np.array_equal(actual.values, expected.values)
+
+
+# the three-point x-operator: C^xx d_x^2 + D^x d_x (+ E) as one operator
+# where C^xx and D^x are real s Id fields free of t, one not constant
+
+def scalar_operator(c_xx, d_x, e):
+    """A rank-1 second-order operator with C^tt = 1, C^tx = 0, D^t = 0.1
+    and the given C^xx, D^x and E, fields or expression strings."""
+    def field(v):
+        return v if isinstance(v, MatrixField) else MatrixField.from_exprs([[v]])
+
+    return SecondOrderOperator(1, field("1"), field("0"), field(c_xx), field("0.1"), field(d_x), field(e))
+
+
+# C^xx, D^x, E and the fields the three-point operator takes: 3 with E, 2
+# without, 0 where the stencils stay
+SCALAR_CASES = {
+    "x_only": ("-(1+0.3*cos(2*x))", "0.2*sin(x)", "0.5", 3),
+    "constant_c_xx": ("-1", "0.2*sin(x)", "0.5*cos(x)", 3),
+    "zero_e": ("-(1+0.3*cos(2*x))", "0.2*sin(x)", "0", 3),
+    "complex_e": ("-(1+0.3*cos(2*x))", "0.2*sin(x)", MatrixField.from_constant([[0.5j]]), 2),
+    "t_dependent_e": ("-(1+0.3*cos(2*x))", "0.2*sin(x)", "0.5*(1+t)", 2),
+    "complex_d_x": ("-(1+0.3*cos(2*x))", MatrixField.from_exprs([["sin(x)"]]).scale(0.2j), "0.5", 0),
+    "t_dependent_c_xx": ("-(1+0.3*t)", "0.2*sin(x)", "0.5", 0),
+    "constant": ("-1", "0.2", "0.5", 0),
+}
+
+
+@pytest.mark.parametrize("topology", ["line", "circle"])
+@pytest.mark.parametrize("start", ["cauchy", "driven"])
+@pytest.mark.parametrize("case", sorted(SCALAR_CASES))
+def test_three_point_operator_equals_the_unpruned_scheme(monkeypatch, case, start, topology):
+    # the reference applies the same weights in the same place; a complex
+    # or t-dependent C^xx or D^x, or two constant ones, keep the stencils,
+    # and a complex or t-dependent E stays a term of its own
+    c_xx, d_x, e, fields = SCALAR_CASES[case]
+    op = scalar_operator(c_xx, d_x, e)
+    assert len(three_point_terms(op) or ()) == fields
+    chart = Chart1p1(-0.3, 0.3, -1.0, 1.0, topology=topology)
+    metric = DiagonalMetric("1", "1", chart)
+    grid = build_grid(chart, metric, 128)
+    if start == "cauchy":
+        phi0 = make_cauchy_data(grid, ["1"], 0.0, halfwidth=2.0 if topology == "circle" else 0.05)
+        args, source = (phi0.values, 0.5 * phi0.values, phi0.level), None
+    else:
+        zeros = np.zeros((grid.nx, 1), dtype=complex)
+        args, source = (zeros, zeros, 0), make_test_section(grid, ["1+x"], X_WINDOW, T_WINDOW)
+    built = count_three_points(monkeypatch)
+    actual = cauchy._solve_second_order(op, metric, grid, [args + (source, None)])[0].values
+    assert bool(built) == bool(fields) and len(built) % 4 == 0
+    expected = reference_solve_second_order(op, metric, grid, *args, source=source).values
+    assert np.isfinite(actual).all() and np.abs(actual).max() > 0
+    assert np.array_equal(actual, expected)
+
+
+@pytest.mark.parametrize("case", ["readme_massless", "alpha_x_qp", "alpha_x_adjoint"])
+def test_three_point_dirac_marches_equal_the_unpruned_scheme(chart, monkeypatch, case):
+    # m = 0 prunes E on the README metric; with alpha = alpha(x) and beta =
+    # 1, C^xx = -Id is constant and D^x is not, and P* Q*'s E is a matrix,
+    # so it stays a term of its own
+    alpha_x = ("1+0.3*cos(2*x)", "1")
+    metric = DiagonalMetric(*(METRICS["readme"] if case == "readme_massless" else alpha_x), chart)
+    p, q = build_dirac_pair(DiracModel(mass=0.0 if case == "readme_massless" else 1.0), metric)
+    grid = build_grid(chart, metric, 128)
+    built = count_three_points(monkeypatch)
+    if case == "alpha_x_adjoint":
+        op = compose(formal_adjoint(p, metric), formal_adjoint(q, metric))
+        section = make_test_section(grid, ["1", "0.5"], X_WINDOW, T_WINDOW)
+        zeros = np.zeros((grid.nx, 2), dtype=complex)
+        jobs = [(section, "advanced"), (section, "retarded")]
+        actual = np.stack([u.values for u in greens.solve_driven(op, metric, jobs, grid)])
+        expected = np.stack([
+            reference_solve_second_order(op, metric, grid, zeros, zeros, j0, source=section).values
+            for j0 in (grid.nt - 1, 0)
+        ])
+        assert len(three_point_terms(op)) == 2 and op.e.diagonal is None
+    else:
+        op = compose(q, p)
+        phi0 = make_cauchy_data(grid, ["1", "0.5"], 0.0, steepness=10.0)
+        actual = solve_cauchy(p, q, metric, phi0, grid)[0].values
+        use_reference(monkeypatch)
+        expected = solve_cauchy(p, q, metric, phi0, grid)[0].values
+        assert len(three_point_terms(op)) == 3 and op.c_xx.is_constant != (case == "readme_massless")
+        assert op.e.is_zero == (case == "readme_massless")
+    assert built
+    assert np.isfinite(actual).all() and np.abs(actual).max() > 0
+    assert np.array_equal(actual, expected)
 
 
 @pytest.mark.parametrize("beta", ["1+0.1*sqrt(t+0.3)", "1+0.1*sqrt(0.3-t)"])

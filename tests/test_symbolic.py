@@ -150,6 +150,8 @@ def test_tape_block_equals_stage_by_stage(members):
         for g, w in zip(got, want):
             assert np.shape(g) == np.shape(w)
             assert np.array_equal(g, w)
+            # a value of t alone comes complex, cast once for the block
+            assert np.iscomplexobj(g) == (np.shape(w) == (members, 1) or np.iscomplexobj(w))
 
 
 @pytest.mark.parametrize("members", [1, 2])
