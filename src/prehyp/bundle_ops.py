@@ -543,19 +543,18 @@ def _times_density(f: MatrixField, metric: DiagonalMetric, rho: "_expr.ExprAst")
 def pairing(psi: GridSection, phi: GridSection, metric: DiagonalMetric, grid: Optional[Grid1p1] = None) -> complex:
     """Bilinear spacetime pairing <psi, phi> = int sum_i psi_i phi_i rho,
     by trapezoidal quadrature over the chart.  The density is taken only
-    on the levels from the first to the last where both sections have a
-    nonzero value, the x-integral is 0 on the others, and the
-    t-trapezoid runs over every level, so the sum is that over the whole
-    mesh."""
+    on the levels both sections hold, the x-integral is 0 on the others,
+    and the t-trapezoid runs over every level, so the sum is that over the
+    whole mesh."""
     grid = grid or phi.grid
-    if psi.values.shape != phi.values.shape:
+    if psi.values.shape[1:] != phi.values.shape[1:]:
         raise ValueError("sections must share the grid and rank")
-    both = np.flatnonzero(_nonzero_levels(psi.values) & _nonzero_levels(phi.values))
+    lo, hi = max(psi.first, phi.first), min(psi.stop, phi.stop)
     inner_x = np.zeros(grid.nt, dtype=complex)
-    if len(both):
-        lo, hi = both[0], both[-1] + 1
+    if lo < hi:
         rho = np.broadcast_to(np.asarray(metric.volume_density(grid.ts[lo:hi, None], grid.xs[None, :])), (hi - lo, grid.nx))
-        density = np.einsum("tnc,tnc->tn", psi.values[lo:hi], phi.values[lo:hi]) * rho
+        both = (s.values[lo - s.first:hi - s.first] for s in (psi, phi))
+        density = np.einsum("tnc,tnc->tn", *both) * rho
         if grid.periodic:
             inner_x[lo:hi] = density.sum(axis=1) * grid.dx
         else:
@@ -563,77 +562,91 @@ def pairing(psi: GridSection, phi: GridSection, metric: DiagonalMetric, grid: Op
     return complex(np.trapezoid(inner_x, dx=grid.dt))
 
 
-def _nonzero_levels(values: np.ndarray) -> np.ndarray:
-    """Per level of an (nt, nx, k) complex array, whether any value there
-    is nonzero."""
-    return values.reshape(len(values), -1).any(axis=1)
-
-
 # ---------------------------------------------------------------------------
 # discrete application
 
 def apply_operator(op: Union[FirstOrderOperator, SecondOrderOperator], phi: GridSection) -> GridSection:
     """Discrete realization of the operator on a sampled section: centered
-    2nd-order differences in t and x (one-sided at edges).  The
-    coefficients are evaluated on the whole (nt, nx) mesh at once; the
+    2nd-order differences in t and x (one-sided at edges).  The output
+    holds the stencil window of the levels phi holds, the levels whose
+    stencils read one of them: a level reads the levels next to it, and an
+    end level 4 levels in.  It is 0 at the others, which cost no stencil,
+    product or coefficient: the levels before a driven solution's source
+    and outside a march's span (zeros may differ in sign from the sum's).
+    The coefficients are evaluated on the window's levels at once; the
     rest runs block by block of levels (grids.level_blocks), so that its
     arrays stay the size of a block: each block's first term is written
     into the output, each later one into one block scratch and added, in
     the order of the sum of terms, so the values are those of that sum on
-    the whole mesh.  Only the levels whose stencil window holds a nonzero
-    value are computed, and the others are 0 (zeros may differ in sign):
-    the levels before a driven solution's source and outside a march's
-    span cost no stencil or product."""
+    the whole mesh."""
     grid = phi.grid
     nt = grid.nt
     if nt < 4 or grid.nx < 4:
         raise StencilError("grid too small for the stencil")
-    v = np.ascontiguousarray(phi.values)
+    v, held, last = np.ascontiguousarray(phi.values), phi.first, phi.stop - 1
     first = isinstance(op, FirstOrderOperator)
     if first:
         fields = (op.a_t, op.a_x, op.b)
     else:
         fields = (op.c_tt, op.c_tx.scale(2.0), *op.fields[2:])
-    coeffs = coefficient_tape(fields, grid.xs)(grid.ts[:, None])
     binds = [product(f) for f in fields]
-    out = np.empty(v.shape, complex)
-    nonzero = np.flatnonzero(v.reshape(nt, -1).any(axis=1))
-    if not len(nonzero):
-        out.fill(0.0)
-        return GridSection(grid, out)
-    # a level reads the levels next to it, and an end level 4 levels in
-    start = 0 if nonzero[0] < 4 else int(nonzero[0]) - 1
-    stop = nt if nonzero[-1] >= nt - 4 else int(nonzero[-1]) + 2
-    out[:start].fill(0.0)
-    out[stop:].fill(0.0)
-    size = block_levels(out[0].nbytes, stop - start)
-    # the t-stencils' window, an x-stencil's block and the terms after the first
+    if not len(v):
+        return GridSection(grid, np.empty(v.shape, complex))
+    start = 0 if held < 4 else held - 1
+    stop = nt if last >= nt - 4 else last + 2
+    coeffs = coefficient_tape(fields, grid.xs)(grid.ts[start:stop, None])
+    out = np.empty((stop - start,) + v.shape[1:], complex)
+    level = out[0].nbytes
+    # the stencils of the levels between read only levels phi holds; those
+    # at either end, which read a level it does not hold, run as pieces of
+    # their own, whose few levels are copied with 0 beside them (_levels)
+    inner = (min(held + 2, stop), max(last - 1, start))
+    pieces = [(start, inner[0]), inner, (inner[1], stop)] if inner[0] < inner[1] else [(start, stop)]
+    size = max(block_levels(level, b - a) for a, b in pieces)
+    # the levels an end piece's stencils read, the t-stencils' window, an
+    # x-stencil's block and the terms after the first
+    reads = np.empty((max(max(b - a for a, b in pieces if (a, b) != inner) + 2, 4),) + v.shape[1:], v.dtype)
     window = np.empty((max(size + 2, 4),) + v.shape[1:], v.dtype)
     block = np.empty((size,) + v.shape[1:], v.dtype)
     scratch = np.empty((size,) + v.shape[1:], complex)
-    for a, b, lo, hi in level_blocks(nt, out[0].nbytes, start, stop):
-        into, rows, n = out[a:b], slice(a - lo, b - lo), b - a
+    for a, b, lo, hi in [blocks for piece in pieces for blocks in level_blocks(nt, level, *piece)]:
+        into, rows, n = out[a - start:b - start], slice(a - lo, b - lo), b - a
+        w = _levels(v, held, lo, hi, reads)
 
-        def term(f: int, w: np.ndarray) -> None:
-            # the f-th term on the block's rows w, written or added into into
-            c = [(i, j, val[a:b] if np.ndim(val) == 2 else val) for i, j, val in coeffs[f]]
+        def term(f: int, u: np.ndarray) -> None:
+            # the f-th term on the block's rows u, written or added into into
+            c = [(i, j, val[a - start:b - start] if np.ndim(val) == 2 else val) for i, j, val in coeffs[f]]
             if f == 0:
-                value = binds[f](w, into)(c)
+                value = binds[f](u, into)(c)
                 if value is not into:
                     np.copyto(into, value)
             else:
-                np.add(into, binds[f](w, scratch[:n])(c), into)
+                np.add(into, binds[f](u, scratch[:n])(c), into)
 
         if first:
-            term(0, d_t(v[lo:hi], grid, window[:hi - lo])[rows])
-            term(1, d_x(v[a:b], grid, block[:n]))
-            term(2, v[a:b])
+            term(0, d_t(w, grid, window[:hi - lo])[rows])
+            term(1, d_x(w[rows], grid, block[:n]))
+            term(2, w[rows])
             continue
-        term(0, d_tt(v[lo:hi], grid, window[:hi - lo])[rows])
-        vt = d_t(v[lo:hi], grid, window[:hi - lo])[rows]
+        term(0, d_tt(w, grid, window[:hi - lo])[rows])
+        vt = d_t(w, grid, window[:hi - lo])[rows]
         term(1, d_x(vt, grid, block[:n]))
-        term(2, d_xx(v[a:b], grid, block[:n]))
+        term(2, d_xx(w[rows], grid, block[:n]))
         term(3, vt)
-        term(4, d_x(v[a:b], grid, block[:n]))
-        term(5, v[a:b])
-    return GridSection(grid, out)
+        term(4, d_x(w[rows], grid, block[:n]))
+        term(5, w[rows])
+    return GridSection(grid, out, start)
+
+
+def _levels(v: np.ndarray, first: int, lo: int, hi: int, pad: np.ndarray) -> np.ndarray:
+    """The levels lo..hi-1 of a section holding v from level first on: a
+    view of v where it holds them all, else copied into pad, 0 at the
+    levels it does not hold."""
+    a, b = max(lo, first), min(hi, first + len(v))
+    if a == lo and b == hi:
+        return v[lo - first:hi - first]
+    rows = pad[:hi - lo]
+    rows.fill(0.0)
+    if a < b:
+        rows[a - lo:b - lo] = v[a - first:b - first]
+    return rows

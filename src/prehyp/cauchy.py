@@ -20,23 +20,26 @@ at a level and its forcing, with one output per start, marched from its
 level to both ends of its span of levels: the whole grid, or fewer where
 the solution's only reader reads fewer (a pairing reads it only where
 the other section is nonzero, a Cauchy-line product only on its lines),
-as solve_cauchy_plain and greens.solve_driven's jobs take it.  The rows
-outside the span hold 0, and only the function that chose the span
-reads the solution.  A Cauchy solve is one start; a driven solve is a
-start at an end of the grid, so it marches in one direction.
+as solve_cauchy_plain and greens.solve_driven's jobs take it.  The
+output holds only the levels of the span where the solution can be
+nonzero (grids.GridSection): a driven start's from its first forced
+step, where its state leaves the zero data, on.  A Cauchy solve is one
+start; a driven solve is a start at an end of the grid, so it marches in
+one direction.
 Every direction of every start is a member of one stacked RK4 state, with
 its own start state, step sign, stage times and forcing; the members step
 in lockstep, each leaving the stack when its last level is done, and one
-coefficient tape serves them all.  Each lockstep segment allocates its
-buffers once (the stage states, each with the derivative of its last
-component as one more component, the stencil outputs, the products and
-the forcing rows of a block) and takes each view once, so a step is a
-fixed sequence of ufunc calls with out=, in the order of the formulas it
-replaces, whose values it equals.  The stage states and the update act on
-all components at once, with dt/2, dt and dt/6 as numbers, or laid out
-over the state where its members step in both directions, and a
-stencil's two edge rows, one-sided on a line or wrapped around on a
-circle, take three calls.
+coefficient tape serves them all.  A source is sampled one block of
+stage times at a time, at those inside its time support.  Each lockstep
+segment allocates its buffers once (the stage states, each with the
+derivative of its last component as one more component, the stencil
+outputs, the products and the forcing rows of a block) and takes each
+view once, so a step is a fixed sequence of ufunc calls with out=, in
+the order of the formulas it replaces, whose values it equals.  The
+stage states and the update act on all components at once, with dt/2, dt
+and dt/6 as numbers, or laid out over the state where its members step
+in both directions, and a stencil's two edge rows, one-sided on a line
+or wrapped around on a circle, take three calls.
 
 Where C^xx and D^x of a second-order operator are real s Id fields free
 of t, one of them not constant (a metric whose beta depends on x alone,
@@ -53,7 +56,7 @@ outputs are those of the formulas above.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -154,106 +157,144 @@ class SolverBlowupError(ArithmeticError):
 class _Start:
     """One solution of a march: the state y0 at level j0, marched from
     there towards both ends of its span (lo, hi) of levels, the whole grid
-    by default, and its forcing, if any: forcing(times) gives, for all of a
-    direction's stage times at once, the index of the first one inside the
-    source's time support and the source at each one inside it, one row
-    per stage time.  A start at an end of its span has nothing to march
-    towards that end.  The output holds 0 outside the span, so only the
-    function that chose the span reads it."""
+    by default, and its source, if any (_Forcing).  A start at an end of
+    its span has nothing to march towards that end.  Its output holds only
+    the levels of the span where it can be nonzero (_march)."""
 
     y0: tuple
     j0: int
-    forcing: Optional[Callable] = None
+    forcing: Optional["_Forcing"] = None
     span: Optional[Tuple[int, int]] = None
 
 
 class _Member:
     """One direction of a start, a member of the stacked state: the levels
     it marches from j0 to lo or to hi, the ends of the start's span (none
-    where j0 is at or beyond that end), its stage times, its forcing
-    rows from stage rows_from on (none if unforced), the start's output
-    and, from a zero start state, its first step with a forced stage; the
-    levels before that step stay exactly 0 and are not marched.  A step's
-    last stage runs at the next level's own time, so that it coincides
-    with the next step's first stage."""
+    where j0 is at or beyond that end), its stage times, the range
+    [forced[0], forced[1]) of those inside its source's time support (none
+    if unforced) and, from a zero start state, its first step with a
+    forced stage; the levels before that step stay exactly 0 and are not
+    marched.  _march gives it the start's output and, per level it
+    marches to, the output row it writes (slots).  A step's last stage
+    runs at the next level's own time, so that it coincides with the next
+    step's first stage."""
 
-    def __init__(self, grid: Grid1p1, start: _Start, step: int, out: np.ndarray, zero_start: bool):
+    def __init__(self, grid: Grid1p1, start: _Start, step: int, zero_start: bool):
         self.y0 = start.y0
         self.step = step
-        self.out = out
+        self.forcing = start.forcing
         lo, hi = start.span or (0, grid.nt - 1)
         self.levels = np.arange(start.j0, hi) if step > 0 else np.arange(start.j0, lo, -1)
         self.first = len(self.levels)
         self.end = None  # the state after its last step
-        self.rows_from, self.rows = 0, np.empty((0,) + start.y0[0].shape, dtype=complex)
+        self.forced = (0, 0)
         if not len(self.levels):
             return
         # the stage times in order: level, midpoint, level, ..., next level
         self.times = np.empty(2 * len(self.levels) + 1)
         self.times[0::2] = grid.ts[np.append(self.levels, self.levels[-1] + step)]
         self.times[1::2] = grid.ts[self.levels] + step * grid.dt / 2
-        if start.forcing is not None:
-            self.rows_from, self.rows = start.forcing(self.times)
+        if self.forcing is not None:
+            self.forced = self.forcing.inside(self.times)
         # step n uses the stages 2n, 2n + 1 and 2n + 2
         forced = 0
         if zero_start:
-            nonzero = np.flatnonzero(self.rows.any(axis=(1, 2)))
-            forced = self.rows_from + int(nonzero[0]) if len(nonzero) else len(self.times)
+            forced = self.forced[0] if self.forced[1] > self.forced[0] else len(self.times)
         self.first = max(0, (forced - 1) // 2)
 
-    def check_finite(self, grid: Grid1p1) -> None:
-        """Raise SolverBlowupError at the first level of this direction
-        that is not finite, if its final state is not: a non-finite
+    def written(self) -> Tuple[int, int]:
+        """The levels [a, b) its steps from the first on march to, empty
+        if it takes none."""
+        if self.first == len(self.levels):
+            return 0, 0
+        ends = self.levels[[self.first, -1]] + self.step
+        return int(ends.min()), int(ends.max()) + 1
+
+    def first_non_finite(self) -> Optional[int]:
+        """None if its final state is finite, else the first level in march
+        order whose row in the output is not finite, or -1 if it marched
+        levels the output does not hold before that one: a non-finite
         interior node stays so under the update, so the final state covers
         every level."""
-        if self.end is not None and not all(np.isfinite(yc).all() for yc in self.end):
-            swept = self.levels + self.step
-            bad = next((j for j in swept.tolist() if not np.isfinite(self.out[j]).all()), int(swept[-1]))
-            raise SolverBlowupError(bad, float(grid.ts[bad]))
+        if all(np.isfinite(yc).all() for yc in self.end):
+            return None
+        swept = (self.levels + self.step).tolist()
+        sink = len(self.out) - 1
+        for n, (level, slot) in enumerate(zip(swept, self.slots.tolist())):
+            if slot != sink and not np.isfinite(self.out[slot]).all():
+                return -1 if (self.slots[self.marched:n] == sink).any() else level
+        return swept[-1]
 
 
 def _march(program, stages, grid: Grid1p1, starts: list) -> list:
     """March every start from its level to both ends of its span, all as
-    one stacked state; returns, per start, the section holding the first
-    state component at every level of its span and 0 at the others.
-    program is _right_hand_side's.  stages(ts) gives the coefficient
-    values at each stage time of a stage-major (S, members, 1) stack ts
-    (coefficient_tape's at.stages).  Raises SolverBlowupError for the
-    first start, forward before backward, whose final state is not finite.
-    Every operation acts on each member alone, so a start's solution does
-    not depend on the others marched with it, and on its span it equals
-    the solution marched over the whole grid."""
-    outs, members = [], []
+    one stacked state; returns, per start, the section of the first state
+    component held on the levels of its span where it can be nonzero
+    (_held_levels).  program is _right_hand_side's.  stages(ts) gives the
+    coefficient values at each stage time of a stage-major (S, members, 1)
+    stack ts (coefficient_tape's at.stages).  Raises SolverBlowupError for
+    the first start, forward before backward, whose final state is not
+    finite, at its first non-finite level.  Every operation acts on each
+    member alone, so a start's solution does not depend on the others
+    marched with it, and on its levels it equals the solution marched over
+    the whole grid."""
+    sections, members = [], []
     for start in starts:
-        out = np.empty((grid.nt,) + start.y0[0].shape, dtype=complex)
-        out[start.j0] = start.y0[0]
         zero_start = not any(yc.any() for yc in start.y0)
-        for step in (1, -1):
-            m = _Member(grid, start, step, out, zero_start)
-            out[m.levels[:m.first] + step] = 0.0
-            members.append(m)
-        outs.append(out)
+        pair = [_Member(grid, start, step, zero_start) for step in (1, -1)]
+        a, b = _held_levels(grid, start, pair, zero_start)
+        # one more row, which the section leaves out, for the levels a
+        # member marches to outside [a, b)
+        out = np.empty((b - a + 1,) + start.y0[0].shape, dtype=complex)
+        if a <= start.j0 < b:
+            out[start.j0 - a] = start.y0[0]
+        forward, backward = (m.written() for m in pair)
+        if zero_start and forward[0] < forward[1] and backward[0] < backward[1]:
+            # between the members' first levels the state is the zero data
+            out[max(backward[1], a) - a:max(min(forward[0], b), a) - a] = 0.0
+        for m in pair:
+            m.out, m.marched = out, m.first
+            targets = m.levels + m.step
+            m.slots = np.where((targets >= a) & (targets < b), targets - a, b - a)
+        members += pair
+        sections.append(GridSection(grid, out[:-1], a))
     _rk4(program, stages, [m for m in members if m.first < len(m.levels)], grid)
-    for m in members:
-        m.check_finite(grid)
-    for start, out in zip(starts, outs):
-        lo, hi = start.span or (0, grid.nt - 1)
-        out[:lo] = 0.0
-        out[hi + 1:] = 0.0
-    return [GridSection(grid, out) for out in outs]
+    for start, m in zip([s for s in starts for _ in (1, -1)], members):
+        bad = None if m.end is None else m.first_non_finite()
+        if bad == -1:
+            # it blew up before the levels its output holds: marched again
+            # with them reaching back to j0, it raises at its first level
+            lo, hi = start.span or (0, grid.nt - 1)
+            _march(program, stages, grid, [replace(start, span=(min(lo, start.j0), max(hi, start.j0)))])
+        if bad is not None:
+            raise SolverBlowupError(bad, float(grid.ts[bad]))
+    return sections
+
+
+def _held_levels(grid: Grid1p1, start: _Start, pair: list, zero_start: bool) -> Tuple[int, int]:
+    """The levels [a, b) a start's output holds: those of its span that
+    its members march to, from its first forced step on for a member from
+    zero data, and j0 for nonzero data.  It is 0 at the others."""
+    lo, hi = start.span or (0, grid.nt - 1)
+    ends = [m.written() for m in pair] + ([] if zero_start else [(start.j0, start.j0 + 1)])
+    ends = [(a, b) for a, b in ends if a < b]
+    if not ends:
+        return lo, lo
+    a = max(min(a for a, _ in ends), lo)
+    return a, max(min(max(b for _, b in ends), hi + 1), a)
 
 
 def _rk4(program, stages, members: list, grid: Grid1p1) -> None:
     """March the members in lockstep as one state stacked on a leading
     axis, each from its first step and from its own start state, writing
-    the first state component of each level into the member's output, and
-    keep each member's final state as its end.  The members step together
-    as many steps as the one with the fewest left needs, a segment; it
-    leaves the stack, and the rest go on.  Every BLOCK_STEPS steps, stages
-    gives the coefficient values at the stage times of the coming steps,
-    both ends included, the members' forcing rows at them are written into
-    the segment's forcing buffer, and step j of the block gets stages 2j,
-    2j + 1 and 2j + 2.
+    the first state component of each level into the member's output row
+    for it (slots), and keep each member's final state as its end.  The
+    members step together as many steps as the one with the fewest left
+    needs, a segment; it leaves the stack, and the rest go on.  Every
+    BLOCK_STEPS steps, stages gives the coefficient values at the stage
+    times of the coming steps, both ends included, the members' sources
+    are sampled at them into the segment's forcing buffer, and step j of
+    the block gets stages 2j, 2j + 1 and 2j + 2.
 
     A segment allocates one buffer for its four stages, each of C + 1
     components for a state of C: the stage state (the first one is the
@@ -277,7 +318,7 @@ def _rk4(program, stages, members: list, grid: Grid1p1) -> None:
         n = min(len(m.levels) - m.first for m in members)
         firsts = [m.first for m in members]
         times = np.stack([m.times[2 * i:2 * (i + n) + 1] for m, i in zip(members, firsts)])
-        targets = np.stack([m.levels[i:i + n] + m.step for m, i in zip(members, firsts)], axis=1).tolist()
+        targets = np.stack([m.slots[i:i + n] for m, i in zip(members, firsts)], axis=1).tolist()
         outs = [m.out for m in members]
         # per stage, the state and then the derivative of its last component
         buffer = np.empty((4, len(y) + 1) + y.shape[1:], dtype=complex)
@@ -355,9 +396,11 @@ def _forcing_blocks(members: list, firsts: list, shape: tuple) -> Callable:
     """forcing(s, count) for a segment whose members start at the steps
     firsts: the members' forcing rows at the stage times of its steps s to
     s + count, per stage time a (members, *shape) array, 0 for a member
-    with no source there, or None where no member has one.  The rows are
-    written into one buffer allocated once, and the arrays are its views."""
-    forced = [(i, m) for i, m in enumerate(members) if len(m.rows)]
+    with no source there, or None where no member has one.  Each member's
+    source is sampled at the block's stage times inside its time support,
+    straight into one buffer allocated once, and the arrays are its
+    views."""
+    forced = [(i, m) for i, m in enumerate(members) if m.forced[1] > m.forced[0]]
     if not forced:
         none = [None] * (2 * BLOCK_STEPS + 1)
         return lambda s, count: none
@@ -368,11 +411,12 @@ def _forcing_blocks(members: list, firsts: list, shape: tuple) -> Callable:
         size = 2 * count + 1
         inside = np.zeros(size, dtype=bool)
         for i, m in forced:
-            # the index in m.rows of the block's first stage
-            start = 2 * (firsts[i] + s) - m.rows_from
-            lo, hi = min(max(-start, 0), size), min(max(len(m.rows) - start, 0), size)
+            # the index in m.times of the block's first stage
+            start = 2 * (firsts[i] + s)
+            lo, hi = (min(max(end - start, 0), size) for end in m.forced)
             buffer[:lo, i] = 0.0
-            buffer[lo:hi, i] = m.rows[start + lo:start + hi]
+            if lo < hi:
+                m.forcing.sample(m.times[start + lo:start + hi], buffer[lo:hi, i])
             buffer[hi:size, i] = 0.0
             inside[lo:hi] = True
         return [row if flag else None for row, flag in zip(rows, inside.tolist())]
@@ -380,21 +424,25 @@ def _forcing_blocks(members: list, firsts: list, shape: tuple) -> Callable:
     return forcing
 
 
-def _source_forcing(source: "TestSection", xs: np.ndarray):
-    """forcing(times) for a _Start: the source sampled in one mesh evaluation
-    at the stage times inside its time support; at the others its window
-    vanishes exactly.  The stage times of a direction are monotone, so
-    those inside are consecutive."""
-    tape = _expr.Tape(source.components, xs)
-    lo, hi = source.t_support
+class _Forcing:
+    """A source as a march samples it: its tape on the nodes, run on a
+    block of stage times at a time, and its time support, outside which
+    its window vanishes exactly."""
 
-    def forcing(times: np.ndarray) -> tuple:
+    def __init__(self, source: "TestSection", xs: np.ndarray):
+        self.tape = _expr.Tape(source.components, xs)
+        self.t_support = source.t_support
+
+    def inside(self, times: np.ndarray) -> Tuple[int, int]:
+        """The range [a, b) of the stage times inside the time support: a
+        direction's stage times are monotone, so those are consecutive."""
+        lo, hi = self.t_support
         inside = np.flatnonzero((times >= lo) & (times <= hi))
-        if not len(inside):
-            return 0, np.empty((0, len(xs), len(source.components)), dtype=complex)
-        return int(inside[0]), tape.stack(times[inside, None])
+        return (int(inside[0]), int(inside[-1]) + 1) if len(inside) else (0, 0)
 
-    return forcing
+    def sample(self, times: np.ndarray, out: np.ndarray) -> None:
+        """The source at the stage times, one row per time, into out."""
+        self.tape.stack(times[:, None], out)
 
 
 # the load of a forced stage's first term: its forcing rows
@@ -670,7 +718,7 @@ def _solve_second_order(op: SecondOrderOperator, metric: DiagonalMetric, grid: G
     grid.check_cfl(metric.max_light_speed())
     program, coeffs = _second_order_rhs(op, grid)
     sources = {id(source): source for *_, source, _ in starts if source is not None}
-    forcing = {key: _source_forcing(source, grid.xs) for key, source in sources.items()}
+    forcing = {key: _Forcing(source, grid.xs) for key, source in sources.items()}
     return _march(program, coeffs.stages, grid, [
         _Start(
             (np.asarray(u0, dtype=complex), np.asarray(v0, dtype=complex)), j0,
@@ -702,9 +750,10 @@ def solve_first_order_direct(
 # the full first-order Cauchy solve via the second-order reduction
 
 def support_leak(phi: GridSection, shadow: CausalShadow, reference: float) -> float:
-    """Max |Phi| outside the (inflated) shadow, relative to reference."""
+    """Max |Phi| outside the (inflated) shadow, relative to reference, over
+    the levels Phi holds: it is 0 at the others."""
     grid = phi.grid
-    mask = shadow.outside_mask(grid.ts[:, None], grid.xs)
+    mask = shadow.outside_mask(grid.ts[phi.first:phi.stop, None], grid.xs)
     worst = float(np.max(np.abs(phi.values[mask]), initial=0.0))
     return worst / reference if reference > 0 else worst
 
@@ -751,9 +800,9 @@ def solve_cauchy(
     phi = solve_cauchy_plain(p, q, metric, phi0, grid)
 
     residual = apply_operator(p, phi)
-    sum_sq, res_linf = squared_norm(residual.values[1:-1])
+    sum_sq, res_linf = squared_norm(residual, start=1, stop=grid.nt - 1)
     res_l2 = float(np.sqrt(sum_sq * grid.dx * grid.dt))
-    trace = float(np.max(np.abs(residual.values[phi0.level])))
+    trace = float(np.max(np.abs(residual.level(phi0.level))))
     # the plain solve's shadow, which the metric keeps
     shadow = check_causal_margin(metric, grid, phi0.support, phi0.t0)
     leak = support_leak(phi, shadow.inflate(SHADOW_INFLATION_NODES * grid.dx), phi0.linf())
@@ -783,7 +832,7 @@ def restrict(
         SHADOW_INFLATION_NODES * grid.dx
     )
     lo, hi = shadow.bounds_at(t_level)
-    values = phi.values[j].copy()
+    values = phi.level(j).copy()
     mask = shadow.outside_mask(t_level, grid.xs)
     values[mask] = 0.0
     return CauchyData(grid, t_level, values, (lo, hi))

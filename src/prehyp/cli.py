@@ -40,6 +40,7 @@ from .config import DIRAC_PRESETS, ConfigError, ScenarioConfig, load_config
 from .expr import ExprEvalError
 from .geometry import CauchyLine
 from .greens import adjoint_pairing_check, greens_report
+from .grids import squared_norm
 from .qft_dirac import beta_sigma, data_space_isometry_check, dirac_current, hypersurface_independence
 
 # per-subcommand tolerances at the configured resolution; convergence
@@ -152,8 +153,8 @@ def run_direct_vs_reduced(cfg: ScenarioConfig, seed: int, nx: Optional[int] = No
     scn = cfg.scenario(nx)
     reduced, _ = scn.solution
     direct = solve_first_order_direct(scn.p, scn.metric, scn.data, scn.grid)
-    ref = float(np.max(np.abs(direct.values)))
-    gap = float(np.max(np.abs(reduced.values - direct.values)))
+    ref = direct.linf()
+    gap = squared_norm(reduced, direct)[1]
     mismatch = gap / ref if ref > 0 else gap
     failures = []
     _gate(failures, "reduced-vs-direct mismatch", mismatch, high=TOLERANCES["direct_vs_reduced"])
@@ -439,7 +440,7 @@ def write_csv_dumps(artifacts: Dict, out_dir: str) -> List[str]:
     written = []
     if "solution" in artifacts:
         phi = artifacts["solution"]
-        final = phi.values[-1]
+        final = phi.level(phi.grid.nt - 1)
         written.append(_write_csv(
             out_dir, "solution_final.csv",
             ["x"] + [f"re_{c}" for c in range(phi.k)] + [f"im_{c}" for c in range(phi.k)],
@@ -455,7 +456,7 @@ def write_csv_dumps(artifacts: Dict, out_dir: str) -> List[str]:
     if "beta" in artifacts:
         phi = artifacts["beta"]
         j = phi.grid.nt // 2
-        density = dirac_current(phi.values[j], phi.values[j], "t")
+        density = dirac_current(phi.level(j), phi.level(j), "t")
         written.append(_write_csv(
             out_dir, "current_density.csv", ["x", "j_t"],
             ([repr(float(x)), repr(float(d.real))] for x, d in zip(phi.grid.xs, density)),

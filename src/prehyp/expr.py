@@ -121,17 +121,30 @@ class Call:
 
 ExprAst = Union[Num, Var, Neg, Bin, Call]
 
+_NUMBER = r"(?:\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+# a number literal with a j suffix is imaginary
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    rf"\s*(?:(?P<num>{_NUMBER})(?P<imag>j)?"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()]))"
 )
+# pretty writes a complex constant c as (repr(c)): (2j), (-2j), ((1-2j)) or
+# ((-0-2j)).  A parenthesized repr that is no function's argument list is
+# read as that constant, so that the sign of a zero real part survives it:
+# -(2j) is (-0-2j), where the repr -2j is 0 - 2j
+_COMPLEX_RE = re.compile(rf"\s*(?P<complex>\((?:(?P<re>[+-]?{_NUMBER})(?P<im>[+-]{_NUMBER})|(?P<alone>[+-]?{_NUMBER}))j\))")
 
 
 def _tokenize(source: str):
     tokens = []
     pos = 0
     while pos < len(source):
+        c = None if tokens and tokens[-1][0] == "ident" else _COMPLEX_RE.match(source, pos)
+        if c is not None:
+            real = float(c.group("re")) if c.group("re") else 0.0
+            tokens.append(("num", complex(real, float(c.group("im") or c.group("alone"))), c.start("complex")))
+            pos = c.end()
+            continue
         m = _TOKEN_RE.match(source, pos)
         if m is None:
             stripped = source[pos:].lstrip()
@@ -140,7 +153,8 @@ def _tokenize(source: str):
             off = len(source) - len(stripped)
             raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", off)
         if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num")), m.start("num")))
+            text = m.group("num")
+            tokens.append(("num", complex(0.0, float(text)) if m.group("imag") else float(text), m.start("num")))
         elif m.group("ident") is not None:
             tokens.append(("ident", m.group("ident"), m.start("ident")))
         else:

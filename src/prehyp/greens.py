@@ -8,7 +8,11 @@ solution of PQ is the Green's operator of P.  solve_driven and
 greens_apply take a list of (source, direction) jobs: the driven solves a
 battery needs of one operator march as one stacked state.  A job may
 also name the span (lo, hi) of levels its reader reads: its march stops
-at the ends of that span, and its solution is 0 outside it.
+at the ends of that span, and its solution is 0 outside it.  A solution
+holds only the levels where it can be nonzero, and a test section those
+of its time support (grids.GridSection); greens_report and
+adjoint_pairing_check apply Q to one solution at a time, reduce it and
+release it before the next.
 
 S+ is unique, so adjoint_pairing_check's S+ f is greens_report's retarded
 S+ phi when f is phi: greens_report hands S+- phi on with its report, and
@@ -63,23 +67,26 @@ class TestSection:
         return len(self.components)
 
     @cached_property
-    def values(self) -> np.ndarray:
-        """The section sampled on the grid: (nt, nx, k).  Only the levels
-        inside the time support are sampled; outside it the window is 0,
-        and so are the values."""
+    def _sampled(self) -> GridSection:
         ts = self.grid.ts
-        out = np.zeros((len(ts), self.grid.nx, self.k), dtype=complex)
         inside = np.flatnonzero((ts >= self.t_support[0]) & (ts <= self.t_support[1]))
-        if len(inside):
-            lo, hi = inside[0], inside[-1] + 1
-            _expr.Tape(self.components, self.grid.xs).stack(ts[lo:hi, None], out[lo:hi])
-        return out
+        if not len(inside):
+            return GridSection(self.grid, np.zeros((0, self.grid.nx, self.k), dtype=complex))
+        first, stop = int(inside[0]), int(inside[-1]) + 1
+        return GridSection(self.grid, _expr.Tape(self.components, self.grid.xs).stack(ts[first:stop, None]), first)
 
     def as_section(self) -> GridSection:
-        return GridSection(self.grid, self.values)
+        """The section sampled on the grid, held on the levels inside the
+        time support: outside it the window is 0, and so are the values."""
+        return self._sampled
+
+    @property
+    def values(self) -> np.ndarray:
+        """The levels the sampled section holds, (levels, nx, k)."""
+        return self._sampled.values
 
     def linf(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return self._sampled.linf()
 
 
 def make_test_section(
@@ -188,16 +195,19 @@ def source_shadow(
     return shadow.inflate(SHADOW_INFLATION_NODES * grid.dx)
 
 
-def relative_l2(a: np.ndarray, ref: np.ndarray, grid: Grid1p1) -> float:
-    """The L2 norm of a - ref relative to that of ref, over the mesh, from
-    grids.squared_norm: no complex difference of the mesh's size."""
-    num = np.sqrt(squared_norm(a, ref)[0] * grid.dx * grid.dt)
-    den = np.sqrt(squared_norm(ref)[0] * grid.dx * grid.dt)
+def relative_l2(a, ref, grid: Grid1p1, start: int = 0, stop: Optional[int] = None) -> float:
+    """The L2 norm of a - ref relative to that of ref, over the levels
+    start..stop-1 of the mesh (all of them by default), a and ref
+    sections or whole-mesh arrays, from grids.squared_norm: no complex
+    difference of the mesh's size."""
+    num = np.sqrt(squared_norm(a, ref, start, stop)[0] * grid.dx * grid.dt)
+    den = np.sqrt(squared_norm(ref, None, start, stop)[0] * grid.dx * grid.dt)
     return float(num / den) if den > 0 else float(num)
 
 
 def _left_inverse_residual(p: FirstOrderOperator, phi: TestSection, s_phi: GridSection) -> float:
-    return relative_l2(apply_operator(p, s_phi).values[1:-1], phi.values[1:-1], s_phi.grid)
+    grid = s_phi.grid
+    return relative_l2(apply_operator(p, s_phi), phi.as_section(), grid, 1, grid.nt - 1)
 
 
 def identity_i_residual(
@@ -214,7 +224,7 @@ def identity_i_residual(
 
 
 def _right_inverse_residual(psi: TestSection, s_p_psi: GridSection) -> float:
-    return relative_l2(s_p_psi.values, psi.values, s_p_psi.grid)
+    return relative_l2(s_p_psi, psi.as_section(), s_p_psi.grid)
 
 
 def identity_ii_residual(
@@ -240,12 +250,16 @@ def greens_report(
 ) -> Tuple[GreensReport, GridSection]:
     """Identity (i), P(S+- phi) = phi, and the relative leak of S+- phi
     outside J+-(supp phi); identity (ii), S+-(P phi) = phi; and the S+- phi
-    they measure.  The driven solves of phi and of P phi march as one."""
+    they measure.  The driven solves of phi and of P phi march as one, and
+    Q is applied to one solution at a time, each released once reduced:
+    identity (ii) first, then S+- phi, which is returned."""
     grid = grid or phi.grid
-    s_phi, s_p_phi = greens_apply(p, q, metric, [(phi, direction), (apply_analytic(p, phi), direction)], grid)
+    solutions = solve_driven(compose(p, q), metric, [(phi, direction), (apply_analytic(p, phi), direction)], grid)
+    identity_ii = _right_inverse_residual(phi, apply_operator(q, solutions.pop()))
+    s_phi = apply_operator(q, solutions.pop())
     identity_i = _left_inverse_residual(p, phi, s_phi)
     leak = support_leak(s_phi, source_shadow(metric, grid, phi, direction), s_phi.linf())
-    return GreensReport(identity_i, _right_inverse_residual(phi, s_p_phi), leak), s_phi
+    return GreensReport(identity_i, identity_ii, leak), s_phi
 
 
 def stencil_span(grid: Grid1p1, t_support: Tuple[float, float]) -> Optional[Tuple[int, int]]:
@@ -315,4 +329,4 @@ def uniqueness_probe(
     grid = grid or phi.grid
     s1 = greens_apply(p, q, metric, [(phi, direction)], grid)[0]
     s2 = greens_apply(p, q_alt, metric, [(phi, direction)], grid)[0]
-    return float(np.max(np.abs(s1.values - s2.values)))
+    return squared_norm(s1, s2)[1]

@@ -3,6 +3,15 @@
 The grid covers the full chart with uniform spacing in x and t; the time
 step is tied to the spatial spacing by a CFL number against the maximal
 light speed.  Cauchy hypersurfaces snap to grid time levels.
+
+A sampled section (GridSection) holds only the levels from its first one
+on where it can be nonzero, and is 0 at the others: a march's output
+over its span, or from its first forced step, a test section over its
+time support, an operator's output over the stencil window of its input.
+Its readers work on the levels it holds: squared_norm writes |a - b|
+into a float array of the whole length, zero elsewhere, so that its sum
+is the whole-mesh formula's, and level(j) and mesh() give a level or the
+whole mesh with the zeros filled in.
 """
 
 from __future__ import annotations
@@ -301,42 +310,70 @@ def level_blocks(
     a-1..b, widened to 4 levels where it has fewer, as many as the
     one-sided rows at the chart's ends read.  Run on the window, a
     t-stencil's rows a - lo .. b - lo - 1 are its rows a..b-1 on the whole
-    mesh.  The blocks split the levels evenly into as few as hold
-    BLOCK_BYTES at level_bytes a level (block_levels)."""
+    mesh.  The blocks split the levels evenly, their lengths at most one
+    apart, into as few as hold BLOCK_BYTES at level_bytes a level."""
     stop = nt if stop is None else stop
-    size = block_levels(level_bytes, stop - start)
-    for a in range(start, stop, size):
-        b = min(a + size, stop)
+    levels = stop - start
+    count = -(-levels // _most_levels(level_bytes))
+    for i in range(count):
+        a, b = start + levels * i // count, start + levels * (i + 1) // count
         lo = max(a - 1, 0)
         hi = min(max(b + 1, lo + 4), nt)
         yield a, b, max(min(lo, hi - 4), 0), hi
 
 
 def block_levels(level_bytes: int, levels: int) -> int:
-    """The levels of each block but the last when level_blocks splits
-    levels levels."""
-    most = max(BLOCK_BYTES // max(level_bytes, 1), 1)
+    """The levels of the longest block when level_blocks splits levels
+    levels."""
+    most = _most_levels(level_bytes)
     return -(-levels // -(-levels // most)) if levels > 0 else most
 
 
-def squared_norm(a: np.ndarray, b: Optional[np.ndarray] = None) -> Tuple[float, float]:
-    """(sum |a - b|^2, max |a - b|) over the entries of a and b, arrays of
-    one shape with levels along axis 0 (of a alone without b).  |a - b| is
-    written block by block of levels into one float array, each block's
-    max taken and the block squared in place, so no complex difference of
-    the whole size is made; one np.sum over that array adds the squares
-    in the order np.sum(np.abs(a - b) ** 2) does, so both figures equal
-    those of the whole-array formulas."""
-    sq = np.empty(a.shape)
-    level = a[0].nbytes if len(a) else 0
-    scratch = None if b is None else np.empty((block_levels(level, len(a)),) + a.shape[1:], np.result_type(a, b))
+def _most_levels(level_bytes: int) -> int:
+    """The levels that BLOCK_BYTES holds at level_bytes a level, at least 1."""
+    return max(BLOCK_BYTES // max(level_bytes, 1), 1)
+
+
+def squared_norm(a, b=None, start: int = 0, stop: Optional[int] = None) -> Tuple[float, float]:
+    """(sum |a - b|^2, max |a - b|) over the levels start..stop-1 (all of
+    them by default) of a and b (of a alone without b): sections of one
+    grid and rank, 0 on the levels they do not hold (GridSection), or
+    arrays of one shape with every level along axis 0.  |a - b| is written
+    block by block of the levels either holds into one float array of the
+    levels' length, zero at the others, each block's max taken and the
+    block squared in place, so no complex difference of the whole size is
+    made; where one of them is 0, |a - b| is the other's modulus, as the
+    difference would give it.  One np.sum over that array adds the squares
+    in the order np.sum(np.abs(a - b) ** 2) over the whole levels does, so
+    both figures equal those of the whole-array formulas."""
+    held = [_held(x) for x in (a, b) if x is not None]
+    if stop is None:
+        stop = a.grid.nt if isinstance(a, GridSection) else len(a)
+    shape = held[0][0].shape[1:]
+    level = held[0][0].itemsize * math.prod(shape)
+    sq = np.zeros((stop - start,) + shape)
+    ranges = [(min(max(first, start), stop), min(max(first + len(v), start), stop)) for v, first in held]
+    scratch = None
+    if len(held) == 2:
+        scratch = np.empty((min(_most_levels(level), stop - start),) + shape, np.result_type(held[0][0], held[1][0]))
+    cuts = sorted({start, stop, *(e for r in ranges for e in r)})
     peaks = []
-    for lo, hi, _, _ in level_blocks(len(a), level):
-        r = a[lo:hi] if b is None else np.subtract(a[lo:hi], b[lo:hi], scratch[:hi - lo])
-        block = np.abs(r, sq[lo:hi])
-        peaks.append(np.max(block))
-        np.square(block, block)
+    for lo, hi in zip(cuts, cuts[1:]):
+        # the arrays holding every level of [lo, hi), in the order (a, b)
+        inside = [(v, first) for (v, first), (r0, r1) in zip(held, ranges) if r0 <= lo and hi <= r1]
+        for p, q, _, _ in level_blocks(stop, level, lo, hi) if inside else ():
+            rows = [v[p - first:q - first] for v, first in inside]
+            r = rows[0] if len(rows) == 1 else np.subtract(*rows, scratch[:q - p])
+            block = np.abs(r, sq[p - start:q - start])
+            peaks.append(np.max(block))
+            np.square(block, block)
     return float(np.sum(sq)), float(np.max(peaks, initial=0.0))
+
+
+def _held(x) -> Tuple[np.ndarray, int]:
+    """(values, first level) of a section, or of an array holding every
+    level."""
+    return (x.values, x.first) if isinstance(x, GridSection) else (x, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,18 +381,41 @@ def squared_norm(a: np.ndarray, b: Optional[np.ndarray] = None) -> Tuple[float, 
 
 @dataclass
 class GridSection:
-    """A sampled section of the rank-k bundle: values[j, i] is the complex
-    k-vector at time level j, node i."""
+    """A sampled section of the rank-k bundle, held on the levels where it
+    can be nonzero: values[j - first, i] is the complex k-vector at time
+    level j, node i, for the levels first <= j < stop, and the section is 0
+    at every other level.  A section made from a whole (nt, nx, k) mesh
+    holds every level."""
 
     grid: Grid1p1
-    values: np.ndarray  # (nt, nx, k) complex
+    values: np.ndarray  # (levels held, nx, k) complex
+    first: int = 0
+
+    @property
+    def stop(self) -> int:
+        """One past the last level held."""
+        return self.first + len(self.values)
 
     @property
     def k(self) -> int:
         return self.values.shape[2]
 
+    def level(self, j: int) -> np.ndarray:
+        """The (nx, k) values at level j: a view of values where it is
+        held, else a new array of zeros."""
+        if self.first <= j < self.stop:
+            return self.values[j - self.first]
+        return np.zeros(self.values.shape[1:], self.values.dtype)
+
+    def mesh(self) -> np.ndarray:
+        """The section on the whole (nt, nx, k) mesh, 0 on the levels not
+        held: a new array."""
+        out = np.zeros((self.grid.nt,) + self.values.shape[1:], self.values.dtype)
+        out[self.first:self.stop] = self.values
+        return out
+
     def linf(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return float(np.max(np.abs(self.values), initial=0.0))
 
     @classmethod
     def zeros(cls, grid: Grid1p1, k: int) -> "GridSection":

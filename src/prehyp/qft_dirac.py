@@ -96,7 +96,7 @@ def beta_sigma(
     measure."""
     grid = psi.grid
     j = grid.level_of(sigma.t0)
-    density = dirac_current(psi.values[j], phi.values[j], "t")
+    density = dirac_current(psi.level(j), phi.level(j), "t")
     measure = np.broadcast_to(
         np.asarray(metric.hypersurface_measure(CauchyLine(float(grid.ts[j])), grid.xs)),
         (grid.nx,),

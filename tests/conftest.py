@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,14 @@ def grid_small(chart, mink):
 @pytest.fixture
 def grid_medium(chart, mink):
     return build_grid(chart, mink, 256)
+
+
+def traced_peak(fn):
+    """(fn(), the peak of the memory tracemalloc traces while fn runs)."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -8,11 +8,10 @@ skips the levels whose stencil window is 0, equal under np.array_equal
 (zeros may differ in sign).
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from prehyp import bundle_ops, grids, greens
 from prehyp.bundle_ops import FirstOrderOperator, apply_operator, coefficient_tape, compose, product
 from prehyp.config import resolve_preset
@@ -30,7 +29,7 @@ METRICS = {
 
 def reference_apply_operator(op, phi):
     """apply_operator as one sum of terms over the whole mesh."""
-    grid, v = phi.grid, phi.values
+    grid, v = phi.grid, phi.mesh()
     if isinstance(op, FirstOrderOperator):
         fields = (op.a_t, op.a_x, op.b)
     else:
@@ -103,24 +102,24 @@ def test_blocked_apply_operator_at_nx_512(metric_name):
 
 @pytest.mark.parametrize("direction", ["retarded", "advanced"])
 def test_zero_levels_run_no_stencil(monkeypatch, direction):
-    # a spanned driven solution is 0 outside its span, and a retarded
-    # (advanced) one before (after) its source: those levels are 0 and
-    # their blocks run no stencil
+    # a spanned driven solution holds no level outside its span, and a
+    # retarded (advanced) one none before (after) its source: the output
+    # holds the stencil window of its levels, and only those blocks run a
+    # stencil
     metric, p, q, grid = dirac_on("readme", "line", 160)
     set_block_levels(monkeypatch, grid, 8)
     section = make_test_section(grid, ["1", "0.5"], (0.0, 0.05, 2.5), (0.0, 0.02, 10.0))
     u = greens.solve_driven(compose(p, q), metric, [(section, direction, (30, 100))], grid)[0]
-    levels = np.flatnonzero(u.values.any(axis=(1, 2)))
-    assert 30 <= levels[0] and levels[-1] <= 100
+    assert 30 <= u.first and u.stop - 1 <= 100 and u.values[[0, -1]].any()
     read = []
     t_stencil = bundle_ops.d_t
     monkeypatch.setattr(bundle_ops, "d_t", lambda v, grid, out: read.append(len(v)) or t_stencil(v, grid, out))
-    got = apply_operator(q, u).values
+    got = apply_operator(q, u)
     want = reference_apply_operator(q, u)
-    assert np.array_equal(got, want)
-    assert not got[:levels[0] - 1].any() and not got[levels[-1] + 2:].any()
-    # the windows cover the nonzero levels and one level each side
-    assert sum(read) <= levels[-1] - levels[0] + 3 + 2 * len(read)
+    assert np.array_equal(got.mesh(), want)
+    assert (got.first, got.stop) == (u.first - 1, u.stop + 1)
+    # the windows cover the held levels and one level each side
+    assert sum(read) <= u.stop - u.first + 2 + 2 * len(read)
 
 
 def test_zero_section_is_zero():
@@ -176,22 +175,14 @@ def test_identity_residuals_are_the_whole_array_formula():
         den = np.sqrt(np.sum(np.abs(ref) ** 2) * grid.dx * grid.dt)
         return float(num / den)
 
-    left = relative(apply_operator(p, s_phi).values[1:-1] - phi.values[1:-1], phi.values[1:-1])
+    p_s_phi, phi_mesh, s_phi_mesh = apply_operator(p, s_phi).mesh(), phi.as_section().mesh(), s_phi.mesh()
+    left = relative(p_s_phi[1:-1] - phi_mesh[1:-1], phi_mesh[1:-1])
     assert greens._left_inverse_residual(p, phi, s_phi) == left
-    assert greens._right_inverse_residual(phi, s_phi) == relative(s_phi.values - phi.values, phi.values)
+    assert greens._right_inverse_residual(phi, s_phi) == relative(s_phi_mesh - phi_mesh, phi_mesh)
 
 
 # ---------------------------------------------------------------------------
 # memory
-
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
 
 @pytest.mark.parametrize("metric_name", ["flat", "readme"])
 def test_apply_operator_holds_no_whole_mesh_temporary(metric_name):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prehyp import cauchy
 from prehyp.bundle_ops import FirstOrderOperator, MatrixField, apply_operator, compose, formal_adjoint, pairing
 from prehyp.expr import Bin, Num, evaluate, simplify
 from prehyp.geometry import Chart1p1, DiagonalMetric, minkowski
@@ -48,7 +49,7 @@ class TestSections:
         j = grid_greens.nt // 2
         t = float(grid_greens.ts[j])
         for c, ast in enumerate(s.components):
-            assert np.allclose(s.values[j, :, c], evaluate(ast, t, grid_greens.xs))
+            assert np.allclose(s.as_section().level(j)[:, c], evaluate(ast, t, grid_greens.xs))
 
     def test_temporal_margin_enforced(self, mink, grid_greens, dirac_pair):
         p, q = dirac_pair
@@ -93,28 +94,28 @@ class TestBasicProperties:
         s = section(grid_greens)
         out = greens_apply(p, q, mink, [(s, "retarded")], grid_greens)[0]
         before = grid_greens.ts < s.t_support[0] - 2 * grid_greens.dt
-        assert np.max(np.abs(out.values[before])) < 1e-12 * out.linf()
+        assert np.max(np.abs(out.mesh()[before])) < 1e-12 * out.linf()
 
     def test_advanced_vanishes_after_source(self, mink, grid_greens, dirac_pair):
         p, q = dirac_pair
         s = section(grid_greens)
         out = greens_apply(p, q, mink, [(s, "advanced")], grid_greens)[0]
         after = grid_greens.ts > s.t_support[1] + 2 * grid_greens.dt
-        assert np.max(np.abs(out.values[after])) < 1e-12 * out.linf()
+        assert np.max(np.abs(out.mesh()[after])) < 1e-12 * out.linf()
 
     def test_apply_analytic_matches_discrete(self, grid_greens, dirac_pair):
         p, _ = dirac_pair
         s = section(grid_greens)
         exact = apply_analytic(p, s)
         disc = apply_operator(p, s.as_section())
-        gap = np.max(np.abs(exact.values[2:-2] - disc.values[2:-2]))
+        gap = np.max(np.abs(exact.as_section().mesh()[2:-2] - disc.mesh()[2:-2]))
         assert gap < 5e-3 * max(np.max(np.abs(exact.values)), 1.0)
 
 
 class TestSourceEvaluation:
     """A driven solve samples its source through one tape: x-only nodes once,
-    t nodes in one mesh evaluation per sweep, at the RK4 stage times inside
-    the source's time support."""
+    t nodes in one mesh evaluation per block of RK4 steps, at the block's
+    stage times inside the source's time support."""
 
     def test_window_steps_per_retarded_solve(self, chart, mink, dirac_pair, monkeypatch):
         from prehyp import expr
@@ -134,15 +135,24 @@ class TestSourceEvaluation:
         greens_apply(p, q, mink, [(s, "retarded")], grid)
         # the tape is built on the first call: the x window's two steps
         assert [a.shape for a in args[:2]] == [(grid.nx,), (grid.nx,)]
-        # then the t window's rise and fall, once each, on one column of the
-        # stage times (levels and midpoints) inside the t-support; the
-        # backward sweep from level 0 has no stages
+        # then the t window's rise and fall, once each per block of steps, on
+        # one column of the block's stage times (levels and midpoints) inside
+        # the t-support: every such stage once, and the stage two blocks
+        # share twice; the backward sweep from level 0 has no stages
         lo, hi = s.t_support
-        stages = np.concatenate([grid.ts, grid.ts[:-1] + grid.dt / 2])
+        stages = np.empty(2 * grid.nt - 1)
+        stages[0::2], stages[1::2] = grid.ts, grid.ts[:-1] + grid.dt / 2
         inside = int(np.count_nonzero((stages >= lo) & (stages <= hi)))
         assert 0 < inside < len(stages)
-        assert len(args) == 4
-        assert [a.shape for a in args[2:]] == [(inside, 1), (inside, 1)]
+        # the sweep's blocks start at its first forced step, two stages a step
+        forced = int(np.argmax(stages >= lo))
+        last = forced + inside - 1 - 2 * ((forced - 1) // 2)
+        rises, falls = args[2::2], args[3::2]
+        blocks = len(rises)
+        assert len(args) == 2 + 2 * blocks and blocks == last // (2 * cauchy.BLOCK_STEPS) + 1 > 1
+        assert [a.shape for a in rises] == [a.shape for a in falls]
+        assert all(a.shape[1] == 1 and a.shape[0] <= 2 * cauchy.BLOCK_STEPS + 1 for a in rises)
+        assert sum(len(a) for a in rises) == inside + blocks - 1
         # each step's argument is (t - lo)/tau or (hi - t)/tau: never negative
         assert all((a >= 0).all() for a in args[2:])
 
@@ -284,14 +294,14 @@ class TestAdjointPairing:
         psi = make_test_section(grid, ["0", "1"], (0.55, 0.02, 10.0), (0.0, 0.02, 10.0))
         s_f = greens_apply(p, q, mink, [(f, "retarded")], grid)[0]
         val = abs(
-            np.sum(np.conj(psi.values) * 0 + psi.values * s_f.values)
+            np.sum(np.conj(psi.as_section().mesh()) * 0 + psi.as_section().mesh() * s_f.mesh())
         )  # plain overlap; supports never meet inside the chart
         # the retarded solution of f cannot reach psi's support box in time
         shadow = source_shadow(mink, grid, f, "retarded")
         for j, t in enumerate(grid.ts):
-            if psi.values[j].any():
+            if psi.as_section().level(j).any():
                 mask = ~shadow.outside_mask(float(t), grid.xs)
-                overlap = np.abs(psi.values[j][mask]).max() if mask.any() else 0.0
+                overlap = np.abs(psi.as_section().level(j)[mask]).max() if mask.any() else 0.0
                 assert overlap == 0.0
         assert val < 1e-10 * max(s_f.linf(), 1.0)
 

@@ -254,16 +254,16 @@ def test_solutions_equal_the_unpruned_scheme(chart, monkeypatch, preset, metric_
     phi0 = make_cauchy_data(grid, components, 0.0)
     section = make_test_section(grid, components, X_WINDOW, T_WINDOW)
     if solve == "direct":
-        actual = solve_first_order_direct(p, metric, phi0, grid).values
-        expected = reference_solve_first_order_direct(p, metric, phi0, grid).values
+        actual = solve_first_order_direct(p, metric, phi0, grid).mesh()
+        expected = reference_solve_first_order_direct(p, metric, phi0, grid).mesh()
     else:
         def run():
             if solve == "cauchy":
-                return solve_cauchy(p, q, metric, phi0, grid)[0].values
+                return solve_cauchy(p, q, metric, phi0, grid)[0].mesh()
             if solve == "batched":
                 jobs = driven_batch(grid, components)
-                return np.stack([u.values for u in greens.solve_driven(compose(p, q), metric, jobs, grid)])
-            return greens_apply(p, q, metric, [(section, solve)], grid)[0].values
+                return np.stack([u.mesh() for u in greens.solve_driven(compose(p, q), metric, jobs, grid)])
+            return greens_apply(p, q, metric, [(section, solve)], grid)[0].mesh()
 
         blocks = count_blocks(monkeypatch)
         actual = run()
@@ -356,13 +356,13 @@ def test_all_nonzero_fields_equal_the_unpruned_scheme(chart, mink, monkeypatch, 
         starts = [(zeros, zeros, grid.nt // 2)]
     starts = [start + (None,) * (5 - len(start)) for start in starts]
     rhs_calls = count_rhs_calls(monkeypatch)
-    actual = np.stack([u.values for u in cauchy._solve_second_order(op, mink, grid, starts)])
+    actual = np.stack([u.mesh() for u in cauchy._solve_second_order(op, mink, grid, starts)])
     assert np.isfinite(actual).all()
     if case == "zero_data":
         assert not actual.any() and rhs_calls == []
     else:
         assert np.abs(actual).max() > 0 and rhs_calls
-    assert np.array_equal(actual, np.stack([u.values for u in reference_solves(op, mink, grid, starts)]))
+    assert np.array_equal(actual, np.stack([u.mesh() for u in reference_solves(op, mink, grid, starts)]))
 
 
 def test_an_operator_with_no_lower_order_term_equals_the_unpruned_scheme(chart, mink):
@@ -374,9 +374,9 @@ def test_an_operator_with_no_lower_order_term_equals_the_unpruned_scheme(chart, 
     grid = build_grid(chart, mink, 128)
     phi0 = make_cauchy_data(grid, ["1"], 0.0)
     args = (op, mink, grid, phi0.values, 0.5 * phi0.values, phi0.level)
-    actual = solve_second_order(*args).values
+    actual = solve_second_order(*args).mesh()
     assert np.abs(actual).max() > 0
-    assert np.array_equal(actual, reference_solve_second_order(*args).values)
+    assert np.array_equal(actual, reference_solve_second_order(*args).mesh())
 
 
 def dirac_scenario(chart, mink):
@@ -560,7 +560,7 @@ def test_operator_application_equals_the_contraction_only_form(chart, monkeypatc
     ops = (p, q, formal_adjoint(p, metric), compose(q, p), compose(formal_adjoint(p, metric), formal_adjoint(q, metric)))
 
     def run():
-        return [bundle_ops.apply_operator(op, phi).values for op in ops] + [cauchy.normal_derivative_data(p, metric, phi0).values]
+        return [bundle_ops.apply_operator(op, phi).mesh() for op in ops] + [cauchy.normal_derivative_data(p, metric, phi0).values]
 
     actual = run()
 
@@ -577,8 +577,11 @@ def test_operator_application_equals_the_contraction_only_form(chart, monkeypatc
 
 @pytest.mark.parametrize("direction", ["retarded", "advanced"])
 def test_driven_sweep_starts_at_its_first_forced_stage(chart, mink, monkeypatch, direction):
-    # a sweep from zero data marches from the first step with a stage at
-    # which the source is nonzero; the levels before it stay 0
+    # a sweep from zero data marches from the first step with a stage inside
+    # the source's time support, where it is forced; the levels before it
+    # stay 0, and its output holds the levels from the one that step
+    # reaches on.  The source is 0 at the first forced stages, where its
+    # window has not yet left 0 in floating point
     orders = count_stencil_runs(monkeypatch)
     p, q, grid, section = dirac_scenario(chart, mink)
     greens_apply(p, q, mink, [(section, direction)], grid)
@@ -588,18 +591,21 @@ def test_driven_sweep_starts_at_its_first_forced_stage(chart, mink, monkeypatch,
     stages = np.empty(2 * grid.nt - 1)
     stages[0::2] = grid.ts[order]
     stages[1::2] = grid.ts[order[:-1]] + dt / 2
+    forced = int(np.argmax((stages >= lo) & (stages <= hi)))
+    assert not lo <= stages[forced - 1] <= hi and lo <= stages[forced] <= hi
     source = Tape(section.components, grid.xs).stack(stages[:, None])
-    forced = int(np.argmax(source.any(axis=(1, 2))))
-    assert lo < stages[forced] < hi
+    assert not source[:forced].any() and source[forced:].any()
     first = max(0, (forced - 1) // 2)
     assert first > 0.2 * grid.nt
     assert orders() == [2] * 4 * (grid.nt - 1 - first)
 
-    u = greens.solve_driven(compose(p, q), mink, [(section, direction)], grid)[0].values
-    assert not u[order[:first + 1]].any()
-    assert u[order[first + 1]].any()
+    u = greens.solve_driven(compose(p, q), mink, [(section, direction)], grid)[0]
+    held = (order[first + 1], grid.nt) if direction == "retarded" else (0, order[first + 1] + 1)
+    assert (u.first, u.stop) == held
+    mesh = u.mesh()
+    assert not mesh[order[:first + 1]].any() and mesh[order[first + 1:]].any()
     outside = grid.ts < lo if direction == "retarded" else grid.ts > hi
-    assert not u[outside].any()
+    assert not mesh[outside].any()
 
 
 # the lockstep march: both halves of a solve as one stacked state
@@ -620,12 +626,12 @@ def test_lockstep_solutions_equal_the_unpruned_scheme(chart, monkeypatch, metric
     assert {"centred": off <= 1, "off-centre": 1 < off < grid.nt - 1,
             "backward empty": j0 == 0, "forward empty": j0 == grid.nt - 1}[halves]
     direct = solve_first_order_direct(p, metric, phi0, grid)
-    assert np.array_equal(direct.values, reference_solve_first_order_direct(p, metric, phi0, grid).values)
+    assert np.array_equal(direct.mesh(), reference_solve_first_order_direct(p, metric, phi0, grid).mesh())
     actual = solve_cauchy(p, q, metric, phi0, grid)[0]
     use_reference(monkeypatch)
     expected = solve_cauchy(p, q, metric, phi0, grid)[0]
-    assert np.isfinite(actual.values).all() and np.abs(actual.values).max() > 0
-    assert np.array_equal(actual.values, expected.values)
+    assert np.isfinite(actual.mesh()).all() and np.abs(actual.mesh()).max() > 0
+    assert np.array_equal(actual.mesh(), expected.mesh())
 
 
 @pytest.mark.parametrize("t0", [0.0, 0.1, "driven"])
@@ -637,20 +643,20 @@ def test_lockstep_on_a_circle_equals_the_unpruned_scheme(monkeypatch, t0):
     if t0 == "driven":
         # four driven members stacked, their stencils wrapped around
         jobs = driven_batch(grid, ["cos(pi*x)", "0.5"])
-        actual = np.stack([u.values for u in greens.solve_driven(compose(p, q), metric, jobs, grid)])
+        actual = np.stack([u.mesh() for u in greens.solve_driven(compose(p, q), metric, jobs, grid)])
         use_reference(monkeypatch)
-        expected = np.stack([u.values for u in greens.solve_driven(compose(p, q), metric, jobs, grid)])
+        expected = np.stack([u.mesh() for u in greens.solve_driven(compose(p, q), metric, jobs, grid)])
         assert np.isfinite(actual).all() and np.abs(actual).max() > 0
         assert np.array_equal(actual, expected)
         return
     phi0 = make_cauchy_data(grid, ["cos(pi*x)", "0.5"], t0, halfwidth=2.0)
     direct = solve_first_order_direct(p, metric, phi0, grid)
-    assert np.array_equal(direct.values, reference_solve_first_order_direct(p, metric, phi0, grid).values)
+    assert np.array_equal(direct.mesh(), reference_solve_first_order_direct(p, metric, phi0, grid).mesh())
     actual = solve_cauchy(p, q, metric, phi0, grid)[0]
     use_reference(monkeypatch)
     expected = solve_cauchy(p, q, metric, phi0, grid)[0]
-    assert np.isfinite(actual.values).all() and actual.values[0].any() and actual.values[-1].any()
-    assert np.array_equal(actual.values, expected.values)
+    assert np.isfinite(actual.mesh()).all() and actual.mesh()[0].any() and actual.mesh()[-1].any()
+    assert np.array_equal(actual.mesh(), expected.mesh())
 
 
 @pytest.mark.parametrize("t0", [0.0, 0.1])
@@ -850,8 +856,8 @@ def test_adjoint_driven_solves_equal_the_unpruned_scheme(chart, monkeypatch, met
     for d, actual in zip(directions, solutions):
         j0 = 0 if d == "retarded" else grid.nt - 1
         expected = reference_solve_second_order(op, metric, grid, zeros, zeros, j0, source=section)
-        assert np.isfinite(actual.values).all() and np.abs(actual.values).max() > 0
-        assert np.array_equal(actual.values, expected.values)
+        assert np.isfinite(actual.mesh()).all() and np.abs(actual.mesh()).max() > 0
+        assert np.array_equal(actual.mesh(), expected.mesh())
 
 
 # the three-point x-operator: C^xx d_x^2 + D^x d_x (+ E) as one operator
@@ -900,9 +906,9 @@ def test_three_point_operator_equals_the_unpruned_scheme(monkeypatch, case, star
         zeros = np.zeros((grid.nx, 1), dtype=complex)
         args, source = (zeros, zeros, 0), make_test_section(grid, ["1+x"], X_WINDOW, T_WINDOW)
     built = count_three_points(monkeypatch)
-    actual = cauchy._solve_second_order(op, metric, grid, [args + (source, None)])[0].values
+    actual = cauchy._solve_second_order(op, metric, grid, [args + (source, None)])[0].mesh()
     assert bool(built) == bool(fields) and len(built) % 4 == 0
-    expected = reference_solve_second_order(op, metric, grid, *args, source=source).values
+    expected = reference_solve_second_order(op, metric, grid, *args, source=source).mesh()
     assert np.isfinite(actual).all() and np.abs(actual).max() > 0
     assert np.array_equal(actual, expected)
 
@@ -922,18 +928,18 @@ def test_three_point_dirac_marches_equal_the_unpruned_scheme(chart, monkeypatch,
         section = make_test_section(grid, ["1", "0.5"], X_WINDOW, T_WINDOW)
         zeros = np.zeros((grid.nx, 2), dtype=complex)
         jobs = [(section, "advanced"), (section, "retarded")]
-        actual = np.stack([u.values for u in greens.solve_driven(op, metric, jobs, grid)])
+        actual = np.stack([u.mesh() for u in greens.solve_driven(op, metric, jobs, grid)])
         expected = np.stack([
-            reference_solve_second_order(op, metric, grid, zeros, zeros, j0, source=section).values
+            reference_solve_second_order(op, metric, grid, zeros, zeros, j0, source=section).mesh()
             for j0 in (grid.nt - 1, 0)
         ])
         assert len(three_point_terms(op)) == 2 and op.e.diagonal is None
     else:
         op = compose(q, p)
         phi0 = make_cauchy_data(grid, ["1", "0.5"], 0.0, steepness=10.0)
-        actual = solve_cauchy(p, q, metric, phi0, grid)[0].values
+        actual = solve_cauchy(p, q, metric, phi0, grid)[0].mesh()
         use_reference(monkeypatch)
-        expected = solve_cauchy(p, q, metric, phi0, grid)[0].values
+        expected = solve_cauchy(p, q, metric, phi0, grid)[0].mesh()
         assert len(three_point_terms(op)) == 3 and op.c_xx.is_constant != (case == "readme_massless")
         assert op.e.is_zero == (case == "readme_massless")
     assert built
@@ -1001,10 +1007,10 @@ def test_batched_driven_solves_equal_the_solves_one_at_a_time(chart, monkeypatch
     firsts = []
     for (source, direction), u in zip(jobs, batched):
         alone = greens.solve_driven(op, metric, [(source, direction)], grid)[0]
-        assert np.isfinite(u.values).all() and np.abs(u.values).max() > 0
-        assert np.array_equal(u.values, alone.values)
+        assert np.isfinite(u.mesh()).all() and np.abs(u.mesh()).max() > 0
+        assert np.array_equal(u.mesh(), alone.mesh())
         order = np.arange(grid.nt) if direction == "retarded" else np.arange(grid.nt)[::-1]
-        firsts.append(int(np.argmax(u.values[order].any(axis=(1, 2)))))
+        firsts.append(int(np.argmax(u.mesh()[order].any(axis=(1, 2)))))
     assert len(set(firsts)) == 4
 
 
@@ -1061,11 +1067,11 @@ def test_a_spanned_march_equals_the_full_march_on_its_span(chart, monkeypatch, m
     assert lo < phi0.level < hi and section.t_support[0] < grid.ts[hi] < section.t_support[1]
     steps = count_member_steps(monkeypatch)
     if start == "cauchy":
-        full, spanned = (solve_cauchy_plain(p, q, metric, phi0, grid, s).values for s in (None, span))
+        full, spanned = (solve_cauchy_plain(p, q, metric, phi0, grid, s).mesh() for s in (None, span))
         assert steps == [grid.nt - 1, hi - lo]
     else:
         op = compose(p, q)
-        full, spanned = (greens.solve_driven(op, metric, [(section, start, s)], grid)[0].values for s in (None, span))
+        full, spanned = (greens.solve_driven(op, metric, [(section, start, s)], grid)[0].mesh() for s in (None, span))
         assert steps[1] < steps[0]
     assert np.abs(full[lo:hi + 1]).max() > 0
     assert np.array_equal(spanned[lo:hi + 1], full[lo:hi + 1])
@@ -1076,8 +1082,9 @@ def test_a_spanned_march_equals_the_full_march_on_its_span(chart, monkeypatch, m
 @pytest.mark.parametrize("direction", ["retarded", "advanced"])
 def test_a_blow_up_inside_a_span_raises_at_its_first_non_finite_level(chart, mink, direction):
     # the overflowing operator of the batched blow-up test: a span that
-    # reaches past the first non-finite level raises at that level, and one
-    # that ends before it stays finite
+    # reaches past the first non-finite level raises at that level, so does
+    # one that starts after it, whose output does not hold that level, and
+    # one that ends before it stays finite
     b = 1e4
     op = compose(FirstOrderOperator.build([[1.0]], [[0.0]], [[-b]]), FirstOrderOperator.build([[1.0]], [[0.0]], [[b]]))
     grid = build_grid(chart, mink, 128)
@@ -1087,10 +1094,11 @@ def test_a_blow_up_inside_a_span_raises_at_its_first_non_finite_level(chart, min
         greens.solve_driven(op, mink, [(section, direction)], grid)
     level = exc.value.level
     if direction == "retarded":
-        before, past = (0, level - 1), (0, level + 3)
+        before, past, after = (0, level - 1), (0, level + 3), (level + 3, grid.nt - 1)
     else:
-        before, past = (level + 1, grid.nt - 1), (level - 3, grid.nt - 1)
-    with pytest.raises(cauchy.SolverBlowupError) as exc:
-        greens.solve_driven(op, mink, [(section, direction, past)], grid)
-    assert (exc.value.level, exc.value.t) == (level, grid.ts[level])
+        before, past, after = (level + 1, grid.nt - 1), (level - 3, grid.nt - 1), (0, level - 3)
+    for span in (past, after):
+        with pytest.raises(cauchy.SolverBlowupError) as exc:
+            greens.solve_driven(op, mink, [(section, direction, span)], grid)
+        assert (exc.value.level, exc.value.t) == (level, grid.ts[level])
     assert np.isfinite(greens.solve_driven(op, mink, [(section, direction, before)], grid)[0].values).all()
