@@ -195,7 +195,7 @@ def coefficient_tape(fields: Sequence[MatrixField], xs: np.ndarray) -> Callable:
     its value a number.  at.stages(ts) gives that list for every stage
     time of a stage-major stack ts, from one run of the tape (Tape.stages,
     which gives a value of t alone as complex); for a constant tape it is
-    one list, built on the first call, repeated."""
+    one list, built with the tape, repeated."""
     nonzero = [f.nonzero() for f in fields]
     tape = _expr.Tape([e for entries in nonzero for _, _, e in entries], xs)
 
@@ -207,14 +207,8 @@ def coefficient_tape(fields: Sequence[MatrixField], xs: np.ndarray) -> Callable:
         return values(tape(t))
 
     if tape.constant:
-        held = []
-
-        def stages(ts):
-            if not held:
-                held.append(values(tape.stages(ts)[0]))
-            return held * len(ts)
-
-        at.stages = stages
+        stage = [at(0.0)]
+        at.stages = lambda ts: stage * len(ts)
     else:
         at.stages = lambda ts: [values(vals) for vals in tape.stages(ts)]
     return at

@@ -12,7 +12,9 @@ a program: both solvers march one, and the datum d_t Phi_0 that makes
 (P Phi)|_Sigma = 0 is the direct solve's right-hand side at t0, the
 program run once on a one-member state.  A right-hand side is built once
 per operator and grid and kept on the operator, so every solve of one
-operator on one grid marches one program and one coefficient tape.
+operator on one grid marches one program and one coefficient tape.  Every
+field is set up when it is built, applied through bundle_ops.product or
+as a three-point operator's weights, so a march only runs ops.
 
 Time stepping is classical 4th-order one-step (RK4); space is 2nd-order
 centered.  A march evolves a list of starts of one operator, each a state
@@ -45,12 +47,12 @@ Where C^xx and D^x of a second-order operator are real s Id fields free
 of t, one of them not constant (a metric whose beta depends on x alone,
 the README's), C^xx d_x^2 u + D^x d_x u, and E u where E is such a field
 too, is one three-point operator a_i u_{i+1} + b_i u_i + e_i u_{i-1}:
-real weights per node, built once per right-hand side from the tape's
-values and laid out over a segment's members, eight calls on the float64
-view where two stencils and their products made twelve and more.  It is
-the same second-order scheme in exact arithmetic, and its values move in
-the last bits; every other operator keeps the stencils, and its march
-outputs are those of the formulas above.
+real weights per node, built with the right-hand side from the
+fields' node values and laid out over a segment's members, eight calls
+on the float64 view where two stencils and their products made twelve
+and more.  It is the same second-order scheme in exact arithmetic, and
+its values move in the last bits; every other operator keeps the
+stencils, and its march outputs are those of the formulas above.
 """
 
 from __future__ import annotations
@@ -462,21 +464,20 @@ def _right_hand_side(lead: MatrixField, terms, grid: Grid1p1):
     a run is a fixed sequence of ufunc calls with out=.  A term (x, _X, c),
     x a _ThreePoint, subtracts x's operator applied to y[c].
 
-    The terms whose field folds to 0, and so the stencils only their
-    operands need, are left out, and a constant c Id field is applied as
-    the number c (bundle_ops.product), +-Id as a sign; the rest are
+    Every field is set up here, once per operator and grid: a term's field
+    is applied through bundle_ops.product (a constant c Id field as the
+    number c, +-Id as a sign) and a _ThreePoint's weights are built with
+    it, so a run only runs ops.  The terms whose field folds to 0, and so
+    the stencils only their operands need, are left out; the rest are
     subtracted in order, from the first term where no member is forced, so
     the result equals subtracting every matrix product from f (zeros may
     differ in sign)."""
     terms = [(field, order, c) for field, order, c in terms if not field.is_zero]
     inverse = lead.inverse()
-    # each term's fields in the tape, from slots[n] on
-    parts = [field.fields if order == _X else (field,) for field, order, _ in terms]
-    slots = np.cumsum([0] + [len(fields) for fields in parts]).tolist()
-    coeffs = coefficient_tape([f for fields in parts for f in fields] + [inverse], grid.xs)
+    # term n's field is the tape's field n; a _ThreePoint's is its constant -Id
+    fields = [field.minus if order == _X else field for field, order, _ in terms]
+    coeffs = coefficient_tape(fields + [inverse], grid.xs)
     spacing = {1: 2 * grid.dx, 2: grid.dx**2}
-    binds = [None if order == _X else _bind(field) for field, order, _ in terms]
-    solve = _bind(inverse)
 
     def program(states: list, ks: list) -> list:
         shape = ks[0].shape
@@ -492,7 +493,7 @@ def _right_hand_side(lead: MatrixField, terms, grid: Grid1p1):
             operands = [derivatives[order, c] if order else y[c] for _, order, c in terms]
             # each _ThreePoint writes the negative of its operator into its operand
             three_points = {
-                n: field.bind(y[c], operands[n], layouts[n], slots[n])
+                n: field.bind(y[c], operands[n], layouts[n])
                 for n, (field, order, c) in enumerate(terms) if order == _X
             }
             # an identity inverse leaves the load as it is, so it is gathered in k
@@ -500,13 +501,12 @@ def _right_hand_side(lead: MatrixField, terms, grid: Grid1p1):
             variants = []
             for first in (None, _FORCING):
                 ops, result = [], first
-                for n, ((field, order, _), w) in enumerate(zip(terms, operands)):
-                    if order == _X:
+                for n, (field, w) in enumerate(zip(fields, operands)):
+                    if n in three_points:
                         ops.append(three_points[n])
-                        field = field.minus
-                    term, result = _subtraction(field, slots[n], w, result, into, scratch, binds[n])
+                    term, result = _subtraction(field, n, w, result, into, scratch)
                     ops += term
-                variants.append(ops + _solution(inverse, result, into, k, solve))
+                variants.append(ops + _solution(inverse, result, into, k))
             runs.append(_stage(stencils, *variants))
         return runs
 
@@ -523,80 +523,39 @@ class _ThreePoint:
     (grids._three_point), for real s Id fields C^xx, D^x and E free of t
     (E is the zero field where the operator's is not one, and that stays a
     term of its own).  The weights, of the operator's negative
-    (grids.three_point_weights), are built on the first run from the
-    fields' tape values and kept, and laid out over each segment's
-    members; the term subtracts -Id times the negative, which leaves it
-    as it is where it comes first in an unforced stage."""
+    (grids.three_point_weights), are built here from the fields' node
+    values, so with the right-hand side, and laid out over each segment's
+    members; the term subtracts -Id (minus) times the negative, which
+    leaves it as it is where it comes first in an unforced stage."""
 
     is_zero = False
 
     def __init__(self, fields: tuple, grid: Grid1p1):
-        self.fields, self.grid = fields, grid
+        self.grid = grid
         self.minus = MatrixField.from_constant(-np.eye(fields[0].k))
-        self._nodes = None
+        values = [f.eval(0.0, grid.xs)[:, 0, 0].real for f in fields]
+        self.nodes, self.edges = (np.negative(w) for w in three_point_weights(*values, grid))
 
-    def layout(self, shape: tuple) -> Callable:
-        """weights(c), the weights and edge weights as _three_point takes
-        them for complex arrays of shape (members, nx, k), c being the
-        fields' tape values: laid out on the first call and shared by every
-        later one."""
-        laid = []
+    def layout(self, shape: tuple) -> tuple:
+        """The weights and edge weights as _three_point takes them for
+        complex arrays of shape (members, nx, k)."""
+        row = 2 * shape[-1]
+        full, ends = np.empty((3,) + shape[:-1] + (row,)), np.empty(shape[:1] + self.edges.shape + (row,))
+        full[...] = self.nodes[:, None, :, None]
+        ends[...] = self.edges[..., None]
+        return full, ends
 
-        def weights(c) -> tuple:
-            if not laid:
-                if self._nodes is None:
-                    values = [np.real(v[0][2]) if v else 0.0 for v in c]
-                    self._nodes = tuple(np.negative(w) for w in three_point_weights(*values, self.grid))
-                nodes, edges = self._nodes
-                row = 2 * shape[-1]
-                full, ends = np.empty((3,) + shape[:-1] + (row,)), np.empty(shape[:1] + edges.shape + (row,))
-                full[...] = nodes[:, None, :, None]
-                ends[...] = edges[..., None]
-                laid.append((full, ends))
-            return laid[0]
-
-        return weights
-
-    def bind(self, w: np.ndarray, out: np.ndarray, weights: Callable, slot: int) -> Callable:
+    def bind(self, w: np.ndarray, out: np.ndarray, laid: tuple) -> Callable:
         """op(c, f) writing the negative of the operator applied to w into
-        out, the fields' tape values being c[slot:slot + 3]; the first run
-        binds the three-point operator."""
-        runs = []
-
-        def run(c, f) -> None:
-            if not runs:
-                runs.append(_three_point(w, out, *weights(c[slot:slot + 3]), self.grid.periodic))
-            runs[0]()
-
-        return run
+        out, laid being layout's weights."""
+        run = _three_point(w, out, *laid, self.grid.periodic)
+        return lambda c, f: run()
 
 
 def _real_x_only(field: MatrixField) -> bool:
     """Whether field is s Id for a real s free of t."""
     s = field.diagonal
     return s is not None and not _expr.uses_var(s, "t") and _expr.is_real(s)
-
-
-def _bind(field: MatrixField) -> Callable:
-    """product(field), except for a non-constant s Id field free of t: its
-    value is laid out once, on the first run, as (nx, k) complex rows, so
-    that each product multiplies two complex arrays instead of broadcasting
-    the real s over the last axis (numpy makes s complex either way, so
-    the values are equal)."""
-    s = field.diagonal
-    if s is None or field.scalar is not None or _expr.uses_var(s, "t"):
-        return product(field)
-    rows = []
-
-    def bind(w: np.ndarray, out: np.ndarray) -> Callable:
-        def run(c) -> np.ndarray:
-            if not rows:
-                rows.append(np.repeat(np.asarray(c[0][2], dtype=complex)[:, None], w.shape[-1], axis=1))
-            return np.multiply(rows[0], w, out)
-
-        return run
-
-    return bind
 
 
 def _stage(stencils: list, unforced: list, forced: list) -> Callable:
@@ -612,21 +571,18 @@ def _stage(stencils: list, unforced: list, forced: list) -> Callable:
     return run
 
 
-def _subtraction(
-    field: MatrixField, n: int, w: np.ndarray, load, into: np.ndarray, scratch: np.ndarray, bind: Callable
-) -> tuple:
+def _subtraction(field: MatrixField, n: int, w: np.ndarray, load, into: np.ndarray, scratch: np.ndarray) -> tuple:
     """The ops, each op(c, f), writing load - field @ w into into, field's
-    value being c[n] and bind its product (_bind): load is an array,
-    _FORCING for the forcing rows f, or None for the number 0 of an
-    unforced stage, which leaves -field @ w.  A constant +-Id field is
-    applied as its sign, so -(-Id) w is w itself, with no op.  Returns the
-    ops and the array holding the result."""
+    value being c[n]: load is an array, _FORCING for the forcing rows f,
+    or None for the number 0 of an unforced stage, which leaves -field @ w.
+    A constant +-Id field is applied as its sign, so -(-Id) w is w itself,
+    with no op.  Returns the ops and the array holding the result."""
     s = field.scalar
     if s == -1 and load is None:
         return [], w
     ops, term = [], w
     if s not in (1, -1):
-        apply = bind(w, scratch)
+        apply = product(field)(w, scratch)
         ops.append(lambda c, f: apply(c[n]))
         term = scratch
     if load is None:
@@ -640,12 +596,11 @@ def _subtraction(
     return ops, into
 
 
-def _solution(inverse: MatrixField, load, into: np.ndarray, k: np.ndarray, bind: Callable) -> list:
+def _solution(inverse: MatrixField, load, into: np.ndarray, k: np.ndarray) -> list:
     """The ops writing inverse @ load into k, the inverse's value being the
-    last of the coefficient values c and bind its product (_bind): load as
-    _subtraction leaves it, the number 0 of an unforced stage and the
-    forcing rows of a forced one with no term first written into into,
-    which is k for the identity."""
+    last of the coefficient values c: load as _subtraction leaves it, the
+    number 0 of an unforced stage and the forcing rows of a forced one
+    with no term first written into into, which is k for the identity."""
     ops = []
     if load is None:
         ops.append(lambda c, f: into.fill(0.0))
@@ -656,7 +611,7 @@ def _solution(inverse: MatrixField, load, into: np.ndarray, k: np.ndarray, bind:
         if load is not k:
             ops.append(lambda c, f: np.copyto(k, load))
     else:
-        solve = bind(load, k)
+        solve = product(inverse)(load, k)
         ops.append(lambda c, f: solve(c[-1]))
     return ops
 

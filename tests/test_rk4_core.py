@@ -420,6 +420,27 @@ def test_curved_dirac_rhs_makes_no_matrix_contraction(chart, monkeypatch):
     assert all(f.diagonal is not None and not f.is_constant for f in fields)
 
 
+def test_a_built_right_hand_side_sets_up_nothing_when_marched(chart, monkeypatch):
+    # on the README metric the three-point weights are built with the
+    # right-hand side: once _second_order_rhs has returned, a Cauchy solve
+    # and a driven solve of the operator only run its ops
+    metric = DiagonalMetric(*METRICS["readme"], chart)
+    p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
+    grid = build_grid(chart, metric, 128)
+    op = compose(q, p)
+    cauchy._second_order_rhs(op, grid)
+
+    def no_set_up(*args):
+        raise AssertionError("three-point weights built during a march")
+
+    monkeypatch.setattr(cauchy, "three_point_weights", no_set_up)
+    phi0 = make_cauchy_data(grid, ["1", "0.5"], 0.0)
+    u = solve_second_order(op, metric, grid, phi0.values, 0.5 * phi0.values, phi0.level)
+    section = make_test_section(grid, ["1", "0.5"], X_WINDOW, T_WINDOW)
+    v = greens.solve_driven(op, metric, [(section, "retarded")], grid)[0]
+    assert u.values.any() and v.values.any()
+
+
 def products(field, c, w, load):
     """field @ w as product applies it, and load - field @ w as a term of
     the right-hand-side program subtracts it from a later term's load,
@@ -427,7 +448,7 @@ def products(field, c, w, load):
     out, into, scratch = (np.empty(w.shape, dtype=complex) for _ in range(3))
     results = [product(field)(w, out)(c).copy()]
     for first, f in ((load, None), (cauchy._FORCING, load), (None, None)):
-        ops, result = cauchy._subtraction(field, 0, w, first, into, scratch, cauchy._bind(field))
+        ops, result = cauchy._subtraction(field, 0, w, first, into, scratch)
         for op in ops:
             op([c], f)
         results.append(result.copy())
@@ -448,30 +469,6 @@ def test_shared_diagonal_fields_contract_as_the_matrix_product(s, c):
     assert np.array_equal(applied, contract(c, w))
     assert np.array_equal(later, load - contract(c, w)) and np.array_equal(forced, later)
     assert np.array_equal(unforced, 0.0 - contract(c, w))
-
-
-@pytest.mark.parametrize("s, laid_out", [("1+0.3*cos(2*x)", True), ("-0.6*sin(2*x)/(1+0.3*cos(2*x))", True),
-                                         ("(1+x)*(0.2+t)", False), ("2", False)])
-def test_x_only_diagonal_fields_are_laid_out_as_complex_rows(s, laid_out, monkeypatch):
-    # README's C^xx and D^x are s(x) Id: the right-hand side multiplies by
-    # s laid out once as (nx, k) complex rows, whose products equal the
-    # broadcast real s's bit for bit, signed zeros included (numpy makes
-    # s complex either way)
-    field = MatrixField.from_exprs([[s, 0], [0, s]])
-    xs = np.linspace(-1.0, 1.0, 128)
-    c = coefficient_tape([field], xs)(0.25)[0]
-    bind = cauchy._bind(field)
-    layouts = []
-    real = np.repeat
-    monkeypatch.setattr(np, "repeat", lambda *args, **kwargs: layouts.append(1) or real(*args, **kwargs))
-    rng = np.random.default_rng(7)
-    for members in (2, 3):
-        w = signed_zero_input(rng, (members, 128, 2))
-        out, expected = np.empty(w.shape, complex), np.empty(w.shape, complex)
-        applied = bind(w, out)(c)
-        product(field)(w, expected)(c)
-        assert applied.view(np.float64).tobytes() == expected.view(np.float64).tobytes()
-    assert len(layouts) == laid_out
 
 
 @pytest.mark.parametrize("c", [1, -1, 0.49, -2.5, 1j, 0.3 + 0.7j])
@@ -710,10 +707,10 @@ def test_curved_solve_runs_the_coefficient_tape_once_per_block(chart, monkeypatc
 def count_bound_calls(monkeypatch):
     """Record the callable of every call a march's steps make through the
     functools.partial objects it binds, the field of every coefficient
-    product they run (cauchy._bind's closures), and the steps of each
-    march: the partials are made while a segment is built or on its first
-    run, and the calls are counted from the first block's coefficient
-    values to the end of the march, outside the coefficient tape's runs."""
+    product they run (cauchy.product's closures), and the steps of each
+    march: the partials and products are made while a segment is built,
+    and the calls are counted from the first block's coefficient values
+    to the end of the march, outside the coefficient tape's runs."""
     calls, products, steps, counting = [], [], [], [False]
 
     class Counting(functools.partial):
@@ -722,13 +719,13 @@ def count_bound_calls(monkeypatch):
                 calls.append(self.func)
             return super().__call__(*args, **kwargs)
 
-    bind = cauchy._bind
+    real_product = cauchy.product
 
-    def counted_bind(field):
-        real_bind = bind(field)
+    def counted_product(field):
+        bind = real_product(field)
 
         def binding(w, out):
-            run = real_bind(w, out)
+            run = bind(w, out)
             return lambda c: (products.append(field) if counting[0] else None) or run(c)
 
         return binding
@@ -750,19 +747,25 @@ def count_bound_calls(monkeypatch):
             counting[0] = False
 
     monkeypatch.setattr(functools, "partial", Counting)
-    monkeypatch.setattr(cauchy, "_bind", counted_bind)
+    monkeypatch.setattr(cauchy, "product", counted_product)
     monkeypatch.setattr(cauchy, "_rk4", rk4)
     return calls, products, steps
 
 
-@pytest.mark.parametrize("metric_name, nx, per_step", [("minkowski", 512, 42), ("readme", 160, 46)])
-def test_a_lockstep_step_makes_a_fixed_number_of_bound_numpy_calls(chart, monkeypatch, metric_name, nx, per_step):
+@pytest.mark.parametrize("metric_name, nx, per_step, products_of", [
+    ("minkowski", 512, 42, ()),
+    ("readme", 160, 46, ("d_t", "c_tt")),
+    ("varying", 160, 62, ("c_xx", "d_t", "d_x", "e", "c_tt")),
+], ids=["minkowski-512-42", "readme-160-46", "varying-160-62"])
+def test_a_lockstep_step_makes_a_fixed_number_of_bound_numpy_calls(chart, monkeypatch, metric_name, nx, per_step, products_of):
     # a centred Cauchy solve marches two members in lockstep; each step
     # makes the same bound calls, each one numpy call: a ufunc, a ufunc's
     # reduce or an array's take or fill, so the count repeats exactly.  On
     # the README metric a stage's C^xx d_x^2 u + D^x d_x u + E u is one
     # three-point operator, 8 bound calls where two stencils made 12, and
-    # its coefficient products, closures, are D^t's and (C^tt)^-1's
+    # its coefficient products, closures, are D^t's and (C^tt)^-1's.  On
+    # the general metric C^xx depends on t and D^t, D^x and E are not s Id:
+    # two stencils and five products a stage
     metric = DiagonalMetric(*METRICS[metric_name], chart)
     p, q = build_dirac_pair(DiracModel(mass=1.0), metric)
     grid = build_grid(chart, metric, nx)
@@ -773,11 +776,9 @@ def test_a_lockstep_step_makes_a_fixed_number_of_bound_numpy_calls(chart, monkey
     assert len(calls) == per_step * steps[0]
     assert all(isinstance(f, np.ufunc) or isinstance(getattr(f, "__self__", None), (np.ndarray, np.ufunc)) for f in calls)
     op = compose(q, p)
-    if metric_name == "minkowski":
-        assert products == []
-    else:
-        assert len(products) == 8 * steps[0]
-        assert {f.entries for f in products} == {op.d_t.entries, op.c_tt.inverse().entries}
+    fields = [op.c_tt.inverse() if name == "c_tt" else getattr(op, name) for name in products_of]
+    assert len(products) == 4 * len(fields) * steps[0]
+    assert {f.entries for f in products} == {f.entries for f in fields}
 
 
 def record_step_coefficients(monkeypatch):
