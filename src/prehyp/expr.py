@@ -451,8 +451,9 @@ def _sum(op: str, a: ExprAst, b: ExprAst) -> ExprAst:
 
 
 def _mul(a: ExprAst, b: ExprAst) -> ExprAst:
-    # normal form: signs outside, one constant factor in front
-    if isinstance(b, Num):
+    # normal form: signs outside, one constant factor in front.  Two
+    # constants are left as they are, being a product that does not fold
+    if isinstance(b, Num) and not isinstance(a, Num):
         a, b = b, a
     if isinstance(a, Num) and a.value in (0, 1, -1):
         return ZERO if a.value == 0 else b if a.value == 1 else _f("neg", b)
@@ -460,9 +461,12 @@ def _mul(a: ExprAst, b: ExprAst) -> ExprAst:
         if isinstance(u, Neg):
             return _f("neg", _f("*", u.arg, v))
         if isinstance(u, Bin) and u.op == "*" and isinstance(u.left, Num):
-            if isinstance(v, Num):
-                return _f("*", _f("*", v, u.left), u.right)
-            return _f("*", u.left, _f("*", v, u.right))
+            if not isinstance(v, Num):
+                return _f("*", u.left, _f("*", v, u.right))
+            # c2 * (c1 * r) as (c2 c1) * r where that product folds
+            c = _num(v.value * u.left.value)
+            if c is not None:
+                return _f("*", c, u.right)
     return Bin("*", a, b) if isinstance(a, Num) else Bin("*", *sorted((a, b), key=pretty))
 
 

@@ -332,6 +332,18 @@ class TestGates:
             assert f"{' '.join(argv)}: FAIL" in out
             assert "the solution is not finite from time level" in out
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_source_whose_constants_do_not_fold_fails_with_exit_two(self, tmp_path, capsys):
+        # (x*1e200)*1e200 folds to 1e200*(1e200*x), the product of the two
+        # constants being infinite: the source is not finite inside its
+        # windows, so the driven solutions are not either
+        text = SMALL_DIRAC_CFG + SOURCE.replace("components = [1, 0.5]", "components = [(x*1e200)*1e200, 0.5]")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["greens", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[:2] == ["greens: FAIL", "  the solution is not finite from time level 52 (t = 0.025) on"]
+        assert captured.err == ""
+
 
     @pytest.mark.parametrize("subcommand", ["solve", "beta", "greens"])
     def test_non_finite_coefficient_fails_with_exit_two(self, tmp_path, capsys, subcommand):

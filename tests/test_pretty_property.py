@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from prehyp.expr import FUNCTIONS, Bin, Call, Neg, Num, Var, fold, parse, pretty, simplify  # noqa: E402
 
-PARTS = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
+PARTS = st.floats(allow_nan=False, allow_infinity=False)
 CONSTANTS = st.one_of(
     st.builds(complex, PARTS, PARTS),
     st.builds(complex, st.sampled_from([0.0, -0.0]), PARTS),
@@ -33,10 +33,9 @@ def _extend(inner):
     )
 
 
-# folded: simplify leaves them as they are.  (It swaps the factors of a
-# product of two constants each time it runs where the product is not
-# finite, as 1e200 * 1e200, so those are left out.)
-ASTS = st.recursive(LEAVES, _extend, max_leaves=8).map(simplify).filter(lambda a: simplify(a) == a)
+# folded ASTs: simplify leaves them as they are, a product of constants
+# that is not finite, as 1e200 * 1e200, included
+ASTS = st.recursive(LEAVES, _extend, max_leaves=8).map(simplify)
 
 
 def test_parse_reads_the_imaginary_literals_pretty_writes():
@@ -51,7 +50,7 @@ def test_parse_reads_the_imaginary_literals_pretty_writes():
     assert parse("sin (2j)") == parse("sin((2j))") == Call("sin", Num(2j))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 @given(a=ASTS)
 def test_simplify_parse_pretty_is_the_identity_on_folded_asts(a):
     assert simplify(parse(pretty(a))) == a, pretty(a)

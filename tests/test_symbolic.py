@@ -202,6 +202,19 @@ def test_folding_prunes_zeros_and_units():
         Tape([simplify(parse("1/(1-1)"))], np.zeros(1))(0.0)
 
 
+@pytest.mark.parametrize("src, folded", [
+    ("x*1e200*1e200", "1e200*(1e200*x)"),
+    ("1e200*(1e200*x)", "1e200*(1e200*x)"),
+    ("(-1.485e129j)*(1.585e294j)", "(-1.485e129j)*(1.585e294j)"),
+    ("(x*1e200)*1e-100", "1e100*x"),
+])
+def test_constants_whose_product_does_not_fold_stay_apart(src, folded):
+    # only a product of constants that is finite is folded, and fold keeps
+    # the order of two constants, so simplify leaves its result as it is
+    a = simplify(parse(src))
+    assert a == simplify(parse(folded)) and simplify(a) == a
+
+
 @pytest.mark.parametrize("rows", [
     [["2+x"]],
     [["1+x", "t"], ["x*t", "2+sin(t)"]],
