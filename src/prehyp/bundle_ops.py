@@ -159,10 +159,15 @@ class MatrixField:
         return self._map(lambda e: _bin("*", s, e))
 
     def inverse(self) -> "MatrixField":
-        """Adjugate over determinant, entry by entry (Laplace expansion)."""
+        """Adjugate over determinant, entry by entry (Laplace expansion);
+        an s Id field as (1/s) Id, at every rank."""
         if self.is_constant:
             return MatrixField.from_constant(np.linalg.inv(self.constant))
         idx = tuple(range(self.k))
+        s = self.diagonal
+        if s is not None:
+            inv = _bin("/", _expr.ONE, s)
+            return MatrixField([[inv if i == j else _expr.ZERO for j in idx] for i in idx])
 
         def det(rows, cols):
             if not rows:

@@ -11,10 +11,7 @@ by entry where the rank-2 runs apply a number.  On the README metric the
 masses are equal: E = m^2 Id is folded into the three-point x-operator
 (cauchy._ThreePoint) only where it is s Id, and a rank-4 E with two
 masses would be a term of its own, a different sum.  There C^tt = s Id
-depends on t, and MatrixField.inverse's Laplace expansion gives s^3/s^4
-on the diagonal at rank 4 where it gives s/s^2 at rank 2, which differ in
-the last bits: the rank-4 runs here invert it as rank 2 does
-(rank_2_inverse)."""
+depends on t, and MatrixField.inverse gives (1/s) Id at either rank."""
 
 import numpy as np
 import pytest
@@ -45,21 +42,6 @@ def direct_sum_pair(first, second):
         FirstOrderOperator.build(*(direct_sum(getattr(x, f), getattr(y, f)) for f in ("a_t", "a_x", "b")))
         for x, y in zip(first, second)
     )
-
-
-def rank_2_inverse(monkeypatch):
-    """MatrixField.inverse, with a non-constant s Id field of rank 4
-    inverted entry for entry as the rank-2 one."""
-    real = MatrixField.inverse
-
-    def inverse(field):
-        s = field.diagonal
-        if field.k != 4 or s is None or field.is_constant:
-            return real(field)
-        e = real(MatrixField([[s, ZERO], [ZERO, s]])).entries[0][0]
-        return MatrixField([[e if i == j else ZERO for j in range(4)] for i in range(4)])
-
-    monkeypatch.setattr(MatrixField, "inverse", inverse)
 
 
 def driven_solutions(monkeypatch):
@@ -98,7 +80,6 @@ def test_a_rank_4_direct_sum_marches_as_its_two_rank_2_blocks(monkeypatch, chart
     grid = build_grid(chart, metric, 128)
     pairs = [build_dirac_pair(DiracModel(mass=m), metric) for m in masses]
     p, q = direct_sum_pair(*pairs)
-    rank_2_inverse(monkeypatch)
     assert p.k == 4 and (case == "readme") == (p.b.diagonal is not None)
     whole = runs(monkeypatch, metric, grid, p, q, BLOCKS)
     # the rank-2 runs take the block's components, in the order the

@@ -227,3 +227,11 @@ def test_symbolic_inverse(rows):
     for t, x in ((0.1, 0.3), (-0.2, -0.7)):
         np.testing.assert_allclose(inv.at(t, x) @ f.at(t, x), np.eye(f.k), atol=1e-14)
     assert MatrixField.from_exprs([["1", "2"], ["0", "4"]]).inverse().is_constant
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_an_s_id_field_inverts_as_one_over_s(k):
+    # (1/s) Id at every rank, where the Laplace expansion gave s^(k-1)/s^k
+    s = "1+0.1*sin(t)*cos(2*x)"
+    inv = MatrixField.from_exprs([[s if i == j else "0" for j in range(k)] for i in range(k)]).inverse()
+    assert inv.diagonal == simplify(parse(f"1/({s})"))
